@@ -300,6 +300,75 @@ def bench_batched_small_graph_sweep():
     )
 
 
+#: (family, n) cells of the real-λ labeling benchmark; the 10⁶ grid is the
+#: cell ``--quick`` skips.
+LABELING_CELLS = [("grid", 10_000), ("grid", 317 * 317), ("path", 20_000),
+                  ("geometric", 4096)]
+LABELING_LARGE_CELL = ("grid", 1000 * 1000)
+
+#: One labeling cell in a fresh interpreter, so ``ru_maxrss`` is this cell's
+#: peak alone: generate the graph, then time λ from source 0.
+_LABELING_PROBE = """
+import json, resource, sys, time
+from repro.core import lambda_scheme
+from repro.graphs import generate_family
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+graph = generate_family(sys.argv[1], int(sys.argv[2]), 1)
+graph_peak = peak_mb()
+start = time.perf_counter()
+labeling = lambda_scheme(graph, 0)
+seconds = time.perf_counter() - start
+print(json.dumps({"n": graph.n, "ell": labeling.construction.ell,
+                  "label_bits": labeling.length, "seconds": seconds,
+                  "graph_peak_rss_mb": graph_peak, "peak_rss_mb": peak_mb()}))
+"""
+
+
+def bench_labeling_rows(request):
+    """Real λ labels on large instances; emits the ``labeling_rows`` section.
+
+    Each cell runs in its own interpreter and records λ's wall time (the
+    Section 2.1 construction plus the label bits) and the process's peak
+    RSS, next to the peak after graph generation alone.  The path is the
+    worst case for the construction (ℓ = n stages).  With ``--quick`` the
+    n = 10⁶ grid is skipped.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cells = list(LABELING_CELLS)
+    if not request.config.getoption("--quick"):
+        cells.append(LABELING_LARGE_CELL)
+    rows = []
+    for family, n in cells:
+        out = subprocess.run(
+            [sys.executable, "-c", _LABELING_PROBE, family, str(n)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        cell = json.loads(out.stdout.strip().splitlines()[-1])
+        assert cell["label_bits"] == 2 and cell["ell"] <= cell["n"], cell
+        rows.append({
+            "family": family,
+            "n": cell["n"],
+            "ell": cell["ell"],
+            "seconds": round(cell["seconds"], 4),
+            "graph_peak_rss_mb": round(cell["graph_peak_rss_mb"], 1),
+            "peak_rss_mb": round(cell["peak_rss_mb"], 1),
+        })
+    _merge_bench_json("labeling_rows", rows)
+    report(
+        "E10i — real λ labels on large instances (one interpreter per cell)",
+        format_table(rows) + f"\nwritten to {BENCH_JSON}",
+    )
+
+
 def _sharded_bench_task(side: int, rounds: int):
     """A fixed-budget Algorithm-B round-loop workload on a side×side grid.
 

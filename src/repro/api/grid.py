@@ -328,7 +328,10 @@ def _run_units(
     :class:`SchemeLabels` is built once per instance (labels and schedules
     are pure functions of (graph, source, payload)), then reused across the
     fault/clock rows.  ``_payload_text`` reaches the one scheme whose label
-    step depends on the payload (bit signalling); the others swallow it.
+    step depends on the payload (bit signalling); ``_constructions`` is the
+    instance's Section 2.1 construction cache, through which λ and λ_ack
+    label from one construction of the source.  The other schemes swallow
+    both.
 
     ``retries`` re-runs a failing *cell* up to that many extra times with
     fresh fault/clock model objects before the strict/non-strict failure
@@ -351,6 +354,7 @@ def _run_units(
             )
             continue
         labels_infos: Dict[str, Any] = {}
+        constructions: Dict[Any, Any] = {}
         for unit in group:
             _, _, _, fault_spec, clock_spec, scheme_name = unit
 
@@ -368,7 +372,8 @@ def _run_units(
                         if scheme_name not in labels_infos:
                             labels_infos[scheme_name] = scheme.build_labels(
                                 instance.graph, instance.source,
-                                _payload_text=str(config.payload), **options,
+                                _payload_text=str(config.payload),
+                                _constructions=constructions, **options,
                             )
                         # Fresh model objects per run (and per retry): fault
                         # models memoise coin flips, and a shared instance
@@ -501,6 +506,8 @@ def _run_unit_window_batched(
         )
 
     labels_cache: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
+    # Per instance: the Section 2.1 construction its λ and λ_ack rows share.
+    constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
     for members in groups.values():
         for batch in chunk_specs(members, batch_size):
             tasks, metas = [], []
@@ -515,7 +522,10 @@ def _run_unit_window_batched(
                     if cache_key not in labels_cache:
                         labels_cache[cache_key] = scheme.build_labels(
                             instance.graph, instance.source,
-                            _payload_text=str(config.payload), **options,
+                            _payload_text=str(config.payload),
+                            _constructions=constructions.setdefault(
+                                (family, size, rep), {}),
+                            **options,
                         )
                     info = labels_cache[cache_key]
                     task = scheme.build_task(

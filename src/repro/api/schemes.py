@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Type, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
 
 from ..backends import SimulationTask, resolve_backend
 from ..backends.base import BackendResult
@@ -43,6 +43,7 @@ from ..baselines.collision_detection import (
 )
 from ..baselines.coloring_tdma import ColoringTdmaNode, coloring_tdma_labels
 from ..baselines.round_robin import RoundRobinNode, round_robin_labels
+from ..core import labeling as core_labeling
 from ..core.labeling import (
     Labeling,
     lambda_ack_scheme,
@@ -53,6 +54,7 @@ from ..core.outcome import Outcome
 from ..core.protocols.acknowledged import make_acknowledged_node
 from ..core.protocols.arbitrary import ArbitrarySourceNode, make_arbitrary_node
 from ..core.protocols.broadcast import make_broadcast_node
+from ..core.sequences import SequenceConstruction
 from ..graphs.graph import Graph, GraphError
 from ..radio.clock import ClockModel
 from ..radio.collision import WithCollisionDetection
@@ -271,6 +273,27 @@ def baseline_scheme_names() -> List[str]:
 # --------------------------------------------------------------------------- #
 # the paper's labeled algorithms
 # --------------------------------------------------------------------------- #
+def _shared_construction(
+    cache: Optional[Dict[Tuple[int, str], SequenceConstruction]],
+    graph: Graph,
+    source: int,
+    strategy: str,
+) -> Optional[SequenceConstruction]:
+    """The construction rooted at ``source`` from ``cache``, built on first use.
+
+    ``cache`` is a sweep grid's per-instance dict keyed ``(source, strategy)``,
+    so λ and λ_ack label from one construction.  ``None`` without a cache (a
+    standalone run builds its own) or for a source outside the graph (the
+    labeler then raises its usual error).
+    """
+    if cache is None or source not in graph:
+        return None
+    key = (source, strategy)
+    if key not in cache:
+        cache[key] = core_labeling.build_sequences(graph, source, strategy)
+    return cache[key]
+
+
 def _labels_from_labeling(lab: Labeling, **extras: Any) -> SchemeLabels:
     return SchemeLabels(
         labels=lab.labels,
@@ -288,8 +311,12 @@ class LambdaScheme(Scheme):
     kind = "paper"
     description = "2-bit λ labels + universal Algorithm B (≤ 2n−3 rounds)"
 
-    def build_labels(self, graph, source, *, labeling=None, strategy="prune", **_):
-        lab = labeling if labeling is not None else lambda_scheme(graph, source, strategy=strategy)
+    def build_labels(self, graph, source, *, labeling=None, strategy="prune",
+                     _constructions=None, **_):
+        lab = labeling if labeling is not None else lambda_scheme(
+            graph, source, strategy=strategy,
+            construction=_shared_construction(_constructions, graph, source, strategy),
+        )
         if lab.scheme != "lambda":
             raise GraphError(f"run_broadcast expects a λ labeling, got {lab.scheme!r}")
         return _labels_from_labeling(lab)
@@ -337,9 +364,11 @@ class LambdaAckScheme(Scheme):
     kind = "paper"
     description = "3-bit λ_ack labels + acknowledged broadcast B_ack (≤ t+n−2)"
 
-    def build_labels(self, graph, source, *, labeling=None, strategy="prune", **_):
+    def build_labels(self, graph, source, *, labeling=None, strategy="prune",
+                     _constructions=None, **_):
         lab = labeling if labeling is not None else lambda_ack_scheme(
-            graph, source, strategy=strategy
+            graph, source, strategy=strategy,
+            construction=_shared_construction(_constructions, graph, source, strategy),
         )
         if lab.scheme != "lambda_ack":
             raise GraphError(

@@ -22,7 +22,7 @@ predicates used by the tests:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..graphs.graph import Graph, GraphError
 
@@ -64,6 +64,32 @@ def is_minimal_dominating_subset(
     return True
 
 
+def _coverage(
+    graph: Graph, candidates: Iterable[int], targets: Iterable[int]
+) -> Tuple[Dict[int, int], Dict[int, List[int]]]:
+    """Cover counts and candidate → covered-targets lists, built target-side.
+
+    One pass over each target's ``neighbors ∩ candidates`` — O(Σ deg(t)) —
+    instead of testing every (candidate, target) pair.  Candidates covering
+    no target are absent from the map.  Raises
+    :class:`~repro.graphs.graph.GraphError` if some target has no candidate
+    neighbour (the paper's Lemma 2.5 guarantees none in the construction).
+    """
+    cand = set(candidates)
+    cover_count: Dict[int, int] = {}
+    targets_of: Dict[int, List[int]] = {}
+    for t in targets:
+        if t in cover_count:
+            continue
+        covering = graph.neighbors(t) & cand
+        if not covering:
+            raise GraphError("candidate set does not dominate the target set")
+        cover_count[t] = len(covering)
+        for c in covering:
+            targets_of.setdefault(c, []).append(t)
+    return cover_count, targets_of
+
+
 def prune_to_minimal(
     graph: Graph, candidates: Iterable[int], targets: Iterable[int]
 ) -> FrozenSet[int]:
@@ -71,30 +97,20 @@ def prune_to_minimal(
 
     Deterministic: candidates are considered for removal in increasing index
     order, and a candidate is removed iff the remaining set still dominates all
-    targets.  Raises :class:`~repro.graphs.graph.GraphError` if the full
-    candidate set does not dominate the targets in the first place (the
-    paper's Lemma 2.5 guarantees it always does in the construction).
+    targets (candidates covering no target are always removed).  Raises
+    :class:`~repro.graphs.graph.GraphError` if the full candidate set does not
+    dominate the targets in the first place.
     """
-    cand = set(candidates)
-    targets = list(dict.fromkeys(targets))
-    if not dominates(graph, cand, targets):
-        raise GraphError("candidate set does not dominate the target set")
-    if not targets:
-        return frozenset()
-    # cover_count[t] = number of candidate dominators adjacent to t
-    cover_count: Dict[int, int] = {t: len(graph.neighbors(t) & cand) for t in targets}
-    targets_of: Dict[int, List[int]] = {
-        c: [t for t in targets if c in graph.neighbors(t)] for c in cand
-    }
-    keep = set(cand)
-    for c in sorted(cand):
+    cover_count, targets_of = _coverage(graph, candidates, targets)
+    keep = []
+    for c in sorted(targets_of):
+        covered = targets_of[c]
         # c is redundant iff every target it covers is covered by another kept node.
-        if all(cover_count[t] >= 2 for t in targets_of[c]):
-            keep.discard(c)
-            for t in targets_of[c]:
+        if all(cover_count[t] >= 2 for t in covered):
+            for t in covered:
                 cover_count[t] -= 1
-    # Drop kept candidates that cover no targets at all (vacuously removable).
-    keep = {c for c in keep if targets_of[c]}
+        else:
+            keep.append(c)
     return frozenset(keep)
 
 
@@ -103,28 +119,21 @@ def greedy_minimal_dominating_subset(
 ) -> FrozenSet[int]:
     """Greedy set-cover selection followed by a minimality-restoring prune.
 
-    Ties are broken by smallest node index, so the result is deterministic.
+    Only candidates covering at least one target are scored; ties are broken
+    by smallest node index, so the result is deterministic.
     """
-    cand = set(candidates)
-    target_list = list(dict.fromkeys(targets))
-    if not dominates(graph, cand, target_list):
-        raise GraphError("candidate set does not dominate the target set")
-    uncovered: Set[int] = set(target_list)
+    cover_count, targets_of = _coverage(graph, candidates, targets)
+    coverage = {c: set(covered) for c, covered in targets_of.items()}
+    uncovered: Set[int] = set(cover_count)
     chosen: Set[int] = set()
-    coverage: Dict[int, Set[int]] = {
-        c: set(t for t in target_list if c in graph.neighbors(t)) for c in cand
-    }
     while uncovered:
-        best = max(sorted(cand - chosen), key=lambda c: len(coverage[c] & uncovered))
-        gain = len(coverage[best] & uncovered)
-        if gain == 0:
-            # Should be unreachable because the full candidate set dominates.
-            raise GraphError("greedy selection stalled; candidates do not cover targets")
+        best = max(sorted(coverage.keys() - chosen),
+                   key=lambda c: len(coverage[c] & uncovered))
         chosen.add(best)
         uncovered -= coverage[best]
     # Greedy choice is usually minimal already, but prune defensively so the
     # result always satisfies the paper's definition.
-    return prune_to_minimal(graph, chosen, target_list)
+    return prune_to_minimal(graph, chosen, cover_count)
 
 
 def minimal_dominating_subset(

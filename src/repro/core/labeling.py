@@ -24,8 +24,8 @@ execution traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..graphs.graph import Graph, GraphError
 from .labels import Label, distinct_labels, scheme_length
@@ -124,8 +124,9 @@ def lambda_scheme(
     if seq.source != source:
         raise GraphError("provided construction was built for a different source")
 
-    x1: Dict[int, int] = {v: 0 for v in graph.nodes()}
-    x2: Dict[int, int] = {v: 0 for v in graph.nodes()}
+    adj = graph.neighbor_sets()
+    x1 = [0] * graph.n
+    x2 = [0] * graph.n
 
     # x1 = 1 iff the node belongs to DOM_i for some i.
     for stage in seq.stages:
@@ -139,19 +140,17 @@ def lambda_scheme(
     # so no node v ∈ DOM_{i+1} ∩ DOM_i ends up with two marked NEW_i
     # neighbours (which would cause a collision in round 2i).
     for i in range(1, seq.ell):
-        dom_i = seq.dom(i)
-        dom_next = seq.dom(i + 1)
         new_i = seq.new(i)
-        for v in sorted(dom_next & dom_i):
-            witnesses = sorted(graph.neighbors(v) & new_i)
+        for v in sorted(seq.dom(i + 1) & seq.dom(i)):
+            witnesses = adj[v] & new_i
             if not witnesses:
                 raise GraphError(
                     f"no NEW_{i} witness adjacent to {v} ∈ DOM_{i+1} ∩ DOM_{i}; "
                     "this contradicts the minimality of DOM_i"
                 )
-            x2[witnesses[0]] = 1
+            x2[min(witnesses)] = 1
 
-    labels = {v: f"{x1[v]}{x2[v]}" for v in graph.nodes()}
+    labels = {v: f"{a}{b}" for v, (a, b) in enumerate(zip(x1, x2))}
     return Labeling(
         scheme="lambda",
         labels=labels,
@@ -168,6 +167,7 @@ def lambda_ack_scheme(
     source: int,
     *,
     strategy: str = "prune",
+    construction: Optional[SequenceConstruction] = None,
 ) -> Labeling:
     """Compute the 3-bit labeling scheme λ_ack for ``(graph, source)``.
 
@@ -175,9 +175,11 @@ def lambda_ack_scheme(
     chosen among the nodes informed **last** (i.e. in round ``2ℓ − 3``); we
     pick the smallest-index such node so the scheme is deterministic.  For the
     degenerate single-node and two-node graphs the acknowledger is the unique
-    non-source node (or the source itself when it is alone).
+    non-source node (or the source itself when it is alone).  ``construction``
+    is a pre-computed sequence construction for ``(graph, source)`` to reuse,
+    as for :func:`lambda_scheme`.
     """
-    base = lambda_scheme(graph, source, strategy=strategy)
+    base = lambda_scheme(graph, source, strategy=strategy, construction=construction)
     seq = base.construction
     assert seq is not None
 
@@ -189,8 +191,7 @@ def lambda_ack_scheme(
         # (the "acknowledgement" is vacuous and the protocols special-case it).
         z = source
 
-    x3 = {v: (1 if v == z else 0) for v in graph.nodes()}
-    labels = {v: base.labels[v] + str(x3[v]) for v in graph.nodes()}
+    labels = {v: lab + ("1" if v == z else "0") for v, lab in base.labels.items()}
 
     # Fact 3.1: z's λ-bits are both 0, hence 101/111/011 never occur.
     if graph.n > 1:

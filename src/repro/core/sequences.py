@@ -20,30 +20,50 @@ the test-suite and by :mod:`repro.core.verify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Tuple
+
+import numpy as np
 
 from ..graphs.graph import Graph, GraphError
-from ..graphs.traversal import is_connected
 from .domination import minimal_dominating_subset
 
 __all__ = ["Stage", "SequenceConstruction", "build_sequences"]
 
+_EMPTY: FrozenSet[int] = frozenset()
+
 
 @dataclass(frozen=True)
 class Stage:
-    """The five sets of one stage ``i`` of the construction."""
+    """The five sets of one stage ``i`` of the construction.
+
+    FRONTIER_i, DOM_i and NEW_i are stored.  INF_i and UNINF_i are derived on
+    demand from the construction's per-node ``new_stage`` array (Fact 2.2:
+    ``v ∈ INF_i`` iff ``v`` is the source or ``v ∈ NEW_j`` for some
+    ``j < i``), so a construction holds O(n + Σ|FRONTIER_i|) node ids rather
+    than two n-node sets per stage.
+    """
 
     index: int
-    informed: FrozenSet[int]
-    uninformed: FrozenSet[int]
     frontier: FrozenSet[int]
     dom: FrozenSet[int]
     new: FrozenSet[int]
+    new_stage: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def informed(self) -> FrozenSet[int]:
+        """``INF_i``: the source plus ``NEW_1 ∪ … ∪ NEW_{i−1}``."""
+        return frozenset(np.flatnonzero(self.new_stage < self.index).tolist())
+
+    @property
+    def uninformed(self) -> FrozenSet[int]:
+        """``UNINF_i = V − INF_i``."""
+        return frozenset(np.flatnonzero(self.new_stage >= self.index).tolist())
 
     def __repr__(self) -> str:
+        informed = int(np.count_nonzero(self.new_stage < self.index))
         return (
-            f"Stage(i={self.index}, |INF|={len(self.informed)}, "
+            f"Stage(i={self.index}, |INF|={informed}, "
             f"|FRONTIER|={len(self.frontier)}, |DOM|={len(self.dom)}, |NEW|={len(self.new)})"
         )
 
@@ -61,12 +81,17 @@ class SequenceConstruction:
         (the first with ``INF_i = V``), for which ``FRONTIER = DOM = NEW = ∅``.
     strategy:
         The domination strategy used to pick each ``DOM_i``.
+    new_stage:
+        Per-node stage index: ``new_stage[v] = i`` for ``v ∈ NEW_i`` and
+        ``0`` for the source.  Every stage derives ``INF_i``/``UNINF_i``
+        from this one array.
     """
 
     graph: Graph
     source: int
     stages: Tuple[Stage, ...]
     strategy: str
+    new_stage: np.ndarray = field(repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -84,15 +109,15 @@ class SequenceConstruction:
 
     def dom(self, i: int) -> FrozenSet[int]:
         """``DOM_i`` (empty for ``i > ℓ``)."""
-        return self.stages[i - 1].dom if i <= self.ell else frozenset()
+        return self.stages[i - 1].dom if i <= self.ell else _EMPTY
 
     def new(self, i: int) -> FrozenSet[int]:
         """``NEW_i`` (empty for ``i > ℓ``)."""
-        return self.stages[i - 1].new if i <= self.ell else frozenset()
+        return self.stages[i - 1].new if i <= self.ell else _EMPTY
 
     def frontier(self, i: int) -> FrozenSet[int]:
         """``FRONTIER_i`` (empty for ``i > ℓ``)."""
-        return self.stages[i - 1].frontier if i <= self.ell else frozenset()
+        return self.stages[i - 1].frontier if i <= self.ell else _EMPTY
 
     def informed(self, i: int) -> FrozenSet[int]:
         """``INF_i`` (the whole node set for ``i > ℓ``)."""
@@ -111,14 +136,6 @@ class SequenceConstruction:
                 member.setdefault(v, []).append(stage.index)
         return member
 
-    def new_stage_of(self) -> Dict[int, int]:
-        """Map node → the unique stage ``i`` with ``v ∈ NEW_i`` (Corollary 2.7)."""
-        out: Dict[int, int] = {}
-        for stage in self.stages:
-            for v in stage.new:
-                out[v] = stage.index
-        return out
-
     def informed_round(self, v: int) -> int:
         """The round in which ``v`` first receives µ under Algorithm B.
 
@@ -127,10 +144,9 @@ class SequenceConstruction:
         """
         if v == self.source:
             return 0
-        stage = self.new_stage_of().get(v)
-        if stage is None:
+        if v not in self.graph:
             raise GraphError(f"node {v} never appears in a NEW set — graph disconnected?")
-        return 2 * stage - 1
+        return 2 * int(self.new_stage[v]) - 1
 
     def last_informed_nodes(self) -> FrozenSet[int]:
         """``NEW_{ℓ-1}`` — the nodes informed last (used by λ_ack to pick ``z``)."""
@@ -160,17 +176,18 @@ class SequenceConstruction:
         seen_new: set = set()
         for idx, stage in enumerate(self.stages, start=1):
             assert stage.index == idx
+            informed, uninformed = stage.informed, stage.uninformed
             # Fact 2.1: NEW_i ⊆ FRONTIER_i ⊆ UNINF_i
-            assert stage.new <= stage.frontier <= stage.uninformed, (
+            assert stage.new <= stage.frontier <= uninformed, (
                 f"Fact 2.1 violated at stage {idx}"
             )
             # Fact 2.2: INF_i = {source} ∪ NEW_1 ∪ ... ∪ NEW_{i-1}, UNINF_i is its complement
-            assert stage.informed == frozenset({self.source}) | frozenset(seen_new), (
+            assert informed == frozenset({self.source}) | frozenset(seen_new), (
                 f"Fact 2.2 violated at stage {idx}"
             )
-            assert stage.uninformed == all_nodes - stage.informed
+            assert uninformed == all_nodes - informed
             # FRONTIER_i = UNINF_i ∩ Γ(INF_i)
-            assert stage.frontier == stage.uninformed & g.neighborhood(stage.informed), (
+            assert stage.frontier == uninformed & g.neighborhood(informed), (
                 f"frontier definition violated at stage {idx}"
             )
             # DOM_i dominates FRONTIER_i and is minimal
@@ -190,7 +207,7 @@ class SequenceConstruction:
             assert not (stage.new & seen_new), f"Lemma 2.3 violated at stage {idx}"
             seen_new |= stage.new
             # Lemma 2.4: progress while not finished
-            if stage.informed != all_nodes:
+            if informed != all_nodes:
                 assert stage.new, f"Lemma 2.4 violated at stage {idx}: no progress"
         final = self.stages[-1]
         assert final.informed == all_nodes, "construction stopped before INF = V"
@@ -207,6 +224,12 @@ def build_sequences(
     graph: Graph, source: int, strategy: str = "prune"
 ) -> SequenceConstruction:
     """Run the Section 2.1 construction on ``(graph, source)``.
+
+    Incremental: each node's neighbours are scanned once, when it joins a
+    NEW set, via ``FRONTIER_i = (FRONTIER_{i−1} − NEW_{i−1}) ∪
+    (UNINF_i ∩ Γ(NEW_{i−1}))``; informedness lives in one per-node
+    ``new_stage`` list.  A frontier that empties before every node is
+    informed means the graph is disconnected.
 
     Parameters
     ----------
@@ -226,52 +249,45 @@ def build_sequences(
     """
     if source not in graph:
         raise GraphError(f"source {source} is not a node of {graph!r}")
-    if not is_connected(graph):
-        raise GraphError("the paper's model requires a connected graph")
-
-    all_nodes = frozenset(range(graph.n))
-    stages: List[Stage] = []
-
-    # Stage 1 initialisation (paper: INF1={s}, UNINF1=V−{s}, FRONTIER1=NEW1=Γ(s), DOM1={s}).
-    informed = frozenset({source})
-    uninformed = all_nodes - informed
-    if informed == all_nodes:
-        # Single-node graph: stage 1 already has everyone informed.
-        stages.append(
-            Stage(1, informed, frozenset(), frozenset(), frozenset(), frozenset())
-        )
-        return SequenceConstruction(graph, source, tuple(stages), strategy)
-
-    frontier = graph.neighborhood({source}) & uninformed
-    dom = frozenset({source})
-    new = frontier  # every neighbour of the unique transmitter hears it
-    stages.append(Stage(1, informed, uninformed, frontier, dom, new))
-
-    prev_dom, prev_new = dom, new
-    prev_informed, prev_uninformed = informed, uninformed
-    i = 1
-    while True:
-        i += 1
-        informed = prev_informed | prev_new
-        uninformed = prev_uninformed - prev_new
-        if informed == all_nodes:
-            stages.append(
-                Stage(i, informed, uninformed, frozenset(), frozenset(), frozenset())
-            )
-            break
-        frontier = uninformed & graph.neighborhood(informed)
-        candidates = prev_dom | prev_new
-        dom = minimal_dominating_subset(graph, candidates, frontier, strategy=strategy)
-        new = frozenset(
-            t for t in frontier if len(graph.neighbors(t) & dom) == 1
-        )
-        stages.append(Stage(i, informed, uninformed, frontier, dom, new))
-        if i > graph.n + 1:
+    source = int(source)
+    n = graph.n
+    adj = graph.neighbor_sets()
+    new_stage = [-1] * n
+    new_stage[source] = 0
+    n_informed = 1
+    # (FRONTIER_i, DOM_i, NEW_i) per stage.  Stage 1 (paper: INF_1 = {s},
+    # FRONTIER_1 = NEW_1 = Γ(s), DOM_1 = {s}): every neighbour of the unique
+    # transmitter hears it.
+    frontier, dom, new = adj[source], frozenset({source}), adj[source]
+    sets: List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = []
+    while n_informed < n:
+        if not frontier:
+            raise GraphError("the paper's model requires a connected graph")
+        if len(sets) > n:
             raise GraphError(
                 "sequence construction exceeded n+1 stages — this contradicts "
                 "Lemma 2.6 and indicates a bug"
             )
-        prev_dom, prev_new = dom, new
-        prev_informed, prev_uninformed = informed, uninformed
+        sets.append((frontier, dom, new))
+        i = len(sets)
+        for v in new:
+            new_stage[v] = i
+        n_informed += len(new)
+        if n_informed == n:
+            break
+        grown = set(frontier - new)
+        for v in new:
+            for u in adj[v]:
+                if new_stage[u] < 0:
+                    grown.add(u)
+        frontier = frozenset(grown)
+        dom = minimal_dominating_subset(graph, dom | new, frontier, strategy=strategy)
+        new = frozenset(t for t in frontier if len(adj[t] & dom) == 1)
+    sets.append((_EMPTY, _EMPTY, _EMPTY))
 
-    return SequenceConstruction(graph, source, tuple(stages), strategy)
+    stage_of = np.array(new_stage, dtype=np.int32)
+    stages = tuple(
+        Stage(i, frontier, dom, new, stage_of)
+        for i, (frontier, dom, new) in enumerate(sets, start=1)
+    )
+    return SequenceConstruction(graph, source, stages, strategy, stage_of)

@@ -172,6 +172,10 @@ class Graph:
         self._check_node(u)
         return self._adj[u]
 
+    def neighbor_sets(self) -> Tuple[FrozenSet[int], ...]:
+        """Every node's neighbour set, indexed by node (no per-call node check)."""
+        return self._adj
+
     def neighbors_array(self, u: int) -> np.ndarray:
         """Return the sorted neighbour indices of ``u`` as a NumPy view."""
         self._check_node(u)

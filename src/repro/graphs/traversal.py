@@ -8,8 +8,7 @@ by node index so repeated runs produce identical results.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +45,20 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     """
     if source not in graph:
         raise GraphError(f"source {source} is not a node of {graph!r}")
-    dist = np.full(graph.n, -1, dtype=np.int64)
+    # Walk the CSR as Python ints: indexing NumPy scalars per edge costs
+    # several times more than the traversal itself.
+    indptr, indices = (a.tolist() for a in graph.csr())
+    source = int(source)
+    dist = [-1] * graph.n
     dist[source] = 0
-    queue: deque = deque([source])
-    indptr, indices = graph.csr()
-    while queue:
-        u = queue.popleft()
+    queue = [source]
+    for u in queue:  # the list grows behind the cursor: a FIFO queue
+        du = dist[u] + 1
         for v in indices[indptr[u] : indptr[u + 1]]:
             if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(int(v))
-    return dist
+                dist[v] = du
+                queue.append(v)
+    return np.array(dist, dtype=np.int64)
 
 
 def bfs_layers(graph: Graph, source: int) -> List[List[int]]:
@@ -118,21 +120,19 @@ def connected_components(graph: Graph) -> List[List[int]]:
 
     Components are ordered by their smallest node.
     """
-    seen = np.zeros(graph.n, dtype=bool)
+    adj = graph.neighbor_sets()
+    seen = [False] * graph.n
     components: List[List[int]] = []
     for start in range(graph.n):
         if seen[start]:
             continue
-        comp: List[int] = []
-        queue: deque = deque([start])
         seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in graph.neighbors_array(u):
+        comp = [start]
+        for u in comp:  # grows behind the cursor: a BFS queue
+            for v in adj[u]:
                 if not seen[v]:
                     seen[v] = True
-                    queue.append(int(v))
+                    comp.append(v)
         components.append(sorted(comp))
     return components
 

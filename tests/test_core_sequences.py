@@ -109,9 +109,8 @@ class TestDerivedViews:
     def test_new_stage_and_informed_round(self):
         g = path_graph(6)
         seq = build_sequences(g, 0)
-        stages = seq.new_stage_of()
         for v in range(1, 6):
-            assert stages[v] == v
+            assert seq.new_stage[v] == v
             assert seq.informed_round(v) == 2 * v - 1
         assert seq.informed_round(0) == 0
 

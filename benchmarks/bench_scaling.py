@@ -53,9 +53,7 @@ def _merge_bench_json(key: str, rows) -> None:
     """Update one section of BENCH_scaling.json, preserving the others.
 
     Each section is ``{"machine": {...}, "rows": [...]}`` — the rows wrapped
-    with the recording machine's provenance.  Sections written by older
-    revisions as bare row lists are preserved as-is until their benchmark
-    next runs; :func:`_section_rows` reads both shapes.
+    with the recording machine's provenance.
     """
     doc = {}
     if BENCH_JSON.exists():
@@ -66,12 +64,6 @@ def _merge_bench_json(key: str, rows) -> None:
     doc[key] = {"machine": _machine_provenance(), "rows": rows}
     BENCH_JSON.write_text(json.dumps(doc, indent=2) + "\n")
 
-
-def _section_rows(section):
-    """The row list of a section, whether provenance-wrapped or legacy bare."""
-    if isinstance(section, dict):
-        return section["rows"]
-    return section
 
 #: (family, n) cells of the backend comparison.  gnp_sparse at n=2048 covers
 #: the "n >= 2000 plain broadcast" acceptance point; the path cell stays at

@@ -38,7 +38,6 @@ from .graphs import (
     star_graph,
 )
 from .core import (
-    BroadcastOutcome,
     Labeling,
     Outcome,
     build_sequences,
@@ -56,7 +55,6 @@ from . import api
 __version__ = "1.0.0"
 
 __all__ = [
-    "BroadcastOutcome",
     "ExecutionTrace",
     "Graph",
     "GraphBuilder",

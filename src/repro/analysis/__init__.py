@@ -14,12 +14,10 @@ from .metrics import (
     RunMetrics,
     aggregate,
     message_bits_total,
-    metrics_from_baseline,
-    metrics_from_outcome,
     metrics_from_run,
     per_round_transmitter_counts,
 )
-from .executor import chunk_specs, default_jobs, run_sweep_parallel
+from .executor import chunk_specs, default_jobs
 from .report import (
     format_aggregate_table,
     format_comparison,
@@ -39,24 +37,13 @@ from .stream import (
     status_matches,
     stream_aggregate,
 )
-from .sweep import (
-    SCHEME_RUNNERS,
-    SweepConfig,
-    SweepInstance,
-    generate_instances,
-    instance_seed,
-    instance_specs,
-    materialize_instance,
-    run_sweep,
-)
+from .sweep import SweepInstance, instance_seed, materialize_instance
 
 __all__ = [
     "COLUMN_ALIASES",
     "PaperBounds",
     "RunMetrics",
-    "SCHEME_RUNNERS",
     "StreamAggregator",
-    "SweepConfig",
     "SweepInstance",
     "ack_round_window",
     "aggregate",
@@ -73,13 +60,9 @@ __all__ = [
     "format_comparison",
     "format_metrics_table",
     "format_table",
-    "generate_instances",
     "instance_seed",
-    "instance_specs",
     "materialize_instance",
     "message_bits_total",
-    "metrics_from_baseline",
-    "metrics_from_outcome",
     "metrics_from_run",
     "metrics_to_csv",
     "metrics_to_json",
@@ -87,8 +70,6 @@ __all__ = [
     "resolve_column",
     "resolve_group_columns",
     "round_robin_label_bits",
-    "run_sweep",
-    "run_sweep_parallel",
     "scheme_length_bound",
     "status_matches",
     "stream_aggregate",

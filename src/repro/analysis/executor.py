@@ -1,12 +1,11 @@
-"""Parallel sweep execution: chunking utilities + the legacy entry point.
+"""Grid execution helpers: the cell-failure error and deterministic chunking.
 
-The actual process-pool fan-out lives in :mod:`repro.api.grid` since the
-unified experiment API landed: work units are plain serializable cell specs
-(``family, size, rep, fault_spec, clock_spec``) that workers rematerialize,
-which keeps results deterministic and independent of the job count.  This
-module keeps the deterministic chunking helpers (pure functions of the spec
-list, never of scheduling order) and :func:`run_sweep_parallel`, the legacy
-wrapper over :func:`repro.api.run_grid`.
+The process-pool fan-out lives in :mod:`repro.api.grid`: work units are plain
+serializable cell specs (``family, size, rep, fault_spec, clock_spec``) that
+workers rematerialize, which keeps results deterministic and independent of
+the job count.  This module keeps the error a failing cell raises and the
+chunking helpers (pure functions of the spec list, never of scheduling
+order).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Sequence, TypeVar
 
-__all__ = ["GridExecutionError", "default_jobs", "chunk_specs", "run_sweep_parallel"]
+__all__ = ["GridExecutionError", "default_jobs", "chunk_specs"]
 
 _Spec = TypeVar("_Spec")
 
@@ -71,34 +70,3 @@ def chunk_specs(specs: Sequence[_Spec], chunk_size: int) -> List[List[_Spec]]:
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     return [list(specs[i : i + chunk_size]) for i in range(0, len(specs), chunk_size)]
-
-
-def run_sweep_parallel(
-    config,
-    *,
-    jobs: Optional[int] = None,
-    backend=None,
-    trace_level: str = "summary",
-    chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
-):
-    """Run a legacy sweep with instances fanned out over a process pool.
-
-    Deprecated alias of ``repro.api.run_grid(GridConfig.from_sweep(config),
-    jobs=...)``.  ``jobs=None`` uses the CPU count; ``jobs=1`` runs inline
-    without a pool.  ``backend`` may be a registry name or an instance of a
-    registered backend class (reduced to its name, since only plain data
-    crosses the process boundary); custom backend objects outside the
-    registry are rejected.  ``batch_size`` groups compatible work units into
-    one stacked kernel invocation each (see ``backend="batched"``).
-    """
-    from ..api.grid import GridConfig, run_grid
-
-    return run_grid(
-        GridConfig.from_sweep(config),
-        backend=backend,
-        trace_level=trace_level,
-        jobs=default_jobs() if jobs is None else jobs,
-        chunk_size=chunk_size,
-        batch_size=batch_size,
-    )

@@ -2,9 +2,7 @@
 
 Everything the benchmark tables print is computed here from the unified
 :class:`~repro.core.outcome.Outcome` — paper schemes and baselines share one
-schema, so :func:`metrics_from_run` is the only flattener.  The historical
-:func:`metrics_from_outcome` / :func:`metrics_from_baseline` names survive as
-deprecated aliases.
+schema, so :func:`metrics_from_run` is the only flattener.
 """
 
 from __future__ import annotations
@@ -27,8 +25,6 @@ __all__ = [
     "METRIC_OPTIONAL_INT_FIELDS",
     "METRIC_INT_FIELDS",
     "metrics_from_run",
-    "metrics_from_outcome",
-    "metrics_from_baseline",
     "message_bits_total",
     "per_round_transmitter_counts",
     "aggregate",
@@ -162,28 +158,6 @@ def metrics_from_run(
         clock=clock,
         backend=backend,
     )
-
-
-def metrics_from_outcome(
-    graph: Graph,
-    outcome: Outcome,
-    *,
-    family: str = "unknown",
-    source: Optional[int] = None,
-) -> RunMetrics:
-    """Deprecated alias of :func:`metrics_from_run` (paper-scheme spelling)."""
-    return metrics_from_run(graph, outcome, family=family, source=source)
-
-
-def metrics_from_baseline(
-    graph: Graph,
-    outcome: Outcome,
-    *,
-    family: str = "unknown",
-    source: int = 0,
-) -> RunMetrics:
-    """Deprecated alias of :func:`metrics_from_run` (baseline spelling)."""
-    return metrics_from_run(graph, outcome, family=family, source=source)
 
 
 def aggregate(rows: Sequence[RunMetrics], field: str) -> Dict[str, float]:

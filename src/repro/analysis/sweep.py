@@ -1,41 +1,27 @@
-"""Parameter sweeps: the workload generator behind every benchmark table.
+"""Sweep instances: the deterministic (graph, source) behind every grid cell.
 
-A sweep runs one or more schemes over a grid of (graph family, size, seed,
-source) combinations and returns the flat metric rows the report renderer and
-the benchmark assertions consume.  Sweeps are deterministic: the seed of every
-instance is derived from the sweep seed, the family name and the size, using a
+A grid (see :class:`repro.api.GridConfig`) runs schemes over (graph family,
+size, seed, source) combinations.  This module derives each instance: its
+seed comes from the grid's base seed, the family name and the size, using a
 *stable* family hash (CRC32) so the same config yields the same instances in
 every process — a prerequisite for parallel execution, whose workers
-regenerate instances from specs.
-
-Since the unified experiment API landed, this module keeps the **instance
-machinery** (seed derivation, spec enumeration, materialization) plus the
-legacy :class:`SweepConfig` / :func:`run_sweep` entry point, which is now a
-thin wrapper over :func:`repro.api.run_grid` — the grid engine that also
-supports fault-model and clock-model axes.  The old ``SCHEME_RUNNERS`` dict
-is replaced by the scheme registry (:func:`repro.api.scheme_names`); a
-read-only compatibility view is kept under the old name.
+regenerate instances from specs.  :func:`materialize_instance` builds one
+instance; :func:`repro.api.run_grid` is the entry point that runs them.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Mapping, Sequence, Tuple
 
 from ..graphs.generators import generate_family
 from ..graphs.graph import Graph
 from ..graphs.random import derive_seed
 
 __all__ = [
-    "SweepConfig",
     "SweepInstance",
-    "generate_instances",
     "instance_seed",
-    "instance_specs",
     "materialize_instance",
-    "run_sweep",
-    "SCHEME_RUNNERS",
 ]
 
 
@@ -48,38 +34,6 @@ class SweepInstance:
     seed: int
     source: int
     graph: Graph
-
-
-@dataclass
-class SweepConfig:
-    """Declarative description of a legacy sweep grid.
-
-    Attributes
-    ----------
-    families:
-        Graph family names (keys of :data:`repro.graphs.generators.FAMILIES`).
-    sizes:
-        Requested node counts (families may round to feasible sizes).
-    seeds_per_size:
-        Number of random instances per (family, size) cell.
-    schemes:
-        Registered scheme names; see :func:`repro.api.scheme_names`.
-    source_rule:
-        ``"zero"`` (node 0), ``"last"`` (node n−1) or ``"center-ish"``
-        (node n // 2).
-    base_seed:
-        Root seed from which all instance seeds are derived.
-
-    For fault-model / clock-model axes use :class:`repro.api.GridConfig`,
-    which this config lifts into losslessly.
-    """
-
-    families: Sequence[str]
-    sizes: Sequence[int]
-    seeds_per_size: int = 1
-    schemes: Sequence[str] = ("lambda",)
-    source_rule: str = "zero"
-    base_seed: int = 2019
 
 
 def _pick_source(graph: Graph, rule: str) -> int:
@@ -106,105 +60,12 @@ def instance_seed(base_seed: int, family: str, size: int, rep: int) -> int:
 def materialize_instance(config, family: str, size: int, rep: int) -> SweepInstance:
     """Build the concrete :class:`SweepInstance` for one grid cell + repetition.
 
-    ``config`` may be a :class:`SweepConfig` or a :class:`repro.api.GridConfig`
-    — anything with ``base_seed`` and ``source_rule`` attributes.
+    ``config`` is a :class:`repro.api.GridConfig` — anything with
+    ``base_seed`` and ``source_rule`` attributes.  ``source_rule`` is
+    ``"zero"`` (node 0), ``"last"`` (node n−1) or ``"center-ish"``
+    (node n // 2).
     """
     seed = instance_seed(config.base_seed, family, size, rep)
     graph = generate_family(family, size, seed)
     source = _pick_source(graph, config.source_rule)
     return SweepInstance(family=family, n=graph.n, seed=seed, source=source, graph=graph)
-
-
-def instance_specs(config) -> List[Tuple[str, int, int]]:
-    """The ``(family, size, rep)`` spec of every instance, in sweep order."""
-    return [
-        (family, size, rep)
-        for family in config.families
-        for size in config.sizes
-        for rep in range(config.seeds_per_size)
-    ]
-
-
-def generate_instances(config) -> List[SweepInstance]:
-    """Materialise every workload instance described by ``config``."""
-    return [
-        materialize_instance(config, family, size, rep)
-        for family, size, rep in instance_specs(config)
-    ]
-
-
-class _SchemeRunnerView(Mapping):
-    """Deprecated read-only view emulating the old ``SCHEME_RUNNERS`` dict.
-
-    Keys are the registered scheme names; values are callables with the old
-    ``runner(instance, *, backend, trace_level) -> RunMetrics`` signature.
-    New code should use :func:`repro.api.get_scheme` directly.
-    """
-
-    def _names(self) -> List[str]:
-        from ..api.schemes import scheme_names
-
-        return scheme_names()
-
-    def __getitem__(self, name: str):
-        from ..api.schemes import get_scheme
-        from .metrics import metrics_from_run
-
-        try:
-            scheme = get_scheme(name)
-        except ValueError:
-            # Mapping contract: misses must raise KeyError (so .get() and
-            # `in`-style probing keep their historical dict behaviour).
-            raise KeyError(name) from None
-
-        def runner(instance: SweepInstance, *, backend=None, trace_level="summary",
-                   fault_model=None, clock_model=None):
-            outcome = scheme.run(
-                instance.graph, instance.source, backend=backend,
-                trace_level=trace_level, fault_model=fault_model,
-                clock_model=clock_model,
-                **scheme.grid_options(instance.graph, instance.source),
-            )
-            return metrics_from_run(instance.graph, outcome, family=instance.family,
-                                    source=instance.source)
-
-        return runner
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names()
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names())
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SCHEME_RUNNERS({self._names()})"
-
-
-#: Deprecated: scheme name → legacy runner callable.  Backed by the registry.
-SCHEME_RUNNERS = _SchemeRunnerView()
-
-
-def run_sweep(
-    config: SweepConfig,
-    *,
-    backend=None,
-    trace_level: str = "summary",
-    jobs: int = 1,
-):
-    """Run every configured scheme over every instance and return all rows.
-
-    Thin wrapper over :func:`repro.api.run_grid` with the legacy grid (no
-    fault/clock axes).  ``jobs > 1`` fans instances out over a process pool;
-    rows come back in the same stable order regardless of the job count.
-    """
-    from ..api.grid import GridConfig, run_grid
-
-    return run_grid(
-        GridConfig.from_sweep(config),
-        backend=backend,
-        trace_level=trace_level,
-        jobs=jobs,
-    )

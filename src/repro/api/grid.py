@@ -1,9 +1,9 @@
 """Grid experiments: streaming, resumable sessions behind ``run_grid``.
 
-A :class:`GridConfig` extends the legacy sweep grid (families × sizes × seeds
-× schemes) with two axes the old sweep layer could not express at all —
-**fault models** and **clock models**, as declarative specs (see
-:mod:`repro.api.specs`).  The execution surface is layered:
+A :class:`GridConfig` describes the sweep grid (families × sizes × seeds ×
+schemes) plus two channel axes — **fault models** and **clock models**, as
+declarative specs (see :mod:`repro.api.specs`).  The execution surface is
+layered:
 
 * :func:`iter_grid` is the streaming core: a generator yielding
   :class:`~repro.analysis.metrics.RunMetrics` rows as worker chunks complete
@@ -31,11 +31,12 @@ status instead of aborting the sweep; in strict mode the failure surfaces as
 a :class:`~repro.analysis.executor.GridExecutionError` naming the cell spec
 *and* its store key.
 
-With ``batch_size`` set (or ``backend="batched"``), work units sharing a
-(scheme, fault spec, clock spec, trace level) compatibility key are grouped
-and dispatched through ``SimulationBackend.run_batch`` — on the batched
-backend that is one block-diagonal kernel invocation per group — with rows
-guaranteed identical to per-cell execution.
+One runner executes every unit: ``build_task`` → ``SimulationBackend.run_batch``
+→ ``derive_outcome``.  With ``batch_size`` set (or ``backend="batched"``),
+units sharing a (scheme, fault spec, clock spec, trace level) compatibility
+key are stacked into one ``run_batch`` call — on the batched backend one
+block-diagonal kernel invocation — with rows guaranteed identical to running
+them one by one, which is what an unset ``batch_size`` does.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
 from typing import (
     Any,
     Callable,
@@ -97,9 +99,11 @@ UnitSpec = Tuple[str, int, int, Optional[Dict[str, Any]], Optional[Dict[str, Any
 class GridConfig:
     """Declarative description of a grid experiment.
 
-    The first six fields mirror :class:`~repro.analysis.sweep.SweepConfig`;
-    ``faults`` / ``clocks`` add the channel-perturbation axes and ``payload``
-    the source message.  Every axis entry must be serializable spec data.
+    ``families`` / ``sizes`` / ``seeds_per_size`` span the instances (see
+    :func:`~repro.analysis.sweep.materialize_instance` for seeds and the
+    ``source_rule``), ``schemes`` are registry names, ``faults`` / ``clocks``
+    the channel-perturbation axes and ``payload`` the source message.  Every
+    axis entry must be serializable spec data.
     """
 
     families: Sequence[str]
@@ -111,9 +115,9 @@ class GridConfig:
     faults: Sequence[FaultSpec] = (None,)
     clocks: Sequence[ClockSpec] = (None,)
     payload: Any = "MSG"
-    #: Work units per stacked kernel invocation when the grid runs batched
-    #: (``backend="batched"`` or an explicit ``run_grid(batch_size=...)``).
-    #: ``None`` leaves the engine default.
+    #: Compatible work units stacked into one engine call (same as
+    #: ``run_grid(batch_size=...)``).  ``None`` runs one unit per call, or
+    #: :data:`DEFAULT_BATCH_SIZE` with ``backend="batched"``.
     batch_size: Optional[int] = None
     #: Segment worker count for the sharded backend: setting it selects
     #: ``backend="sharded:<shards>"`` (the requested backend must be
@@ -137,28 +141,6 @@ class GridConfig:
                 raise ValueError(
                     f"shards must be a positive integer or None, got {self.shards}"
                 )
-
-    @classmethod
-    def from_sweep(cls, config: Any) -> "GridConfig":
-        """Lift a legacy :class:`~repro.analysis.sweep.SweepConfig`.
-
-        A :class:`GridConfig` (or anything else already carrying
-        fault/clock/payload axes) passes through losslessly, so the legacy
-        ``run_sweep`` entry point never silently drops axes.
-        """
-        return cls(
-            families=list(config.families),
-            sizes=list(config.sizes),
-            seeds_per_size=config.seeds_per_size,
-            schemes=list(config.schemes),
-            source_rule=config.source_rule,
-            base_seed=config.base_seed,
-            faults=tuple(getattr(config, "faults", (None,))),
-            clocks=tuple(getattr(config, "clocks", (None,))),
-            payload=getattr(config, "payload", "MSG"),
-            batch_size=getattr(config, "batch_size", None),
-            shards=getattr(config, "shards", None),
-        )
 
 
 def grid_cell_specs(config: GridConfig) -> List[CellSpec]:
@@ -213,35 +195,10 @@ def grid_unit_key(
     )
 
 
-def _units_per_instance(config: GridConfig) -> int:
-    return max(1, len(config.faults) * len(config.clocks) * len(config.schemes))
-
-
 def _validate_schemes(config: GridConfig) -> None:
     unknown = [s for s in config.schemes if s not in scheme_names()]
     if unknown:
         raise ValueError(f"unknown schemes {unknown}; known: {scheme_names()}")
-
-
-def _group_units_by_instance(
-    units: Sequence[UnitSpec],
-) -> List[Tuple[Tuple[str, int, int], List[UnitSpec]]]:
-    """Group *consecutive* units sharing an instance, preserving row order.
-
-    ``grid_row_specs`` keeps the fault/clock/scheme axes innermost, so all
-    units of one (family, size, rep) instance are adjacent; grouping lets the
-    runner materialize the graph (and compute each scheme's labeling) once
-    per instance instead of once per row.  Holds for any contiguous slice of
-    the row list — including slices with store-cached rows removed.
-    """
-    groups: List[Tuple[Tuple[str, int, int], List[UnitSpec]]] = []
-    for unit in units:
-        key = (unit[0], unit[1], unit[2])
-        if groups and groups[-1][0] == key:
-            groups[-1][1].append(unit)
-        else:
-            groups.append((key, [unit]))
-    return groups
 
 
 def _cell_error(
@@ -313,179 +270,79 @@ def _failure_row(
     )
 
 
+#: Stacked-kernel batch size used when batching is requested without an
+#: explicit knob (``backend="batched"`` with no ``batch_size``).
+DEFAULT_BATCH_SIZE = 64
+
+
 def _run_units(
     config: GridConfig,
     units: Sequence[UnitSpec],
     *,
     backend: Any,
     trace_level: str,
+    batch_size: Optional[int] = None,
     strict: bool = True,
     retries: int = 0,
 ) -> List[RunMetrics]:
-    """Run a contiguous span of work units, one backend call per unit.
+    """Run a contiguous span of work units: the grid's one unit runner.
 
-    Instances are materialized once per consecutive group and every scheme's
-    :class:`SchemeLabels` is built once per instance (labels and schedules
-    are pure functions of (graph, source, payload)), then reused across the
-    fault/clock rows.  ``_payload_text`` reaches the one scheme whose label
-    step depends on the payload (bit signalling); ``_constructions`` is the
-    instance's Section 2.1 construction cache, through which λ and λ_ack
-    label from one construction of the source.  The other schemes swallow
-    both.
+    Every unit goes ``build_task`` → ``run_batch`` → ``derive_outcome``.
+    Units sharing a (scheme, fault spec, clock spec) compatibility key share
+    ``run_batch`` calls, ``batch_size`` units each; an unset ``batch_size``
+    runs one unit per call.  Rows come back in stable row order either way:
+    backends guarantee batched results are bit-identical to per-task
+    execution.  ``backend=None`` is the reference engine, or the batched one
+    once ``batch_size`` is set.
 
-    ``retries`` re-runs a failing *cell* up to that many extra times with
-    fresh fault/clock model objects before the strict/non-strict failure
-    handling applies — results are unchanged for deterministic failures
-    (same seeds, same memoised coin flips) but a transient fault (OOM, a
-    signal) gets one more chance instead of poisoning the sweep.
-    """
-    from ..analysis.sweep import materialize_instance  # local: avoids import cycle
+    Units are processed in windows of ``batch_size`` whole instances (one
+    when unset): each instance is materialized once, peak memory stays
+    O(batch_size) graphs/labelings, and every group inside a window still
+    fills whole batches.
 
-    rows: List[RunMetrics] = []
-    for (family, size, rep), group in _group_units_by_instance(units):
-        try:
-            instance = materialize_instance(config, family, size, rep)
-        except Exception as exc:
-            if strict:
-                raise
-            rows.extend(
-                _failure_row(unit[5], family, size, unit[3], unit[4], exc)
-                for unit in group
-            )
-            continue
-        labels_infos: Dict[str, Any] = {}
-        constructions: Dict[Any, Any] = {}
-        for unit in group:
-            _, _, _, fault_spec, clock_spec, scheme_name = unit
-
-            def key() -> str:
-                return grid_unit_key(config, unit, backend=backend,
-                                     trace_level=trace_level)
-
-            scheme = get_scheme(scheme_name)
-            try:
-                outcome = None
-                for attempt in range(max(0, int(retries)) + 1):
-                    try:
-                        options = scheme.grid_options(instance.graph,
-                                                      instance.source)
-                        if scheme_name not in labels_infos:
-                            labels_infos[scheme_name] = scheme.build_labels(
-                                instance.graph, instance.source,
-                                _payload_text=str(config.payload),
-                                _constructions=constructions, **options,
-                            )
-                        # Fresh model objects per run (and per retry): fault
-                        # models memoise coin flips, and a shared instance
-                        # across rows would make results depend on execution
-                        # order (and break jobs-independence).
-                        outcome = scheme.run(
-                            instance.graph,
-                            instance.source,
-                            payload=config.payload,
-                            labels_info=labels_infos[scheme_name],
-                            fault_model=fault_model_from_spec(fault_spec),
-                            clock_model=clock_model_from_spec(
-                                clock_spec, instance.graph.n),
-                            backend=backend,
-                            trace_level=trace_level,
-                            **options,
-                        )
-                        break
-                    except Exception:
-                        if attempt >= retries:
-                            raise
-            except Exception as exc:
-                if strict:
-                    raise _cell_error(exc, scheme_name, instance, fault_spec,
-                                      clock_spec, key()) from exc
-                rows.append(_failure_row(scheme_name, family, instance.n,
-                                         fault_spec, clock_spec, exc))
-                continue
-            rows.append(
-                metrics_from_run(
-                    instance.graph,
-                    outcome,
-                    family=instance.family,
-                    source=instance.source,
-                    fault=spec_label(fault_spec, default="none"),
-                    clock=spec_label(clock_spec, default="sync"),
-                )
-            )
-    return rows
-
-
-#: Stacked-kernel batch size used when batching is requested without an
-#: explicit knob (``backend="batched"`` with no ``batch_size``).
-DEFAULT_BATCH_SIZE = 64
-
-
-def _run_units_batched(
-    config: GridConfig,
-    units: Sequence[UnitSpec],
-    *,
-    backend: Any,
-    trace_level: str,
-    batch_size: int,
-    strict: bool = True,
-    retries: int = 0,
-) -> List[RunMetrics]:
-    """Run a span of work units with compatible units batched together.
-
-    Units are grouped by (scheme, fault spec, clock spec) — the
-    compatibility key under which the batched backend can stack them — and
-    dispatched ``batch_size`` at a time through ``run_batch``.  Rows come
-    back in the same stable order the per-cell path produces; the backend
-    guarantees batched results are bit-identical to per-task execution, so
-    the grouping is invisible to callers.  A failure is re-attributed to its
-    single work unit (the batch is replayed per task) and raised as a
-    :class:`~repro.analysis.executor.GridExecutionError` naming the spec and
-    store key — or, with ``strict=False``, recorded as an error-status row.
-
-    Units are processed in windows spanning ~``batch_size`` instances, so
-    peak memory stays O(batch_size) graphs/labelings — not O(all instances)
-    — while every (scheme, fault, clock) group inside a window still fills
-    whole batches.
+    ``retries`` is one rule at every batch size: a unit that fails anywhere
+    from its labels to its row is re-run alone, with fresh fault/clock
+    models, up to ``retries`` more times.  A unit that ran alone counts that
+    run as its first try; a failed stacked batch replays each of its units
+    alone on the full budget.  A deterministic failure fails again, a
+    transient one (OOM, a signal) heals.  Then ``strict`` applies: a
+    :class:`~repro.analysis.executor.GridExecutionError` naming the unit's
+    spec and store key, or an error-status row.
     """
     from ..analysis.executor import chunk_specs  # local: avoids cycle
 
-    window = batch_size * _units_per_instance(config)
+    # Row order keeps an instance's units adjacent, in any slice of it.
+    per_instance = [list(g) for _, g in groupby(units, key=lambda u: u[:3])]
     rows: List[RunMetrics] = []
-    for span in chunk_specs(units, window):
-        rows.extend(
-            _run_unit_window_batched(config, span, backend=backend,
-                                     trace_level=trace_level,
-                                     batch_size=batch_size, strict=strict,
-                                     retries=retries)
-        )
+    for window in chunk_specs(per_instance, batch_size or 1):
+        rows.extend(_run_unit_window(
+            config, [unit for group in window for unit in group],
+            backend=backend, trace_level=trace_level, batch_size=batch_size,
+            strict=strict, retries=retries))
     return rows
 
 
-def _run_unit_window_batched(
+def _run_unit_window(
     config: GridConfig,
     units: Sequence[UnitSpec],
     *,
     backend: Any,
     trace_level: str,
-    batch_size: int,
+    batch_size: Optional[int],
     strict: bool,
-    retries: int = 0,
+    retries: int,
 ) -> List[RunMetrics]:
-    """One window of the batched path: materialize, group, stack, derive."""
-    from ..analysis.executor import GridExecutionError, chunk_specs
+    """One window of :func:`_run_units`: materialize, group, run, derive."""
+    from ..analysis.executor import chunk_specs
     from ..analysis.sweep import materialize_instance  # local: avoids cycle
     from ..backends import resolve_backend
 
-    backend_obj = resolve_backend(backend if backend is not None else "batched")
-
-    def key_of(unit: UnitSpec) -> str:
-        return grid_unit_key(config, unit, backend=backend, trace_level=trace_level)
-
+    engine = "batched" if backend is None and batch_size is not None else backend
     rows: List[Optional[RunMetrics]] = [None] * len(units)
     instances: Dict[Tuple[str, int, int], Any] = {}
-    indexed: List[Tuple[int, UnitSpec]] = []
+    groups: Dict[Tuple[str, str, str], List[Tuple[int, UnitSpec]]] = {}
     for index, unit in enumerate(units):
-        ikey = (unit[0], unit[1], unit[2])
+        ikey = unit[:3]
         if ikey not in instances:
             try:
                 instances[ikey] = materialize_instance(config, *ikey)
@@ -496,119 +353,103 @@ def _run_unit_window_batched(
         if isinstance(instances[ikey], BaseException):
             rows[index] = _failure_row(unit[5], unit[0], unit[1], unit[3],
                                        unit[4], instances[ikey])
-            continue
-        indexed.append((index, unit))
+        else:
+            groups.setdefault((unit[5], repr(unit[3]), repr(unit[4])),
+                              []).append((index, unit))
 
-    groups: Dict[Tuple[str, str, str], List[Tuple[int, UnitSpec]]] = {}
-    for index, unit in indexed:
-        groups.setdefault((unit[5], repr(unit[3]), repr(unit[4])), []).append(
-            (index, unit)
+    # Labels and schedules are pure functions of (graph, source, payload):
+    # built once per (scheme, instance) and reused across its fault/clock
+    # rows.  ``_constructions`` is the instance's Section 2.1 construction
+    # cache, through which λ and λ_ack label from one construction of the
+    # source; ``_payload_text`` reaches the one labeler sized by the payload
+    # (bit signalling).  The other schemes swallow both.
+    labels: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
+    constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
+
+    def task_of(unit: UnitSpec) -> Any:
+        instance, scheme = instances[unit[:3]], get_scheme(unit[5])
+        scheme.validate_source(instance.graph, instance.source)
+        lkey = (unit[5], unit[:3])
+        if lkey not in labels:
+            labels[lkey] = scheme.build_labels(
+                instance.graph, instance.source,
+                _payload_text=str(config.payload),
+                _constructions=constructions.setdefault(unit[:3], {}),
+                **scheme.grid_options(instance.graph, instance.source),
+            )
+        return scheme.build_task(
+            instance.graph, labels[lkey], instance.source,
+            payload=config.payload,
+            max_rounds=scheme.default_budget(instance.graph, labels[lkey]),
+            trace_level=trace_level,
+            # Fresh model objects per run (and per retry): fault models
+            # memoise coin flips, so sharing one would couple units.
+            fault_model=fault_model_from_spec(unit[3]),
+            clock_model=clock_model_from_spec(unit[4], instance.graph.n),
         )
 
-    labels_cache: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
-    # Per instance: the Section 2.1 construction its λ and λ_ack rows share.
-    constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
+    def row_of(unit: UnitSpec, task: Any, result: Any) -> RunMetrics:
+        instance = instances[unit[:3]]
+        outcome = get_scheme(unit[5]).derive_outcome(
+            instance.graph, task, result, labels[unit[5], unit[:3]])
+        if result.backend is not None:
+            outcome.extras.setdefault("executed_by", result.backend)
+        return metrics_from_run(
+            instance.graph, outcome, family=instance.family,
+            source=instance.source,
+            fault=spec_label(unit[3], default="none"),
+            clock=spec_label(unit[4], default="sync"),
+        )
+
+    def run_batch(tasks: List[Any]) -> List[Any]:
+        # Resolved per call, so a bad backend spec fails units like any
+        # other unit failure.
+        return resolve_backend(engine).run_batch(tasks)
+
+    def retry_alone(index: int, unit: UnitSpec, error: Exception, tries: int) -> None:
+        """Re-run a failed unit by itself up to ``tries`` times, then apply
+        ``strict`` to its last error."""
+        for _ in range(tries):
+            try:
+                task = task_of(unit)
+                rows[index] = row_of(unit, task, run_batch([task])[0])
+                return
+            except Exception as exc:
+                error = exc
+        instance = instances[unit[:3]]
+        if strict:
+            raise _cell_error(
+                error, unit[5], instance, unit[3], unit[4],
+                grid_unit_key(config, unit, backend=backend,
+                              trace_level=trace_level),
+            ) from error
+        rows[index] = _failure_row(unit[5], unit[0], instance.n, unit[3],
+                                   unit[4], error)
+
     for members in groups.values():
-        for batch in chunk_specs(members, batch_size):
-            tasks, metas = [], []
+        for batch in chunk_specs(members, batch_size or 1):
+            built = []
             for index, unit in batch:
-                family, size, rep, fault_spec, clock_spec, scheme_name = unit
-                instance = instances[(family, size, rep)]
-                scheme = get_scheme(scheme_name)
                 try:
-                    scheme.validate_source(instance.graph, instance.source)
-                    options = scheme.grid_options(instance.graph, instance.source)
-                    cache_key = (scheme_name, (family, size, rep))
-                    if cache_key not in labels_cache:
-                        labels_cache[cache_key] = scheme.build_labels(
-                            instance.graph, instance.source,
-                            _payload_text=str(config.payload),
-                            _constructions=constructions.setdefault(
-                                (family, size, rep), {}),
-                            **options,
-                        )
-                    info = labels_cache[cache_key]
-                    task = scheme.build_task(
-                        instance.graph, info, instance.source,
-                        payload=config.payload,
-                        max_rounds=scheme.default_budget(instance.graph, info),
-                        trace_level=trace_level,
-                        # Fresh model objects per unit: fault models memoise
-                        # coin flips, so sharing would couple units.
-                        fault_model=fault_model_from_spec(fault_spec),
-                        clock_model=clock_model_from_spec(clock_spec,
-                                                          instance.graph.n),
-                    )
+                    built.append((index, unit, task_of(unit)))
                 except Exception as exc:
-                    if strict:
-                        raise _cell_error(exc, scheme_name, instance, fault_spec,
-                                          clock_spec, key_of(unit)) from exc
-                    rows[index] = _failure_row(scheme_name, family, instance.n,
-                                               fault_spec, clock_spec, exc)
-                    continue
-                tasks.append(task)
-                metas.append((index, unit))
-            if not tasks:
+                    retry_alone(index, unit, exc, retries)
+            if not built:
                 continue
             try:
-                results = backend_obj.run_batch(tasks)
-            except GridExecutionError:
-                raise
-            except Exception:
-                # Replay per task to attribute the failure to one cell spec
-                # (with ``retries`` extra chances per task: kernels are
-                # deterministic, so only a transient failure changes outcome).
-                results = []
-                for task, (index, unit) in zip(tasks, metas):
-                    family, size, rep, fault_spec, clock_spec, scheme_name = unit
-                    instance = instances[(family, size, rep)]
-                    try:
-                        replay = None
-                        for attempt in range(max(0, int(retries)) + 1):
-                            try:
-                                replay = backend_obj.run_batch([task])[0]
-                                break
-                            except Exception:
-                                if attempt >= retries:
-                                    raise
-                        results.append(replay)
-                    except Exception as exc:
-                        if strict:
-                            raise _cell_error(exc, scheme_name, instance,
-                                              fault_spec, clock_spec,
-                                              key_of(unit)) from exc
-                        rows[index] = _failure_row(scheme_name, family,
-                                                   instance.n, fault_spec,
-                                                   clock_spec, exc)
-                        results.append(None)
-            for task, result, (index, unit) in zip(tasks, results, metas):
-                if result is None:
-                    continue  # failure row already recorded above
-                family, size, rep, fault_spec, clock_spec, scheme_name = unit
-                instance = instances[(family, size, rep)]
-                scheme = get_scheme(scheme_name)
+                results = run_batch([task for _, _, task in built])
+            except Exception as exc:
+                # A unit that ran alone has had its first try; the units of a
+                # failed stacked batch each replay alone on the full budget.
+                tries = retries if len(built) == 1 else retries + 1
+                for index, unit, _ in built:
+                    retry_alone(index, unit, exc, tries)
+                continue
+            for (index, unit, task), result in zip(built, results):
                 try:
-                    outcome = scheme.derive_outcome(
-                        instance.graph, task, result,
-                        labels_cache[(scheme_name, (family, size, rep))],
-                    )
-                    if result.backend is not None:
-                        outcome.extras.setdefault("executed_by", result.backend)
+                    rows[index] = row_of(unit, task, result)
                 except Exception as exc:
-                    if strict:
-                        raise _cell_error(exc, scheme_name, instance, fault_spec,
-                                          clock_spec, key_of(unit)) from exc
-                    rows[index] = _failure_row(scheme_name, family, instance.n,
-                                               fault_spec, clock_spec, exc)
-                    continue
-                rows[index] = metrics_from_run(
-                    instance.graph,
-                    outcome,
-                    family=instance.family,
-                    source=instance.source,
-                    fault=spec_label(fault_spec, default="none"),
-                    clock=spec_label(clock_spec, default="sync"),
-                )
+                    retry_alone(index, unit, exc, retries)
     return rows  # type: ignore[return-value]
 
 
@@ -622,13 +463,8 @@ _ChunkPayload = Tuple[dict, List[UnitSpec], Optional[str], str, Optional[int],
 def _run_grid_chunk(payload: _ChunkPayload) -> List[RunMetrics]:
     """Worker entry point: rematerialize each unit's cell and run its scheme."""
     config_dict, chunk, backend, trace_level, batch_size, strict, retries = payload
-    config = GridConfig(**config_dict)
-    if batch_size is not None:
-        return _run_units_batched(config, chunk, backend=backend,
-                                  trace_level=trace_level,
-                                  batch_size=batch_size, strict=strict,
-                                  retries=retries)
-    return _run_units(config, chunk, backend=backend, trace_level=trace_level,
+    return _run_units(GridConfig(**config_dict), chunk, backend=backend,
+                      trace_level=trace_level, batch_size=batch_size,
                       strict=strict, retries=retries)
 
 
@@ -703,8 +539,9 @@ def iter_grid(
         ``status="error:..."`` rows and keeps going.
     retries:
         Extra attempts for transient failures before the ``strict`` handling
-        applies, at two levels: each failing *cell* is re-run with fresh
-        fault/clock models, and a chunk whose **pool worker process died**
+        applies, at two levels: each failing *cell* is re-run alone with fresh
+        fault/clock models (one rule at every batch size; see
+        :func:`_run_units`), and a chunk whose **pool worker process died**
         (``BrokenProcessPool`` — a kill -9, an OOM reap) is resubmitted to a
         rebuilt pool instead of aborting the sweep.  Deterministic failures
         produce identical rows either way; the service path runs workers
@@ -805,13 +642,13 @@ def _iter_grid_stream(
                 cached.add(i)
     pending = [i for i in range(len(units)) if i not in cached]
 
-    per_instance = _units_per_instance(config)
+    per_instance = max(1, len(config.faults) * len(config.clocks) * len(config.schemes))
     if chunk_size is None:
         if jobs == 1:
             # Stream per instance (per batch window when batching): the first
             # rows surface after the first instance, and each scheme's labels
             # are still built once per instance within a chunk.
-            chunk_size = per_instance if batch_size is None else batch_size * per_instance
+            chunk_size = (batch_size or 1) * per_instance
         else:
             chunk_size = max(1, (len(pending) + jobs * 4 - 1) // (jobs * 4))
             if batch_size is not None:
@@ -1019,13 +856,13 @@ def run_grid(
     chunk_size:
         Work units per pool chunk; defaults to ~4 chunks per worker.
     batch_size:
-        Compatible work units per stacked kernel invocation.  Setting it (or
-        ``config.batch_size``, or passing ``backend="batched"``, which
-        implies :data:`DEFAULT_BATCH_SIZE`) routes execution through the
-        batching path: work units sharing (scheme, fault, clock, trace
-        level) run as one block-diagonal kernel invocation on backends that
-        stack (results are guaranteed identical either way).  Must be
-        positive.
+        Compatible work units per engine call.  With it set (or
+        ``config.batch_size``, or ``backend="batched"``, which implies
+        :data:`DEFAULT_BATCH_SIZE`), work units sharing (scheme, fault,
+        clock, trace level) run as one block-diagonal kernel invocation on
+        backends that stack; unset, the same runner makes one engine call
+        per unit.  Results are guaranteed identical either way, and
+        ``retries`` means the same at every batch size.  Must be positive.
     store:
         A :class:`~repro.store.ResultStore` making the grid incremental:
         already-stored cells are served from disk, fresh rows are flushed as

@@ -1,6 +1,6 @@
 """Baseline broadcast schemes the paper's introduction compares against."""
 
-from .base import BaselineOutcome, bits_needed, int_to_bits
+from .base import bits_needed, int_to_bits
 from .centralized import (
     ScheduledNode,
     compute_centralized_schedule,
@@ -18,7 +18,6 @@ from .coloring_tdma import ColoringTdmaNode, coloring_tdma_labels, run_coloring_
 from .round_robin import RoundRobinNode, round_robin_labels, run_round_robin
 
 __all__ = [
-    "BaselineOutcome",
     "BitSignalNode",
     "ColoringTdmaNode",
     "LENGTH_HEADER_BITS",

@@ -12,48 +12,14 @@ alternatives:
   precomputed (unbounded advice).
 
 Each baseline in this package produces a labeling, a node factory for the
-radio simulator, and a :class:`BaselineOutcome` with the metrics the benchmark
-tables compare: label length, completion round, number of transmissions and
-collisions.
+radio simulator, and an :class:`~repro.core.outcome.Outcome` with the metrics
+the benchmark tables compare: label length, completion round, number of
+transmissions and collisions.  This module holds their shared bit helpers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from ..core.outcome import Outcome
-from ..radio.engine import SimulationResult
-
-__all__ = ["BaselineOutcome"]
-
-
-class BaselineOutcome(Outcome):
-    """Deprecated alias of the unified :class:`~repro.core.outcome.Outcome`.
-
-    Kept so existing code can keep constructing baseline outcomes with the
-    historical keyword spelling (``name`` / ``label_length_bits`` /
-    ``num_distinct_labels``); the attributes of the same names remain
-    available as read-only aliases on every :class:`Outcome`.
-    """
-
-    def __init__(
-        self,
-        *,
-        name: str,
-        label_length_bits: int,
-        num_distinct_labels: int,
-        completion_round: Optional[int],
-        simulation: SimulationResult,
-        extras: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(
-            scheme=name,
-            simulation=simulation,
-            completion_round=completion_round,
-            label_bits=label_length_bits,
-            distinct_labels=num_distinct_labels,
-            extras=dict(extras or {}),
-        )
+__all__ = ["bits_needed", "int_to_bits"]
 
 
 def int_to_bits(value: int, width: int) -> str:

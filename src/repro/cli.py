@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "deterministic and independent of the job count)")
     sweep.add_argument("--batch-size", type=_parse_batch_size, default=None,
                        help="stack this many compatible runs into one kernel "
-                            "invocation (implies the batching path; "
+                            "invocation (unset: one run per invocation; "
                             "--backend batched batches by default)")
     sweep.add_argument("--shards", type=_parse_shards, default=None,
                        help="segment worker count for the sharded backend "

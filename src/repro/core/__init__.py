@@ -35,7 +35,6 @@ from .protocols import (
     make_broadcast_node,
 )
 from .runner import (
-    BroadcastOutcome,
     run_acknowledged_broadcast,
     run_arbitrary_source_broadcast,
     run_broadcast,
@@ -62,7 +61,6 @@ __all__ = [
     "AcknowledgedBroadcastNode",
     "ArbitrarySourceNode",
     "BroadcastNode",
-    "BroadcastOutcome",
     "COORDINATOR_LABEL",
     "DOMINATION_STRATEGIES",
     "FORBIDDEN_ACK_LABELS",

@@ -1,16 +1,11 @@
 """The unified experiment outcome record.
 
-Historically the paper's schemes returned a ``BroadcastOutcome`` (labeling +
-bounds) while the comparison baselines returned a ``BaselineOutcome`` (label
-bits + completion round), and every consumer — metrics, reports, sweeps —
-had to know which of the two shapes it was holding.  The unified
-:class:`Outcome` collapses both: one record with the superset of fields, where
+The paper's schemes and the comparison baselines report through one record,
+so no consumer — metrics, reports, sweeps — has to know which kind of scheme
+it is holding.  :class:`Outcome` carries the superset of fields, where
 scheme-specific members (``labeling``, ``bound_broadcast``,
 ``acknowledgement_round``) are simply ``None`` when the scheme has nothing to
 report.
-
-``BroadcastOutcome`` and ``BaselineOutcome`` survive as thin deprecation
-aliases so existing code and the seed tests keep working unchanged.
 """
 
 from __future__ import annotations
@@ -100,24 +95,6 @@ class Outcome:
     def total_collisions(self) -> int:
         """Total (node, round) collision events over the whole execution."""
         return self.trace.total_collisions()
-
-    # ------------------------------------------------------------------ #
-    # legacy BaselineOutcome spelling (deprecated aliases)
-    # ------------------------------------------------------------------ #
-    @property
-    def name(self) -> str:
-        """Deprecated alias of :attr:`scheme`."""
-        return self.scheme
-
-    @property
-    def label_length_bits(self) -> int:
-        """Deprecated alias of :attr:`label_bits`."""
-        return self.label_bits
-
-    @property
-    def num_distinct_labels(self) -> int:
-        """Deprecated alias of :attr:`distinct_labels`."""
-        return self.distinct_labels
 
     def summary_row(self) -> Dict[str, Any]:
         """Flat dict used by the report tables."""

@@ -11,9 +11,9 @@ Since the unified experiment API landed, each is a thin wrapper over the
 scheme registry (:mod:`repro.api.schemes`): the labeler / task-builder /
 outcome-deriver logic lives in the registered :class:`~repro.api.schemes.
 Scheme` classes, and all three functions return the unified
-:class:`~repro.core.outcome.Outcome` (of which :data:`BroadcastOutcome` is a
-deprecated alias).  Prefer ``repro.api.run`` / ``get_scheme(...).run`` for new
-code — those also cover the four baselines with the same calling convention.
+:class:`~repro.core.outcome.Outcome`.  Prefer ``repro.api.run`` /
+``get_scheme(...).run`` for new code — those also cover the four baselines
+with the same calling convention.
 
 Every entry point accepts a ``backend`` (``"reference"``, ``"vectorized"``,
 or a :class:`~repro.backends.base.SimulationBackend` instance) and a
@@ -34,16 +34,12 @@ from .labeling import Labeling
 from .outcome import Outcome
 
 __all__ = [
-    "BroadcastOutcome",
     "run_broadcast",
     "run_acknowledged_broadcast",
     "run_arbitrary_source_broadcast",
 ]
 
 BackendSpec = Optional[Union[str, SimulationBackend]]
-
-#: Deprecated alias of the unified :class:`~repro.core.outcome.Outcome`.
-BroadcastOutcome = Outcome
 
 
 def run_broadcast(

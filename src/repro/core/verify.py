@@ -20,7 +20,7 @@ characterisation the paper proves.  This module implements those checkers:
 
 Each checker returns a list of violation strings (empty = pass), so callers
 can aggregate them; :func:`verify_broadcast_outcome` bundles the relevant ones
-for a :class:`~repro.core.runner.BroadcastOutcome`.
+for a paper scheme's :class:`~repro.core.outcome.Outcome`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 from ..graphs.graph import Graph
 from ..radio.trace import ExecutionTrace
 from .labeling import FORBIDDEN_ACK_LABELS, Labeling
-from .runner import BroadcastOutcome
+from .outcome import Outcome
 from .sequences import SequenceConstruction
 
 __all__ = [
@@ -98,7 +98,7 @@ def check_lemma_2_8(
     return violations
 
 
-def check_theorem_2_9(graph: Graph, outcome: BroadcastOutcome) -> List[str]:
+def check_theorem_2_9(graph: Graph, outcome: Outcome) -> List[str]:
     """Broadcast completes and does so within 2n − 3 rounds (and 2ℓ − 3)."""
     violations: List[str] = []
     n = graph.n
@@ -122,7 +122,7 @@ def check_theorem_2_9(graph: Graph, outcome: BroadcastOutcome) -> List[str]:
     return violations
 
 
-def check_theorem_3_9(graph: Graph, outcome: BroadcastOutcome) -> List[str]:
+def check_theorem_3_9(graph: Graph, outcome: Outcome) -> List[str]:
     """Acknowledged broadcast: Theorem 3.9 and Corollary 3.8 windows."""
     violations = check_theorem_2_9(graph, outcome)
     n = graph.n
@@ -217,7 +217,7 @@ def check_universality_constraints(labeling: Labeling) -> List[str]:
     return violations
 
 
-def verify_broadcast_outcome(graph: Graph, outcome: BroadcastOutcome) -> List[str]:
+def verify_broadcast_outcome(graph: Graph, outcome: Outcome) -> List[str]:
     """Run every applicable checker for one outcome and return all violations."""
     violations: List[str] = []
     labeling = outcome.labeling

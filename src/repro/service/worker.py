@@ -4,9 +4,9 @@ A worker owns the heavy kernels and nothing else.  It connects to a
 coordinator, advertises ``slots`` (its cell-level concurrency) in its hello
 frame, and then answers ``cell`` frames: each carries a serialized
 ``GridConfig`` plus one :data:`~repro.api.grid.UnitSpec`, exactly the plain
-picklable payload the local process-pool path ships (the PR 2 pattern) — the
-worker rebuilds the config, materializes the instance and runs the unit
-through any existing backend via :func:`repro.api.grid._run_units`.
+picklable payload the local process-pool path ships.  The worker rebuilds
+the config and runs the unit through any existing backend via
+:func:`repro.api.grid._run_units`, the runner the local chunks call too.
 
 Cells always execute ``strict=False`` with the grid's one-shot per-cell
 retry (``retries``), so a failing scenario comes back as an honest

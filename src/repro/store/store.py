@@ -690,9 +690,6 @@ class ResultStore:
         self._record(key, shard, offset, len(data))
         return True
 
-    def flush(self) -> None:
-        """No-op, kept for API compatibility: appends are unbuffered writes."""
-
     def _write_indexes(self) -> None:
         """Refresh the sidecar index of every dirty shard (best-effort).
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.labeling import Labeling, lambda_scheme
-from ..core.runner import BroadcastOutcome, run_broadcast
+from ..core.outcome import Outcome
+from ..core.runner import run_broadcast
 from ..graphs.graph import Graph
 from .ascii_graph import render_labeled_layers
 from .trace_render import transmit_receive_maps
@@ -77,7 +78,7 @@ class Figure1Result:
 
     graph: Graph
     labeling: Labeling
-    outcome: BroadcastOutcome
+    outcome: Outcome
     transmit_rounds: Dict[int, List[int]]
     receive_rounds: Dict[int, List[int]]
     rendering: str

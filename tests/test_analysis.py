@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import (
     PaperBounds,
-    SweepConfig,
     ack_round_window,
     aggregate,
     broadcast_round_bound,
@@ -16,15 +15,14 @@ from repro.analysis import (
     format_comparison,
     format_metrics_table,
     format_table,
-    generate_instances,
+    materialize_instance,
     message_bits_total,
-    metrics_from_baseline,
-    metrics_from_outcome,
+    metrics_from_run,
     per_round_transmitter_counts,
     round_robin_label_bits,
-    run_sweep,
     scheme_length_bound,
 )
+from repro.api import GridConfig, grid_cell_specs, run_grid
 from repro.baselines import run_round_robin
 from repro.core import run_acknowledged_broadcast, run_broadcast
 from repro.graphs import grid_graph, path_graph
@@ -71,10 +69,10 @@ class TestBounds:
 
 
 class TestMetrics:
-    def test_metrics_from_outcome(self):
+    def test_paper_run_metrics(self):
         g = grid_graph(3, 4)
         outcome = run_broadcast(g, 0)
-        m = metrics_from_outcome(g, outcome, family="grid")
+        m = metrics_from_run(g, outcome, family="grid")
         assert m.scheme == "lambda"
         assert m.n == 12
         assert m.label_bits == 2
@@ -84,13 +82,13 @@ class TestMetrics:
     def test_metrics_from_ack_outcome_has_ack_round(self):
         g = path_graph(6)
         outcome = run_acknowledged_broadcast(g, 0)
-        m = metrics_from_outcome(g, outcome, family="path")
+        m = metrics_from_run(g, outcome, family="path")
         assert m.acknowledgement_round is not None
 
-    def test_metrics_from_baseline(self):
+    def test_baseline_run_metrics(self):
         g = path_graph(6)
         outcome = run_round_robin(g, 0)
-        m = metrics_from_baseline(g, outcome, family="path", source=0)
+        m = metrics_from_run(g, outcome, family="path", source=0)
         assert m.scheme == "round_robin"
         assert m.bound is None
         assert m.within_bound is None
@@ -109,7 +107,7 @@ class TestMetrics:
 
     def test_aggregate(self):
         g = path_graph(6)
-        rows = [metrics_from_outcome(g, run_broadcast(g, 0), family="path")] * 3
+        rows = [metrics_from_run(g, run_broadcast(g, 0), family="path")] * 3
         agg = aggregate(rows, "completion_round")
         assert agg["count"] == 3
         assert agg["min"] == agg["max"] == agg["mean"]
@@ -129,32 +127,38 @@ class TestReportRendering:
 
     def test_format_metrics_table(self):
         g = path_graph(5)
-        rows = [metrics_from_outcome(g, run_broadcast(g, 0), family="path")]
+        rows = [metrics_from_run(g, run_broadcast(g, 0), family="path")]
         text = format_metrics_table(rows, title="T")
         assert "lambda" in text and "path" in text
 
     def test_format_comparison_contains_ratio(self):
         g = grid_graph(3, 4)
-        ref = [metrics_from_outcome(g, run_broadcast(g, 0), family="grid")]
-        base = [metrics_from_baseline(g, run_round_robin(g, 0), family="grid", source=0)]
+        ref = [metrics_from_run(g, run_broadcast(g, 0), family="grid")]
+        base = [metrics_from_run(g, run_round_robin(g, 0), family="grid", source=0)]
         text = format_comparison(ref, base, field="completion_round")
         assert "round_robin" in text
         assert "/λ" in text
 
 
+def _instances(config):
+    """Every instance of ``config``'s grid (one per cell: no fault/clock axes)."""
+    return [materialize_instance(config, family, size, rep)
+            for family, size, rep, _fault, _clock in grid_cell_specs(config)]
+
+
 class TestSweeps:
-    def test_generate_instances_deterministic(self):
-        cfg = SweepConfig(families=["path", "gnp_sparse"], sizes=[10, 14],
-                          seeds_per_size=2, schemes=["lambda"])
-        a = generate_instances(cfg)
-        b = generate_instances(cfg)
+    def test_instances_are_deterministic(self):
+        cfg = GridConfig(families=["path", "gnp_sparse"], sizes=[10, 14],
+                         seeds_per_size=2, schemes=["lambda"])
+        a = _instances(cfg)
+        b = _instances(cfg)
         assert len(a) == 2 * 2 * 2
         assert all(x.graph == y.graph for x, y in zip(a, b))
 
     def test_source_rules(self):
         for rule, expect in [("zero", 0), ("last", None), ("center-ish", None)]:
-            cfg = SweepConfig(families=["path"], sizes=[9], source_rule=rule)
-            inst = generate_instances(cfg)[0]
+            cfg = GridConfig(families=["path"], sizes=[9], source_rule=rule)
+            inst = _instances(cfg)[0]
             if rule == "zero":
                 assert inst.source == 0
             elif rule == "last":
@@ -162,25 +166,25 @@ class TestSweeps:
             else:
                 assert inst.source == inst.graph.n // 2
         with pytest.raises(ValueError):
-            generate_instances(SweepConfig(families=["path"], sizes=[5], source_rule="bogus"))
+            _instances(GridConfig(families=["path"], sizes=[5], source_rule="bogus"))
 
-    def test_run_sweep_produces_rows_for_every_cell(self):
-        cfg = SweepConfig(families=["path", "star"], sizes=[8],
-                          schemes=["lambda", "lambda_ack", "round_robin"])
-        rows = run_sweep(cfg)
+    def test_run_grid_produces_rows_for_every_cell(self):
+        cfg = GridConfig(families=["path", "star"], sizes=[8],
+                         schemes=["lambda", "lambda_ack", "round_robin"])
+        rows = run_grid(cfg)
         assert len(rows) == 2 * 1 * 3
         schemes = {r.scheme for r in rows}
         assert schemes == {"lambda", "lambda_ack", "round_robin"}
         lam_rows = [r for r in rows if r.scheme == "lambda"]
         assert all(r.within_bound for r in lam_rows)
 
-    def test_run_sweep_rejects_unknown_scheme(self):
+    def test_run_grid_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
-            run_sweep(SweepConfig(families=["path"], sizes=[6], schemes=["nope"]))
+            run_grid(GridConfig(families=["path"], sizes=[6], schemes=["nope"]))
 
     def test_sweep_includes_arbitrary_source(self):
-        cfg = SweepConfig(families=["star"], sizes=[7], schemes=["lambda_arb"],
-                          source_rule="last")
-        rows = run_sweep(cfg)
+        cfg = GridConfig(families=["star"], sizes=[7], schemes=["lambda_arb"],
+                         source_rule="last")
+        rows = run_grid(cfg)
         assert len(rows) == 1
         assert rows[0].completion_round is not None

@@ -8,13 +8,10 @@ import pytest
 
 from repro import api
 from repro.analysis import (
-    SweepConfig,
-    generate_instances,
-    metrics_from_baseline,
-    metrics_from_outcome,
+    materialize_instance,
+    metrics_from_run,
     metrics_to_csv,
     metrics_to_json,
-    run_sweep,
 )
 from repro.api import (
     GridConfig,
@@ -22,18 +19,17 @@ from repro.api import (
     Scenario,
     Scheme,
     get_scheme,
+    grid_cell_specs,
     run_grid,
     scheme_names,
 )
 from repro.baselines import (
-    BaselineOutcome,
     run_centralized_schedule,
     run_coloring_tdma,
     run_collision_detection_broadcast,
     run_round_robin,
 )
 from repro.core import (
-    BroadcastOutcome,
     run_acknowledged_broadcast,
     run_arbitrary_source_broadcast,
     run_broadcast,
@@ -265,9 +261,9 @@ class TestRun:
 
 
 # --------------------------------------------------------------------------- #
-# run_grid: bit-for-bit legacy equivalence + the new axes
+# run_grid: bit-for-bit equivalence with standalone runs + the new axes
 # --------------------------------------------------------------------------- #
-LEGACY_CFG = SweepConfig(
+LEGACY_CFG = GridConfig(
     families=["path", "grid", "gnp_sparse"],
     sizes=[9, 16],
     seeds_per_size=2,
@@ -276,37 +272,39 @@ LEGACY_CFG = SweepConfig(
 )
 
 LEGACY_RUNNERS = {
-    "lambda": lambda inst, **kw: metrics_from_outcome(
+    "lambda": lambda inst, **kw: metrics_from_run(
         inst.graph, run_broadcast(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
-    "lambda_ack": lambda inst, **kw: metrics_from_outcome(
+    "lambda_ack": lambda inst, **kw: metrics_from_run(
         inst.graph, run_acknowledged_broadcast(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
-    "lambda_arb": lambda inst, **kw: metrics_from_outcome(
+    "lambda_arb": lambda inst, **kw: metrics_from_run(
         inst.graph,
         run_arbitrary_source_broadcast(
             inst.graph, true_source=inst.source,
             coordinator=0 if inst.source != 0 else inst.graph.n - 1, **kw),
         family=inst.family, source=inst.source),
-    "round_robin": lambda inst, **kw: metrics_from_baseline(
+    "round_robin": lambda inst, **kw: metrics_from_run(
         inst.graph, run_round_robin(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
-    "coloring_tdma": lambda inst, **kw: metrics_from_baseline(
+    "coloring_tdma": lambda inst, **kw: metrics_from_run(
         inst.graph, run_coloring_tdma(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
-    "collision_detection": lambda inst, **kw: metrics_from_baseline(
+    "collision_detection": lambda inst, **kw: metrics_from_run(
         inst.graph, run_collision_detection_broadcast(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
-    "centralized": lambda inst, **kw: metrics_from_baseline(
+    "centralized": lambda inst, **kw: metrics_from_run(
         inst.graph, run_centralized_schedule(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
 }
 
 
-def legacy_sweep_rows(config: SweepConfig):
-    """Re-derivation of the pre-registry sweep loop: instance → scheme order."""
+def legacy_sweep_rows(config: GridConfig):
+    """Re-derivation of the pre-registry sweep loop: instance → scheme order,
+    one standalone ``run_*`` call per row."""
     rows = []
-    for instance in generate_instances(config):
+    for family, size, rep, _fault, _clock in grid_cell_specs(config):
+        instance = materialize_instance(config, family, size, rep)
         for scheme in config.schemes:
             rows.append(LEGACY_RUNNERS[scheme](instance, trace_level="summary"))
     return rows
@@ -316,16 +314,12 @@ class TestGridEquivalence:
     def test_run_grid_reproduces_legacy_rows_bit_for_bit(self):
         expected = legacy_sweep_rows(LEGACY_CFG)
         for jobs in (1, 2, 3):
-            rows = run_grid(GridConfig.from_sweep(LEGACY_CFG), jobs=jobs)
+            rows = run_grid(LEGACY_CFG, jobs=jobs)
             assert rows == expected  # frozen dataclasses: field-exact equality
 
-    def test_run_sweep_is_run_grid(self):
-        assert run_sweep(LEGACY_CFG) == run_grid(GridConfig.from_sweep(LEGACY_CFG))
-        assert run_sweep(LEGACY_CFG, jobs=2) == run_sweep(LEGACY_CFG)
-
     def test_vectorized_grid_matches_reference_grid(self):
-        ref = run_grid(GridConfig.from_sweep(LEGACY_CFG), backend="reference")
-        vec = run_grid(GridConfig.from_sweep(LEGACY_CFG), backend="vectorized", jobs=2)
+        ref = run_grid(LEGACY_CFG, backend="reference")
+        vec = run_grid(LEGACY_CFG, backend="vectorized", jobs=2)
         assert vec == ref
 
     def test_fault_axis_rows_are_jobs_independent(self):
@@ -363,14 +357,6 @@ class TestGridEquivalence:
     def test_empty_grid(self):
         assert run_grid(GridConfig(families=[], sizes=[], schemes=["lambda"])) == []
 
-    def test_run_sweep_passes_grid_axes_through(self):
-        # Handing a GridConfig to the legacy entry point must not silently
-        # drop the fault/clock axes.
-        cfg = GridConfig(families=["path"], sizes=[12], schemes=["lambda"],
-                         faults=[None, "drop:0.4:2"])
-        rows = run_sweep(cfg)
-        assert [r.fault for r in rows] == ["none", "drop:0.4:2"]
-
     def test_labels_built_once_per_instance(self, monkeypatch):
         # The centralized schedule is a pure function of (graph, source), so
         # a fault×clock grid over one instance must compute it exactly once.
@@ -395,7 +381,6 @@ class TestGridEquivalence:
 # --------------------------------------------------------------------------- #
 class TestUnifiedOutcome:
     def test_broadcast_outcome_is_outcome(self):
-        assert BroadcastOutcome is Outcome
         outcome = run_broadcast(path_graph(6), 0)
         assert isinstance(outcome, Outcome)
         assert outcome.scheme == "lambda"
@@ -406,19 +391,6 @@ class TestUnifiedOutcome:
         assert isinstance(outcome, Outcome)
         assert outcome.labeling is None
         assert outcome.bound_broadcast is None
-
-    def test_baseline_outcome_compat_constructor(self):
-        base = run_round_robin(path_graph(5), 0)
-        legacy = BaselineOutcome(
-            name="demo", label_length_bits=4, num_distinct_labels=3,
-            completion_round=7, simulation=base.simulation,
-            extras={"k": 1},
-        )
-        assert isinstance(legacy, Outcome)
-        assert legacy.scheme == legacy.name == "demo"
-        assert legacy.label_bits == legacy.label_length_bits == 4
-        assert legacy.distinct_labels == legacy.num_distinct_labels == 3
-        assert legacy.summary_row()["rounds"] == 7
 
     def test_summary_row_shared_schema(self):
         paper = run_broadcast(path_graph(6), 0).summary_row()

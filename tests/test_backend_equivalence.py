@@ -150,7 +150,7 @@ class TestBaselineEquivalence:
         vec = run_centralized_schedule(graph, source, backend="vectorized",
                                        trace_level="summary")
         assert _baseline_fingerprint(vec) == _baseline_fingerprint(ref)
-        assert ref.label_length_bits == vec.label_length_bits
+        assert ref.label_bits == vec.label_bits
 
     @pytest.mark.parametrize("family,size,seed", CENTRALIZED_FULL_CASES,
                              ids=[f"{f}-{n}" for f, n, _ in CENTRALIZED_FULL_CASES])

@@ -112,7 +112,7 @@ class TestColoringTdma:
     def test_label_length_grows_with_degree_not_n(self):
         small_deg = run_coloring_tdma(cycle_graph(40), 0)
         big_deg = run_coloring_tdma(star_graph(40), 0)
-        assert small_deg.label_length_bits < big_deg.label_length_bits
+        assert small_deg.label_bits < big_deg.label_bits
 
     def test_invalid_source(self):
         with pytest.raises(GraphError):
@@ -124,7 +124,7 @@ class TestCollisionDetectionBaseline:
         for g in (path_graph(6), grid_graph(3, 4), star_graph(8)):
             outcome = run_collision_detection_broadcast(g, 0, payload="OK")
             assert outcome.completed
-            assert outcome.label_length_bits == 0
+            assert outcome.label_bits == 0
             assert outcome.extras["decoded_correctly"]
 
     def test_payload_recovered_exactly(self):

@@ -105,8 +105,8 @@ class TestCrossSchemeComparison:
         rr = run_round_robin(g, 0)
         td = run_coloring_tdma(g, 0)
         assert lam.length == 2
-        assert rr.label_length_bits > lam.length
-        assert td.label_length_bits > lam.length
+        assert rr.label_bits > lam.length
+        assert td.label_bits > lam.length
 
     def test_all_schemes_inform_everyone(self):
         g = random_geometric_graph(30, 0.3, seed=8)

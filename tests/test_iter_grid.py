@@ -311,39 +311,53 @@ def _install_transient_lambda(monkeypatch, fail_first: int = 1):
 
 
 class TestCellRetries:
+    """One retry rule at every batch size: ``batch_size=None`` and ``1`` both
+    run one unit per engine call and must spend exactly the same attempts; a
+    unit whose task build fails inside a stacked batch (``4``) is re-run
+    alone on the same budget."""
+
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries must be >= 0"):
             iter_grid(CFG, retries=-1)
 
-    def test_transient_failure_heals_with_one_retry(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    def test_transient_failure_heals_with_one_retry(self, monkeypatch,
+                                                    batch_size):
         baseline = run_grid(CFG)
         state = _install_transient_lambda(monkeypatch)
-        assert run_grid(CFG, retries=1) == baseline
-        assert state["calls"] > 1  # the retry re-ran the cell
+        assert run_grid(CFG, batch_size=batch_size, retries=1) == baseline
+        # Six lambda units, plus exactly one retry of the first.
+        assert state["calls"] == 6 + 1
 
-    def test_without_retries_the_same_fault_is_fatal(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", [None, 1])
+    def test_without_retries_the_same_fault_is_fatal(self, monkeypatch,
+                                                     batch_size):
         _install_transient_lambda(monkeypatch)
         with pytest.raises(GridExecutionError, match="transient"):
-            run_grid(CFG)  # retries defaults to 0: unchanged semantics
+            run_grid(CFG, batch_size=batch_size)  # retries defaults to 0
 
+    @pytest.mark.parametrize("batch_size", [None, 1])
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_retry_heals_inside_forked_workers(self, monkeypatch, jobs):
+    def test_retry_heals_inside_forked_workers(self, monkeypatch, jobs,
+                                               batch_size):
         # Each forked worker fails its own first lambda cell; the retry
         # happens inside that worker, so the sweep never sees the fault.
         baseline = run_grid(CFG)
         _install_transient_lambda(monkeypatch)
-        rows = run_grid(CFG, jobs=jobs, retries=1, chunk_size=2)
+        rows = run_grid(CFG, jobs=jobs, batch_size=batch_size, retries=1,
+                        chunk_size=2)
         assert rows == baseline
 
+    @pytest.mark.parametrize("batch_size", [None, 1, 4])
     def test_keep_going_only_records_cells_that_exhaust_retries(
-        self, monkeypatch
+        self, monkeypatch, batch_size
     ):
         baseline = run_grid(CFG)
         # Fails the first three lambda calls: with one retry the first cell
         # consumes both its attempts and fails, the second cell fails once
         # and heals on its retry (call #4), the rest never fault.
         _install_transient_lambda(monkeypatch, fail_first=3)
-        rows = run_grid(CFG, strict=False, retries=1)
+        rows = run_grid(CFG, batch_size=batch_size, strict=False, retries=1)
         failed = rows.filter(lambda r: r.status != "ok")
         assert len(failed) == 1
         assert failed[0].scheme == "lambda"

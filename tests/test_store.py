@@ -193,7 +193,6 @@ class TestResultStore:
         with ResultStore(tmp_path / "s") as store:
             assert store.put("ab" + "0" * 62, row)
             assert not store.put("ab" + "0" * 62, row)
-            store.flush()
         assert len(ResultStore(tmp_path / "s")) == 1
 
     def test_segments_are_sharded_by_key_prefix(self, tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import message_bits_total, metrics_from_outcome
+from repro.analysis import message_bits_total, metrics_from_run
 from repro.core import run_acknowledged_broadcast, run_broadcast
 from repro.graphs import grid_graph, path_graph
 from repro.radio import (
@@ -98,7 +98,7 @@ class TestSummaryLevelOutcomes:
             outcome = run_acknowledged_broadcast(
                 graph, 0, backend=backend, trace_level=level
             )
-            rows.append(metrics_from_outcome(graph, outcome, family="grid", source=0))
+            rows.append(metrics_from_run(graph, outcome, family="grid", source=0))
         assert rows[0] == rows[1]
 
     def test_message_bits_agree_between_levels(self):

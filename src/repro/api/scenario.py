@@ -99,9 +99,8 @@ class Scenario:
         ``None`` selects the paper's reliable synchronized model.
     backend:
         Backend spec (``"reference"`` / ``"vectorized"`` / ``"batched"`` /
-        ``"sharded"`` / ``"ell"``, plus the parameterized forms
-        ``"sharded:K"`` and ``"ell:jit"`` / ``"ell:numpy"``) or ``None``
-        for the default.
+        ``"sharded"`` / ``"ell"``, plus the parameterized form
+        ``"sharded:K"``) or ``None`` for the default.
     shards:
         Worker process count for the sharded backend (requires ``backend``
         to be ``"sharded"`` or unset; setting it alone selects the sharded

@@ -241,8 +241,9 @@ def scheme_backend_coverage(name: Union[str, Scheme]) -> List[str]:
     Probes each backend's :meth:`~repro.backends.SimulationBackend.supports`
     with a tiny representative task (a 4-node path), so the answer reflects
     the actual kernel coverage — e.g. every registered scheme is stacked by
-    the batched engine, while the sharded and ELL engines cover only λ and
-    the two TDMA baselines.  The reference backend covers everything by
+    the batched engine, while the sharded engine covers only λ and the two
+    TDMA baselines, and the ELL engine those three only where numba
+    imports.  The reference backend covers everything by
     construction; backends outside a scheme's coverage still *run* it by
     falling back per task.  Used by ``repro schemes --json`` so tooling that
     builds grids programmatically can pick backends without trial and error.

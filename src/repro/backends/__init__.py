@@ -10,17 +10,15 @@ Public surface::
 ``resolve_backend`` accepts a backend name (``"reference"`` /
 ``"vectorized"`` / ``"batched"`` / ``"sharded"`` / ``"ell"``), an existing
 backend instance, or ``None`` (the reference default), and returns a shared
-instance.  The batched backend additionally exposes ``run_batch(tasks)``,
-stacking many compatible tasks into one block-diagonal kernel invocation (see
-:mod:`repro.backends.batched`); the sharded backend splits *one* large
-instance's round loop across a process pool (see
-:mod:`repro.backends.sharded`) and accepts a shard count as a spec suffix —
-``resolve_backend("sharded:4")`` runs four segment workers.  The ELL backend
-(see :mod:`repro.backends.ell`) runs over a padded fixed-width adjacency
-table and accepts a tier suffix: ``"ell"`` auto-selects the numba JIT tier
-when numba imports (NumPy otherwise), ``"ell:jit"`` prefers the JIT tier
-(silently degrading without numba) and ``"ell:numpy"`` forces the NumPy
-tier.
+instance.  ``vectorized`` and ``batched`` are one engine — the NumPy kernels
+of :mod:`repro.backends.batched` — run one task per kernel call, or with
+``run_batch(tasks)`` stacking many compatible tasks into one block-diagonal
+kernel invocation.  The sharded backend splits *one* large instance's round
+loop across a process pool (see :mod:`repro.backends.sharded`) and accepts a
+shard count as a spec suffix — ``resolve_backend("sharded:4")`` runs four
+segment workers.  The ELL backend (see :mod:`repro.backends.ell`) runs its
+numba JIT kernels over a padded fixed-width adjacency table when numba
+imports, and the vectorized engine otherwise.
 """
 
 from __future__ import annotations
@@ -69,21 +67,18 @@ _BACKEND_CLASSES = {
 }
 
 #: Names accepted by :func:`resolve_backend` (and the CLI ``--backend`` flag).
-#: ``"sharded"`` additionally accepts a ``:K`` shard-count suffix and
-#: ``"ell"`` a tier suffix (``:jit`` / ``:numpy``).
+#: ``"sharded"`` additionally accepts a ``:K`` shard-count suffix.
 BACKEND_NAMES = tuple(_BACKEND_CLASSES)
 
 #: Every spec form :func:`resolve_backend` accepts, for error messages and
 #: interface docs (``sharded:K`` stands for any integer shard count).
-BACKEND_SPECS = tuple(
-    sorted([*_BACKEND_CLASSES, "sharded:K", "ell:jit", "ell:numpy"])
-)
+BACKEND_SPECS = tuple(sorted([*_BACKEND_CLASSES, "sharded:K"]))
 
 _instances: Dict[str, SimulationBackend] = {}
 
 
 def _parse_backend_spec(spec: str):
-    """Split ``"name"`` / ``"sharded:K"`` / ``"ell:TIER"`` into (class, kwargs)."""
+    """Split ``"name"`` / ``"sharded:K"`` into (class, kwargs)."""
     if not isinstance(spec, str):
         raise BackendError(
             f"backend spec must be a name string, a backend instance or None; "
@@ -99,17 +94,10 @@ def _parse_backend_spec(spec: str):
         ) from None
     if not sep:
         return cls, {}
-    if name == EllBackend.name:
-        if arg not in ("jit", "numpy"):
-            raise BackendError(
-                f"bad ell tier {arg!r} in backend spec {spec!r}; "
-                f"expected 'ell', 'ell:jit' or 'ell:numpy'"
-            )
-        return cls, {"mode": arg}
     if name != ShardedVectorizedBackend.name:
         raise BackendError(
-            f"backend {name!r} takes no {arg!r} argument; only 'sharded:K' "
-            f"and 'ell:jit' / 'ell:numpy' accept a suffix"
+            f"backend {name!r} takes no {arg!r} argument; valid backend "
+            f"specs: {', '.join(BACKEND_SPECS)}"
         )
     try:
         shards = int(arg)
@@ -128,11 +116,10 @@ def resolve_backend(
 ) -> SimulationBackend:
     """Map a backend spec (name, instance or ``None``) to a backend object.
 
-    Specs are registry names, plus the parameterized forms ``"sharded:K"``
-    (a K-worker sharded backend) and ``"ell:jit"`` / ``"ell:numpy"`` (an ELL
-    backend pinned to one kernel tier); each distinct spec maps to one
-    shared instance.  Unknown specs raise :class:`BackendError` listing
-    every valid form.
+    Specs are registry names, plus the parameterized form ``"sharded:K"``
+    (a K-worker sharded backend); each distinct spec maps to one shared
+    instance.  Unknown specs raise :class:`BackendError` listing every valid
+    form.
     """
     if backend is None:
         backend = ReferenceBackend.name

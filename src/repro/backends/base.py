@@ -9,19 +9,27 @@ The tentpole refactor of this layer splits the execution core in two:
   :class:`~repro.radio.engine.SimulationResult` plus a ``derived`` dict of
   protocol-level outcomes (completion round, acknowledgement round, …).
 
-Two backends ship:
+The backends:
 
 * :class:`~repro.backends.reference.ReferenceBackend` drives the faithful
   per-node object engine (:mod:`repro.radio.engine`) — the ground truth;
-* :class:`~repro.backends.vectorized.VectorizedBackend` compiles the labeled
-  protocols and the TDMA baselines into NumPy array kernels over the graph's
-  CSR adjacency, producing bit-for-bit identical outcomes at a fraction of
-  the cost (the equivalence suite in ``tests/test_backend_equivalence.py``
-  asserts this on a grid of families × sizes × seeds).
+* :class:`~repro.backends.vectorized.VectorizedBackend` and
+  :class:`~repro.backends.batched.BatchedVectorizedBackend` run one family
+  of NumPy array kernels over CSR adjacency for every registered scheme,
+  one task or a whole stacked batch per kernel call, producing bit-for-bit
+  identical outcomes at a fraction of the cost (the equivalence suites in
+  ``tests/test_backend_equivalence.py`` and
+  ``tests/test_batched_equivalence.py`` assert this on grids of families ×
+  sizes × seeds);
+* :class:`~repro.backends.sharded.ShardedVectorizedBackend` splits one
+  large instance's rounds across processes, and
+  :class:`~repro.backends.ell.EllBackend` runs JIT-compiled padded-row
+  kernels when numba imports; both hand the tasks they do not cover to the
+  vectorized engine.
 
 Callers never need the per-protocol plumbing: :func:`resolve_backend` maps
-``"reference"`` / ``"vectorized"`` (or an existing backend instance) to a
-shared backend object.
+a backend spec (or an existing backend instance) to a shared backend
+object.
 """
 
 from __future__ import annotations
@@ -135,10 +143,10 @@ class BackendResult:
 
     ``backend`` is execution provenance: the registry name of the engine that
     *actually* ran the task.  Backends that delegate uncovered tasks (the
-    vectorized backend to the reference engine, the batched and sharded
-    backends to the vectorized one) leave the inner engine's tag in place, so
-    a row produced through a fallback is never mislabeled as having run on
-    the outer engine.
+    vectorized and batched backends to the reference engine, the sharded and
+    ELL backends to the vectorized one) leave the inner engine's tag in
+    place, so a row produced through a fallback is never mislabeled as
+    having run on the outer engine.
     """
 
     simulation: SimulationResult

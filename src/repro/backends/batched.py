@@ -1,51 +1,63 @@
-"""Batched multi-instance vectorized backend: many tasks, one kernel loop.
+"""The NumPy round kernels: every compiled protocol, any number of instances.
 
-The paper's headline claims are statistical — broadcast-time bounds that hold
-across whole *families* of radio networks — so reproducing them means
-sweeping thousands of small instances.  At n ≤ 64 the per-round NumPy
-dispatch overhead of the single-instance :class:`~repro.backends.vectorized.
-VectorizedBackend` dominates its runtime; this module removes it by stacking
-the CSR adjacency blocks of many :class:`~repro.backends.base.SimulationTask`s
-into one **block-diagonal** structure and advancing all instances with a
-single set of array kernels per round:
+One round of the paper's radio model — "a listener hears a message iff exactly
+one neighbour transmits" — is a sparse matrix–vector product of the adjacency
+matrix with the 0/1 transmit vector.  This module compiles the three labeled
+protocols (B, B_ack, B_arb), the round-robin / TDMA baselines, the
+centralized-schedule baseline and the collision-detection bit-signalling
+baseline into NumPy array kernels, and every kernel advances a whole *batch*
+of :class:`~repro.backends.base.SimulationTask` objects per round:
 
-* the stacked graph has no cross-instance edges, so one
-  :class:`~repro.backends.vectorized._Channel` resolution over the union
-  adjacency resolves every instance's round at once;
-* protocol state lives in global arrays indexed by *stacked* node id; the
-  decision rules are the same element-wise masks as the single-instance
-  kernels, so outcomes stay **bit-for-bit identical** (asserted by
-  ``tests/test_batched_equivalence.py`` against both the vectorized and the
-  reference engines);
-* every instance keeps its own round counter bookkeeping (all instances start
-  at round 1 together; an instance that meets its stop rule or exhausts its
-  budget is masked out of the transmit vectors and stops recording — its
-  trace ends exactly where a solo run's would);
-* per-instance trace recording splits the round's sorted global id arrays at
-  the block offsets (one ``searchsorted`` per array), so each instance gets
-  the same :class:`~repro.radio.trace.ExecutionTrace` a solo run produces.
+* the batch's CSR adjacency blocks are stacked into one **block-diagonal**
+  structure (a batch of one runs on its graph's own CSR arrays).  Blocks
+  share no edges, so one channel resolution per round serves every
+  instance: the per-listener transmitter count is one ``bincount`` over the
+  concatenated neighbour slices of the transmitters (the SpMV), and the
+  unique transmitter heard by a count-1 listener falls out of a second,
+  weighted ``bincount`` (the sum of transmitter ids — exact where the count
+  is one);
+* protocol state lives in arrays indexed by *stacked* node id, and the
+  transitions ("informed two rounds ago", "heard *stay* last round") are
+  boolean masks mirroring the object protocols branch for branch, in the
+  same priority order, so outcomes are **bit-for-bit identical** to the
+  :class:`~repro.backends.reference.ReferenceBackend` (asserted by
+  ``tests/test_backend_equivalence.py`` and
+  ``tests/test_batched_equivalence.py``).  Only the genuinely sparse events —
+  acknowledgement chains, the B_arb coordinator, payload decoding — stay in
+  Python, bounded by the handful of nodes they touch per round;
+* all instances start at round 1 together.  An instance that meets its stop
+  rule or spends its budget retires: it is masked out of every later round,
+  so its trace ends exactly where a solo run's would.  Stop-rule and
+  completion checks run only in rounds where the state they test changed,
+  the activity masks exist only once some instance has retired, and a batch
+  of one keeps its per-instance totals as plain ints, so a batch of one pays
+  no per-instance bookkeeping;
+* at the ``"summary"`` / ``"none"`` trace levels a round costs O(1) kernel
+  calls of recording: whole-run aggregates accumulate in arrays and each
+  trace is materialised once, at the end, via
+  :meth:`ExecutionTrace.from_aggregates`.  At ``"full"`` every live instance
+  gets its :class:`~repro.radio.trace.RoundRecord` per round, its slice of
+  the round's sorted id arrays cut at the block offsets.
+
+Two engines run these kernels.  :class:`BatchedVectorizedBackend`
+(``"batched"``) stacks a whole :meth:`~BatchedVectorizedBackend.run_batch`;
+:class:`~repro.backends.vectorized.VectorizedBackend` (``"vectorized"``) is
+the same engine running each task as a batch of one.  Tasks the kernels do
+not cover (custom node factories, fault/clock models other than the paper's
+defaults) run on the reference engine, so either backend is always safe to
+pass.  Batches must be *homogeneous* in protocol and trace level; mixing
+either raises :class:`~repro.backends.base.BackendError`.
 
 Determinism needs no per-instance RNG plumbing: the compiled protocols are
 deterministic, and the only randomized channel semantics (fault models, which
-memoise per-(round, node) coin flips) are exactly the tasks the batched
-kernels do not cover — those fall back to per-task execution with their own
-model objects, keeping every instance's random stream independent of how the
-batch was composed.
-
-Tasks the stacked kernels do not cover (custom node factories, non-default
-fault/clock models) are executed per task through the single-instance
-vectorized backend (which itself falls back to the reference engine where
-needed), so ``--backend batched`` is always safe to pass.  All seven
-registered schemes — B_arb included, its per-instance coordinator state
-carried as stacked arrays — run inside the stacked kernels under the paper's
-default channel models.
-Batches must be *homogeneous* in protocol and trace level; mixing either is a
-caller error and raises :class:`~repro.backends.base.BackendError`.
+memoise per-(round, node) coin flips) are exactly the tasks the kernels do
+not cover — those run per task with their own model objects, keeping every
+instance's random stream independent of how the batch was composed.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -55,7 +67,10 @@ from ..baselines.collision_detection import (
     decode_payload_bits,
     encode_payload_bits,
 )
+from ..radio.clock import SynchronizedClocks
+from ..radio.collision import NoCollisionDetection, WithCollisionDetection
 from ..radio.engine import SimulationResult
+from ..radio.faults import NoFaults
 from ..radio.messages import (
     Message,
     ack_message,
@@ -64,25 +79,9 @@ from ..radio.messages import (
     source_message,
     stay_message,
 )
-from ..radio.trace import TRACE_FULL, ExecutionTrace
+from ..radio.trace import TRACE_FULL, ExecutionTrace, RoundRecord
 from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
-from .vectorized import (
-    _EMPTY,
-    _K_ACK,
-    _K_INIT,
-    _K_READY,
-    _K_SOURCE,
-    _K_STAY,
-    _KIND_NAMES,
-    _NEVER,
-    VectorizedBackend,
-    _Channel,
-    _int_payload_bits,
-    _parse_bit_labels,
-    _parse_slot_labels,
-    _Recorder,
-    _stamp_bits,
-)
+from .reference import ReferenceBackend
 
 __all__ = [
     "BatchedVectorizedBackend",
@@ -94,10 +93,161 @@ __all__ = [
     "run_collision_detection_batch",
 ]
 
+# Transmission kind codes used by the kernels (0 = listen).
+_K_NONE = 0
+_K_INIT = 1
+_K_READY = 2
+_K_SOURCE = 3
+_K_STAY = 4
+_K_ACK = 5
+_KIND_NAMES = {
+    _K_INIT: "initialize",
+    _K_READY: "ready",
+    _K_SOURCE: "source",
+    _K_STAY: "stay",
+    _K_ACK: "ack",
+}
+
+#: Sentinel for "never" in round-number arrays (any valid round is >= 1, and
+#: the rules compare against r-2 >= -1, so -5 can never match).
+_NEVER = -5
+
+_EMPTY = np.empty(0, dtype=np.int64)
+
 
 # --------------------------------------------------------------------------- #
-# block-diagonal stacking
+# label parsing and bit accounting
 # --------------------------------------------------------------------------- #
+def _parse_bit_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split ``x1 x2 [x3]`` labels into three boolean arrays."""
+    # Fixed-width text keeps each label's first three characters, NUL-padded
+    # (never "1"), so bit i of node v is one code-point comparison.
+    chars = np.array([labels[v] for v in range(n)], dtype="U3").view(np.uint32)
+    x1, x2, x3 = (chars.reshape(n, 3) == ord("1")).T.copy()
+    return x1, x2, x3
+
+
+def _parse_slot_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Split two-field ``bits(slot) ++ bits(period-1)`` labels into arrays."""
+    slots = np.zeros(n, dtype=np.int64)
+    periods = np.ones(n, dtype=np.int64)
+    for v in range(n):
+        lab = labels[v]
+        if len(lab) % 2 != 0:
+            raise BackendError(f"malformed slotted label {lab!r} for node {v}")
+        half = len(lab) // 2
+        slots[v] = int(lab[:half], 2)
+        periods[v] = int(lab[half:], 2) + 1
+    return slots, periods
+
+
+def _stamp_bits(stamps: np.ndarray) -> np.ndarray:
+    """``max(1, ceil(log2(stamp + 2)))`` per stamp — the paper's stamp cost."""
+    # ceil(log2(s + 2)) == bit_length(s + 1) for s >= 0; exact in float64 for
+    # every round stamp a simulation can produce.
+    return np.floor(np.log2(stamps.astype(np.float64) + 1.0)).astype(np.int64) + 1
+
+
+def _int_payload_bits(value: int) -> int:
+    """Bits charged for an integer payload (``max(1, ceil(log2(|v| + 2)))``)."""
+    return max(1, (abs(int(value)) + 1).bit_length())
+
+
+# --------------------------------------------------------------------------- #
+# the channel and the per-round trace recorder
+# --------------------------------------------------------------------------- #
+class _Channel:
+    """CSR adjacency plus the per-round collision-resolution kernel."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int) -> None:
+        self.n = n
+        self.indptr = indptr
+        self.indices = indices
+        self.degrees = indptr[1:] - indptr[:-1]
+
+    def resolve(
+        self, tx_mask: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Resolve one round of the radio channel.
+
+        Returns ``(tx_ids, hears_ids, senders, collision_ids)`` where
+        ``senders[i]`` is the unique transmitting neighbour heard by
+        ``hears_ids[i]`` and ``collision_ids`` are the listeners with two or
+        more transmitting neighbours.
+        """
+        # ``nonzero()[0]`` on these 1-D arrays is ``flatnonzero`` without
+        # its Python-level wrapper, which would cost more than the scan at
+        # the small n most sweeps run.
+        tx_ids = tx_mask.nonzero()[0]
+        if tx_ids.size == 0:
+            return tx_ids, _EMPTY, _EMPTY, _EMPTY
+        deg = self.degrees[tx_ids]
+        total = int(deg.sum())
+        if total == 0:
+            return tx_ids, _EMPTY, _EMPTY, _EMPTY
+        # Transmitter i's neighbour slice starts at indptr[i]; in the
+        # concatenation it starts at the exclusive prefix sum of the degrees.
+        base = np.repeat(self.indptr[tx_ids] + deg - np.cumsum(deg), deg)
+        targets = self.indices[base + np.arange(total, dtype=np.int64)]
+        # ``bincount`` returns the platform's intp dtype; force 64-bit so
+        # receive counts (and everything derived from them) can never wrap on
+        # 32-bit platforms even for n >= 10^6 high-degree instances.
+        counts = np.bincount(targets, minlength=self.n).astype(np.int64, copy=False)
+        counts[tx_ids] = 0  # transmitters hear nothing in their own round
+        hears_ids = (counts == 1).nonzero()[0]
+        collision_ids = (counts >= 2).nonzero()[0]
+        if hears_ids.size:
+            owners = np.repeat(tx_ids, deg).astype(np.float64)
+            sums = np.bincount(targets, weights=owners, minlength=self.n)
+            senders = sums[hears_ids].astype(np.int64)
+        else:
+            senders = _EMPTY
+        return tx_ids, hears_ids, senders, collision_ids
+
+
+class _Recorder:
+    """Per-round trace plumbing: full RoundRecords or O(1) summary increments."""
+
+    def __init__(self, n: int, source: Optional[int], level: str) -> None:
+        self.level = level
+        self.full = level == TRACE_FULL
+        self.per_node = level != "none"
+        self.trace = ExecutionTrace(num_nodes=n, source=source, level=level)
+
+    def full_round(
+        self,
+        r: int,
+        transmissions: Dict[int, Message],
+        receptions: Dict[int, Message],
+        collision_ids: np.ndarray,
+    ) -> None:
+        self.trace.append(
+            RoundRecord(
+                round_number=r,
+                transmissions=transmissions,
+                receptions=receptions,
+                collisions=frozenset(int(v) for v in collision_ids),
+            )
+        )
+
+    def summary_round(self, r: int, **kwargs) -> None:
+        if not self.per_node:
+            kwargs["informed"] = ()
+            kwargs["ack_hearers"] = ()
+        self.trace.record_summary_round(r, **kwargs)
+
+
+# --------------------------------------------------------------------------- #
+# block-diagonal stacking and per-instance bookkeeping
+# --------------------------------------------------------------------------- #
+def _require_one(values: Set[Any], what: str) -> None:
+    if len(values) > 1:
+        raise BackendError(
+            f"cannot batch tasks with mixed {what} {sorted(values)}; "
+            f"group tasks by {what[:-1]} before batching"
+        )
+
+
 class _BatchLayout:
     """Stacked CSR blocks of a batch plus the id arithmetic around them.
 
@@ -105,16 +255,29 @@ class _BatchLayout:
     ``[offsets[b], offsets[b+1])``; because blocks never share edges, any
     sorted array of stacked ids (transmitters, hearers, collisions, …) splits
     into per-instance slices with one ``searchsorted`` against ``offsets``.
+
+    Per-instance accumulators (see :meth:`per_instance`) are length-B arrays,
+    or plain ints in a batch of one, where :meth:`counts` is just ``size``.
     """
 
     def __init__(self, tasks: Sequence[SimulationTask]) -> None:
         self.tasks = list(tasks)
-        self.B = len(self.tasks)
+        self.B = B = len(self.tasks)
         self.ns = np.array([t.graph.n for t in self.tasks], dtype=np.int64)
-        self.offsets = np.zeros(self.B + 1, dtype=np.int64)
+        self.offsets = np.zeros(B + 1, dtype=np.int64)
         np.cumsum(self.ns, out=self.offsets[1:])
         self.total = int(self.offsets[-1])
-        self.owner = np.repeat(np.arange(self.B, dtype=np.int64), self.ns)
+        self.sources = self.offsets[:-1] + np.array(
+            [t.source for t in self.tasks], dtype=np.int64
+        )
+        self.max_rounds = np.array([t.max_rounds for t in self.tasks], dtype=np.int64)
+        #: Node counts in per-instance accumulator form.
+        self.sizes = self.total if B == 1 else self.ns
+        if B == 1:  # a batch of one runs on its graph's own CSR arrays
+            self.owner = np.zeros(self.total, dtype=np.int64)
+            self.indptr, self.indices = self.tasks[0].graph.csr()
+            return
+        self.owner = np.repeat(np.arange(B, dtype=np.int64), self.ns)
         indptr_parts = [np.zeros(1, dtype=np.int64)]
         index_parts = []
         edge_base = 0
@@ -125,23 +288,38 @@ class _BatchLayout:
             edge_base += int(indices.size)
         self.indptr = np.concatenate(indptr_parts)
         self.indices = np.concatenate(index_parts) if index_parts else _EMPTY
-        self.sources = np.array(
-            [self.offsets[b] + int(t.source) for b, t in enumerate(self.tasks)],
-            dtype=np.int64,
-        )
-        self.max_rounds = np.array([t.max_rounds for t in self.tasks], dtype=np.int64)
 
     def channel(self) -> _Channel:
-        return _Channel.from_arrays(self.indptr, self.indices, self.total)
+        return _Channel(self.indptr, self.indices, self.total)
 
-    def counts(self, ids: np.ndarray) -> np.ndarray:
-        """Per-instance element counts of an array of stacked node ids.
+    def per_instance(self):
+        """A zeroed per-instance accumulator."""
+        return 0 if self.B == 1 else np.zeros(self.B, dtype=np.int64)
 
-        Forced to ``int64`` so count accumulators built from these never wrap
-        on platforms where ``bincount`` returns 32-bit integers.
+    def at(self, acc, b: int) -> int:
+        """Instance ``b``'s entry of a per-instance accumulator."""
+        return int(acc) if self.B == 1 else int(acc[b])
+
+    def counts(self, ids: np.ndarray, weights: Optional[np.ndarray] = None):
+        """Per-instance element counts (or integer ``weights`` sums) of an
+        array of stacked node ids, in accumulator form.
+
+        Forced to ``int64`` so accumulators built from these never wrap on
+        platforms where ``bincount`` returns 32-bit integers.
         """
-        return np.bincount(self.owner[ids], minlength=self.B).astype(
+        if self.B == 1:
+            return ids.size if weights is None else int(weights.sum())
+        return np.bincount(self.owner[ids], weights=weights, minlength=self.B).astype(
             np.int64, copy=False
+        )
+
+    def kind_counts(self, kinds: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """``[kind code, instance]`` histogram of the transmissions ``ids``."""
+        if self.B == 1:
+            return np.bincount(kinds, minlength=_K_ACK + 1)[:, None]
+        flat = kinds.astype(np.int64) * self.B + self.owner[ids]
+        return np.bincount(flat, minlength=(_K_ACK + 1) * self.B).reshape(
+            _K_ACK + 1, self.B
         )
 
     def split_points(self, ids: np.ndarray) -> np.ndarray:
@@ -150,39 +328,100 @@ class _BatchLayout:
 
 
 class _BatchRun:
-    """Per-instance activity / stop / trace bookkeeping shared by all kernels.
+    """Per-instance activity, stop and trace bookkeeping shared by all kernels.
 
-    With no full-level task in the batch (``fast``), kernels skip per-round
-    per-instance recording entirely: they accumulate whole-run aggregates in
-    :class:`_SummaryAggregates` arrays and materialise every trace once at
-    the end via :meth:`ExecutionTrace.from_aggregates` — the recording cost
-    per round stays O(1) kernel calls instead of O(batch) Python calls,
-    which is where the per-instance dispatch overhead actually lives.
+    ``node_mask`` is ``None`` while every instance is live, and the stacked
+    node view of ``active`` once one has retired (or never started, with a
+    zero budget): kernels mask their transmitters with it only then.  With no
+    full-level task in the batch (``fast``), kernels record whole-run
+    aggregates into :class:`_SummaryAggregates` instead of per-round records.
     """
 
     def __init__(self, lay: _BatchLayout) -> None:
+        levels = {t.trace_level for t in lay.tasks}
+        _require_one(levels, "trace levels")
         self.lay = lay
-        self.fast = all(t.trace_level != TRACE_FULL for t in lay.tasks)
+        self.fast = TRACE_FULL not in levels
         self.recs = (
             None
             if self.fast
             else [_Recorder(t.graph.n, t.source, t.trace_level) for t in lay.tasks]
         )
         self.active = lay.max_rounds >= 1
+        self.live = int(np.count_nonzero(self.active))
+        self.node_mask = None if self.live == lay.B else self.active[lay.owner]
+        self.next_budget = min(lay.max_rounds[self.active].tolist(), default=0)
         self.stop_round = np.zeros(lay.B, dtype=np.int64)
         self.stop_reason = ["budget"] * lay.B
 
-    def node_active(self) -> np.ndarray:
-        return self.active[self.lay.owner]
+    def complete(self, r: int, done, completion: List[Optional[int]],
+                 stop_mask: np.ndarray) -> None:
+        """Note that ``done`` (per instance) holds after round ``r``: record
+        first completion rounds and retire the instances whose stop rule is
+        exactly that condition."""
+        if self.lay.B == 1:
+            if not done:
+                return
+            done = self.active
+        else:
+            done = done & self.active
+        for b in np.flatnonzero(done):
+            if completion[b] is None:
+                completion[b] = r
+        self.stop(r, done & stop_mask)
 
-    def finish_round(self, r: int, condition_met: np.ndarray) -> None:
-        """Close round ``r``: record stop rounds, retire satisfied/budget-out
-        instances.  ``condition_met`` flags instances whose stop rule held."""
-        self.stop_round[self.active] = r
-        met = self.active & condition_met
-        for b in np.flatnonzero(met):
-            self.stop_reason[b] = "condition"
-        self.active = self.active & ~met & (r < self.lay.max_rounds)
+    def stop(self, r: int, met: np.ndarray) -> None:
+        """Retire the live instances in ``met``: their stop rule held in round ``r``."""
+        met = met & self.active
+        if met.any():
+            for b in np.flatnonzero(met):
+                self.stop_reason[b] = "condition"
+            self._retire(r, met)
+
+    def end_round(self, r: int) -> None:
+        """Close round ``r``: retire the instances whose budget it spent."""
+        if r >= self.next_budget:
+            self._retire(r, self.active & (self.lay.max_rounds <= r))
+
+    def _retire(self, r: int, which: np.ndarray) -> None:
+        self.stop_round[which] = r
+        self.active = self.active & ~which
+        self.live = int(np.count_nonzero(self.active))
+        if self.live:
+            self.node_mask = self.active[self.lay.owner]
+            self.next_budget = min(self.lay.max_rounds[self.active].tolist())
+
+    def record_full(
+        self,
+        r: int,
+        channel_out: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        message_of: Callable[[int, int], Message],
+    ) -> None:
+        """Append round ``r``'s :class:`RoundRecord` to every live instance;
+        ``message_of(u, b)`` is the message stacked transmitter ``u`` of
+        instance ``b`` sent."""
+        lay = self.lay
+        tx_ids, hears_ids, senders, collision_ids = channel_out
+        tx_pts = lay.split_points(tx_ids)
+        rx_pts = lay.split_points(hears_ids)
+        col_pts = lay.split_points(collision_ids)
+        for b in np.flatnonzero(self.active):
+            off = int(lay.offsets[b])
+            transmissions = {
+                int(u) - off: message_of(int(u), b)
+                for u in tx_ids[tx_pts[b] : tx_pts[b + 1]]
+            }
+            receptions = {
+                int(v) - off: transmissions[int(u) - off]
+                for v, u in zip(
+                    hears_ids[rx_pts[b] : rx_pts[b + 1]],
+                    senders[rx_pts[b] : rx_pts[b + 1]],
+                )
+            }
+            self.recs[b].full_round(
+                r, transmissions, receptions,
+                collision_ids[col_pts[b] : col_pts[b + 1]] - off,
+            )
 
     def results(
         self,
@@ -205,74 +444,80 @@ class _BatchRun:
         ]
 
 
+def _first_rounds(rounds: np.ndarray, ids: Optional[np.ndarray] = None) -> Dict[int, int]:
+    """``{node: round}`` for the nonzero entries of ``rounds`` (or at ``ids``)."""
+    if ids is None:
+        ids = rounds.nonzero()[0]
+    return dict(zip(ids.tolist(), rounds[ids].tolist()))
+
+
 class _SummaryAggregates:
     """Whole-run per-instance aggregates for the fast (summary/none) path.
 
-    Totals live in length-B arrays updated with one bincount per round;
-    per-node first-informed / first-ack / last-ack rounds live in stacked
-    arrays (0 = never; real rounds start at 1), exactly the state the
-    incremental trace recorder would have built.
+    Totals are per-instance accumulators updated once per round; per-node
+    first-informed / first-ack / last-ack rounds live in stacked arrays
+    (0 = never; real rounds start at 1), exactly the state the incremental
+    trace recorder would have built.  The ack arrays exist only for the
+    protocols that send acks.
     """
 
-    def __init__(self, lay: _BatchLayout) -> None:
+    def __init__(self, lay: _BatchLayout, *, acks: bool = False) -> None:
         self.lay = lay
-        self.tx = np.zeros(lay.B, dtype=np.int64)
-        self.rx = np.zeros(lay.B, dtype=np.int64)
-        self.col = np.zeros(lay.B, dtype=np.int64)
-        self.fixed = np.zeros(lay.B, dtype=np.float64)
+        self.tx = lay.per_instance()
+        self.rx = lay.per_instance()
+        self.col = lay.per_instance()
+        self.fixed = lay.per_instance()
         self.first_informed = np.zeros(lay.total, dtype=np.int64)
-        self.ack_first = np.zeros(lay.total, dtype=np.int64)
-        self.ack_last = np.zeros(lay.total, dtype=np.int64)
+        self.ack_first = np.zeros(lay.total, dtype=np.int64) if acks else None
+        self.ack_last = np.zeros(lay.total, dtype=np.int64) if acks else None
 
     def add_channel(self, tx_ids, hears_ids, collision_ids) -> None:
-        self.tx += self.lay.counts(tx_ids)
-        self.rx += self.lay.counts(hears_ids)
-        self.col += self.lay.counts(collision_ids)
+        lay = self.lay
+        self.tx += lay.counts(tx_ids)
+        self.rx += lay.counts(hears_ids)
+        self.col += lay.counts(collision_ids)
 
     def mark_informed(self, ids: np.ndarray, r: int) -> None:
         if ids.size:
-            unset = self.first_informed[ids] == 0
-            self.first_informed[ids[unset]] = r
+            first = self.first_informed
+            first[ids[first[ids] == 0]] = r
 
     def mark_acks(self, ids: np.ndarray, r: int) -> None:
         if ids.size:
-            unset = self.ack_first[ids] == 0
-            self.ack_first[ids[unset]] = r
+            first = self.ack_first
+            first[ids[first[ids] == 0]] = r
             self.ack_last[ids] = r
 
     def trace_for(
         self,
         b: int,
+        run: _BatchRun,
         *,
-        num_rounds: int,
         kind_hist: Dict[str, int],
-        fixed_bits: float,
+        fixed_bits: int,
         payload_messages: int,
-    ):
-        task = self.lay.tasks[b]
-        lo, hi = self.lay.offsets[b], self.lay.offsets[b + 1]
-        informed_first: Dict[int, int] = {}
-        ack_first: Dict[int, int] = {}
-        ack_last: Dict[int, int] = {}
+    ) -> ExecutionTrace:
+        lay = self.lay
+        task = lay.tasks[b]
+        lo, hi = int(lay.offsets[b]), int(lay.offsets[b + 1])
+        informed_first = ack_first = ack_last = None
         if task.trace_level != "none":
-            for v, first in enumerate(self.first_informed[lo:hi]):
-                if first:
-                    informed_first[v] = int(first)
-            for v, first in enumerate(self.ack_first[lo:hi]):
-                if first:
-                    ack_first[v] = int(first)
-                    ack_last[v] = int(self.ack_last[lo + v])
+            informed_first = _first_rounds(self.first_informed[lo:hi])
+            if self.ack_first is not None:
+                acked = self.ack_first[lo:hi].nonzero()[0]
+                ack_first = _first_rounds(self.ack_first[lo:hi], acked)
+                ack_last = _first_rounds(self.ack_last[lo:hi], acked)
         return ExecutionTrace.from_aggregates(
             task.graph.n,
             task.source,
             level=task.trace_level,
-            num_rounds=int(num_rounds),
-            total_transmissions=int(self.tx[b]),
-            total_receptions=int(self.rx[b]),
-            total_collisions=int(self.col[b]),
+            num_rounds=int(run.stop_round[b]),
+            total_transmissions=lay.at(self.tx, b),
+            total_receptions=lay.at(self.rx, b),
+            total_collisions=lay.at(self.col, b),
             kind_hist=kind_hist,
-            fixed_bits=int(round(fixed_bits)),
-            payload_messages=int(payload_messages),
+            fixed_bits=fixed_bits,
+            payload_messages=payload_messages,
             informed_first=informed_first,
             ack_first=ack_first,
             ack_last=ack_last,
@@ -280,6 +525,8 @@ class _SummaryAggregates:
 
 
 def _stack_bit_labels(lay: _BatchLayout) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if lay.B == 1:
+        return _parse_bit_labels(lay.tasks[0].labels, lay.total)
     x1 = np.zeros(lay.total, dtype=bool)
     x2 = np.zeros(lay.total, dtype=bool)
     x3 = np.zeros(lay.total, dtype=bool)
@@ -295,7 +542,7 @@ def _stop_rule_mask(lay: _BatchLayout, rule: str) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm B — plain broadcast, all instances per round
+# Algorithm B — plain broadcast
 # --------------------------------------------------------------------------- #
 def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     lay = _BatchLayout(tasks)
@@ -303,35 +550,41 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     channel = lay.channel()
     x1, x2, _ = _stack_bit_labels(lay)
     stop_all = _stop_rule_mask(lay, "all_informed")
+    total = lay.total
 
-    informed = np.zeros(lay.total, dtype=bool)
+    informed = np.zeros(total, dtype=bool)
     informed[lay.sources] = True
-    informed_count = np.ones(lay.B, dtype=np.int64)
-    informed_r = np.full(lay.total, _NEVER, dtype=np.int64)
-    sent_src_prev = np.zeros(lay.total, dtype=bool)
-    sent_src_prev2 = np.zeros(lay.total, dtype=bool)
-    heard_stay_prev = np.zeros(lay.total, dtype=bool)
+    informed_count = lay.per_instance() + 1
+    informed_r = np.full(total, _NEVER, dtype=np.int64)
+    sent_src_prev = np.zeros(total, dtype=bool)
+    sent_src_prev2 = np.zeros(total, dtype=bool)
+    heard_stay_prev = np.zeros(total, dtype=bool)
     completion: List[Optional[int]] = [None] * lay.B
     agg = _SummaryAggregates(lay) if run.fast else None
-    src_tx_total = np.zeros(lay.B, dtype=np.int64)
+    src_tx_total = lay.per_instance()
+    if not run.fast:
+        messages = [(source_message(t.payload), stay_message()) for t in lay.tasks]
 
     r = 0
-    while run.active.any():
+    while run.live:
         r += 1
-        node_active = run.node_active()
-
-        m3 = (informed_r == r - 2) & node_active
-        m4 = (informed_r == r - 1) & node_active
-        tx_source = (m3 & x1) | (
-            informed & ~m3 & ~m4 & sent_src_prev2 & heard_stay_prev & node_active
-        )
+        # Decide (Algorithm 1, in the object protocol's priority order).
+        m3 = informed_r == r - 2
+        m4 = informed_r == r - 1
+        tx_source = (m3 & x1) | (informed & ~m3 & ~m4 & sent_src_prev2 & heard_stay_prev)
         if r == 1:
-            tx_source[lay.sources[run.active]] = True
+            tx_source[lay.sources] = True
         tx_stay = m4 & x2
+        if run.node_mask is not None:
+            tx_source &= run.node_mask
+            tx_stay &= run.node_mask
 
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_source | tx_stay)
+        out = channel.resolve(tx_source | tx_stay)
+        tx_ids, hears_ids, senders, collision_ids = out
 
-        heard_stay_now = np.zeros(lay.total, dtype=bool)
+        # Deliver.
+        heard_stay_now = np.zeros(total, dtype=bool)
+        mu_hearers = new_ids = _EMPTY
         if hears_ids.size:
             sender_is_stay = tx_stay[senders]
             heard_stay_now[hears_ids[sender_is_stay]] = True
@@ -340,83 +593,39 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             informed[new_ids] = True
             informed_r[new_ids] = r
             informed_count += lay.counts(new_ids)
-        else:
-            mu_hearers = _EMPTY
 
+        # Record.
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
             src_tx_total += lay.counts(tx_ids[tx_source[tx_ids]])
             agg.mark_informed(mu_hearers, r)
         else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                n_src_tx = int(np.count_nonzero(tx_source[b_tx]))
-                n_stay_tx = int(b_tx.size) - n_src_tx
-                if rec.full:
-                    src_msg = source_message(lay.tasks[b].payload)
-                    stay_msg = stay_message()
-                    transmissions = {
-                        int(u - off): (src_msg if tx_source[u] else stay_msg)
-                        for u in b_tx
-                    }
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_src_tx, "stay": n_stay_tx},
-                        fixed_bits=2 * n_stay_tx,
-                        payload_messages=n_src_tx,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=(),
-                    )
+            run.record_full(
+                r, out, lambda u, b: messages[b][0] if tx_source[u] else messages[b][1]
+            )
 
         sent_src_prev2, sent_src_prev = sent_src_prev, tx_source
         heard_stay_prev = heard_stay_now
-        done = informed_count == lay.ns
-        for b in np.flatnonzero(run.active & done):
-            if completion[b] is None:
-                completion[b] = r
-        run.finish_round(r, stop_all & done)
+        if new_ids.size or r == 1:
+            run.complete(r, informed_count == lay.sizes, completion, stop_all)
+        run.end_round(r)
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
-    if run.fast:
-        traces = []
-        for b in range(lay.B):
-            n_src = int(src_tx_total[b])
-            n_stay = int(agg.tx[b]) - n_src
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist={"source": n_src, "stay": n_stay},
-                    fixed_bits=2 * n_stay,
-                    payload_messages=n_src,
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    if not run.fast:
+        return run.results(derived)
+    traces = []
+    for b in range(lay.B):
+        n_src = lay.at(src_tx_total, b)
+        n_stay = lay.at(agg.tx, b) - n_src
+        traces.append(agg.trace_for(
+            b, run, kind_hist={"source": n_src, "stay": n_stay},
+            fixed_bits=2 * n_stay, payload_messages=n_src,
+        ))
+    return run.results(derived, traces)
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm B_ack — acknowledged broadcast, all instances per round
+# Algorithm B_ack — acknowledged broadcast
 # --------------------------------------------------------------------------- #
 def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     lay = _BatchLayout(tasks)
@@ -425,67 +634,77 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
     x1, x2, x3 = _stack_bit_labels(lay)
     stop_ack = _stop_rule_mask(lay, "acknowledged")
     stop_all = _stop_rule_mask(lay, "all_informed")
-    is_src = np.zeros(lay.total, dtype=bool)
+    total = lay.total
+    is_src = np.zeros(total, dtype=bool)
     is_src[lay.sources] = True
     src_of = lay.sources[lay.owner]  # each node's own instance source
+    payloads = [t.payload for t in lay.tasks]
 
-    informed = np.zeros(lay.total, dtype=bool)
+    informed = np.zeros(total, dtype=bool)
     informed[lay.sources] = True
-    informed_count = np.ones(lay.B, dtype=np.int64)
-    informed_r = np.full(lay.total, _NEVER, dtype=np.int64)
-    informed_stamp = np.zeros(lay.total, dtype=np.int64)
-    sent_src_prev = np.zeros(lay.total, dtype=bool)
-    sent_src_prev2 = np.zeros(lay.total, dtype=bool)
-    heard_stay_prev = np.zeros(lay.total, dtype=bool)
-    heard_stay_stamp = np.zeros(lay.total, dtype=np.int64)
+    informed_count = lay.per_instance() + 1
+    informed_r = np.full(total, _NEVER, dtype=np.int64)
+    informed_stamp = np.zeros(total, dtype=np.int64)
+    sent_src_prev = np.zeros(total, dtype=bool)
+    sent_src_prev2 = np.zeros(total, dtype=bool)
+    heard_stay_prev = np.zeros(total, dtype=bool)
+    heard_stay_stamp = np.zeros(total, dtype=np.int64)
     prev_acks: List[Tuple[int, int]] = []  # (stacked hearer id, heard stamp)
     transmit_stamps: Dict[int, Set[int]] = {}  # keyed by stacked id: disjoint per instance
 
     first_ack: List[Optional[int]] = [None] * lay.B
+    acked = np.zeros(lay.B, dtype=bool)
     completion: List[Optional[int]] = [None] * lay.B
-    agg = _SummaryAggregates(lay) if run.fast else None
-    src_tx_total = np.zeros(lay.B, dtype=np.int64)
-    stay_tx_total = np.zeros(lay.B, dtype=np.int64)
+    agg = _SummaryAggregates(lay, acks=True) if run.fast else None
+    kind_tx = np.zeros((_K_ACK + 1, lay.B), dtype=np.int64)
+
+    def message_of(u: int, b: int) -> Message:
+        kind, stamp = tx_kind[u], int(tx_stamp[u])
+        if kind == _K_SOURCE:
+            return source_message(payloads[b], round_stamp=stamp)
+        if kind == _K_STAY:
+            return stay_message(round_stamp=stamp)
+        return ack_message(stamp)
 
     r = 0
-    while run.active.any():
+    while run.live:
         r += 1
-        node_active = run.node_active()
-        tx_kind = np.zeros(lay.total, dtype=np.int8)
-        tx_stamp = np.zeros(lay.total, dtype=np.int64)
+        tx_kind = np.zeros(total, dtype=np.int8)
+        tx_stamp = np.zeros(total, dtype=np.int64)
 
-        if r == 1:
-            srcs = lay.sources[run.active]
-            tx_kind[srcs] = _K_SOURCE
-            tx_stamp[srcs] = 1
-        m3 = (informed_r == r - 2) & node_active
-        m4 = (informed_r == r - 1) & node_active
-        a3 = m3 & x1
+        # Algorithm 2, branch for branch.
+        if r == 1:  # lines 4-5: the source transmits (µ, 1)
+            tx_kind[lay.sources] = _K_SOURCE
+            tx_stamp[lay.sources] = 1
+        m3 = informed_r == r - 2
+        m4 = informed_r == r - 1
+        a3 = m3 & x1  # lines 12-16
         if a3.any():
             ids = np.flatnonzero(a3)
             stamps = informed_stamp[ids] + 2
             tx_kind[ids] = _K_SOURCE
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                transmit_stamps.setdefault(int(v), set()).add(int(s))
-        a4_ack = m4 & x3
+            for v, s in zip(ids.tolist(), stamps.tolist()):
+                transmit_stamps.setdefault(v, set()).add(s)
+        a4_ack = m4 & x3  # lines 17-22
         tx_kind[a4_ack] = _K_ACK
         tx_stamp[a4_ack] = informed_stamp[a4_ack]
         a4_stay = m4 & ~x3 & x2
         tx_kind[a4_stay] = _K_STAY
         tx_stamp[a4_stay] = informed_stamp[a4_stay] + 1
-        m5 = informed & ~m3 & ~m4 & heard_stay_prev & node_active
-        a5 = m5 & sent_src_prev2
+        # lines 23-27: nodes that heard "stay" return here whether or not they
+        # retransmit, so they are excluded from the ack-relay rule below.
+        a5 = informed & ~m3 & ~m4 & heard_stay_prev & sent_src_prev2
         if a5.any():
             ids = np.flatnonzero(a5)
             stamps = heard_stay_stamp[ids] + 1
             tx_kind[ids] = _K_SOURCE
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
+            for v, s in zip(ids.tolist(), stamps.tolist()):
                 if not is_src[v]:
-                    transmit_stamps.setdefault(int(v), set()).add(int(s))
-        for v, heard_stamp in prev_acks:
-            if is_src[v] or not informed[v] or not node_active[v]:
+                    transmit_stamps.setdefault(v, set()).add(s)
+        for v, heard_stamp in prev_acks:  # lines 28-31 (sparse: the ack chain)
+            if is_src[v] or not informed[v]:
                 continue
             ir = informed_r[v]
             if ir == r - 2 or ir == r - 1 or heard_stay_prev[v] or tx_kind[v]:
@@ -493,14 +712,18 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
             if heard_stamp in transmit_stamps.get(v, ()):
                 tx_kind[v] = _K_ACK
                 tx_stamp[v] = informed_stamp[v]
+        if run.node_mask is not None:
+            tx_kind[~run.node_mask] = _K_NONE
 
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
+        out = channel.resolve(tx_kind > 0)
+        tx_ids, hears_ids, senders, collision_ids = out
 
-        heard_stay_now = np.zeros(lay.total, dtype=bool)
-        heard_stay_stamp_now = np.zeros(lay.total, dtype=np.int64)
+        # Deliver.
+        heard_stay_now = np.zeros(total, dtype=bool)
+        heard_stay_stamp_now = np.zeros(total, dtype=np.int64)
         next_acks: List[Tuple[int, int]] = []
-        mu_hearers = _EMPTY
-        ack_hearers = _EMPTY
+        mu_hearers = new_ids = ack_hearers = _EMPTY
+        newly_acked = False
         if hears_ids.size:
             heard_kind = tx_kind[senders]
             heard_stamp = tx_stamp[senders]
@@ -517,129 +740,68 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
             heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
             ack_sel = heard_kind == _K_ACK
             ack_hearers = hears_ids[ack_sel]
-            next_acks = [
-                (int(v), int(s)) for v, s in zip(ack_hearers, heard_stamp[ack_sel])
-            ]
-            for v in ack_hearers[ack_hearers == src_of[ack_hearers]]:
-                b = int(lay.owner[v])
-                if first_ack[b] is None:
-                    first_ack[b] = r
+            if ack_hearers.size:
+                next_acks = list(zip(ack_hearers.tolist(), heard_stamp[ack_sel].tolist()))
+                for v in ack_hearers[ack_hearers == src_of[ack_hearers]].tolist():
+                    b = int(lay.owner[v])
+                    if first_ack[b] is None:
+                        first_ack[b] = r
+                        acked[b] = newly_acked = True
 
+        # Record.
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
-            kinds_tx = tx_kind[tx_ids]
-            src_tx_total += lay.counts(tx_ids[kinds_tx == _K_SOURCE])
-            stay_tx_total += lay.counts(tx_ids[kinds_tx == _K_STAY])
             if tx_ids.size:
-                agg.fixed += np.bincount(
-                    lay.owner[tx_ids],
-                    weights=_stamp_bits(tx_stamp[tx_ids]),
-                    minlength=lay.B,
-                )
+                kind_tx += lay.kind_counts(tx_kind[tx_ids], tx_ids)
+                agg.fixed += lay.counts(tx_ids, _stamp_bits(tx_stamp[tx_ids]))
             agg.mark_informed(mu_hearers, r)
             agg.mark_acks(ack_hearers, r)
         else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            ack_pts = lay.split_points(ack_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                if rec.full:
-                    transmissions: Dict[int, Message] = {}
-                    for u in b_tx:
-                        u = int(u)
-                        stamp = int(tx_stamp[u])
-                        if tx_kind[u] == _K_SOURCE:
-                            msg = source_message(lay.tasks[b].payload, round_stamp=stamp)
-                        elif tx_kind[u] == _K_STAY:
-                            msg = stay_message(round_stamp=stamp)
-                        else:
-                            msg = ack_message(stamp)
-                        transmissions[u - int(off)] = msg
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    kinds_tx = tx_kind[b_tx]
-                    stamps = tx_stamp[b_tx]
-                    n_src_tx = int(np.count_nonzero(kinds_tx == _K_SOURCE))
-                    n_stay_tx = int(np.count_nonzero(kinds_tx == _K_STAY))
-                    n_ack_tx = int(b_tx.size) - n_src_tx - n_stay_tx
-                    fixed = int(_stamp_bits(stamps).sum()) + 2 * (n_stay_tx + n_ack_tx)
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_src_tx, "stay": n_stay_tx, "ack": n_ack_tx},
-                        fixed_bits=fixed,
-                        payload_messages=n_src_tx,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=ack_hearers[ack_pts[b] : ack_pts[b + 1]] - off,
-                    )
+            run.record_full(r, out, message_of)
 
         sent_src_prev2, sent_src_prev = sent_src_prev, tx_kind == _K_SOURCE
         heard_stay_prev = heard_stay_now
         heard_stay_stamp = heard_stay_stamp_now
         prev_acks = next_acks
-        done = informed_count == lay.ns
-        for b in np.flatnonzero(run.active & done):
-            if completion[b] is None:
-                completion[b] = r
-        acked = np.array([fa is not None for fa in first_ack], dtype=bool)
-        run.finish_round(r, (stop_ack & acked) | (stop_all & done))
+        if new_ids.size or r == 1:
+            run.complete(r, informed_count == lay.sizes, completion, stop_all)
+        if newly_acked:
+            run.stop(r, acked & stop_ack)
+        run.end_round(r)
 
     derived = [
         {"completion_round": completion[b], "acknowledgement_round": first_ack[b]}
         for b in range(lay.B)
     ]
-    if run.fast:
-        traces = []
-        for b in range(lay.B):
-            n_src = int(src_tx_total[b])
-            n_stay = int(stay_tx_total[b])
-            n_ack = int(agg.tx[b]) - n_src - n_stay
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist={"source": n_src, "stay": n_stay, "ack": n_ack},
-                    fixed_bits=agg.fixed[b] + 2 * (n_stay + n_ack),
-                    payload_messages=n_src,
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    if not run.fast:
+        return run.results(derived)
+    traces = []
+    for b in range(lay.B):
+        n_src = int(kind_tx[_K_SOURCE, b])
+        n_stay = int(kind_tx[_K_STAY, b])
+        n_ack = lay.at(agg.tx, b) - n_src - n_stay
+        traces.append(agg.trace_for(
+            b, run, kind_hist={"source": n_src, "stay": n_stay, "ack": n_ack},
+            fixed_bits=lay.at(agg.fixed, b) + 2 * (n_stay + n_ack),
+            payload_messages=n_src,
+        ))
+    return run.results(derived, traces)
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm B_arb — arbitrary-source broadcast, all instances per round
+# Algorithm B_arb — arbitrary-source broadcast
 # --------------------------------------------------------------------------- #
 def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
-    """B_arb over stacked instances: per-instance coordinator state as arrays.
+    """B_arb with the coordinator's scheduling state as per-instance arrays.
 
-    The blocker that kept B_arb out of the stacked engine was the
-    coordinator's scalar scheduling state (T, the READY/SOURCE phase timers,
-    the learned payload).  Here every scalar becomes a length-B array — with
-    ``-1`` standing in for "not scheduled" (real rounds start at 1) and a
-    ``has`` mask wherever 0 is a legal value — and the coordinator branches
-    become per-instance masks, so one kernel round advances every instance's
-    three acknowledged-broadcast phases together.  The sparse events (the
-    ack chains, the per-node transmitted-stamp sets) stay keyed by *stacked*
-    node id, which is disjoint across instances by construction; outcomes are
-    bit-for-bit identical to the single-instance kernel (asserted by
-    ``tests/test_batched_equivalence.py``).
+    Every scalar of the coordinator's schedule (T, the READY/SOURCE phase
+    timers, the learned payload) is a length-B array — with ``-1`` standing
+    in for "not scheduled" (real rounds start at 1) and a ``has`` mask
+    wherever 0 is a legal value — and the coordinator branches are
+    per-instance masks, so one kernel round advances every instance's three
+    acknowledged-broadcast phases together.  The sparse events (the ack
+    chains, the per-node transmitted-stamp sets) stay keyed by *stacked*
+    node id, which is disjoint across instances by construction.
     """
     lay = _BatchLayout(tasks)
     run = _BatchRun(lay)
@@ -687,29 +849,42 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     ready_sent = np.full(B, -1, dtype=np.int64)
     sched_src_ack = np.full(B, -1, dtype=np.int64)
     learned_payload: List[Any] = [
-        payloads[b] if coords_local[b] == int(srcs[b] - lay.offsets[b]) else None
-        for b in range(B)
+        payloads[b] if coords[b] == srcs[b] else None for b in range(B)
     ]
+    learned_has = np.array([lp is not None for lp in learned_payload], dtype=bool)
     coord_ack_first: List[Optional[int]] = [None] * B
     coord_ack_last: List[Optional[int]] = [None] * B
 
-    agg = _SummaryAggregates(lay) if run.fast else None
-    kind_tx_total = np.zeros((6, B), dtype=np.int64)  # indexed by kind code
-    ack_fixed_extra = np.zeros(B, dtype=np.int64)
-    ack_payload_msgs = np.zeros(B, dtype=np.int64)
+    agg = _SummaryAggregates(lay, acks=True) if run.fast else None
+    kind_tx = np.zeros((_K_ACK + 1, B), dtype=np.int64)
+    ack_fixed_extra = [0] * B
+    ack_payload_msgs = [0] * B
+
+    def message_of(u: int, b: int) -> Message:
+        kind, stamp = tx_kind[u], int(tx_stamp[u])
+        if kind == _K_INIT:
+            return initialize_message(round_stamp=stamp)
+        if kind == _K_READY:
+            return ready_message(int(T_c_val[b]), round_stamp=stamp)
+        if kind == _K_SOURCE:
+            return source_message(payloads[b], round_stamp=stamp)
+        if kind == _K_STAY:
+            return stay_message(round_stamp=stamp)
+        return ack_message(stamp, payload=ack_payloads.get(u))
 
     r = 0
-    while run.active.any():
+    while run.live:
         r += 1
-        node_active = run.node_active()
         active = run.active
         tx_kind = np.zeros(total, dtype=np.int8)
         tx_stamp = np.zeros(total, dtype=np.int64)
         ack_payloads: Dict[int, Any] = {}
         decided = np.zeros(total, dtype=bool)
+        known_changed = False
 
-        # Coordinator phase starts (the single-instance kernel's elif chain,
-        # checked first; every instance's local clock starts at round 1).
+        # Coordinator phase starts (the object protocol's elif chain, checked
+        # first; every instance's local clock starts at round 1, so the
+        # global stamp is just r).
         if r == 1:
             ids = coords[active]
             tx_kind[ids] = _K_INIT
@@ -725,13 +900,11 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 tx_kind[ids] = _K_READY
                 tx_stamp[ids] = r
                 decided[ids] = True
-            learned_has = np.fromiter(
-                (lp is not None for lp in learned_payload), dtype=bool, count=B
-            )
             m_src = active & ~m_ready & (sched_source == r) & learned_has
             if m_src.any():
                 ids = coords[m_src]
                 known[ids] = True
+                known_changed = True
                 completion_known[ids] = r + T_c_val[m_src] - 1
                 tx_kind[ids] = _K_SOURCE
                 tx_stamp[ids] = r
@@ -748,7 +921,9 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             decided[ids] = True
 
         # Shared B_ack rules, per phase, in phase order.
-        und = ~decided & node_active
+        und = ~decided
+        if run.node_mask is not None:
+            und &= run.node_mask
         for k in range(3):
             inf_k = ph_inf[k]
             stamp_k = ph_stamp[k]
@@ -758,8 +933,8 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 stamps = stamp_k[ids] + 2
                 tx_kind[ids] = _K_INIT + k
                 tx_stamp[ids] = stamps
-                for v, s in zip(ids, stamps):
-                    transmit_stamps[k].setdefault(int(v), set()).add(int(s))
+                for v, s in zip(ids.tolist(), stamps.tolist()):
+                    transmit_stamps[k].setdefault(v, set()).add(s)
                 und &= ~mA
             newly1 = inf_k == r - 1
             if k == 0:  # z starts the phase-1 ack, appending T = t_z
@@ -778,23 +953,22 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 und &= ~mStay
 
         # Stay-triggered retransmission (any phase, coordinator included).
-        mS = und & heard_stay_prev
-        aS = mS & (sent_kind_prev2 >= _K_INIT) & (sent_kind_prev2 <= _K_SOURCE)
+        aS = und & heard_stay_prev & (sent_kind_prev2 >= _K_INIT) & (sent_kind_prev2 <= _K_SOURCE)
         if aS.any():
             ids = np.flatnonzero(aS)
             stamps = heard_stay_stamp[ids] + 1
             tx_kind[ids] = sent_kind_prev2[ids]
             tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                if int(v) != int(coord_of[v]):
+            for v, s in zip(ids.tolist(), stamps.tolist()):
+                if v != coord_of[v]:
                     transmit_stamps[int(sent_kind_prev2[v]) - _K_INIT].setdefault(
-                        int(v), set()
-                    ).add(int(s))
+                        v, set()
+                    ).add(s)
             und &= ~aS
 
         # Ack relaying (sparse: each chain walks back one hop per round).
         for v, heard_stamp, ack_pay in prev_acks:
-            if v == int(coord_of[v]) or not und[v] or tx_kind[v]:
+            if v == coord_of[v] or not und[v] or tx_kind[v]:
                 continue
             for k in range(3):
                 stamps_v = transmit_stamps[k].get(v)
@@ -804,14 +978,14 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                     ack_payloads[v] = ack_pay
                     break
 
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
+        out = channel.resolve(tx_kind > 0)
+        tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
         heard_stay_now = np.zeros(total, dtype=bool)
         heard_stay_stamp_now = np.zeros(total, dtype=np.int64)
         next_acks: List[Tuple[int, int, Any]] = []
-        mu_hearers = _EMPTY
-        ack_hearers = _EMPTY
+        mu_hearers = ack_hearers = _EMPTY
         if hears_ids.size:
             heard_kind = tx_kind[senders]
             heard_stamp = tx_stamp[senders]
@@ -832,171 +1006,91 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 elif k == 1:
                     ov = lay.owner[vs]
                     T_arr[vs] = np.where(T_c_has[ov], T_c_val[ov], 0)
-                    src_hits = vs[vs == srcs[ov]]
-                    for v in src_hits:
-                        b = int(lay.owner[v])
-                        sched_src_ack[b] = r + int(T_arr[v]) + 1
+                    for v in vs[vs == srcs[ov]].tolist():
+                        sched_src_ack[lay.owner[v]] = r + int(T_arr[v]) + 1
                 else:
                     ready_t = (T_arr[vs] >= 0) & (t_v[vs] >= 0)
                     done = vs[ready_t]
-                    known[done] = True
-                    completion_known[done] = r + T_arr[done] - t_v[done]
+                    if done.size:
+                        known[done] = True
+                        known_changed = True
+                        completion_known[done] = r + T_arr[done] - t_v[done]
             mu_hearers = hears_ids[heard_kind == _K_SOURCE]
             stay_sel = heard_kind == _K_STAY
             heard_stay_now[hears_ids[stay_sel]] = True
             heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
             ack_sel = heard_kind == _K_ACK
             ack_hearers = hears_ids[ack_sel]
-            if ack_hearers.size:
-                for v, s, u in zip(
-                    ack_hearers, heard_stamp[ack_sel], senders[ack_sel]
-                ):
-                    pay = ack_payloads.get(int(u))
-                    next_acks.append((int(v), int(s), pay))
-                    if int(v) == int(coord_of[v]):
-                        b = int(lay.owner[v])
-                        coord_ack_last[b] = r
-                        if coord_ack_first[b] is None:
-                            coord_ack_first[b] = r
-                        if not T_c_has[b]:
-                            T_c_val[b] = int(pay) if pay is not None else 0
-                            T_c_has[b] = True
-                            sched_ready[b] = r + T_c_val[b] + 1
-                        elif (
-                            ready_sent[b] != -1
-                            and r > ready_sent[b]
-                            and sched_source[b] == -1
-                        ):
-                            learned_payload[b] = pay
-                            sched_source[b] = r + T_c_val[b] + 1
+            for v, s, u in zip(
+                ack_hearers.tolist(), heard_stamp[ack_sel].tolist(),
+                senders[ack_sel].tolist(),
+            ):
+                pay = ack_payloads.get(u)
+                next_acks.append((v, s, pay))
+                if v == coord_of[v]:
+                    b = int(lay.owner[v])
+                    coord_ack_last[b] = r
+                    if coord_ack_first[b] is None:
+                        coord_ack_first[b] = r
+                    if not T_c_has[b]:
+                        T_c_val[b] = int(pay) if pay is not None else 0
+                        T_c_has[b] = True
+                        sched_ready[b] = r + T_c_val[b] + 1
+                    elif (
+                        ready_sent[b] != -1
+                        and r > ready_sent[b]
+                        and sched_source[b] == -1
+                    ):
+                        learned_payload[b] = pay
+                        learned_has[b] = pay is not None
+                        sched_source[b] = r + T_c_val[b] + 1
 
         # Record.
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
-            kinds_tx = tx_kind[tx_ids]
-            for code in range(_K_INIT, _K_ACK + 1):
-                sel = kinds_tx == code
-                if sel.any():
-                    kind_tx_total[code] += lay.counts(tx_ids[sel])
             if tx_ids.size:
-                agg.fixed += np.bincount(
-                    lay.owner[tx_ids],
-                    weights=_stamp_bits(tx_stamp[tx_ids]),
-                    minlength=B,
-                )
-            for u in tx_ids[kinds_tx == _K_ACK]:
-                pay = ack_payloads.get(int(u))
-                if pay is None:
-                    continue
-                b = int(lay.owner[u])
-                if isinstance(pay, int):
-                    ack_fixed_extra[b] += _int_payload_bits(pay)
-                else:
-                    ack_payload_msgs[b] += 1
+                kinds_tx = tx_kind[tx_ids]
+                kind_tx += lay.kind_counts(kinds_tx, tx_ids)
+                agg.fixed += lay.counts(tx_ids, _stamp_bits(tx_stamp[tx_ids]))
+                for u in tx_ids[kinds_tx == _K_ACK].tolist():
+                    pay = ack_payloads.get(u)
+                    if pay is None:
+                        continue
+                    b = int(lay.owner[u])
+                    if isinstance(pay, int):
+                        ack_fixed_extra[b] += _int_payload_bits(pay)
+                    else:
+                        ack_payload_msgs[b] += 1
             agg.mark_informed(mu_hearers, r)
             agg.mark_acks(ack_hearers, r)
         else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            mu_pts = lay.split_points(mu_hearers)
-            ack_pts = lay.split_points(ack_hearers)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                b_tx = tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                if rec.full:
-                    transmissions: Dict[int, Message] = {}
-                    for u in b_tx:
-                        u = int(u)
-                        kind = int(tx_kind[u])
-                        stamp = int(tx_stamp[u])
-                        if kind == _K_INIT:
-                            msg = initialize_message(round_stamp=stamp)
-                        elif kind == _K_READY:
-                            msg = ready_message(int(T_c_val[b]), round_stamp=stamp)
-                        elif kind == _K_SOURCE:
-                            msg = source_message(payloads[b], round_stamp=stamp)
-                        elif kind == _K_STAY:
-                            msg = stay_message(round_stamp=stamp)
-                        else:
-                            msg = ack_message(stamp, payload=ack_payloads.get(u))
-                        transmissions[u - int(off)] = msg
-                    receptions = {
-                        int(v - off): transmissions[int(u - off)]
-                        for v, u in zip(
-                            hears_ids[rx_pts[b] : rx_pts[b + 1]],
-                            senders[rx_pts[b] : rx_pts[b + 1]],
-                        )
-                    }
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    kinds_tx = tx_kind[b_tx]
-                    stamps = tx_stamp[b_tx]
-                    counts = {
-                        name: int(np.count_nonzero(kinds_tx == code))
-                        for code, name in _KIND_NAMES.items()
-                        if np.any(kinds_tx == code)
-                    }
-                    n_src_tx = counts.get("source", 0)
-                    n_ready_tx = counts.get("ready", 0)
-                    non_source = int(b_tx.size) - n_src_tx
-                    fixed = int(_stamp_bits(stamps).sum()) + 2 * non_source
-                    if n_ready_tx:
-                        fixed += n_ready_tx * _int_payload_bits(int(T_c_val[b]))
-                    payload_msgs = n_src_tx
-                    for u in b_tx[kinds_tx == _K_ACK]:
-                        pay = ack_payloads.get(int(u))
-                        if pay is None:
-                            continue
-                        if isinstance(pay, int):
-                            fixed += _int_payload_bits(pay)
-                        else:
-                            payload_msgs += 1
-                    rec.summary_round(
-                        r,
-                        transmissions=int(b_tx.size),
-                        receptions=int(rx_pts[b + 1] - rx_pts[b]),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds=counts,
-                        fixed_bits=fixed,
-                        payload_messages=payload_msgs,
-                        informed=mu_hearers[mu_pts[b] : mu_pts[b + 1]] - off,
-                        ack_hearers=ack_hearers[ack_pts[b] : ack_pts[b + 1]] - off,
-                    )
+            run.record_full(r, out, message_of)
 
         sent_kind_prev2, sent_kind_prev = sent_kind_prev, tx_kind
         heard_stay_prev = heard_stay_now
         heard_stay_stamp = heard_stay_stamp_now
         prev_acks = next_acks
-        known_all = np.bincount(lay.owner[known], minlength=B) == lay.ns
-        run.finish_round(r, stop_arb & known_all)
+        if known_changed:
+            all_known = lay.counts(np.flatnonzero(known)) == lay.sizes
+            run.stop(r, stop_arb & all_known)
+        run.end_round(r)
 
-    # Derived outcomes, mirroring the single-instance kernel's derivation.
+    # Derived outcomes, mirroring the reference derivation in core.runner.
     derived: List[Dict[str, Any]] = []
     for b in range(B):
         lo, hi = int(lay.offsets[b]), int(lay.offsets[b + 1])
         c_local = coords_local[b]
         src_local = int(srcs[b]) - lo
-        receipt_rounds: List[int] = []
-        missing = False
-        for v in range(hi - lo):
-            if v in (src_local, c_local):
-                continue
-            if ph_inf[2][lo + v] == _NEVER:
-                missing = True
-                break
-            receipt_rounds.append(int(ph_inf[2][lo + v]))
-        coordinator_learned_round = (
-            coord_ack_last[b] if c_local != src_local else None
-        )
+        others = np.ones(hi - lo, dtype=bool)
+        others[[src_local, c_local]] = False
+        receipts = ph_inf[2][lo:hi][others]
         completion: Optional[int] = None
-        if not missing and (learned_payload[b] is not None or c_local == src_local):
-            candidates = list(receipt_rounds)
-            if coordinator_learned_round is not None:
-                candidates.append(coordinator_learned_round)
+        if not (receipts == _NEVER).any() and (
+            learned_payload[b] is not None or c_local == src_local
+        ):
+            candidates = receipts.tolist()
+            if c_local != src_local and coord_ack_last[b] is not None:
+                candidates.append(coord_ack_last[b])
             completion = max(candidates) if candidates else 1
         common: Optional[int] = None
         if bool(known[lo:hi].all()) and hi > lo:
@@ -1012,43 +1106,41 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             }
         )
 
-    if run.fast:
-        traces = []
-        for b in range(B):
-            counts = {
-                name: int(kind_tx_total[code][b])
-                for code, name in _KIND_NAMES.items()
-                if kind_tx_total[code][b]
-            }
-            n_src = counts.get("source", 0)
-            n_ready = counts.get("ready", 0)
-            non_source = int(agg.tx[b]) - n_src
-            fixed = agg.fixed[b] + 2 * non_source + int(ack_fixed_extra[b])
-            if n_ready:
-                # T is fixed from the moment the first READY exists, so the
-                # whole-run payload-bit total is one multiply.
-                fixed += n_ready * _int_payload_bits(int(T_c_val[b]))
-            traces.append(
-                agg.trace_for(
-                    b,
-                    num_rounds=run.stop_round[b],
-                    kind_hist=counts,
-                    fixed_bits=fixed,
-                    payload_messages=n_src + int(ack_payload_msgs[b]),
-                )
-            )
-        return run.results(derived, traces)
-    return run.results(derived)
+    if not run.fast:
+        return run.results(derived)
+    traces = []
+    for b in range(B):
+        counts = {
+            name: int(kind_tx[code, b])
+            for code, name in _KIND_NAMES.items()
+            if kind_tx[code, b]
+        }
+        n_src = counts.get("source", 0)
+        n_ready = counts.get("ready", 0)
+        non_source = lay.at(agg.tx, b) - n_src
+        fixed = lay.at(agg.fixed, b) + 2 * non_source + ack_fixed_extra[b]
+        if n_ready:
+            # T is fixed from the moment the first READY exists, so the
+            # whole-run payload-bit total is one multiply.
+            fixed += n_ready * _int_payload_bits(int(T_c_val[b]))
+        traces.append(agg.trace_for(
+            b, run, kind_hist=counts, fixed_bits=fixed,
+            payload_messages=n_src + ack_payload_msgs[b],
+        ))
+    return run.results(derived, traces)
 
 
 # --------------------------------------------------------------------------- #
-# Source-flood baselines: shared stacked loop
+# Source-flood baselines: round-robin / TDMA slots and centralized schedules
 # --------------------------------------------------------------------------- #
 def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
-    """Stacked version of the single-instance source-flood loop.
+    """Shared loop for baselines that only ever retransmit µ.
 
     ``make_tx_mask(lay)`` compiles the batch's per-round transmit rule into a
-    callable ``tx(r, informed, active) -> bool mask`` over stacked node ids.
+    callable ``tx(r, informed, active) -> bool mask`` over stacked node ids;
+    everything else — channel resolution, first-receipt bookkeeping, trace
+    recording, the ``all_informed`` stop rule — is shared by the slotted and
+    scheduled baselines.
     """
     lay = _BatchLayout(tasks)
     run = _BatchRun(lay)
@@ -1058,15 +1150,21 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
 
     informed = np.zeros(lay.total, dtype=bool)
     informed[lay.sources] = True
-    informed_count = np.ones(lay.B, dtype=np.int64)
+    informed_count = lay.per_instance() + 1
     completion: List[Optional[int]] = [None] * lay.B
     agg = _SummaryAggregates(lay) if run.fast else None
+    if not run.fast:
+        messages = [source_message(t.payload) for t in lay.tasks]
 
     r = 0
-    while run.active.any():
+    while run.live:
         r += 1
-        tx_mask = tx_mask_for_round(r, informed, run.active) & run.node_active()
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_mask)
+        tx_mask = tx_mask_for_round(r, informed, run.active)
+        if run.node_mask is not None:
+            tx_mask &= run.node_mask
+        out = channel.resolve(tx_mask)
+        tx_ids, hears_ids, senders, collision_ids = out
+        new_ids = _EMPTY
         if hears_ids.size:
             new_ids = hears_ids[~informed[hears_ids]]
             informed[new_ids] = True
@@ -1076,68 +1174,38 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
             agg.mark_informed(hears_ids, r)
         else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                n_tx = int(tx_pts[b + 1] - tx_pts[b])
-                b_rx = hears_ids[rx_pts[b] : rx_pts[b + 1]]
-                if rec.full:
-                    msg = source_message(lay.tasks[b].payload)
-                    transmissions = {
-                        int(u - off): msg for u in tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                    }
-                    receptions = {int(v - off): msg for v in b_rx}
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=n_tx,
-                        receptions=int(b_rx.size),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_tx},
-                        fixed_bits=0,
-                        payload_messages=n_tx,
-                        informed=b_rx - off,
-                        ack_hearers=(),
-                    )
+            run.record_full(r, out, lambda u, b: messages[b])
 
-        done = informed_count == lay.ns
-        for b in np.flatnonzero(run.active & done):
-            if completion[b] is None:
-                completion[b] = r
-        run.finish_round(r, stop_all & done)
+        if new_ids.size or r == 1:
+            run.complete(r, informed_count == lay.sizes, completion, stop_all)
+        run.end_round(r)
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
-    if run.fast:
-        traces = [
-            agg.trace_for(
-                b,
-                num_rounds=run.stop_round[b],
-                kind_hist={"source": int(agg.tx[b])},
-                fixed_bits=0,
-                payload_messages=int(agg.tx[b]),
-            )
-            for b in range(lay.B)
-        ]
-        return run.results(derived, traces)
-    return run.results(derived)
+    if not run.fast:
+        return run.results(derived)
+    traces = []
+    for b in range(lay.B):
+        n_tx = lay.at(agg.tx, b)
+        traces.append(agg.trace_for(
+            b, run, kind_hist={"source": n_tx}, fixed_bits=0, payload_messages=n_tx,
+        ))
+    return run.results(derived, traces)
 
 
 def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
-    """Round-robin / G²-colouring TDMA over stacked instances."""
+    """Round-robin / G²-colouring TDMA: an informed node of slot s transmits at r ≡ s."""
 
     def make(lay: _BatchLayout):
-        slots = np.zeros(lay.total, dtype=np.int64)
-        periods = np.ones(lay.total, dtype=np.int64)
-        for b, task in enumerate(lay.tasks):
-            lo, hi = lay.offsets[b], lay.offsets[b + 1]
-            s, p = _parse_slot_labels(task.labels, task.graph.n)
-            slots[lo:hi], periods[lo:hi] = s, p
+        if lay.B == 1:
+            slots, periods = _parse_slot_labels(lay.tasks[0].labels, lay.total)
+        else:
+            slots = np.zeros(lay.total, dtype=np.int64)
+            periods = np.ones(lay.total, dtype=np.int64)
+            for b, task in enumerate(lay.tasks):
+                lo, hi = lay.offsets[b], lay.offsets[b + 1]
+                slots[lo:hi], periods[lo:hi] = _parse_slot_labels(
+                    task.labels, task.graph.n
+                )
         slot_residue = slots % periods
 
         def tx(r: int, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -1149,7 +1217,13 @@ def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
 
 
 def run_centralized_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
-    """Centralized precomputed schedules over stacked instances."""
+    """Centralized schedules: round ``r``'s precomputed transmitter set, once informed.
+
+    Each schedule arrives as declarative data in ``task.extras["schedule"]``
+    (one node-id list per round), mirroring
+    :class:`~repro.baselines.centralized.ScheduledNode`, which transmits in
+    its scheduled rounds provided it already knows µ.
+    """
 
     def make(lay: _BatchLayout):
         schedules = [
@@ -1177,7 +1251,7 @@ def run_centralized_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult
 # Collision-detection bit signalling — the OR-channel relay as array kernels
 # --------------------------------------------------------------------------- #
 def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
-    """Anonymous bit-signalling broadcast, all instances per round.
+    """Anonymous bit-signalling broadcast.
 
     Mirrors :class:`~repro.baselines.collision_detection.BitSignalNode` branch
     for branch: the source emits symbol ``k`` in round ``3k + 1``; a node's
@@ -1214,7 +1288,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
     # Received symbol streams.  A corrupted header can advertise more data
     # bits than the true stream carries, but a node can never append more
     # than one symbol per slot, so the budget bounds the stream length.
-    cap = int(lay.max_rounds.max()) // SLOT_LENGTH + 2 if lay.B else 2
+    cap = int(lay.max_rounds.max()) // SLOT_LENGTH + 2
     recv = np.zeros((lay.total, cap), dtype=np.int8)
     recv_len = np.zeros(lay.total, dtype=np.int64)
     start_r = np.full(lay.total, -1, dtype=np.int64)
@@ -1227,11 +1301,11 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
     decoded_count = np.ones(lay.B, dtype=np.int64)
     pow_header = (1 << np.arange(LENGTH_HEADER_BITS - 1, -1, -1)).astype(np.int64)
     agg = _SummaryAggregates(lay) if run.fast else None
+    message = source_message("1")
 
     r = 0
-    while run.active.any():
+    while run.live:
         r += 1
-        node_active = run.node_active()
         tx_mask = np.zeros(lay.total, dtype=bool)
 
         # Sources: all slots are globally aligned (every instance starts at
@@ -1241,7 +1315,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             emit = run.active & (k_src < sym_len) & (sym_arr[:, k_src] == 1)
             tx_mask[lay.sources[emit]] = True
         # Relays: echo symbol k one round after the listening round for it.
-        started_ids = np.flatnonzero((start_r >= 0) & node_active)
+        started_ids = np.flatnonzero(start_r >= 0)
         if started_ids.size:
             delta = r - start_r[started_ids]
             k = delta // SLOT_LENGTH
@@ -1250,8 +1324,13 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             if rel_ids.size:
                 bits = recv[rel_ids, k[relay]]
                 tx_mask[rel_ids[bits == 1]] = True
+        listeners = ~is_src & ~tx_mask
+        if run.node_mask is not None:
+            tx_mask &= run.node_mask
+            listeners &= run.node_mask
 
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_mask)
+        out = channel.resolve(tx_mask)
+        tx_ids, hears_ids, senders, collision_ids = out
 
         # Perceived energy: a heard message always; a collision only under
         # the detection channel.
@@ -1259,7 +1338,6 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
         energy[hears_ids] = True
         if collision_ids.size:
             energy[collision_ids[det_node[collision_ids]]] = True
-        listeners = ~is_src & node_active & ~tx_mask
 
         new_start = listeners & energy & (start_r < 0)
         ns_ids = np.flatnonzero(new_start)
@@ -1268,6 +1346,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             recv[ns_ids, 0] = 1
             recv_len[ns_ids] = 1
 
+        decoded_now = False
         appenders = np.flatnonzero(listeners & (start_r >= 0) & ~new_start)
         if appenders.size:
             delta = r - start_r[appenders]
@@ -1291,15 +1370,13 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
                     & (need_len[aids] >= 0)
                     & (data_bits >= need_len[aids])
                 ]
-                for v in complete:
-                    v = int(v)
+                for v in complete.tolist():
                     attempted[v] = True  # decode is a pure function of the
                     # now-fixed stream prefix: one attempt settles it forever
-                    text = decode_payload_bits(
-                        [int(bit) for bit in recv[v, 1 : recv_len[v]]]
-                    )
+                    text = decode_payload_bits(recv[v, 1 : recv_len[v]].tolist())
                     if text is not None:
                         decoded[v] = True
+                        decoded_now = True
                         b = int(lay.owner[v])
                         decoded_count[b] += 1
                         matches[v] = text == payload_strs[b]
@@ -1308,37 +1385,11 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             agg.add_channel(tx_ids, hears_ids, collision_ids)
             agg.mark_informed(hears_ids, r)
         else:
-            tx_pts = lay.split_points(tx_ids)
-            rx_pts = lay.split_points(hears_ids)
-            col_pts = lay.split_points(collision_ids)
-            for b in np.flatnonzero(run.active):
-                rec, off = run.recs[b], lay.offsets[b]
-                n_tx = int(tx_pts[b + 1] - tx_pts[b])
-                b_rx = hears_ids[rx_pts[b] : rx_pts[b + 1]]
-                if rec.full:
-                    msg = source_message("1")
-                    transmissions = {
-                        int(u - off): msg for u in tx_ids[tx_pts[b] : tx_pts[b + 1]]
-                    }
-                    receptions = {int(v - off): msg for v in b_rx}
-                    rec.full_round(
-                        r, transmissions, receptions,
-                        collision_ids[col_pts[b] : col_pts[b + 1]] - off,
-                    )
-                else:
-                    rec.summary_round(
-                        r,
-                        transmissions=n_tx,
-                        receptions=int(b_rx.size),
-                        collisions=int(col_pts[b + 1] - col_pts[b]),
-                        kinds={"source": n_tx},
-                        fixed_bits=0,
-                        payload_messages=n_tx,
-                        informed=b_rx - off,
-                        ack_hearers=(),
-                    )
+            run.record_full(r, out, lambda u, b: message)
 
-        run.finish_round(r, stop_decoded & (decoded_count == lay.ns))
+        if decoded_now or r == 1:
+            run.stop(r, stop_decoded & (decoded_count == lay.ns))
+        run.end_round(r)
 
     derived = []
     for b in range(lay.B):
@@ -1349,19 +1400,15 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
                 "decoded_correctly": bool(matches[lo:hi].all()),
             }
         )
-    if run.fast:
-        traces = [
-            agg.trace_for(
-                b,
-                num_rounds=run.stop_round[b],
-                kind_hist={"source": int(agg.tx[b])},
-                fixed_bits=0,
-                payload_messages=int(agg.tx[b]),
-            )
-            for b in range(lay.B)
-        ]
-        return run.results(derived, traces)
-    return run.results(derived)
+    if not run.fast:
+        return run.results(derived)
+    traces = []
+    for b in range(lay.B):
+        n_tx = lay.at(agg.tx, b)
+        traces.append(agg.trace_for(
+            b, run, kind_hist={"source": n_tx}, fixed_bits=0, payload_messages=n_tx,
+        ))
+    return run.results(derived, traces)
 
 
 # --------------------------------------------------------------------------- #
@@ -1379,75 +1426,92 @@ _BATCH_KERNELS = {
 
 
 class BatchedVectorizedBackend(SimulationBackend):
-    """Stacked-CSR NumPy kernels advancing many instances per round.
+    """The NumPy kernels, stacking every :meth:`run_batch` into one kernel loop.
 
     Parameters
     ----------
     strict:
-        If true, :meth:`run_batch` raises :class:`BackendError` on tasks the
-        stacked kernels cannot execute instead of silently running them per
-        task through the single-instance vectorized backend.
+        If true, raise :class:`~repro.backends.base.BackendError` on tasks the
+        kernels cannot execute instead of silently running them on the
+        reference backend.
     """
 
     name = "batched"
 
     def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
-        self._fallback = VectorizedBackend()
+        self._fallback = ReferenceBackend()
 
     def supports(self, task: SimulationTask) -> bool:
-        """True if a stacked kernel covers ``task`` (same model envelope as
-        the single-instance vectorized backend)."""
-        return task.protocol in _BATCH_KERNELS and self._fallback.supports(task)
+        """True if a kernel covers ``task`` under default channel models."""
+        if task.protocol not in _BATCH_KERNELS:
+            return False
+        if task.source is None or task.graph.n == 0:
+            return False
+        if task.protocol == "centralized" and "schedule" not in task.extras:
+            # A centralized task without declarative schedule data can only be
+            # executed through its node objects.
+            return False
+        if task.collision_model is not None and type(task.collision_model) is not NoCollisionDetection:
+            # The bit-signalling kernel natively implements the detection
+            # channel (energy = message or collision); everything else is
+            # compiled for the paper's default model only.
+            if not (
+                task.protocol == "collision_detection"
+                and type(task.collision_model) is WithCollisionDetection
+            ):
+                return False
+        if task.fault_model is not None and type(task.fault_model) is not NoFaults:
+            return False
+        if task.clock_model is not None and type(task.clock_model) is not SynchronizedClocks:
+            return False
+        return True
+
+    def _uncovered(self, task: SimulationTask) -> BackendError:
+        return BackendError(
+            f"{self.name} backend has no stacked kernel for protocol "
+            f"{task.protocol!r} with the given channel models"
+        )
 
     def run_task(self, task: SimulationTask) -> BackendResult:
-        return self.run_batch([task])[0]
+        """Run ``task`` as a batch of one (or on the reference engine)."""
+        if not self.supports(task):
+            if self.strict:
+                raise self._uncovered(task)
+            # The fallback result keeps its own provenance tag ("reference").
+            return self._fallback.run_task(task)
+        result = _BATCH_KERNELS[task.protocol]([task])[0]
+        result.backend = self.name
+        return result
 
     def run_batch(self, tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         """Execute a homogeneous batch, stacked where possible.
 
         All tasks must share one protocol and one trace level (mixing either
         is a grouping bug in the caller and raises).  Tasks outside the
-        stacked kernels' envelope — non-default fault/clock/collision models,
-        custom node factories — run per task through the vectorized backend,
-        which itself falls back to the reference engine where needed, so
-        results are always exactly what per-task execution would have
-        produced (and each result's ``backend`` tag names the engine that
-        actually ran it).
+        kernels' envelope — non-default fault/clock/collision models, custom
+        node factories — run per task on the reference engine, so results
+        are always exactly what per-task execution would have produced (and
+        each result's ``backend`` tag names the engine that actually ran it).
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        protocols = sorted({t.protocol for t in tasks})
-        if len(protocols) > 1:
-            raise BackendError(
-                f"cannot batch tasks with mixed protocols {protocols}; "
-                f"group tasks by protocol before batching"
-            )
-        levels = sorted({t.trace_level for t in tasks})
-        if len(levels) > 1:
-            raise BackendError(
-                f"cannot batch tasks with mixed trace levels {levels}; "
-                f"group tasks by trace level before batching"
-            )
+        _require_one({t.protocol for t in tasks}, "protocols")
+        _require_one({t.trace_level for t in tasks}, "trace levels")
         stacked = [i for i, t in enumerate(tasks) if self.supports(t)]
-        stacked_set = set(stacked)
-        fallback = [i for i in range(len(tasks)) if i not in stacked_set]
-        if fallback and self.strict:
-            task = tasks[fallback[0]]
-            raise BackendError(
-                f"batched backend has no stacked kernel for protocol "
-                f"{task.protocol!r} with the given channel models"
+        if self.strict and len(stacked) < len(tasks):
+            stacked_set = set(stacked)
+            raise self._uncovered(
+                next(t for i, t in enumerate(tasks) if i not in stacked_set)
             )
         results: List[Optional[BackendResult]] = [None] * len(tasks)
         if stacked:
-            for i, out in zip(
-                stacked, _BATCH_KERNELS[protocols[0]]([tasks[i] for i in stacked])
-            ):
+            kernel = _BATCH_KERNELS[tasks[0].protocol]
+            for i, out in zip(stacked, kernel([tasks[i] for i in stacked])):
                 out.backend = self.name
                 results[i] = out
-        for i in fallback:
-            # Fallback results keep the inner engine's provenance tag, so the
-            # metrics row of a per-task fallback names the engine that ran it.
-            results[i] = self._fallback.run_task(tasks[i])
+        for i, task in enumerate(tasks):
+            if results[i] is None:
+                results[i] = self._fallback.run_task(task)
         return results

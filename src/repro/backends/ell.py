@@ -1,49 +1,44 @@
-"""ELL/padded adjacency layout and the optional JIT-compiled kernel tier.
+"""ELL/padded adjacency layout and the JIT-compiled ELL kernels.
 
-The CSR channel in :mod:`repro.backends.vectorized` resolves each round with
-a ``bincount`` over the concatenated neighbour slices of the transmitters —
-fast, but every round pays NumPy dispatch for a dozen array ops over
-``n``-sized state.  For the near-regular families the repo sweeps most (grid,
-geometric, bounded-degree gnp), where max-degree ≈ mean-degree, a fixed-width
-padded neighbour table (ELL/ELLPACK, the classic SpMV layout) gives
-branch-free rows that a JIT can turn into tight machine loops.
+The CSR channel of the vectorized kernels (:mod:`repro.backends.batched`)
+resolves each round with a ``bincount`` over the concatenated neighbour
+slices of the transmitters — fast, but every round pays NumPy dispatch for a
+dozen array ops over ``n``-sized state.  For the near-regular families the
+repo sweeps most (grid, geometric, bounded-degree gnp), where max-degree ≈
+mean-degree, a fixed-width padded neighbour table (ELL/ELLPACK, the classic
+SpMV layout) gives branch-free rows that a JIT can turn into tight machine
+loops.
 
-Three pieces live here:
+Two pieces live here:
 
 * :class:`EllAdjacency` — the layout: an ``int64[n, width]`` table whose row
   ``v`` holds ``v``'s neighbours followed by *self-padding* (copies of ``v``'s
   own id).  Self-padding makes the padded entries harmless by construction:
   a pad only ever contributes to the pad-owner's own receive count, and
   transmitters' counts are zeroed anyway ("transmitters hear nothing"), so
-  no mask is needed, degree-0 nodes have rows that never read garbage, and
-  the NumPy kernels can ``bincount`` whole rows unconditionally.  The
-  ``padding_ratio = n * width / m`` regularity probe guards the layout:
-  irregular graphs (star: ratio ≈ n/2) fall back to the CSR backend.
+  no mask is needed and degree-0 nodes have rows that never read garbage.
+  The ``padding_ratio = n * width / m`` regularity probe guards the layout:
+  irregular graphs (star: ratio ≈ n/2) stay on the CSR engine.
 
-* The **NumPy ELL tier** — :class:`_EllChannel` is a drop-in replacement for
-  the CSR ``_Channel`` (same ``resolve`` quadruple, bit for bit), injected
-  into the *same* round loops (``_run_broadcast_kernel`` /
-  ``_run_slotted_kernel``), so equivalence with the vectorized backend holds
-  by construction.
-
-* The **JIT tier** — when numba imports (``pip install "repro[jit]"``; it is
-  an optional extra, never required by tier-1 tests), each round runs as one
-  compiled function fusing decide → transmit → receive → update over the
+* The **JIT kernels** — when numba imports (``pip install "repro[jit]"``; it
+  is an optional extra, never required by tier-1 tests), each round runs as
+  one compiled function fusing decide → transmit → receive → update over the
   padded rows.  The kernels are *event-driven*: the decide step walks the
   compact candidate lists the protocol structure exposes (nodes informed at
   ``r-2`` / ``r-1``, last round's *stay*-hearers) and the receive step pushes
   only the transmitters' padded rows into a scratch count array, resolving
   just the touched nodes — per-round cost scales with the broadcast frontier,
-  not with ``n``.  Without numba the same functions run as plain Python
-  (the differential tests exercise them at small ``n`` either way) and the
-  backend silently degrades to the NumPy ELL path for real workloads.
+  not with ``n``.  Without numba the same functions run as plain Python (the
+  differential tests exercise them at small ``n`` either way), but the
+  backend never routes work to them.
 
-``EllBackend`` covers the ``broadcast``, ``round_robin`` and
-``coloring_tdma`` protocols under the paper's default channel models and
-delegates everything else to :class:`~repro.backends.vectorized.VectorizedBackend`
-(which may in turn delegate to the reference engine) — the delegated result
-keeps its own provenance tag, so rows always record the engine that actually
-ran them.
+``EllBackend`` runs the JIT kernels for the ``broadcast``, ``round_robin``
+and ``coloring_tdma`` protocols under the paper's default channel models,
+on graphs the probe admits, when numba imports; it hands every other task to
+:class:`~repro.backends.vectorized.VectorizedBackend` (which may in turn
+delegate to the reference engine).  A delegated result keeps its own
+provenance tag, so rows always record the engine that actually ran them:
+``ell`` only where the JIT kernels did.
 """
 
 from __future__ import annotations
@@ -59,15 +54,7 @@ from ..radio.engine import SimulationResult
 from ..radio.faults import NoFaults
 from ..radio.messages import source_message, stay_message
 from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
-from .vectorized import (
-    _EMPTY,
-    _NEVER,
-    _Recorder,
-    _parse_bit_labels,
-    _parse_slot_labels,
-    _run_broadcast_kernel,
-    _run_slotted_kernel,
-)
+from .batched import _EMPTY, _NEVER, _parse_bit_labels, _parse_slot_labels, _Recorder
 from .vectorized import VectorizedBackend
 
 __all__ = ["DEFAULT_MAX_PADDING_RATIO", "EllAdjacency", "EllBackend", "jit_available"]
@@ -82,7 +69,7 @@ except ImportError:  # pragma: no cover - the default environment
 
 
 def jit_available() -> bool:
-    """True when numba imports, i.e. ``--backend ell`` auto-selects the JIT tier."""
+    """True when numba imports, i.e. ``--backend ell`` runs its JIT kernels."""
     return _HAVE_NUMBA
 
 
@@ -90,8 +77,8 @@ def _maybe_njit(func):
     """Compile with numba when available; otherwise run as plain Python.
 
     The fallback keeps the kernel *logic* importable and testable without
-    numba (the differential suite runs it at small ``n``); production use
-    without numba goes through the NumPy ELL channel instead.
+    numba (the differential suite runs it at small ``n``); without numba the
+    backend hands its tasks to the vectorized engine instead.
     """
     if _HAVE_NUMBA:  # pragma: no cover - exercised only in the numba CI leg
         return _numba.njit(cache=True, nogil=True)(func)
@@ -99,7 +86,7 @@ def _maybe_njit(func):
 
 
 #: Above this ``n * width / m`` blow-up the padded table is mostly padding
-#: (star: ratio ≈ n/2) and the backend falls back to the CSR engine.
+#: (star: ratio ≈ n/2) and the backend hands the task to the CSR engine.
 DEFAULT_MAX_PADDING_RATIO = 4.0
 
 
@@ -173,44 +160,7 @@ def padding_ratio_of(graph) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# the NumPy ELL tier: a drop-in _Channel over padded rows
-# --------------------------------------------------------------------------- #
-class _EllChannel:
-    """ELL counterpart of the CSR ``_Channel`` — same ``resolve`` contract.
-
-    One ``bincount`` over the transmitters' *whole* padded rows: self-padding
-    only ever increments the transmitters' own counts, which are zeroed
-    ("transmitters hear nothing in their own round"), so no pad mask is
-    needed and the weighted sender ``bincount`` stays exact at count-1 nodes.
-    """
-
-    def __init__(self, ell: EllAdjacency) -> None:
-        self.n = ell.n
-        self.width = ell.width
-        self.neighbors = ell.neighbors
-
-    def resolve(
-        self, tx_mask: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        tx_ids = np.flatnonzero(tx_mask)
-        if tx_ids.size == 0 or self.width == 0:
-            return tx_ids, _EMPTY, _EMPTY, _EMPTY
-        targets = self.neighbors[tx_ids].ravel()
-        counts = np.bincount(targets, minlength=self.n).astype(np.int64, copy=False)
-        counts[tx_ids] = 0  # transmitters hear nothing in their own round
-        hears_ids = np.flatnonzero(counts == 1)
-        collision_ids = np.flatnonzero(counts >= 2)
-        if hears_ids.size:
-            owners = np.repeat(tx_ids, self.width).astype(np.float64)
-            sums = np.bincount(targets, weights=owners, minlength=self.n)
-            senders = sums[hears_ids].astype(np.int64)
-        else:
-            senders = _EMPTY
-        return tx_ids, hears_ids, senders, collision_ids
-
-
-# --------------------------------------------------------------------------- #
-# the JIT tier: one fused compiled function per protocol round
+# the JIT kernels: one fused compiled function per protocol round
 # --------------------------------------------------------------------------- #
 @_maybe_njit
 def _ell_broadcast_round(
@@ -383,8 +333,8 @@ def _ell_slotted_round(
 def _run_broadcast_jit(task: SimulationTask, ell: EllAdjacency) -> BackendResult:
     """Algorithm B through the fused event-driven round kernel.
 
-    Mirrors ``vectorized._run_broadcast_kernel`` decision for decision —
-    the per-round Python work is O(active nodes), never O(n).
+    Mirrors ``batched.run_broadcast_batch`` decision for decision — the
+    per-round Python work is O(active nodes), never O(n).
     """
     n = task.graph.n
     src = task.source
@@ -539,62 +489,30 @@ _JIT_KERNELS = {
     "coloring_tdma": _run_slotted_jit,
 }
 
-_NUMPY_KERNELS = {
-    "broadcast": _run_broadcast_kernel,
-    "round_robin": _run_slotted_kernel,
-    "coloring_tdma": _run_slotted_kernel,
-}
-
 
 # --------------------------------------------------------------------------- #
 # the backend
 # --------------------------------------------------------------------------- #
 class EllBackend(SimulationBackend):
-    """Padded-adjacency (ELL) engine with an optional JIT-compiled tier.
+    """Padded-adjacency (ELL) engine: the JIT kernels, else the vectorized one.
 
     Parameters
     ----------
-    mode:
-        ``"auto"`` (the ``"ell"`` spec) runs the JIT tier when numba imports
-        and the NumPy ELL tier otherwise; ``"jit"`` (``"ell:jit"``) prefers
-        the JIT tier, silently degrading to NumPy when numba is absent;
-        ``"numpy"`` (``"ell:numpy"``) forces the NumPy tier.
     strict:
         If true, raise :class:`~repro.backends.base.BackendError` on tasks
-        the ELL kernels cannot execute instead of delegating them to the
+        the JIT kernels will not run instead of handing them to the
         vectorized backend.
-    max_padding_ratio:
-        Regularity-probe threshold: tasks whose graph pads worse than this
-        (``n * width / m``) are delegated to the CSR engine.
     """
 
     name = "ell"
 
     _PROTOCOLS = ("broadcast", "round_robin", "coloring_tdma")
-    _MODES = ("auto", "jit", "numpy")
 
-    def __init__(
-        self,
-        *,
-        mode: str = "auto",
-        strict: bool = False,
-        max_padding_ratio: float = DEFAULT_MAX_PADDING_RATIO,
-    ) -> None:
-        if mode not in self._MODES:
-            raise BackendError(
-                f"unknown ell mode {mode!r}; expected one of {self._MODES}"
-            )
-        self.mode = mode
+    def __init__(self, *, strict: bool = False) -> None:
         self.strict = strict
-        self.max_padding_ratio = float(max_padding_ratio)
         self._fallback = VectorizedBackend()
         self._layouts: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._ratios: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-    @property
-    def jit_active(self) -> bool:
-        """True when tasks this backend supports run through compiled kernels."""
-        return self.mode != "numpy" and _HAVE_NUMBA
 
     def _padding_ratio(self, graph) -> float:
         ratio = self._ratios.get(graph)
@@ -611,8 +529,9 @@ class EllBackend(SimulationBackend):
         return ell
 
     def supports(self, task: SimulationTask) -> bool:
-        """True if an ELL kernel covers ``task`` (incl. the regularity probe)."""
-        if task.protocol not in self._PROTOCOLS:
+        """True if the JIT kernels run ``task``: numba imports, a kernel covers
+        its protocol and channel models, and its graph passes the probe."""
+        if not _HAVE_NUMBA or task.protocol not in self._PROTOCOLS:
             return False
         if task.source is None or task.graph.n == 0:
             return False
@@ -622,23 +541,18 @@ class EllBackend(SimulationBackend):
             return False
         if task.clock_model is not None and type(task.clock_model) is not SynchronizedClocks:
             return False
-        return self._padding_ratio(task.graph) <= self.max_padding_ratio
+        return self._padding_ratio(task.graph) <= DEFAULT_MAX_PADDING_RATIO
 
     def run_task(self, task: SimulationTask) -> BackendResult:
         if not self.supports(task):
             if self.strict:
                 raise BackendError(
                     f"ell backend has no kernel for protocol {task.protocol!r} "
-                    f"with the given channel models (or the graph failed the "
-                    f"padding-ratio probe)"
+                    f"with the given channel models (or numba is not "
+                    f"importable, or the graph failed the padding-ratio probe)"
                 )
             # The fallback result keeps its own provenance tag.
             return self._fallback.run_task(task)
-        ell = self._layout(task.graph)
-        if self.jit_active:  # pragma: no cover - exercised only in the numba CI leg
-            result = _JIT_KERNELS[task.protocol](task, ell)
-            result.backend = "ell:jit"
-        else:
-            result = _NUMPY_KERNELS[task.protocol](task, _EllChannel(ell))
-            result.backend = self.name
+        result = _JIT_KERNELS[task.protocol](task, self._layout(task.graph))
+        result.backend = self.name
         return result

@@ -12,9 +12,9 @@ segments**:
   ``("round", op, r, …)`` tuple, and the array layout is shipped once per
   task;
 * each round, worker *i* runs the transmit-decision kernel for segment *i*
-  (the same element-wise masks as the single-instance vectorized kernels,
-  restricted to ``[lo, hi)`` — including rotating its own slice of the
-  round-state arrays) and expands its transmitters' CSR neighbour slices into
+  (the same element-wise masks as the vectorized kernels, restricted to
+  ``[lo, hi)`` — including rotating its own slice of the round-state
+  arrays) and expands its transmitters' CSR neighbour slices into
   per-segment target/owner scratch regions;
 * the parent reduces the per-segment receive contributions with a single
   ``bincount`` merge over the concatenated target lists (for sparse rounds an
@@ -25,7 +25,7 @@ segments**:
 Because segment boundaries only change *where* work happens — ``bincount``
 over a concatenation is independent of how the concatenation was split, and a
 count-1 listener's unique sender is exact under any merge order — outcomes
-are **bit-for-bit identical** to the single-instance
+are **bit-for-bit identical** to the
 :class:`~repro.backends.vectorized.VectorizedBackend` at any shard count
 (asserted by ``tests/test_sharded_equivalence.py`` at shards ∈ {1, 2, 3, 7}).
 
@@ -62,14 +62,8 @@ import numpy as np
 
 from ..radio.engine import SimulationResult
 from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
-from .vectorized import (
-    _EMPTY,
-    _NEVER,
-    VectorizedBackend,
-    _parse_bit_labels,
-    _parse_slot_labels,
-    _Recorder,
-)
+from .batched import _EMPTY, _NEVER, _parse_bit_labels, _parse_slot_labels, _Recorder
+from .vectorized import VectorizedBackend
 
 __all__ = ["ShardedVectorizedBackend", "DEFAULT_SHARDS"]
 
@@ -411,7 +405,7 @@ class ShardedVectorizedBackend(SimulationBackend):
         """One bincount merge of the segments' target lists.
 
         Returns ``(tx_ids, hears_ids, senders, collision_ids)`` exactly as
-        :meth:`repro.backends.vectorized._Channel.resolve` would for the same
+        :meth:`repro.backends.batched._Channel.resolve` would for the same
         global transmit mask: the concatenated target list equals the
         single-core expansion (segments are ascending node ranges and each
         worker expands its transmitters in ascending order), and receive
@@ -519,7 +513,7 @@ class ShardedVectorizedBackend(SimulationBackend):
                     session, segments, seg_counts, seg_totals, n
                 )
 
-                # Deliver (identical to the single-instance kernel).
+                # Deliver (identical to the vectorized kernel).
                 tx_stay = v["tx_stay"]
                 stay_hearers = _EMPTY
                 if hears_ids.size:

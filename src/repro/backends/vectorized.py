@@ -1,890 +1,32 @@
-"""Vectorized CSR simulation backend.
+"""The vectorized backend: the NumPy round kernels, one task per kernel call.
 
-One round of the paper's radio model — "a listener hears a message iff exactly
-one neighbour transmits" — is a sparse matrix–vector product of the adjacency
-matrix with the 0/1 transmit vector.  This backend precompiles the three
-labeled protocols (B, B_ack, B_arb), the round-robin / TDMA baselines and the
-centralized-schedule baseline into NumPy array kernels over the graph's
-prebuilt CSR arrays:
-
-* the per-listener transmitter count is one ``bincount`` over the concatenated
-  CSR neighbour slices of the transmitters (the SpMV);
-* the identity of the unique transmitter heard by a count-1 listener falls out
-  of a second weighted ``bincount`` (sum of transmitter ids — exact where the
-  count is one);
-* protocol state transitions ("informed two rounds ago", "heard *stay* last
-  round") are boolean masks over per-node arrays, mirroring the decision
-  rules of the object protocols branch for branch, in the same priority
-  order, so outcomes are **bit-for-bit identical** to the
-  :class:`~repro.backends.reference.ReferenceBackend` (asserted by
-  ``tests/test_backend_equivalence.py``).
-
-Only the genuinely sparse events — acknowledgement-chain bookkeeping, the
-B_arb coordinator — stay in Python, bounded by the handful of nodes they
-touch per round.  With ``trace_level="summary"``/``"none"`` the hot loop
-allocates only small per-round work arrays proportional to the number of
-transmitters, never to ``n × rounds``.
-
-The collision-detection bit-signalling baseline is compiled too — its kernel
-natively implements the detection channel (energy = message or collision) and
-the slot-aligned symbol relay.  Tasks the kernels do not cover (custom node
-factories, fault/clock models other than the paper's defaults) are delegated
-to the reference backend, so ``--backend vectorized`` is always safe to pass.
+The paper's radio model compiles to NumPy array kernels over CSR adjacency —
+one round of "a listener hears a message iff exactly one neighbour transmits"
+is a sparse matrix–vector product — for all seven registered schemes: B,
+B_ack and B_arb, the round-robin / TDMA baselines, the centralized schedule
+and collision-detection bit signalling.  The kernels live in
+:mod:`repro.backends.batched`, which documents them; every kernel advances a
+batch of instances per round, and this backend runs each task as a batch of
+one.  Outcomes are bit-for-bit identical to the
+:class:`~repro.backends.reference.ReferenceBackend` (asserted by
+``tests/test_backend_equivalence.py``), and tasks the kernels do not cover
+(custom node factories, fault/clock models other than the paper's defaults)
+are delegated to the reference backend, so ``--backend vectorized`` is always
+safe to pass.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import List, Sequence
 
-import numpy as np
-
-from ..radio.clock import SynchronizedClocks
-from ..radio.collision import NoCollisionDetection, WithCollisionDetection
-from ..radio.engine import SimulationResult
-from ..radio.faults import NoFaults
-from ..radio.messages import (
-    Message,
-    ack_message,
-    initialize_message,
-    ready_message,
-    source_message,
-    stay_message,
-)
-from ..radio.trace import ExecutionTrace, RoundRecord
-from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
-from .reference import ReferenceBackend
+from .base import BackendResult, SimulationTask
+from .batched import BatchedVectorizedBackend
 
 __all__ = ["VectorizedBackend"]
 
-# Transmission kind codes used by the kernels (0 = listen).
-_K_NONE = 0
-_K_INIT = 1
-_K_READY = 2
-_K_SOURCE = 3
-_K_STAY = 4
-_K_ACK = 5
-_KIND_NAMES = {
-    _K_INIT: "initialize",
-    _K_READY: "ready",
-    _K_SOURCE: "source",
-    _K_STAY: "stay",
-    _K_ACK: "ack",
-}
 
-#: Sentinel for "never" in round-number arrays (any valid round is >= 1, and
-#: the rules compare against r-2 >= -1, so -5 can never match).
-_NEVER = -5
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-# --------------------------------------------------------------------------- #
-# label parsing
-# --------------------------------------------------------------------------- #
-def _parse_bit_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``x1 x2 [x3]`` labels into three boolean arrays."""
-    x1 = np.zeros(n, dtype=bool)
-    x2 = np.zeros(n, dtype=bool)
-    x3 = np.zeros(n, dtype=bool)
-    for v in range(n):
-        lab = labels[v]
-        x1[v] = len(lab) > 0 and lab[0] == "1"
-        x2[v] = len(lab) > 1 and lab[1] == "1"
-        x3[v] = len(lab) > 2 and lab[2] == "1"
-    return x1, x2, x3
-
-
-def _parse_slot_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Split two-field ``bits(slot) ++ bits(period-1)`` labels into arrays."""
-    slots = np.zeros(n, dtype=np.int64)
-    periods = np.ones(n, dtype=np.int64)
-    for v in range(n):
-        lab = labels[v]
-        if len(lab) % 2 != 0:
-            raise BackendError(f"malformed slotted label {lab!r} for node {v}")
-        half = len(lab) // 2
-        slots[v] = int(lab[:half], 2)
-        periods[v] = int(lab[half:], 2) + 1
-    return slots, periods
-
-
-# --------------------------------------------------------------------------- #
-# bit accounting
-# --------------------------------------------------------------------------- #
-def _stamp_bits(stamps: np.ndarray) -> np.ndarray:
-    """``max(1, ceil(log2(stamp + 2)))`` per stamp — the paper's stamp cost."""
-    # ceil(log2(s + 2)) == bit_length(s + 1) for s >= 0; exact in float64 for
-    # every round stamp a simulation can produce.
-    return np.floor(np.log2(stamps.astype(np.float64) + 1.0)).astype(np.int64) + 1
-
-
-def _int_payload_bits(value: int) -> int:
-    """Bits charged for an integer payload (``max(1, ceil(log2(|v| + 2)))``)."""
-    return max(1, (abs(int(value)) + 1).bit_length())
-
-
-# --------------------------------------------------------------------------- #
-# the channel: one SpMV per round
-# --------------------------------------------------------------------------- #
-class _Channel:
-    """CSR adjacency plus the per-round collision-resolution kernel."""
-
-    def __init__(self, graph) -> None:
-        self.n = graph.n
-        self.indptr, self.indices = graph.csr()
-
-    @classmethod
-    def from_arrays(cls, indptr: np.ndarray, indices: np.ndarray, n: int) -> "_Channel":
-        """Build a channel over prestacked CSR arrays (the batched engine's
-        block-diagonal adjacency) without materialising a Graph."""
-        channel = cls.__new__(cls)
-        channel.n = n
-        channel.indptr = indptr
-        channel.indices = indices
-        return channel
-
-    def resolve(
-        self, tx_mask: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one round of the radio channel.
-
-        Returns ``(tx_ids, hears_ids, senders, collision_ids)`` where
-        ``senders[i]`` is the unique transmitting neighbour heard by
-        ``hears_ids[i]`` and ``collision_ids`` are the listeners with two or
-        more transmitting neighbours.
-        """
-        tx_ids = np.flatnonzero(tx_mask)
-        if tx_ids.size == 0:
-            return tx_ids, _EMPTY, _EMPTY, _EMPTY
-        indptr, indices = self.indptr, self.indices
-        deg = indptr[tx_ids + 1] - indptr[tx_ids]
-        total = int(deg.sum())
-        if total == 0:
-            return tx_ids, _EMPTY, _EMPTY, _EMPTY
-        base = np.repeat(indptr[tx_ids] - (np.cumsum(deg) - deg), deg)
-        targets = indices[base + np.arange(total, dtype=np.int64)]
-        # ``bincount`` returns the platform's intp dtype; force 64-bit so
-        # receive counts (and everything derived from them) can never wrap on
-        # 32-bit platforms even for n >= 10^6 high-degree instances.
-        counts = np.bincount(targets, minlength=self.n).astype(np.int64, copy=False)
-        counts[tx_ids] = 0  # transmitters hear nothing in their own round
-        hears_ids = np.flatnonzero(counts == 1)
-        collision_ids = np.flatnonzero(counts >= 2)
-        if hears_ids.size:
-            owners = np.repeat(tx_ids, deg).astype(np.float64)
-            sums = np.bincount(targets, weights=owners, minlength=self.n)
-            senders = sums[hears_ids].astype(np.int64)
-        else:
-            senders = _EMPTY
-        return tx_ids, hears_ids, senders, collision_ids
-
-
-class _Recorder:
-    """Shared trace plumbing: full RoundRecords or O(1) summary increments."""
-
-    def __init__(self, n: int, source: Optional[int], level: str) -> None:
-        self.level = level
-        self.full = level == "full"
-        self.per_node = level != "none"
-        self.trace = ExecutionTrace(num_nodes=n, source=source, level=level)
-
-    def full_round(
-        self,
-        r: int,
-        transmissions: Dict[int, Message],
-        receptions: Dict[int, Message],
-        collision_ids: np.ndarray,
-    ) -> None:
-        self.trace.append(
-            RoundRecord(
-                round_number=r,
-                transmissions=transmissions,
-                receptions=receptions,
-                collisions=frozenset(int(v) for v in collision_ids),
-            )
-        )
-
-    def summary_round(self, r: int, **kwargs) -> None:
-        if not self.per_node:
-            kwargs["informed"] = ()
-            kwargs["ack_hearers"] = ()
-        self.trace.record_summary_round(r, **kwargs)
-
-
-# --------------------------------------------------------------------------- #
-# Algorithm B — plain broadcast
-# --------------------------------------------------------------------------- #
-def _run_broadcast_kernel(task: SimulationTask, channel=None) -> BackendResult:
-    graph, n = task.graph, task.graph.n
-    src = task.source
-    payload = task.payload
-    if channel is None:
-        channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
-    x1, x2, _ = _parse_bit_labels(task.labels, n)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[src] = True
-    informed_count = 1
-    informed_r = np.full(n, _NEVER, dtype=np.int64)
-    sent_src_prev = np.zeros(n, dtype=bool)
-    sent_src_prev2 = np.zeros(n, dtype=bool)
-    heard_stay_prev = np.zeros(n, dtype=bool)
-
-    completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
-
-    for r in range(1, task.max_rounds + 1):
-        # Decide (Algorithm 1, in the object protocol's priority order).
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        tx_source = (m3 & x1) | (informed & ~m3 & ~m4 & sent_src_prev2 & heard_stay_prev)
-        if r == 1:
-            tx_source[src] = True
-        tx_stay = m4 & x2
-
-        # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_source | tx_stay)
-
-        # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
-        if hears_ids.size:
-            sender_is_stay = tx_stay[senders]
-            heard_stay_now[hears_ids[sender_is_stay]] = True
-            mu_hearers = hears_ids[~sender_is_stay]
-            new_ids = mu_hearers[~informed[mu_hearers]]
-            informed[new_ids] = True
-            informed_r[new_ids] = r
-            informed_count += new_ids.size
-        else:
-            mu_hearers = _EMPTY
-
-        # Record.
-        n_src_tx = int(np.count_nonzero(tx_source))
-        n_stay_tx = int(tx_ids.size) - n_src_tx
-        if rec.full:
-            src_msg, stay_msg = source_message(payload), stay_message()
-            transmissions = {
-                int(u): (src_msg if tx_source[u] else stay_msg) for u in tx_ids
-            }
-            receptions = {
-                int(v): transmissions[int(u)] for v, u in zip(hears_ids, senders)
-            }
-            rec.full_round(r, transmissions, receptions, collision_ids)
-        else:
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": n_src_tx, "stay": n_stay_tx},
-                fixed_bits=2 * n_stay_tx,
-                payload_messages=n_src_tx,
-                informed=mu_hearers,
-                ack_hearers=(),
-            )
-
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_source
-        heard_stay_prev = heard_stay_now
-        stop_round = r
-        if completion is None and informed_count == n:
-            completion = r
-        if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
-            break
-
-    sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
-    )
-    return BackendResult(simulation=sim, derived={"completion_round": completion})
-
-
-# --------------------------------------------------------------------------- #
-# Algorithm B_ack — acknowledged broadcast
-# --------------------------------------------------------------------------- #
-def _run_acknowledged_kernel(task: SimulationTask) -> BackendResult:
-    graph, n = task.graph, task.graph.n
-    src = task.source
-    payload = task.payload
-    channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
-    x1, x2, x3 = _parse_bit_labels(task.labels, n)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[src] = True
-    informed_count = 1
-    informed_r = np.full(n, _NEVER, dtype=np.int64)
-    informed_stamp = np.zeros(n, dtype=np.int64)
-    sent_src_prev = np.zeros(n, dtype=bool)
-    sent_src_prev2 = np.zeros(n, dtype=bool)
-    heard_stay_prev = np.zeros(n, dtype=bool)
-    heard_stay_stamp = np.zeros(n, dtype=np.int64)
-    prev_acks: List[Tuple[int, int]] = []  # (hearer, heard stamp) from last round
-    transmit_stamps: Dict[int, Set[int]] = {}
-
-    first_ack_round: Optional[int] = None
-    completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
-
-    for r in range(1, task.max_rounds + 1):
-        tx_kind = np.zeros(n, dtype=np.int8)
-        tx_stamp = np.zeros(n, dtype=np.int64)
-
-        # Algorithm 2, branch for branch.
-        if r == 1:  # lines 4-5: the source transmits (µ, 1)
-            tx_kind[src] = _K_SOURCE
-            tx_stamp[src] = 1
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        a3 = m3 & x1  # lines 12-16
-        if a3.any():
-            ids = np.flatnonzero(a3)
-            stamps = informed_stamp[ids] + 2
-            tx_kind[ids] = _K_SOURCE
-            tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                transmit_stamps.setdefault(int(v), set()).add(int(s))
-        a4_ack = m4 & x3  # lines 17-22
-        tx_kind[a4_ack] = _K_ACK
-        tx_stamp[a4_ack] = informed_stamp[a4_ack]
-        a4_stay = m4 & ~x3 & x2
-        tx_kind[a4_stay] = _K_STAY
-        tx_stamp[a4_stay] = informed_stamp[a4_stay] + 1
-        # lines 23-27: nodes that heard "stay" return here whether or not they
-        # retransmit, so they are excluded from the ack-relay rule below.
-        m5 = informed & ~m3 & ~m4 & heard_stay_prev
-        a5 = m5 & sent_src_prev2
-        if a5.any():
-            ids = np.flatnonzero(a5)
-            stamps = heard_stay_stamp[ids] + 1
-            tx_kind[ids] = _K_SOURCE
-            tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                if int(v) != src:
-                    transmit_stamps.setdefault(int(v), set()).add(int(s))
-        for v, heard_stamp in prev_acks:  # lines 28-31 (sparse: the ack chain)
-            if v == src or not informed[v]:
-                continue
-            ir = informed_r[v]
-            if ir == r - 2 or ir == r - 1 or heard_stay_prev[v] or tx_kind[v]:
-                continue
-            if heard_stamp in transmit_stamps.get(v, ()):
-                tx_kind[v] = _K_ACK
-                tx_stamp[v] = informed_stamp[v]
-
-        # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
-
-        # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
-        heard_stay_stamp_now = np.zeros(n, dtype=np.int64)
-        next_acks: List[Tuple[int, int]] = []
-        mu_hearers = _EMPTY
-        ack_hearers = _EMPTY
-        if hears_ids.size:
-            heard_kind = tx_kind[senders]
-            heard_stamp = tx_stamp[senders]
-            mu_sel = heard_kind == _K_SOURCE
-            mu_hearers = hears_ids[mu_sel]
-            new_sel = mu_sel & ~informed[hears_ids]
-            new_ids = hears_ids[new_sel]
-            informed[new_ids] = True
-            informed_r[new_ids] = r
-            informed_stamp[new_ids] = heard_stamp[new_sel]
-            informed_count += new_ids.size
-            stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
-            ack_sel = heard_kind == _K_ACK
-            ack_hearers = hears_ids[ack_sel]
-            next_acks = [
-                (int(v), int(s))
-                for v, s in zip(ack_hearers, heard_stamp[ack_sel])
-            ]
-            if first_ack_round is None and np.any(ack_hearers == src):
-                first_ack_round = r
-
-        # Record.
-        if rec.full:
-            transmissions: Dict[int, Message] = {}
-            for u in tx_ids:
-                u = int(u)
-                stamp = int(tx_stamp[u])
-                if tx_kind[u] == _K_SOURCE:
-                    transmissions[u] = source_message(payload, round_stamp=stamp)
-                elif tx_kind[u] == _K_STAY:
-                    transmissions[u] = stay_message(round_stamp=stamp)
-                else:
-                    transmissions[u] = ack_message(stamp)
-            receptions = {
-                int(v): transmissions[int(u)] for v, u in zip(hears_ids, senders)
-            }
-            rec.full_round(r, transmissions, receptions, collision_ids)
-        else:
-            stamps = tx_stamp[tx_ids]
-            n_src_tx = int(np.count_nonzero(tx_kind[tx_ids] == _K_SOURCE))
-            n_stay_tx = int(np.count_nonzero(tx_kind[tx_ids] == _K_STAY))
-            n_ack_tx = int(tx_ids.size) - n_src_tx - n_stay_tx
-            fixed = int(_stamp_bits(stamps).sum()) + 2 * (n_stay_tx + n_ack_tx)
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": n_src_tx, "stay": n_stay_tx, "ack": n_ack_tx},
-                fixed_bits=fixed,
-                payload_messages=n_src_tx,
-                informed=mu_hearers,
-                ack_hearers=ack_hearers,
-            )
-
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_kind == _K_SOURCE
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
-        stop_round = r
-        if completion is None and informed_count == n:
-            completion = r
-        if task.stop_rule == "acknowledged" and first_ack_round is not None:
-            stop_reason = "condition"
-            break
-        if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
-            break
-
-    sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
-    )
-    derived = {
-        "completion_round": completion,
-        "acknowledgement_round": first_ack_round,
-    }
-    return BackendResult(simulation=sim, derived=derived)
-
-
-# --------------------------------------------------------------------------- #
-# Algorithm B_arb — arbitrary-source broadcast
-# --------------------------------------------------------------------------- #
-def _run_arbitrary_kernel(task: SimulationTask) -> BackendResult:
-    graph, n = task.graph, task.graph.n
-    src = task.source  # the node actually holding µ (the paper's s_G)
-    payload = task.payload
-    channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
-    x1, x2, x3 = _parse_bit_labels(task.labels, n)
-
-    coordinator = task.extras.get("coordinator")
-    if coordinator is None:
-        matches = [v for v in range(n) if task.labels[v] == "111"]
-        if not matches:
-            raise BackendError("λ_arb labeling has no coordinator label '111'")
-        coordinator = matches[0]
-    c = int(coordinator)
-
-    # Per-phase state: 0 = initialize, 1 = ready, 2 = source.
-    ph_inf = np.full((3, n), _NEVER, dtype=np.int64)
-    ph_stamp = np.zeros((3, n), dtype=np.int64)
-    transmit_stamps: Tuple[Dict[int, Set[int]], ...] = ({}, {}, {})
-    t_v = np.full(n, -1, dtype=np.int64)
-    t_v[c] = 0
-    T_arr = np.full(n, -1, dtype=np.int64)
-    known = np.zeros(n, dtype=bool)
-    completion_known = np.zeros(n, dtype=np.int64)
-
-    sent_kind_prev = np.zeros(n, dtype=np.int8)
-    sent_kind_prev2 = np.zeros(n, dtype=np.int8)
-    heard_stay_prev = np.zeros(n, dtype=bool)
-    heard_stay_stamp = np.zeros(n, dtype=np.int64)
-    prev_acks: List[Tuple[int, int, Any]] = []  # (hearer, stamp, ack payload)
-
-    # Coordinator / actual-source scheduling state.
-    T_c: Optional[int] = None
-    sched_ready: Optional[int] = None
-    sched_source: Optional[int] = None
-    ready_sent: Optional[int] = None
-    learned_payload: Any = payload if c == src else None
-    sched_src_ack: Optional[int] = None
-    coord_ack_first: Optional[int] = None
-    coord_ack_last: Optional[int] = None
-
-    def phase_payload(kind_code: int) -> Any:
-        if kind_code == _K_INIT:
-            return None
-        if kind_code == _K_READY:
-            return T_c
-        return payload
-
-    stop_round, stop_reason = 0, "budget"
-
-    for r in range(1, task.max_rounds + 1):
-        tx_kind = np.zeros(n, dtype=np.int8)
-        tx_stamp = np.zeros(n, dtype=np.int64)
-        ack_payloads: Dict[int, Any] = {}
-        decided = np.zeros(n, dtype=bool)
-
-        # Coordinator phase starts (checked first, as in the object protocol;
-        # its local clock starts at 1, so the global stamp is just r).
-        if r == 1:
-            tx_kind[c] = _K_INIT
-            tx_stamp[c] = 1
-            decided[c] = True
-        elif sched_ready == r and T_c is not None:
-            ready_sent = r
-            if c == src:
-                sched_source = r + T_c + 1
-            tx_kind[c] = _K_READY
-            tx_stamp[c] = r
-            decided[c] = True
-        elif sched_source == r and learned_payload is not None:
-            known[c] = True
-            completion_known[c] = r + (T_c or 0) - 1
-            tx_kind[c] = _K_SOURCE
-            tx_stamp[c] = r
-            decided[c] = True
-
-        # The actual source starts the phase-2 acknowledgement after its timer.
-        if sched_src_ack == r and not decided[src]:
-            tx_kind[src] = _K_ACK
-            tx_stamp[src] = ph_stamp[1][src]
-            ack_payloads[src] = payload
-            decided[src] = True
-
-        # Shared B_ack rules, per phase, in phase order.
-        und = ~decided
-        for k in range(3):
-            inf_k = ph_inf[k]
-            stamp_k = ph_stamp[k]
-            mA = und & (inf_k == r - 2) & x1
-            if mA.any():
-                ids = np.flatnonzero(mA)
-                stamps = stamp_k[ids] + 2
-                tx_kind[ids] = _K_INIT + k
-                tx_stamp[ids] = stamps
-                for v, s in zip(ids, stamps):
-                    transmit_stamps[k].setdefault(int(v), set()).add(int(s))
-                und &= ~mA
-            newly1 = inf_k == r - 1
-            if k == 0:  # z starts the phase-1 ack, appending T = t_z
-                mAck = und & newly1 & x3
-                if mAck.any():
-                    ids = np.flatnonzero(mAck)
-                    tx_kind[ids] = _K_ACK
-                    tx_stamp[ids] = stamp_k[ids]
-                    for v in ids:
-                        ack_payloads[int(v)] = int(stamp_k[v])
-                    und &= ~mAck
-            mStay = und & newly1 & x2
-            if mStay.any():
-                tx_kind[mStay] = _K_STAY
-                tx_stamp[mStay] = stamp_k[mStay] + 1
-                und &= ~mStay
-
-        # Stay-triggered retransmission (any phase, coordinator included).
-        mS = und & heard_stay_prev
-        aS = mS & (sent_kind_prev2 >= _K_INIT) & (sent_kind_prev2 <= _K_SOURCE)
-        if aS.any():
-            ids = np.flatnonzero(aS)
-            stamps = heard_stay_stamp[ids] + 1
-            tx_kind[ids] = sent_kind_prev2[ids]
-            tx_stamp[ids] = stamps
-            for v, s in zip(ids, stamps):
-                if int(v) != c:
-                    transmit_stamps[int(sent_kind_prev2[v]) - _K_INIT].setdefault(
-                        int(v), set()
-                    ).add(int(s))
-            und &= ~aS
-
-        # Ack relaying (sparse: the chain walks back one hop per round).
-        for v, heard_stamp, ack_pay in prev_acks:
-            if v == c or not und[v] or tx_kind[v]:
-                continue
-            for k in range(3):
-                stamps_v = transmit_stamps[k].get(v)
-                if stamps_v and heard_stamp in stamps_v:
-                    tx_kind[v] = _K_ACK
-                    tx_stamp[v] = ph_stamp[k][v]
-                    ack_payloads[v] = ack_pay
-                    break
-
-        # Channel.
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_kind > 0)
-
-        # Deliver.
-        heard_stay_now = np.zeros(n, dtype=bool)
-        heard_stay_stamp_now = np.zeros(n, dtype=np.int64)
-        next_acks: List[Tuple[int, int, Any]] = []
-        mu_hearers = _EMPTY
-        ack_hearers = _EMPTY
-        if hears_ids.size:
-            heard_kind = tx_kind[senders]
-            heard_stamp = tx_stamp[senders]
-            for k in range(3):  # first receipt of a phase's broadcast payload
-                sel = heard_kind == _K_INIT + k
-                if not sel.any():
-                    continue
-                vs = hears_ids[sel]
-                sts = heard_stamp[sel]
-                keep = (vs != c) & (ph_inf[k][vs] == _NEVER)
-                vs, sts = vs[keep], sts[keep]
-                if vs.size == 0:
-                    continue
-                ph_inf[k][vs] = r
-                ph_stamp[k][vs] = sts
-                if k == 0:
-                    t_v[vs] = sts
-                elif k == 1:
-                    T_arr[vs] = T_c if T_c is not None else 0
-                    if np.any(vs == src):
-                        sched_src_ack = r + int(T_arr[src]) + 1
-                else:
-                    ready_t = (T_arr[vs] >= 0) & (t_v[vs] >= 0)
-                    done = vs[ready_t]
-                    known[done] = True
-                    completion_known[done] = r + T_arr[done] - t_v[done]
-            mu_hearers = hears_ids[heard_kind == _K_SOURCE]
-            stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
-            ack_sel = heard_kind == _K_ACK
-            ack_hearers = hears_ids[ack_sel]
-            if ack_hearers.size:
-                for v, s, u in zip(
-                    ack_hearers, heard_stamp[ack_sel], senders[ack_sel]
-                ):
-                    pay = ack_payloads.get(int(u))
-                    next_acks.append((int(v), int(s), pay))
-                    if int(v) == c:
-                        coord_ack_last = r
-                        if coord_ack_first is None:
-                            coord_ack_first = r
-                        if T_c is None:
-                            T_c = int(pay) if pay is not None else 0
-                            sched_ready = r + T_c + 1
-                        elif (
-                            ready_sent is not None
-                            and r > ready_sent
-                            and sched_source is None
-                        ):
-                            learned_payload = pay
-                            sched_source = r + T_c + 1
-
-        # Record.
-        if rec.full:
-            transmissions: Dict[int, Message] = {}
-            for u in tx_ids:
-                u = int(u)
-                kind = int(tx_kind[u])
-                stamp = int(tx_stamp[u])
-                if kind == _K_INIT:
-                    transmissions[u] = initialize_message(round_stamp=stamp)
-                elif kind == _K_READY:
-                    transmissions[u] = ready_message(int(T_c or 0), round_stamp=stamp)
-                elif kind == _K_SOURCE:
-                    transmissions[u] = source_message(payload, round_stamp=stamp)
-                elif kind == _K_STAY:
-                    transmissions[u] = stay_message(round_stamp=stamp)
-                else:
-                    transmissions[u] = ack_message(stamp, payload=ack_payloads.get(u))
-            receptions = {
-                int(v): transmissions[int(u)] for v, u in zip(hears_ids, senders)
-            }
-            rec.full_round(r, transmissions, receptions, collision_ids)
-        else:
-            kinds_tx = tx_kind[tx_ids]
-            stamps = tx_stamp[tx_ids]
-            counts = {
-                name: int(np.count_nonzero(kinds_tx == code))
-                for code, name in _KIND_NAMES.items()
-                if np.any(kinds_tx == code)
-            }
-            n_src_tx = counts.get("source", 0)
-            n_ready_tx = counts.get("ready", 0)
-            non_source = int(tx_ids.size) - n_src_tx
-            fixed = int(_stamp_bits(stamps).sum()) + 2 * non_source
-            if n_ready_tx:
-                fixed += n_ready_tx * _int_payload_bits(T_c or 0)
-            payload_msgs = n_src_tx
-            for u in tx_ids[kinds_tx == _K_ACK]:
-                pay = ack_payloads.get(int(u))
-                if pay is None:
-                    continue
-                if isinstance(pay, int):
-                    fixed += _int_payload_bits(pay)
-                else:
-                    payload_msgs += 1
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds=counts,
-                fixed_bits=fixed,
-                payload_messages=payload_msgs,
-                informed=mu_hearers,
-                ack_hearers=ack_hearers,
-            )
-
-        sent_kind_prev2, sent_kind_prev = sent_kind_prev, tx_kind
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
-        stop_round = r
-        if task.stop_rule == "arb_complete" and bool(known.all()):
-            stop_reason = "condition"
-            break
-
-    # Derived outcomes, mirroring the reference derivation in core.runner.
-    ack_round = coord_ack_first
-    receipt_rounds: List[int] = []
-    missing = False
-    for v in range(n):
-        if v in (src, c):
-            continue
-        if ph_inf[2][v] == _NEVER:
-            missing = True
-            break
-        receipt_rounds.append(int(ph_inf[2][v]))
-    coordinator_learned_round = coord_ack_last if c != src else None
-    completion: Optional[int] = None
-    if not missing and (learned_payload is not None or c == src):
-        candidates = list(receipt_rounds)
-        if coordinator_learned_round is not None:
-            candidates.append(coordinator_learned_round)
-        completion = max(candidates) if candidates else 1
-    common: Optional[int] = None
-    if bool(known.all()) and n > 0:
-        values = np.unique(completion_known)
-        if values.size == 1:
-            common = int(values[0])
-
-    sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
-    )
-    derived = {
-        "completion_round": completion,
-        "acknowledgement_round": ack_round,
-        "common_completion_round": common,
-        "coordinator": c,
-    }
-    return BackendResult(simulation=sim, derived=derived)
-
-
-# --------------------------------------------------------------------------- #
-# Source-flood baselines: round-robin / TDMA slots and centralized schedules
-# --------------------------------------------------------------------------- #
-def _run_source_flood(task: SimulationTask, tx_mask_for_round, channel=None) -> BackendResult:
-    """Shared loop for baselines that only ever retransmit µ.
-
-    ``tx_mask_for_round(r, informed)`` returns the boolean transmit mask of
-    round ``r``; everything else — channel resolution, first-receipt
-    bookkeeping, trace recording, the ``all_informed`` stop rule — is
-    identical across the slotted and scheduled baselines.  ``channel`` lets a
-    caller substitute a drop-in replacement for the CSR :class:`_Channel`
-    (the ELL tier injects its padded-layout channel here so equivalence with
-    this loop holds by construction).
-    """
-    graph, n = task.graph, task.graph.n
-    src = task.source
-    payload = task.payload
-    if channel is None:
-        channel = _Channel(graph)
-    rec = _Recorder(n, src, task.trace_level)
-
-    informed = np.zeros(n, dtype=bool)
-    informed[src] = True
-    informed_count = 1
-    completion: Optional[int] = None
-    stop_round, stop_reason = 0, "budget"
-
-    for r in range(1, task.max_rounds + 1):
-        tx_mask = tx_mask_for_round(r, informed)
-        tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_mask)
-        if hears_ids.size:
-            new_ids = hears_ids[~informed[hears_ids]]
-            informed[new_ids] = True
-            informed_count += new_ids.size
-        if rec.full:
-            msg = source_message(payload)
-            transmissions = {int(u): msg for u in tx_ids}
-            receptions = {int(v): msg for v in hears_ids}
-            rec.full_round(r, transmissions, receptions, collision_ids)
-        else:
-            rec.summary_round(
-                r,
-                transmissions=int(tx_ids.size),
-                receptions=int(hears_ids.size),
-                collisions=int(collision_ids.size),
-                kinds={"source": int(tx_ids.size)},
-                fixed_bits=0,
-                payload_messages=int(tx_ids.size),
-                informed=hears_ids,
-                ack_hearers=(),
-            )
-        stop_round = r
-        if completion is None and informed_count == n:
-            completion = r
-        if task.stop_rule == "all_informed" and informed_count == n:
-            stop_reason = "condition"
-            break
-
-    sim = SimulationResult(
-        trace=rec.trace, nodes=[], stop_round=stop_round, stop_reason=stop_reason
-    )
-    return BackendResult(simulation=sim, derived={"completion_round": completion})
-
-
-def _run_slotted_kernel(task: SimulationTask, channel=None) -> BackendResult:
-    """Round-robin / G²-colouring TDMA: informed node of slot s transmits at r ≡ s."""
-    slots, periods = _parse_slot_labels(task.labels, task.graph.n)
-    slot_residue = slots % periods
-
-    def tx_mask(r: int, informed: np.ndarray) -> np.ndarray:
-        return informed & ((r % periods) == slot_residue)
-
-    return _run_source_flood(task, tx_mask, channel=channel)
-
-
-def _run_collision_detection_kernel(task: SimulationTask) -> BackendResult:
-    """Anonymous bit-signalling broadcast as an array kernel.
-
-    The kernel lives in the batched engine (it is the batch-of-one view of
-    :func:`repro.backends.batched.run_collision_detection_batch`); the lazy
-    import avoids a module cycle (batched builds on this module's channel and
-    recorder plumbing).
-    """
-    from .batched import run_collision_detection_batch
-
-    return run_collision_detection_batch([task])[0]
-
-
-def _run_centralized_kernel(task: SimulationTask) -> BackendResult:
-    """Centralized schedule: round ``r``'s precomputed transmitter set, once informed.
-
-    The schedule arrives as declarative data in ``task.extras["schedule"]``
-    (one node-id list per round), mirroring
-    :class:`~repro.baselines.centralized.ScheduledNode`, which transmits in
-    its scheduled rounds provided it already knows µ.
-    """
-    n = task.graph.n
-    schedule = [
-        np.asarray(round_ids, dtype=np.int64)
-        for round_ids in task.extras.get("schedule", ())
-    ]
-
-    def tx_mask(r: int, informed: np.ndarray) -> np.ndarray:
-        mask = np.zeros(n, dtype=bool)
-        if r <= len(schedule):
-            mask[schedule[r - 1]] = True
-        return mask & informed
-
-    return _run_source_flood(task, tx_mask)
-
-
-# --------------------------------------------------------------------------- #
-# the backend
-# --------------------------------------------------------------------------- #
-class VectorizedBackend(SimulationBackend):
-    """NumPy CSR kernels for the labeled protocols and TDMA baselines.
+class VectorizedBackend(BatchedVectorizedBackend):
+    """The batched engine's kernels and coverage, one task per kernel call.
 
     Parameters
     ----------
@@ -896,56 +38,11 @@ class VectorizedBackend(SimulationBackend):
 
     name = "vectorized"
 
-    # Plain dict of module-level functions; looked up by key, never as a
-    # class attribute, so no bound-method descriptor protocol applies.
-    _KERNELS = {
-        "broadcast": _run_broadcast_kernel,
-        "acknowledged": _run_acknowledged_kernel,
-        "arbitrary": _run_arbitrary_kernel,
-        "round_robin": _run_slotted_kernel,
-        "coloring_tdma": _run_slotted_kernel,
-        "centralized": _run_centralized_kernel,
-        "collision_detection": _run_collision_detection_kernel,
-    }
+    def run_batch(self, tasks: Sequence[SimulationTask]) -> List[BackendResult]:
+        """Run each task alone through :meth:`run_task`, never stacked.
 
-    def __init__(self, *, strict: bool = False) -> None:
-        self.strict = strict
-        self._fallback = ReferenceBackend()
-
-    def supports(self, task: SimulationTask) -> bool:
-        """True if a compiled kernel covers ``task`` under default channel models."""
-        if task.protocol not in self._KERNELS:
-            return False
-        if task.source is None or task.graph.n == 0:
-            return False
-        if task.protocol == "centralized" and "schedule" not in task.extras:
-            # A centralized task without declarative schedule data can only be
-            # executed through its node objects.
-            return False
-        if task.collision_model is not None and type(task.collision_model) is not NoCollisionDetection:
-            # The bit-signalling kernel natively implements the detection
-            # channel (energy = message or collision); everything else is
-            # compiled for the paper's default model only.
-            if not (
-                task.protocol == "collision_detection"
-                and type(task.collision_model) is WithCollisionDetection
-            ):
-                return False
-        if task.fault_model is not None and type(task.fault_model) is not NoFaults:
-            return False
-        if task.clock_model is not None and type(task.clock_model) is not SynchronizedClocks:
-            return False
-        return True
-
-    def run_task(self, task: SimulationTask) -> BackendResult:
-        if not self.supports(task):
-            if self.strict:
-                raise BackendError(
-                    f"vectorized backend has no kernel for protocol "
-                    f"{task.protocol!r} with the given channel models"
-                )
-            # The fallback result keeps its own provenance tag ("reference").
-            return self._fallback.run_task(task)
-        result = self._KERNELS[task.protocol](task)
-        result.backend = self.name
-        return result
+        Every task is its own kernel call and its own ``run_task`` call, so
+        a wrapper around ``run_task`` on an instance sees every task (the
+        repository benchmark's per-layer tracer relies on this).
+        """
+        return [self.run_task(task) for task in tasks]

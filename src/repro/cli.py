@@ -131,9 +131,9 @@ def _parse_batch_size(text: str) -> int:
 def _parse_backend_arg(text: str) -> str:
     """Argparse type for ``--backend``: any spec ``resolve_backend`` accepts.
 
-    Plain ``choices=`` can't express the parameterized forms (``sharded:K``,
-    ``ell:jit`` / ``ell:numpy``), so the spec is validated by actually
-    resolving it — the error message lists every valid form.
+    Plain ``choices=`` can't express the parameterized form ``sharded:K``,
+    so the spec is validated by actually resolving it — the error message
+    lists every valid form.
     """
     try:
         resolve_backend(text)
@@ -175,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     bcast.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC",
                        default="reference",
                        help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
-                            f"(vectorized = NumPy CSR kernels; ell = padded-adjacency "
-                            f"kernels, JIT-compiled when numba is installed)")
+                            f"(vectorized = NumPy CSR kernels; ell = JIT-compiled "
+                            f"padded-adjacency kernels when numba is installed, "
+                            f"vectorized otherwise)")
     bcast.add_argument("--render", action="store_true",
                        help="print the Figure-1 style annotated layers")
 
@@ -227,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
                             f"(vectorized = NumPy CSR kernels; batched = stacked "
                             f"multi-instance kernels; sharded = one large instance "
-                            f"split across processes; ell = padded-adjacency kernels, "
-                            f"JIT-compiled when numba is installed); defaults to "
+                            f"split across processes; ell = JIT-compiled padded-"
+                            f"adjacency kernels when numba is installed, vectorized "
+                            f"otherwise); defaults to "
                             f"reference, or to batched when --batch-size is set, or "
                             f"to sharded when --shards is set")
     sweep.add_argument("--jobs", type=int, default=1,
@@ -533,8 +535,8 @@ def _cmd_schemes(args) -> int:
             "backends": {
                 "names": list(BACKEND_NAMES),
                 "specs": list(BACKEND_SPECS),
-                # Whether `--backend ell` selects the numba JIT tier on this
-                # machine (False: the ELL backend runs its NumPy kernels).
+                # Whether `--backend ell` runs its numba JIT kernels on this
+                # machine (False: its tasks run on the vectorized engine).
                 "ell_jit_available": jit_available(),
             },
         }

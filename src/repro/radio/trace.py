@@ -142,10 +142,9 @@ class ExecutionTrace:
         self._informed_first: Dict[int, int] = {}
         self._ack_first: Dict[int, int] = {}
         self._ack_last: Dict[int, int] = {}
-        self._pending: Set[int] = set()
+        self._pending: Set[int] = set(range(num_nodes)) if source is not None else set()
+        self._pending.discard(source)
         self._completion_round: Optional[int] = None
-        if source is not None:
-            self._pending.update(v for v in range(num_nodes) if v != source)
         for record in rounds or ():
             self.append(record)
 
@@ -302,11 +301,12 @@ class ExecutionTrace:
         :meth:`record_summary_round` once per instance per round would undo
         that batching.  This constructor builds the identical end state in
         one step: the result compares equal (``==``) to a trace built
-        incrementally from the same execution.  The completion round is
-        derived exactly as the incremental path would have: the first round
-        by which every non-source node appears in ``informed_first`` is
-        their maximum first-receipt round (or round 1 for a source-only
-        network that ran at least one round).
+        incrementally from the same execution.  The first-informed and ack
+        maps are taken as given (int node → int round) and copied.  The
+        completion round is derived exactly as the incremental path would
+        have: the first round by which every non-source node appears in
+        ``informed_first`` is their maximum first-receipt round (or round 1
+        for a source-only network that ran at least one round).
         """
         if level == TRACE_FULL:
             raise TraceLevelError(
@@ -323,13 +323,14 @@ class ExecutionTrace:
         }
         trace._fixed_bits = int(fixed_bits)
         trace._payload_messages = int(payload_messages)
-        trace._informed_first = {int(v): int(r) for v, r in (informed_first or {}).items()}
-        trace._ack_first = {int(v): int(r) for v, r in (ack_first or {}).items()}
-        trace._ack_last = {int(v): int(r) for v, r in (ack_last or {}).items()}
-        trace._pending -= set(trace._informed_first)
+        trace._informed_first = dict(informed_first or {})
+        trace._ack_first = dict(ack_first or {})
+        trace._ack_last = dict(ack_last or {})
+        trace._pending.difference_update(trace._informed_first)
         if source is not None and not trace._pending and trace._num_rounds >= 1:
-            non_source = [r for v, r in trace._informed_first.items() if v != source]
-            trace._completion_round = max(non_source) if non_source else 1
+            non_source = dict(trace._informed_first)
+            non_source.pop(source, None)
+            trace._completion_round = max(non_source.values(), default=1)
         return trace
 
     def to_aggregates(self) -> Dict[str, Any]:

@@ -53,18 +53,13 @@ def normalize_backend_name(backend: Any) -> str:
     A shard-count suffix (``"sharded:4"``) is stripped: the shard count is
     pure parallelism — results are bit-identical at any shard count — so it
     is excluded from cache keys for the same reason ``jobs`` and
-    ``batch_size`` are.  ELL tier suffixes (``"ell:jit"`` / ``"ell:numpy"``)
-    are stripped too: the JIT and NumPy tiers are bit-identical by the
-    equivalence suite, so a sweep resumed on a machine without numba still
-    hits every row a JIT-equipped machine stored (and vice versa).
+    ``batch_size`` are.
     """
     if backend is None:
         return "reference"
     name = backend if isinstance(backend, str) else str(getattr(backend, "name", backend))
     if name.startswith("sharded:"):
         return "sharded"
-    if name.startswith("ell:"):
-        return "ell"
     return name
 
 

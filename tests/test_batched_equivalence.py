@@ -3,9 +3,10 @@
 The batched backend stacks many tasks' CSR blocks into one block-diagonal
 kernel invocation; its *entire* claim is that this is invisible: outcomes,
 derived values, stop bookkeeping and full traces must be bit-for-bit
-identical to per-task execution on both the vectorized and the reference
-engines, for any batch composition (ragged sizes, any batch size, any scheme
-mix routed through the grid), and grid rows must be independent of the job
+identical to per-task execution — each task as a batch of one, which is the
+vectorized backend — and to the reference engine, for any batch composition
+(ragged sizes, mixed budgets and stop rules, any batch size, any scheme mix
+routed through the grid), and grid rows must be independent of the job
 count and the batch size.  Negative paths: heterogeneous batches refuse with
 a clear error, invalid batch sizes are rejected at config/CLI parse time,
 uncovered schemes ride the per-task fallback, and a failing cell surfaces a
@@ -15,6 +16,7 @@ uncovered schemes ride the per-task fallback, and a failing cell surfaces a
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,7 +33,7 @@ from repro.backends import (
 )
 from repro.baselines.collision_detection import run_collision_detection_broadcast
 from repro.cli import build_parser
-from repro.graphs import generate_family
+from repro.graphs import Graph, generate_family
 
 BATCHED = BatchedVectorizedBackend()
 VECTORIZED = VectorizedBackend()
@@ -52,8 +54,12 @@ FAMILIES = ["path", "cycle", "star", "grid", "gnp_sparse", "geometric"]
 
 
 def _build_task(scheme_name, family, size, seed, trace_level="summary"):
-    """One (graph, scheme, labels, task) work unit, grid-style."""
-    graph = generate_family(family, size, seed)
+    """One (graph, scheme, labels, task) work unit, grid-style; the family
+    ``"single"`` is the 1-node graph."""
+    if family == "single":
+        graph = Graph.from_edges(1, [])
+    else:
+        graph = generate_family(family, size, seed)
     source = seed % graph.n
     scheme = get_scheme(scheme_name)
     options = scheme.grid_options(graph, source)
@@ -136,6 +142,55 @@ class TestBatchedDifferential:
         singles = [BATCHED.run_batch([t])[0] for t in tasks]
         for a, b, c in zip(whole, halves, singles):
             assert _fingerprint(a) == _fingerprint(b) == _fingerprint(c)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        data=st.data(),
+        scheme_name=st.sampled_from(BATCHED_SCHEMES),
+        trace_level=st.sampled_from(["summary", "full"]),
+    )
+    def test_mixed_budgets_and_stop_rules_match_solo_runs(
+        self, data, scheme_name, trace_level
+    ):
+        """Instances retire at different rounds without disturbing the rest.
+
+        One batch mixes budgets of 0, 1 and the scheme's default, the
+        scheme's own stop rule with none at all, and a 1-node graph; every
+        result must equal the same task run alone and on the reference
+        engine.
+        """
+        members = data.draw(st.lists(
+            st.tuples(
+                st.sampled_from(FAMILIES),
+                st.integers(min_value=2, max_value=14),
+                st.integers(min_value=0, max_value=4),
+                st.booleans(),  # keep the scheme's own stop rule
+            ),
+            min_size=2,
+            max_size=5,
+        ))
+        members.append(("single", 1, 0, data.draw(st.booleans())))
+        budgets = [("zero", "one", "default")[i % 3] for i in range(len(members))]
+        order = data.draw(st.permutations(range(len(members))))
+        tasks = []
+        for i in order:
+            family, size, seed, own_rule = members[i]
+            *_, task = _build_task(scheme_name, family, size, seed, trace_level)
+            budget = {"zero": 0, "one": 1, "default": task.max_rounds}[budgets[i]]
+            task = replace(task, max_rounds=budget)
+            if not own_rule:
+                task = replace(task, stop_rule=None, stop_condition=None)
+            tasks.append(task)
+        outs = BATCHED.run_batch(tasks)
+        for task, out in zip(tasks, outs):
+            assert out.backend == "batched"
+            assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
+            ref = REFERENCE.run_task(task)
+            assert (out.trace, out.simulation.stop_round, out.simulation.stop_reason) \
+                == (ref.trace, ref.simulation.stop_round, ref.simulation.stop_reason)
+            if trace_level == "full":
+                assert out.trace.to_json() == ref.trace.to_json()
 
 
 class TestCollisionDetectionVectorized:
@@ -285,10 +340,8 @@ class TestBatchingNegativePaths:
             BatchedVectorizedBackend(strict=True).run_batch([task])
 
     def test_arb_runs_stacked_without_fallback(self, monkeypatch):
-        # B_arb is batched natively now: the per-task fallback must never be
+        # B_arb is batched natively: the per-task fallback must never be
         # touched for default channel models.
-        from repro.backends.vectorized import VectorizedBackend as Vec
-
         built = [_build_task("lambda_arb", f, n, s)
                  for f, n, s in [("grid", 16, 2), ("path", 9, 1), ("star", 7, 3)]]
         solos = [VECTORIZED.run_task(task) for *_, task in built]
@@ -296,7 +349,7 @@ class TestBatchingNegativePaths:
         def boom(self, task):
             raise AssertionError("stacked B_arb must not fall back per task")
 
-        monkeypatch.setattr(Vec, "run_task", boom)
+        monkeypatch.setattr(ReferenceBackend, "run_task", boom)
         outs = BATCHED.run_batch([task for *_, task in built])
         for out, solo in zip(outs, solos):
             assert _fingerprint(out) == _fingerprint(solo)
@@ -343,6 +396,27 @@ class TestBatchingNegativePaths:
         backend = resolve_backend("batched")
         assert isinstance(backend, BatchedVectorizedBackend)
         assert resolve_backend("batched") is backend
+
+    def test_vectorized_run_batch_calls_run_task_once_per_task(self, monkeypatch):
+        # The vectorized engine never stacks: a wrapper around run_task on
+        # the shared instance (as the benchmark's per-layer tracer installs)
+        # sees every task exactly once.
+        backend = resolve_backend("vectorized")
+        *_, a = _build_task("lambda", "grid", 16, 1)
+        *_, b = _build_task("lambda", "path", 9, 2)
+        seen = []
+        original = backend.run_task
+
+        def counting(task):
+            seen.append(task)
+            return original(task)
+
+        monkeypatch.setattr(backend, "run_task", counting)
+        outs = backend.run_batch([a, b])
+        assert len(seen) == 2 and seen[0] is a and seen[1] is b
+        assert [out.backend for out in outs] == ["vectorized", "vectorized"]
+        for task, out in zip((a, b), outs):
+            assert _fingerprint(out) == _fingerprint(BATCHED.run_batch([task])[0])
 
 
 # --------------------------------------------------------------------------- #

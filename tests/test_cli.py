@@ -184,18 +184,21 @@ class TestSessionCommands:
         # The sharded backend covers the dense-decision round kernels.
         assert "sharded" in by_name["lambda"]["backends"]
         assert "sharded" in by_name["round_robin"]["backends"]
-        # The ELL tier covers the three padded-row protocols (the probe task
-        # is a 4-node path, which passes the regularity check).
-        assert "ell" in by_name["lambda"]["backends"]
-        assert "ell" in by_name["round_robin"]["backends"]
-        assert "ell" in by_name["coloring_tdma"]["backends"]
-        assert "ell" not in by_name["lambda_ack"]["backends"]
-        # Machine-level backend registry info, incl. JIT importability.
+        # The ELL JIT kernels cover the three padded-row protocols (the
+        # probe task is a 4-node path, which passes the regularity check) —
+        # where numba imports; otherwise ell covers nothing natively, just
+        # as its rows then say "vectorized".
         meta = doc["backends"]
+        assert isinstance(meta["ell_jit_available"], bool)
+        jit = meta["ell_jit_available"]
+        assert ("ell" in by_name["lambda"]["backends"]) is jit
+        assert ("ell" in by_name["round_robin"]["backends"]) is jit
+        assert ("ell" in by_name["coloring_tdma"]["backends"]) is jit
+        assert "ell" not in by_name["lambda_ack"]["backends"]
+        # Machine-level backend registry info.
         assert meta["names"] == ["reference", "vectorized", "batched",
                                  "sharded", "ell"]
-        assert "ell:jit" in meta["specs"] and "sharded:K" in meta["specs"]
-        assert isinstance(meta["ell_jit_available"], bool)
+        assert "ell" in meta["specs"] and "sharded:K" in meta["specs"]
 
     def test_sweep_store_then_resume_reports_full_cache_hits(self, capsys, tmp_path):
         store = str(tmp_path / "store")

@@ -1,19 +1,22 @@
 """Differential suite for the padded-adjacency (ELL) backend.
 
-The ELL backend's claim is that swapping the CSR channel for a fixed-width
-self-padded neighbour table — and, when numba is importable, for a fused
-event-driven compiled round kernel — is invisible: traces, derived values and
-stop bookkeeping must be bit-for-bit identical to the vectorized engine on
-every graph the regularity probe admits, and graphs it rejects (stars,
-barbells) must transparently fall back to CSR with true provenance.  The
-suite also pins the layout round-trip, degree-0 handling, the tier-selection
-plumbing (``resolve_backend("ell:jit")``, ``Scenario.backend``, the CLI
-``--backend`` spec type, tier-independent store keys) and the JIT kernels
-themselves: without numba ``@njit`` is an identity decorator, so the exact
-compiled code paths run here as plain Python.
+The ELL backend runs its fused, event-driven JIT kernels over a fixed-width
+self-padded neighbour table when numba imports, and hands every task to the
+vectorized engine otherwise.  Its claim is that the kernels are invisible:
+traces, derived values and stop bookkeeping must be bit-for-bit identical to
+the vectorized engine on every graph the regularity probe admits, graphs it
+rejects (stars, barbells) must fall back to CSR with true provenance, and on
+a machine without numba every row must say ``vectorized``.  Without numba
+``@njit`` is an identity decorator, so the exact compiled code paths run
+here as plain Python: :func:`_jit_kernels` routes the backend's dispatch to
+them as if numba had imported.  The suite also pins the layout round-trip,
+degree-0 handling and the spec plumbing (``resolve_backend("ell")``,
+``Scenario.backend``, the CLI ``--backend`` spec type, store keys).
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +34,12 @@ from repro.backends import (
     VectorizedBackend,
     resolve_backend,
 )
+import repro.backends.ell as ell_module
 from repro.backends.ell import (
     DEFAULT_MAX_PADDING_RATIO,
     _run_broadcast_jit,
     _run_slotted_jit,
+    jit_available,
     padding_ratio_of,
 )
 from repro.graphs import Graph, generate_family
@@ -51,15 +56,23 @@ ELL_SCHEMES = ["lambda", "round_robin", "coloring_tdma"]
 #: for n ≤ 8 and fails it beyond, so the differential exercises both sides.
 FAMILIES = ["path", "cycle", "star", "grid", "gnp_sparse", "geometric"]
 
-#: One shared backend per tier so layout caches are reused across examples.
-NUMPY_ELL = EllBackend(mode="numpy")
-AUTO_ELL = EllBackend(mode="auto")
+#: One shared backend so layout caches are reused across examples.
+ELL = EllBackend()
 
 _JIT_WRAPPERS = {
     "broadcast": _run_broadcast_jit,
     "round_robin": _run_slotted_jit,
     "coloring_tdma": _run_slotted_jit,
 }
+
+
+def _jit_kernels(available=True):
+    """Dispatch ``EllBackend`` as if numba did (or did not) import.
+
+    Without numba the kernels are plain Python, so forcing the JIT dispatch
+    runs the exact compiled code paths here, at small ``n``.
+    """
+    return mock.patch.object(ell_module, "_HAVE_NUMBA", available)
 
 
 def _build_task(scheme_name, family, size, seed, trace_level="summary"):
@@ -94,7 +107,7 @@ def _trace_fingerprint(result):
 
 
 # --------------------------------------------------------------------------- #
-# property-based differential grid: ell (numpy and jit) == vectorized == ref
+# property-based differential grid: ell (jit or fallback) == vectorized == ref
 # --------------------------------------------------------------------------- #
 class TestEllDifferential:
     @settings(max_examples=20, deadline=None,
@@ -111,38 +124,44 @@ class TestEllDifferential:
     ):
         task = _build_task(scheme_name, family, size, seed, trace_level)
         solo = VECTORIZED.run_task(task)
-        out = NUMPY_ELL.run_task(task)
-        if NUMPY_ELL.supports(task):
-            assert out.backend == "ell"
-        else:  # probe-rejected graphs fall back with CSR provenance
-            assert out.backend == "vectorized"
+        out = ELL.run_task(task)
+        assert out.backend == ("ell" if ELL.supports(task) else "vectorized")
         assert _fingerprint(out) == _fingerprint(solo)
         # The JIT kernels run here too: without numba the @njit decorator is
         # an identity, so the exact compiled code paths execute as Python.
-        jit = _JIT_WRAPPERS[task.protocol](task, EllAdjacency.from_graph(task.graph))
+        with _jit_kernels():
+            admitted = ELL.supports(task)
+            jit = ELL.run_task(task)
+        # Probe-rejected graphs fall back with CSR provenance.
+        assert jit.backend == ("ell" if admitted else "vectorized")
         assert _fingerprint(jit) == _fingerprint(solo)
-        assert _trace_fingerprint(out) == _trace_fingerprint(REFERENCE.run_task(task))
+        direct = _JIT_WRAPPERS[task.protocol](task, EllAdjacency.from_graph(task.graph))
+        assert _fingerprint(direct) == _fingerprint(solo)
+        assert _trace_fingerprint(jit) == _trace_fingerprint(REFERENCE.run_task(task))
         if trace_level == "full":
-            assert out.trace.to_json() == solo.trace.to_json()
             assert jit.trace.to_json() == solo.trace.to_json()
+            assert direct.trace.to_json() == solo.trace.to_json()
 
     def test_trace_level_none_matches_vectorized(self):
         # Reference records "none" as a summary trace (pre-existing), so the
         # none-level check is ell vs vectorized only.
         for scheme_name in ELL_SCHEMES:
             task = _build_task(scheme_name, "grid", 16, 1, trace_level="none")
-            out = NUMPY_ELL.run_task(task)
+            with _jit_kernels():
+                out = ELL.run_task(task)
             assert out.backend == "ell"
             assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
-    def test_worst_case_path_through_both_tiers(self):
-        # The 2n−3-round path maximises rounds; both tiers must agree with
+    def test_worst_case_path_through_the_jit_kernels(self):
+        # The 2n−3-round path maximises rounds; the kernels must agree with
         # the CSR engine round for round.
         task = _build_task("lambda", "path", 40, 1, trace_level="full")
         solo = VECTORIZED.run_task(task)
-        assert _fingerprint(NUMPY_ELL.run_task(task)) == _fingerprint(solo)
-        jit = _run_broadcast_jit(task, EllAdjacency.from_graph(task.graph))
-        assert jit.trace.to_json() == solo.trace.to_json()
+        with _jit_kernels():
+            out = ELL.run_task(task)
+        assert out.backend == "ell"
+        assert _fingerprint(out) == _fingerprint(solo)
+        assert out.trace.to_json() == solo.trace.to_json()
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -164,7 +183,8 @@ class TestEllDifferential:
         assert rows == run_grid(cfg, backend="reference")
         # Any channel perturbation leaves the dense-kernel engines, so the
         # delegation chain ends at the reference interpreter.
-        expected = "ell" if fault is None and clock is None else "reference"
+        native = "ell" if jit_available() else "vectorized"
+        expected = native if fault is None and clock is None else "reference"
         assert [r.backend for r in rows] == [expected]
 
 
@@ -220,12 +240,12 @@ class TestEllAdjacency:
                 max_rounds=scheme.default_budget(graph, info),
                 trace_level="full", fault_model=None, clock_model=None,
             )
-            out = NUMPY_ELL.run_task(task)
+            with _jit_kernels():
+                out = ELL.run_task(task)
             solo = VECTORIZED.run_task(task)
             assert out.backend == "ell"
             assert _fingerprint(out) == _fingerprint(solo)
-            jit = _run_slotted_jit(task, EllAdjacency.from_graph(graph))
-            assert jit.trace.to_json() == solo.trace.to_json()
+            assert out.trace.to_json() == solo.trace.to_json()
 
     def test_regularity_probe_values(self):
         # Star: hub degree n−1 ⇒ width n−1, m = 2(n−1) ⇒ ratio n/2.
@@ -239,8 +259,9 @@ class TestEllAdjacency:
 
     def test_fallback_triggers_on_star_and_barbell_with_true_provenance(self):
         task = _build_task("lambda", "star", 33, 0)
-        assert not NUMPY_ELL.supports(task)
-        out = NUMPY_ELL.run_task(task)
+        with _jit_kernels():
+            assert not ELL.supports(task)
+            out = ELL.run_task(task)
         assert out.backend == "vectorized"
         assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
@@ -253,7 +274,8 @@ class TestEllAdjacency:
             max_rounds=scheme.default_budget(graph, info),
             trace_level="summary", fault_model=None, clock_model=None,
         )
-        out = NUMPY_ELL.run_task(task)
+        with _jit_kernels():
+            out = ELL.run_task(task)
         assert out.backend == "vectorized"
         assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
@@ -261,25 +283,27 @@ class TestEllAdjacency:
         # star:8 has ratio exactly 4.0 — the last star the probe admits.
         task = _build_task("lambda", "star", 8, 0)
         assert padding_ratio_of(task.graph) == DEFAULT_MAX_PADDING_RATIO
-        out = NUMPY_ELL.run_task(task)
+        with _jit_kernels():
+            out = ELL.run_task(task)
         assert out.backend == "ell"
         assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
-    def test_wider_probe_threshold_runs_stars_natively(self):
+    def test_jit_kernels_stay_exact_past_the_probe(self):
+        # The probe guards speed, not correctness: on a star it rejects, the
+        # kernels over the (mostly padding) table still match the CSR engine.
         task = _build_task("lambda", "star", 33, 0)
-        loose = EllBackend(mode="numpy", max_padding_ratio=1e9)
-        out = loose.run_task(task)
-        assert out.backend == "ell"
+        out = _run_broadcast_jit(task, EllAdjacency.from_graph(task.graph))
         assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
 
 # --------------------------------------------------------------------------- #
-# dispatch: fallback, strict mode, provenance, tier selection
+# dispatch: fallback, strict mode, provenance
 # --------------------------------------------------------------------------- #
 class TestEllDispatch:
     def test_uncovered_scheme_falls_back_with_true_provenance(self):
         task = _build_task("lambda_ack", "grid", 16, 2)
-        out = NUMPY_ELL.run_task(task)
+        with _jit_kernels():
+            out = ELL.run_task(task)
         solo = VECTORIZED.run_task(task)
         assert _fingerprint(out) == _fingerprint(solo)
         assert out.backend == "vectorized"  # the engine that actually ran it
@@ -296,58 +320,67 @@ class TestEllDispatch:
             trace_level="summary", fault_model=None,
             clock_model=OffsetClocks({v: 3 for v in graph.nodes()}),
         )
-        out = NUMPY_ELL.run_task(task)
+        with _jit_kernels():
+            out = ELL.run_task(task)
         assert out.backend == "reference"
 
     def test_strict_raises_for_uncovered_task(self):
-        with pytest.raises(BackendError, match="no kernel"):
-            EllBackend(mode="numpy", strict=True).run_task(
-                _build_task("lambda_ack", "path", 9, 1)
-            )
-        with pytest.raises(BackendError, match="padding-ratio"):
-            EllBackend(mode="numpy", strict=True).run_task(
-                _build_task("lambda", "star", 33, 0)
-            )
+        with _jit_kernels():
+            with pytest.raises(BackendError, match="no kernel"):
+                EllBackend(strict=True).run_task(
+                    _build_task("lambda_ack", "path", 9, 1)
+                )
+            with pytest.raises(BackendError, match="padding-ratio"):
+                EllBackend(strict=True).run_task(
+                    _build_task("lambda", "star", 33, 0)
+                )
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(BackendError, match="unknown ell mode"):
-            EllBackend(mode="fast")
+    def test_strict_without_numba_raises(self):
+        with _jit_kernels(available=False):
+            with pytest.raises(BackendError, match="numba"):
+                EllBackend(strict=True).run_task(_build_task("lambda", "grid", 16, 0))
 
-    def test_numpy_mode_never_reports_jit(self):
-        assert NUMPY_ELL.jit_active is False
-        out = NUMPY_ELL.run_task(_build_task("lambda", "grid", 16, 0))
-        assert out.backend == "ell"
+    def test_without_numba_every_task_runs_vectorized(self):
+        for scheme_name in ELL_SCHEMES:
+            task = _build_task(scheme_name, "grid", 16, 0)
+            with _jit_kernels(available=False):
+                assert not ELL.supports(task)
+                out = ELL.run_task(task)
+            assert out.backend == "vectorized"
+            assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
 
-    def test_auto_tier_provenance_matches_jit_availability(self):
-        from repro.backends.ell import jit_available
-
-        out = AUTO_ELL.run_task(_build_task("lambda", "grid", 16, 0))
-        assert out.backend == ("ell:jit" if jit_available() else "ell")
-        if jit_available():
-            assert AUTO_ELL.jit_active
+    def test_provenance_matches_jit_availability(self):
+        task = _build_task("lambda", "grid", 16, 0)
+        assert ELL.supports(task) is jit_available()
+        out = ELL.run_task(task)
+        assert out.backend == ("ell" if jit_available() else "vectorized")
         # Either way the rows must match the CSR engine bit for bit.
         task = _build_task("round_robin", "cycle", 12, 2, trace_level="full")
-        assert AUTO_ELL.run_task(task).trace.to_json() == \
+        assert ELL.run_task(task).trace.to_json() == \
             VECTORIZED.run_task(task).trace.to_json()
 
 
 # --------------------------------------------------------------------------- #
-# tier-selection threading: resolver, scenario, grid, CLI, store keys
+# spec threading: resolver, scenario, grid, CLI, store keys
 # --------------------------------------------------------------------------- #
 class TestEllSelectionThreading:
-    def test_resolve_backend_parses_tier_specs(self):
-        backend = resolve_backend("ell:numpy")
+    def test_resolve_backend_shares_one_ell_instance(self):
+        backend = resolve_backend("ell")
         assert isinstance(backend, EllBackend)
-        assert backend.mode == "numpy"
-        assert resolve_backend("ell:numpy") is backend  # shared per spec
-        assert resolve_backend("ell").mode == "auto"
-        assert resolve_backend("ell:jit").mode == "jit"
-        assert resolve_backend("ell") is not backend
+        assert resolve_backend("ell") is backend
 
-    @pytest.mark.parametrize("bad", ["ell:fast", "ell:2", "vectorized:jit"])
+    @pytest.mark.parametrize(
+        "bad", ["ell:fast", "ell:2", "vectorized:jit", "ell:jit", "ell:numpy"]
+    )
     def test_resolve_backend_rejects_bad_specs(self, bad):
         with pytest.raises(BackendError):
             resolve_backend(bad)
+
+    def test_retired_tier_spec_error_lists_every_valid_spec(self):
+        with pytest.raises(BackendError) as err:
+            resolve_backend("ell:numpy")
+        for spec in BACKEND_SPECS:
+            assert spec in str(err.value)
 
     def test_unknown_backend_error_lists_every_valid_spec(self):
         # The error message is the discovery surface: it must enumerate the
@@ -357,20 +390,19 @@ class TestEllSelectionThreading:
         message = str(err.value)
         for spec in BACKEND_SPECS:
             assert spec in message
-        assert "ell:jit" in message and "sharded:K" in message
+        assert "ell" in message and "sharded:K" in message
 
     def test_backend_specs_are_sorted_and_complete(self):
         assert list(BACKEND_SPECS) == sorted(BACKEND_SPECS)
-        assert set(BACKEND_SPECS) >= {"reference", "vectorized", "batched",
-                                      "sharded", "sharded:K", "ell",
-                                      "ell:jit", "ell:numpy"}
+        assert set(BACKEND_SPECS) == {"reference", "vectorized", "batched",
+                                      "sharded", "sharded:K", "ell"}
 
     def test_scenario_ell_backend_round_trip(self):
-        scenario = Scenario(graph="grid:16", scheme="lambda", backend="ell:jit",
+        scenario = Scenario(graph="grid:16", scheme="lambda", backend="ell",
                             trace_level="summary")
         clone = Scenario.from_json(scenario.to_json())
-        assert clone.backend == "ell:jit"
-        assert clone.backend_spec() == "ell:jit"
+        assert clone.backend == "ell"
+        assert clone.backend_spec() == "ell"
 
     def test_scenario_rejects_shards_with_ell_backend(self):
         with pytest.raises(ValueError, match="shards"):
@@ -382,57 +414,66 @@ class TestEllSelectionThreading:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["sweep", "--families", "path", "--sizes", "9",
-             "--backend", "ell:numpy"]
+            ["sweep", "--families", "path", "--sizes", "9", "--backend", "ell"]
         )
-        assert args.backend == "ell:numpy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["sweep", "--families", "path", "--sizes", "9",
-                 "--backend", "ell:fast"]
-            )
-        assert "ell" in capsys.readouterr().err
+        assert args.backend == "ell"
+        for bad in ("ell:fast", "ell:numpy"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["sweep", "--families", "path", "--sizes", "9",
+                     "--backend", bad]
+                )
+            assert "ell" in capsys.readouterr().err
 
     def test_cli_broadcast_with_ell_backend(self, capsys):
         from repro.cli import main
 
-        assert main(["broadcast", "grid:16", "--backend", "ell:numpy"]) == 0
+        assert main(["broadcast", "grid:16", "--backend", "ell"]) == 0
         out = capsys.readouterr().out
         assert "completion round" in out and "PASS" in out
 
     def test_grid_rows_match_reference_through_ell(self):
         cfg = GridConfig(families=["path", "gnp_sparse"], sizes=[9],
                          schemes=["lambda", "round_robin", "lambda_ack"])
-        ell_rows = run_grid(cfg, backend="ell:numpy")
+        ell_rows = run_grid(cfg, backend="ell")
         assert ell_rows == run_grid(cfg, backend="reference")
         by_scheme = {r.scheme: r.backend for r in ell_rows}
-        assert by_scheme["lambda"] == "ell"
-        assert by_scheme["round_robin"] == "ell"
+        native = "ell" if jit_available() else "vectorized"
+        assert by_scheme["lambda"] == native
+        assert by_scheme["round_robin"] == native
         assert by_scheme["lambda_ack"] == "vectorized"  # fallback provenance
 
-    def test_store_keys_are_tier_independent(self):
-        # The JIT and NumPy tiers are bit-identical, so a sweep resumed on a
-        # machine without numba must hit every row a JIT machine stored.
-        assert normalize_backend_name("ell:jit") == "ell"
-        assert normalize_backend_name("ell:numpy") == "ell"
-        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"])
-        unit = ("path", 9, 0, None, None, "lambda")
-        keys = {
-            grid_unit_key(cfg, unit, backend=spec)
-            for spec in ("ell", "ell:jit", "ell:numpy")
-        }
-        assert len(keys) == 1
-        assert keys != {grid_unit_key(cfg, unit, backend="vectorized")}
+    def test_numba_less_rows_say_vectorized_under_ell_keys(self, tmp_path):
+        # Without numba an ell row ran on the vectorized engine and says so;
+        # its store key still names the requested engine.
+        from repro.store import ResultStore
 
-    def test_sweep_store_resume_across_tiers(self, tmp_path, capsys):
+        cfg = GridConfig(families=["path", "grid"], sizes=[9],
+                         schemes=["lambda", "round_robin"])
+        store = ResultStore(tmp_path / "store")
+        with _jit_kernels(available=False):
+            rows = run_grid(cfg, backend="ell", store=store)
+        assert {r.backend for r in rows} == {"vectorized"}
+        assert rows == run_grid(cfg, backend="vectorized")
+        assert normalize_backend_name("ell") == "ell"
+        unit = ("path", 9, 0, None, None, "lambda")
+        key = grid_unit_key(cfg, unit, backend="ell")
+        assert key in ResultStore(tmp_path / "store")
+        assert key != grid_unit_key(cfg, unit, backend="vectorized")
+
+    def test_sweep_store_resume_keys_on_the_requested_engine(self, tmp_path, capsys):
         from repro.cli import main
 
         store = str(tmp_path / "store")
         sweep = ["sweep", "--families", "path", "--sizes", "9",
                  "--schemes", "lambda", "--store", store]
-        assert main(sweep + ["--backend", "ell:numpy", "--output", "json"]) == 0
+        assert main(sweep + ["--backend", "ell", "--output", "json"]) == 0
         assert "computed=1" in capsys.readouterr().err
-        # Resuming under the other tier spec is a full cache hit.
-        assert main(sweep + ["--backend", "ell:jit", "--resume",
+        # Resuming the same spec is a full cache hit ...
+        assert main(sweep + ["--backend", "ell", "--resume",
                              "--output", "json"]) == 0
         assert "cached=1 computed=0" in capsys.readouterr().err
+        # ... while another engine's spec keys its rows apart.
+        assert main(sweep + ["--backend", "vectorized", "--resume",
+                             "--output", "json"]) == 0
+        assert "cached=0 computed=1" in capsys.readouterr().err

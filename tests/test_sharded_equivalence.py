@@ -297,11 +297,11 @@ class TestShardSelectionThreading:
 # --------------------------------------------------------------------------- #
 class TestReceiveCountInt64:
     def test_channel_counts_are_int64_on_a_high_degree_star(self):
-        from repro.backends.vectorized import _Channel
+        from repro.backends.batched import _Channel
 
         n = 4097
         graph = generate_family("star", n, 0)
-        channel = _Channel(graph)
+        channel = _Channel(*graph.csr(), graph.n)
         tx_mask = np.zeros(n, dtype=bool)
         tx_mask[0] = True  # the hub transmits to every leaf at once
         tx_ids, hears_ids, senders, collision_ids = channel.resolve(tx_mask)

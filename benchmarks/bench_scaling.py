@@ -292,6 +292,94 @@ def bench_batched_small_graph_sweep():
     )
 
 
+#: Sizes of the grid-stacking benchmark, on both sides of ``STACK_NODES``;
+#: ``--quick`` skips the last.
+STACKING_SIZES = [32, 128, 512, 4096]
+STACKING_SEEDS = 16
+
+#: One cold ``run_grid`` in a fresh interpreter, so ``ru_maxrss`` is this
+#: cell's peak alone: λ and λ_ack on 16 seeds of one (family, n) on the
+#: vectorized engine, best of ``repeats`` runs, plus a digest of the rows.
+_STACKING_PROBE = """
+import hashlib, json, resource, sys, time
+from repro.api import GridConfig, run_grid
+
+family, n, batch, seeds, repeats = sys.argv[1:6]
+config = GridConfig(families=[family], sizes=[int(n)], seeds_per_size=int(seeds),
+                    schemes=["lambda", "lambda_ack"])
+batch_size = None if batch == "unset" else int(batch)
+best = float("inf")
+for _ in range(int(repeats)):
+    start = time.perf_counter()
+    rows = run_grid(config, backend="vectorized", batch_size=batch_size)
+    best = min(best, time.perf_counter() - start)
+blob = json.dumps([row.as_dict() for row in rows], sort_keys=True)
+print(json.dumps({"rows": len(rows), "seconds": best,
+                  "digest": hashlib.sha256(blob.encode()).hexdigest(),
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+def bench_grid_stacking(request):
+    """Cold grid sweeps, stacked by default vs one instance per kernel call.
+
+    With an unset ``batch_size`` the vectorized engine stacks consecutive
+    whole instances of a grid while their requested sizes sum to at most
+    ``STACK_NODES``; an instance that large runs alone.  This benchmark runs
+    the same grid (λ and λ_ack, 16 seeds) that way and with
+    ``batch_size=1``, at sizes on both sides of the cap.  Each run is a
+    fresh interpreter and records rows/s (best of its repeats) and its
+    ``ru_maxrss``.  Asserts identical rows in every cell and stacked ≥
+    per-instance rows/s at n = 32.  ``--quick`` skips n = 4096.
+    """
+    import os
+    import subprocess
+    import sys
+
+    from repro.api.grid import STACK_NODES
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    sizes = STACKING_SIZES[:-1] if request.config.getoption("--quick") else STACKING_SIZES
+
+    def run(family: str, n: int, batch: str) -> dict:
+        repeats = 1 if n > STACK_NODES else 3
+        out = subprocess.run(
+            [sys.executable, "-c", _STACKING_PROBE, family, str(n), batch,
+             str(STACKING_SEEDS), str(repeats)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    rows = []
+    for family in ("gnp_sparse", "geometric"):
+        for n in sizes:
+            alone = run(family, n, "1")
+            stacked = run(family, n, "unset")
+            assert stacked["digest"] == alone["digest"], (family, n)
+            rows.append({
+                "family": family,
+                "n": n,
+                "rows": stacked["rows"],
+                "instances_per_call": min(STACKING_SEEDS, max(1, STACK_NODES // n)),
+                "rows_match": stacked["digest"] == alone["digest"],
+                "per_instance_rows_per_s": round(alone["rows"] / alone["seconds"], 1),
+                "stacked_rows_per_s": round(stacked["rows"] / stacked["seconds"], 1),
+                "speedup": round(alone["seconds"] / stacked["seconds"], 2),
+                "per_instance_peak_rss_mb": round(alone["peak_rss_mb"], 1),
+                "stacked_peak_rss_mb": round(stacked["peak_rss_mb"], 1),
+            })
+    for row in rows:
+        if row["n"] == 32:
+            assert row["stacked_rows_per_s"] >= row["per_instance_rows_per_s"], row
+    _merge_bench_json("grid_stacking", rows)
+    report(
+        "E10j — cold grid sweeps, stacked windows vs one instance per call",
+        format_table(rows) + f"\nwritten to {BENCH_JSON}",
+    )
+
+
 #: (family, n) cells of the real-λ labeling benchmark; the 10⁶ grid is the
 #: cell ``--quick`` skips.
 LABELING_CELLS = [("grid", 10_000), ("grid", 317 * 317), ("path", 20_000),

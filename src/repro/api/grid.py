@@ -32,11 +32,15 @@ a :class:`~repro.analysis.executor.GridExecutionError` naming the cell spec
 *and* its store key.
 
 One runner executes every unit: ``build_task`` → ``SimulationBackend.run_batch``
-→ ``derive_outcome``.  With ``batch_size`` set (or ``backend="batched"``),
-units sharing a (scheme, fault spec, clock spec, trace level) compatibility
-key are stacked into one ``run_batch`` call — on the batched backend one
-block-diagonal kernel invocation — with rows guaranteed identical to running
-them one by one, which is what an unset ``batch_size`` does.
+→ ``derive_outcome``, a window of consecutive whole instances at a time.
+Units of a window sharing a (scheme, fault spec, clock spec, trace level)
+compatibility key share one ``run_batch`` call — on the ``vectorized`` and
+``batched`` engines one block-diagonal kernel invocation — with rows
+guaranteed identical to running them one by one.  ``batch_size=K`` makes a
+window K instances.  Unset, the ``vectorized`` and ``batched`` engines
+stack instances while their requested sizes sum to at most
+:data:`STACK_NODES` (an instance that large runs alone), and every other
+engine runs one instance per window, one unit per call.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ from .specs import (
 )
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "GridConfig",
     "GridProgress",
+    "STACK_NODES",
     "grid_cell_specs",
     "grid_row_specs",
     "grid_unit_key",
@@ -115,9 +119,11 @@ class GridConfig:
     faults: Sequence[FaultSpec] = (None,)
     clocks: Sequence[ClockSpec] = (None,)
     payload: Any = "MSG"
-    #: Compatible work units stacked into one engine call (same as
-    #: ``run_grid(batch_size=...)``).  ``None`` runs one unit per call, or
-    #: :data:`DEFAULT_BATCH_SIZE` with ``backend="batched"``.
+    #: Whole instances per window, whose compatible work units share one
+    #: engine call (same as ``run_grid(batch_size=...)``).  ``None`` stacks
+    #: up to :data:`STACK_NODES` requested nodes per window on the
+    #: ``vectorized`` and ``batched`` engines, and runs one unit per call on
+    #: the others.
     batch_size: Optional[int] = None
     #: Segment worker count for the sharded backend: setting it selects
     #: ``backend="sharded:<shards>"`` (the requested backend must be
@@ -270,9 +276,40 @@ def _failure_row(
     )
 
 
-#: Stacked-kernel batch size used when batching is requested without an
-#: explicit knob (``backend="batched"`` with no ``batch_size``).
-DEFAULT_BATCH_SIZE = 64
+#: Requested nodes per stacked window.  With an unset ``batch_size`` the
+#: ``vectorized`` and ``batched`` engines stack consecutive whole instances
+#: while their requested sizes sum to at most this, so an instance this
+#: large or larger runs alone.  Chosen for memory: a window's graphs, labels
+#: and kernel state are alive together, and past a few hundred nodes a
+#: round's arithmetic, not its NumPy dispatch, sets the engine's cost.
+STACK_NODES = 512
+
+
+def _unit_windows(
+    units: Sequence[UnitSpec], *, backend: Any, batch_size: Optional[int],
+) -> List[List[int]]:
+    """Positions of ``units`` (in row order) split into windows of
+    consecutive whole instances.
+
+    A window holds ``batch_size`` instances when it is set.  Unset, the
+    engines that stack (``vectorized`` and ``batched``) take instances while
+    their requested sizes sum to at most :data:`STACK_NODES`, and every
+    other engine takes one.
+    """
+    stacks = getattr(backend, "name", backend) in ("vectorized", "batched")
+    by_nodes = batch_size is None and stacks
+    cap = STACK_NODES if by_nodes else batch_size or 1
+    windows: List[List[int]] = []
+    load = 0
+    for _, group in groupby(range(len(units)), key=lambda i: units[i][:3]):
+        positions = list(group)
+        weight = int(units[positions[0]][1]) if by_nodes else 1
+        if not windows or load + weight > cap:
+            windows.append([])
+            load = 0
+        windows[-1].extend(positions)
+        load += weight
+    return windows
 
 
 def _run_units(
@@ -287,18 +324,14 @@ def _run_units(
 ) -> List[RunMetrics]:
     """Run a contiguous span of work units: the grid's one unit runner.
 
-    Every unit goes ``build_task`` → ``run_batch`` → ``derive_outcome``.
-    Units sharing a (scheme, fault spec, clock spec) compatibility key share
-    ``run_batch`` calls, ``batch_size`` units each; an unset ``batch_size``
-    runs one unit per call.  Rows come back in stable row order either way:
-    backends guarantee batched results are bit-identical to per-task
-    execution.  ``backend=None`` is the reference engine, or the batched one
-    once ``batch_size`` is set.
-
-    Units are processed in windows of ``batch_size`` whole instances (one
-    when unset): each instance is materialized once, peak memory stays
-    O(batch_size) graphs/labelings, and every group inside a window still
-    fills whole batches.
+    Every unit goes ``build_task`` → ``run_batch`` → ``derive_outcome``, one
+    window of whole instances at a time (see :func:`_unit_windows`): each
+    instance is materialized once and peak memory stays bounded by the
+    window.  Within a window, units sharing a (scheme, fault spec, clock
+    spec) compatibility key share one ``run_batch`` call.  Rows come back in
+    stable row order either way: backends guarantee batched results are
+    bit-identical to per-task execution.  ``backend=None`` is the reference
+    engine, or the batched one once ``batch_size`` is set.
 
     ``retries`` is one rule at every batch size: a unit that fails anywhere
     from its labels to its row is re-run alone, with fresh fault/clock
@@ -309,14 +342,10 @@ def _run_units(
     :class:`~repro.analysis.executor.GridExecutionError` naming the unit's
     spec and store key, or an error-status row.
     """
-    from ..analysis.executor import chunk_specs  # local: avoids cycle
-
-    # Row order keeps an instance's units adjacent, in any slice of it.
-    per_instance = [list(g) for _, g in groupby(units, key=lambda u: u[:3])]
     rows: List[RunMetrics] = []
-    for window in chunk_specs(per_instance, batch_size or 1):
+    for window in _unit_windows(units, backend=backend, batch_size=batch_size):
         rows.extend(_run_unit_window(
-            config, [unit for group in window for unit in group],
+            config, [units[i] for i in window],
             backend=backend, trace_level=trace_level, batch_size=batch_size,
             strict=strict, retries=retries))
     return rows
@@ -426,8 +455,9 @@ def _run_unit_window(
         rows[index] = _failure_row(unit[5], unit[0], instance.n, unit[3],
                                    unit[4], error)
 
+    # The window already caps how many instances share a call.
     for members in groups.values():
-        for batch in chunk_specs(members, batch_size or 1):
+        for batch in chunk_specs(members, batch_size or len(units)):
             built = []
             for index, unit in batch:
                 try:
@@ -517,7 +547,10 @@ def iter_grid(
     yielded **as soon as their chunk completes** — out of order across the
     pool — which makes the first rows observable long before the pool
     drains; ``ordered=True`` buffers just enough to emit rows in the stable
-    grid order instead (the order ``run_grid`` returns).
+    grid order instead (the order ``run_grid`` returns).  At ``jobs=1`` a
+    chunk is one window (see ``batch_size`` in :func:`run_grid`), so rows
+    stream window by window: per instance on the reference engine, per
+    stack of small instances on the ``vectorized`` and ``batched`` engines.
 
     Parameters beyond :func:`run_grid`'s:
 
@@ -583,8 +616,6 @@ def iter_grid(
             )
         backend = f"sharded:{config.shards}"
         backend_name = backend
-    if batch_size is None and backend_name == "batched":
-        batch_size = DEFAULT_BATCH_SIZE
     if jobs > 1 and backend is not None and not isinstance(backend, str):
         if backend_name not in BACKEND_NAMES:
             raise ValueError(
@@ -642,22 +673,26 @@ def _iter_grid_stream(
                 cached.add(i)
     pending = [i for i in range(len(units)) if i not in cached]
 
-    per_instance = max(1, len(config.faults) * len(config.clocks) * len(config.schemes))
-    if chunk_size is None:
-        if jobs == 1:
-            # Stream per instance (per batch window when batching): the first
-            # rows surface after the first instance, and each scheme's labels
-            # are still built once per instance within a chunk.
-            chunk_size = (batch_size or 1) * per_instance
-        else:
+    if chunk_size is None and jobs == 1:
+        # Stream per window: the first rows surface after the first window,
+        # and each scheme's labels are still built once per instance.
+        index_chunks = [
+            [pending[j] for j in window]
+            for window in _unit_windows([units[i] for i in pending],
+                                        backend=backend, batch_size=batch_size)
+        ]
+    else:
+        if chunk_size is None:
             chunk_size = max(1, (len(pending) + jobs * 4 - 1) // (jobs * 4))
             if batch_size is not None:
                 # A worker can only stack units within its own chunk: keep
                 # each chunk wide enough to span ~batch_size instances per
                 # (scheme, fault, clock) group, or the pool's load-balancing
                 # default would silently cap batches.
+                per_instance = max(1, len(config.faults) * len(config.clocks)
+                                   * len(config.schemes))
                 chunk_size = max(chunk_size, batch_size * per_instance)
-    index_chunks = chunk_specs(pending, chunk_size) if pending else []
+        index_chunks = chunk_specs(pending, chunk_size) if pending else []
 
     progress = GridProgress(
         total_rows=len(units),
@@ -854,15 +889,18 @@ def run_grid(
         Worker process count.  ``1`` runs inline; ``None`` uses the CPU
         count.  Rows come back in the same stable order for any job count.
     chunk_size:
-        Work units per pool chunk; defaults to ~4 chunks per worker.
+        Work units per pool chunk; defaults to one window per chunk at
+        ``jobs=1`` and ~4 chunks per worker otherwise.
     batch_size:
-        Compatible work units per engine call.  With it set (or
-        ``config.batch_size``, or ``backend="batched"``, which implies
-        :data:`DEFAULT_BATCH_SIZE`), work units sharing (scheme, fault,
-        clock, trace level) run as one block-diagonal kernel invocation on
-        backends that stack; unset, the same runner makes one engine call
-        per unit.  Results are guaranteed identical either way, and
-        ``retries`` means the same at every batch size.  Must be positive.
+        Whole instances per window (or ``config.batch_size``).  Work units
+        of a window sharing (scheme, fault, clock, trace level) run as one
+        block-diagonal kernel invocation on the ``vectorized`` and
+        ``batched`` engines, the backends that stack.  Unset, those two
+        engines stack consecutive instances while their requested sizes sum
+        to at most :data:`STACK_NODES` (an instance that large runs alone),
+        and every other engine makes one call per unit.  Results are
+        guaranteed identical either way, and ``retries`` means the same at
+        every batch size.  Must be positive.
     store:
         A :class:`~repro.store.ResultStore` making the grid incremental:
         already-stored cells are served from disk, fresh rows are flushed as

@@ -11,14 +11,16 @@ Public surface::
 ``"vectorized"`` / ``"batched"`` / ``"sharded"`` / ``"ell"``), an existing
 backend instance, or ``None`` (the reference default), and returns a shared
 instance.  ``vectorized`` and ``batched`` are one engine — the NumPy kernels
-of :mod:`repro.backends.batched` — run one task per kernel call, or with
-``run_batch(tasks)`` stacking many compatible tasks into one block-diagonal
-kernel invocation.  The sharded backend splits *one* large instance's round
-loop across a process pool (see :mod:`repro.backends.sharded`) and accepts a
-shard count as a spec suffix — ``resolve_backend("sharded:4")`` runs four
-segment workers.  The ELL backend (see :mod:`repro.backends.ell`) runs its
-numba JIT kernels over a padded fixed-width adjacency table when numba
-imports, and the vectorized engine otherwise.
+of :mod:`repro.backends.batched` — under two names: ``run_task`` runs one
+task per kernel call and ``run_batch(tasks)`` stacks many compatible tasks
+into one block-diagonal kernel invocation (a grid sweep stacks its small
+instances this way by default).  The sharded backend splits *one* large
+instance's round loop across a process pool (see
+:mod:`repro.backends.sharded`) and accepts a shard count as a spec suffix —
+``resolve_backend("sharded:4")`` runs four segment workers.  The ELL
+backend (see :mod:`repro.backends.ell`) runs its numba JIT kernels over a
+padded fixed-width adjacency table when numba imports, and the vectorized
+engine otherwise.
 """
 
 from __future__ import annotations

@@ -39,14 +39,16 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
   gets its :class:`~repro.radio.trace.RoundRecord` per round, its slice of
   the round's sorted id arrays cut at the block offsets.
 
-Two engines run these kernels.  :class:`BatchedVectorizedBackend`
-(``"batched"``) stacks a whole :meth:`~BatchedVectorizedBackend.run_batch`;
-:class:`~repro.backends.vectorized.VectorizedBackend` (``"vectorized"``) is
-the same engine running each task as a batch of one.  Tasks the kernels do
-not cover (custom node factories, fault/clock models other than the paper's
-defaults) run on the reference engine, so either backend is always safe to
-pass.  Batches must be *homogeneous* in protocol and trace level; mixing
-either raises :class:`~repro.backends.base.BackendError`.
+One engine runs these kernels under two names:
+:class:`BatchedVectorizedBackend` (``"batched"``) and its subclass
+:class:`~repro.backends.vectorized.VectorizedBackend` (``"vectorized"``),
+which differ only in name.  ``run_task`` runs a batch of one, and
+:meth:`~BatchedVectorizedBackend.run_batch` stacks its tasks into one kernel
+loop.  Tasks the kernels do not cover (custom node factories, fault/clock
+models other than the paper's defaults) run on the reference engine, so
+either backend is always safe to pass.  Batches must be *homogeneous* in
+protocol and trace level; mixing either raises
+:class:`~repro.backends.base.BackendError`.
 
 Determinism needs no per-instance RNG plumbing: the compiled protocols are
 deterministic, and the only randomized channel semantics (fault models, which

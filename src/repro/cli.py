@@ -68,6 +68,7 @@ from .api import (
     spec_label,
 )
 from .api import run as run_scenario
+from .api.grid import STACK_NODES
 from .backends import BACKEND_NAMES, BACKEND_SPECS, BackendError, jit_available, resolve_backend
 from .store import ResultStore, StoreError, compact_store
 from .core import (
@@ -226,20 +227,24 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--payload", default="MSG")
     sweep.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC", default=None,
                        help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
-                            f"(vectorized = NumPy CSR kernels; batched = stacked "
-                            f"multi-instance kernels; sharded = one large instance "
-                            f"split across processes; ell = JIT-compiled padded-"
-                            f"adjacency kernels when numba is installed, vectorized "
-                            f"otherwise); defaults to "
+                            f"(vectorized = NumPy CSR kernels, stacking small "
+                            f"instances into one kernel call; batched = the same "
+                            f"engine under its own name; sharded = one large "
+                            f"instance split across processes; ell = JIT-compiled "
+                            f"padded-adjacency kernels when numba is installed, "
+                            f"vectorized otherwise); defaults to "
                             f"reference, or to batched when --batch-size is set, or "
                             f"to sharded when --shards is set")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (results are "
                             "deterministic and independent of the job count)")
     sweep.add_argument("--batch-size", type=_parse_batch_size, default=None,
-                       help="stack this many compatible runs into one kernel "
-                            "invocation (unset: one run per invocation; "
-                            "--backend batched batches by default)")
+                       help=f"stack the compatible runs of this many whole "
+                            f"instances into one kernel invocation (unset: "
+                            f"vectorized and batched stack consecutive instances "
+                            f"up to {STACK_NODES} requested nodes, an instance "
+                            f"that large runs alone, and other engines run one "
+                            f"run per invocation)")
     sweep.add_argument("--shards", type=_parse_shards, default=None,
                        help="segment worker count for the sharded backend "
                             "(implies --backend sharded; results and store "

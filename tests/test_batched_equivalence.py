@@ -3,13 +3,16 @@
 The batched backend stacks many tasks' CSR blocks into one block-diagonal
 kernel invocation; its *entire* claim is that this is invisible: outcomes,
 derived values, stop bookkeeping and full traces must be bit-for-bit
-identical to per-task execution — each task as a batch of one, which is the
-vectorized backend — and to the reference engine, for any batch composition
+identical to per-task execution — each task as a batch of one through
+``run_task`` — and to the reference engine, for any batch composition
 (ragged sizes, mixed budgets and stop rules, any batch size, any scheme mix
 routed through the grid), and grid rows must be independent of the job
-count and the batch size.  Negative paths: heterogeneous batches refuse with
-a clear error, invalid batch sizes are rejected at config/CLI parse time,
-uncovered schemes ride the per-task fallback, and a failing cell surfaces a
+count and the batch size.  The grid's window rule decides how many
+instances share a kernel call: ``batch_size`` when set, else up to
+``STACK_NODES`` requested nodes on the stacking engines.  Negative paths:
+heterogeneous batches refuse with a clear error, invalid batch sizes are
+rejected at config/CLI parse time, uncovered schemes ride the per-task
+fallback, and a failing cell surfaces a
 :class:`~repro.analysis.executor.GridExecutionError` naming its spec.
 """
 
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.executor import GridExecutionError
 from repro.api import GridConfig, get_scheme, run_grid
+from repro.api.grid import STACK_NODES
 from repro.backends import (
     BackendError,
     BatchedVectorizedBackend,
@@ -84,6 +88,20 @@ def _fingerprint(result):
         result.simulation.stop_round,
         result.simulation.stop_reason,
     )
+
+
+def _count_kernel_calls(monkeypatch):
+    """Record ``(protocol, B)`` for every stacked kernel call from now on."""
+    from repro.backends import batched
+
+    calls = []
+    for protocol, kernel in list(batched._BATCH_KERNELS.items()):
+        def counting(tasks, _protocol=protocol, _kernel=kernel):
+            calls.append((_protocol, len(tasks)))
+            return _kernel(tasks)
+
+        monkeypatch.setitem(batched._BATCH_KERNELS, protocol, counting)
+    return calls
 
 
 # --------------------------------------------------------------------------- #
@@ -306,6 +324,59 @@ class TestGridBatching:
 
 
 # --------------------------------------------------------------------------- #
+# the grid's window rule: instances per kernel call
+# --------------------------------------------------------------------------- #
+class TestStackingWindows:
+    """An unset ``batch_size`` stacks whole instances on ``vectorized`` and
+    ``batched`` while their requested sizes sum to at most ``STACK_NODES``;
+    an explicit ``batch_size`` stacks that many; other engines run one."""
+
+    def test_unset_batch_size_stacks_up_to_the_node_cap(self, monkeypatch):
+        # Requested sizes 128, 128, 256 | 256: the first window holds
+        # exactly STACK_NODES nodes, so the last instance starts a second.
+        cfg = GridConfig(families=["path"], sizes=[128, 256], seeds_per_size=2,
+                         schemes=["lambda", "round_robin"])
+        assert STACK_NODES == 512
+        per_instance = run_grid(cfg, backend="vectorized", batch_size=1)
+        calls = _count_kernel_calls(monkeypatch)
+        snapshots = []
+        rows = run_grid(cfg, backend="vectorized", on_chunk=snapshots.append)
+        assert calls == [("broadcast", 3), ("round_robin", 3),
+                         ("broadcast", 1), ("round_robin", 1)]
+        assert snapshots[-1].total_chunks == 2  # at jobs=1 a chunk is a window
+        assert [r.as_dict() for r in rows] == [r.as_dict() for r in per_instance]
+        assert {r.backend for r in rows} == {"vectorized"}
+
+    @pytest.mark.parametrize("backend", ["vectorized", "batched"])
+    def test_instances_at_or_past_the_cap_run_alone(self, monkeypatch, backend):
+        cfg = GridConfig(families=["gnp_sparse"],
+                         sizes=[16, STACK_NODES, STACK_NODES + 88, 16],
+                         seeds_per_size=2, schemes=["lambda"])
+        calls = _count_kernel_calls(monkeypatch)
+        rows = run_grid(cfg, backend=backend)
+        assert calls == [("broadcast", 2)] + [("broadcast", 1)] * 4 + [("broadcast", 2)]
+        assert rows == run_grid(cfg, backend=backend, batch_size=1)
+
+    def test_explicit_batch_size_stacks_on_vectorized(self, monkeypatch):
+        cfg = GridConfig(families=["path"], sizes=[9], seeds_per_size=6,
+                         schemes=["lambda"])
+        calls = _count_kernel_calls(monkeypatch)
+        rows = run_grid(cfg, backend="vectorized", batch_size=4)
+        assert calls == [("broadcast", 4), ("broadcast", 2)]
+        assert [r.backend for r in rows] == ["vectorized"] * 6
+
+    def test_reference_default_streams_one_instance_per_chunk(self, monkeypatch):
+        cfg = GridConfig(families=["path", "grid"], sizes=[9, 12],
+                         schemes=["lambda", "round_robin"])
+        calls = _count_kernel_calls(monkeypatch)
+        snapshots = []
+        rows = run_grid(cfg, on_chunk=snapshots.append)
+        assert calls == []
+        assert snapshots[-1].total_chunks == 4
+        assert {r.backend for r in rows} == {"reference"}
+
+
+# --------------------------------------------------------------------------- #
 # negative paths
 # --------------------------------------------------------------------------- #
 class TestBatchingNegativePaths:
@@ -397,26 +468,19 @@ class TestBatchingNegativePaths:
         assert isinstance(backend, BatchedVectorizedBackend)
         assert resolve_backend("batched") is backend
 
-    def test_vectorized_run_batch_calls_run_task_once_per_task(self, monkeypatch):
-        # The vectorized engine never stacks: a wrapper around run_task on
-        # the shared instance (as the benchmark's per-layer tracer installs)
-        # sees every task exactly once.
+    def test_vectorized_run_batch_is_one_kernel_call(self, monkeypatch):
+        # vectorized and batched are one engine: run_batch stacks the whole
+        # batch into one kernel call, equal task by task to run_task.
         backend = resolve_backend("vectorized")
         *_, a = _build_task("lambda", "grid", 16, 1)
         *_, b = _build_task("lambda", "path", 9, 2)
-        seen = []
-        original = backend.run_task
-
-        def counting(task):
-            seen.append(task)
-            return original(task)
-
-        monkeypatch.setattr(backend, "run_task", counting)
+        solos = [backend.run_task(task) for task in (a, b)]
+        calls = _count_kernel_calls(monkeypatch)
         outs = backend.run_batch([a, b])
-        assert len(seen) == 2 and seen[0] is a and seen[1] is b
+        assert calls == [("broadcast", 2)]
         assert [out.backend for out in outs] == ["vectorized", "vectorized"]
-        for task, out in zip((a, b), outs):
-            assert _fingerprint(out) == _fingerprint(BATCHED.run_batch([task])[0])
+        for solo, out in zip(solos, outs):
+            assert _fingerprint(out) == _fingerprint(solo)
 
 
 # --------------------------------------------------------------------------- #

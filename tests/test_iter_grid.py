@@ -118,20 +118,25 @@ class TestStreaming:
 # store-backed incremental execution
 # --------------------------------------------------------------------------- #
 class TestStoreBackedGrids:
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, jobs):
+    @pytest.mark.parametrize(
+        "jobs,backend",
+        [(1, None), (2, None), (3, None),
+         (1, "vectorized"), (2, "vectorized"), (3, "vectorized")],
+        ids=["1", "2", "3", "1-vectorized", "2-vectorized", "3-vectorized"],
+    )
+    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, jobs, backend):
         baseline = run_grid(FAULT_CFG)
         total = len(baseline)
         with ResultStore(tmp_path / "s") as store:
-            stream = iter_grid(FAULT_CFG, jobs=jobs, ordered=True, store=store,
-                               chunk_size=2)
+            stream = iter_grid(FAULT_CFG, backend=backend, jobs=jobs,
+                               ordered=True, store=store, chunk_size=2)
             consumed = [next(stream) for _ in range(total // 3)]
             stream.close()  # the driver "crashes" mid-grid
             persisted = len(store)
         assert consumed == baseline[: len(consumed)]
         assert 0 < persisted < total
         with ResultStore(tmp_path / "s") as store:
-            resumed = run_grid(FAULT_CFG, jobs=jobs, store=store)
+            resumed = run_grid(FAULT_CFG, backend=backend, jobs=jobs, store=store)
         assert resumed == baseline
 
     @pytest.mark.parametrize("batch_size", [None, 1, 3])
@@ -310,22 +315,34 @@ def _install_transient_lambda(monkeypatch, fail_first: int = 1):
     return state
 
 
+#: ``(backend, batch_size)`` cases of the retry rule: one unit per engine
+#: call (the reference default, and ``1``), stacked batches of ``4``, and the
+#: ``vectorized`` default, which stacks the whole six-instance grid.
+RETRY_CASES = pytest.mark.parametrize(
+    "backend,batch_size",
+    [(None, None), (None, 1), (None, 4), ("vectorized", None)],
+    ids=["None", "1", "4", "vectorized-None"],
+)
+
+
 class TestCellRetries:
     """One retry rule at every batch size: ``batch_size=None`` and ``1`` both
-    run one unit per engine call and must spend exactly the same attempts; a
-    unit whose task build fails inside a stacked batch (``4``) is re-run
+    run one unit per engine call on the reference engine and must spend
+    exactly the same attempts; a unit whose task build fails inside a
+    stacked batch (``4``, or the ``vectorized`` default's windows) is re-run
     alone on the same budget."""
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries must be >= 0"):
             iter_grid(CFG, retries=-1)
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    @RETRY_CASES
     def test_transient_failure_heals_with_one_retry(self, monkeypatch,
-                                                    batch_size):
+                                                    backend, batch_size):
         baseline = run_grid(CFG)
         state = _install_transient_lambda(monkeypatch)
-        assert run_grid(CFG, batch_size=batch_size, retries=1) == baseline
+        assert run_grid(CFG, backend=backend, batch_size=batch_size,
+                        retries=1) == baseline
         # Six lambda units, plus exactly one retry of the first.
         assert state["calls"] == 6 + 1
 
@@ -348,20 +365,23 @@ class TestCellRetries:
                         chunk_size=2)
         assert rows == baseline
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 4])
+    @RETRY_CASES
     def test_keep_going_only_records_cells_that_exhaust_retries(
-        self, monkeypatch, batch_size
+        self, monkeypatch, backend, batch_size
     ):
         baseline = run_grid(CFG)
         # Fails the first three lambda calls: with one retry the first cell
         # consumes both its attempts and fails, the second cell fails once
         # and heals on its retry (call #4), the rest never fault.
-        _install_transient_lambda(monkeypatch, fail_first=3)
-        rows = run_grid(CFG, batch_size=batch_size, strict=False, retries=1)
+        state = _install_transient_lambda(monkeypatch, fail_first=3)
+        rows = run_grid(CFG, backend=backend, batch_size=batch_size,
+                        strict=False, retries=1)
         failed = rows.filter(lambda r: r.status != "ok")
         assert len(failed) == 1
         assert failed[0].scheme == "lambda"
         assert len(rows) == len(baseline)
+        # Six lambda units, plus one retry of each of the first two.
+        assert state["calls"] == 6 + 2
 
     def test_batched_replay_retries_transient_kernel_faults(self, monkeypatch):
         # The batched path replays a failed batch per task; a fault that also

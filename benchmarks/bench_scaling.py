@@ -35,18 +35,12 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 def _machine_provenance() -> dict:
     """The recording machine's capabilities, stamped on every section.
 
-    ``sharded_rows``/``ell_rows`` history taught the lesson: numbers recorded
-    on a 1-core numba-less box look like regressions on real hardware unless
-    the recording machine is machine-readable next to them.
+    Numbers recorded on a small box look like regressions on real hardware
+    unless the recording machine is machine-readable next to them.
     """
     import os
 
-    from repro.backends import jit_available
-
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "jit_available": bool(jit_available()),
-    }
+    return {"cpu_count": os.cpu_count() or 1}
 
 
 def _merge_bench_json(key: str, rows) -> None:
@@ -449,173 +443,111 @@ def bench_labeling_rows(request):
     )
 
 
-def _sharded_bench_task(side: int, rounds: int):
-    """A fixed-budget Algorithm-B round-loop workload on a side×side grid.
+#: (scheme, family, n, round budget) cells of the large-instance benchmark:
+#: real λ to completion on three grids and the worst-case path, whose rounds
+#: all stay far below the channel's sparse cut-off; the G²-colouring TDMA
+#: to completion on the 100,489-node grid, whose later rounds reach most of
+#: the grid and so sit on the dense side of it; and the round-robin
+#: baseline's fixed 600-round budget on the 504,100-node grid, where every
+#: round's decide is a mask over all nodes.  The 10⁶ grid is the cell
+#: ``--quick`` skips.
+LARGE_CELLS = [("lambda", "grid", 317 * 317, "default"),
+               ("lambda", "grid", 710 * 710, "default"),
+               ("lambda", "path", 20_000, "default"),
+               ("coloring_tdma", "grid", 317 * 317, "default"),
+               ("round_robin", "grid", 710 * 710, "600")]
+LARGE_QUICK_SKIP = ("lambda", "grid", 1000 * 1000, "default")
 
-    The labeling is synthetic (x1 = 1, x2 = 0 everywhere): at these sizes the
-    paper's λ construction costs minutes, and the engine executes any label
-    bits identically, so a deterministic wave workload isolates exactly what
-    this benchmark measures — the per-round O(n) decision kernels that keep a
-    single large instance bound to one core.  ``stop_rule=None`` pins both
-    engines to the same round count.
-    """
-    from repro.backends.base import SimulationTask
-    from repro.graphs import grid_graph
+#: One large-instance cell in a fresh interpreter: build the task, then time
+#: the vectorized engine (best of 2) with the channel's sparse branch forced
+#: off, with it forced on, and with the per-round choice.
+_LARGE_PROBE = """
+import json, sys, time
+from unittest import mock
+from repro.api import get_scheme
+from repro.backends import VectorizedBackend, batched
+from repro.graphs import generate_family
 
-    graph = grid_graph(side, side)
-    labels = {v: "10" for v in range(graph.n)}
-    return SimulationTask(
-        protocol="broadcast", graph=graph, labels=labels, source=0,
-        payload="MSG", max_rounds=rounds, stop_rule=None,
-        trace_level="summary",
-    )
+scheme_name, family, n, budget = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+graph = generate_family(family, n, 1)
+scheme = get_scheme(scheme_name)
+info = scheme.build_labels(graph, 0)
+task = scheme.build_task(
+    graph, info, 0, payload="MSG",
+    max_rounds=scheme.default_budget(graph, info) if budget == "default" else int(budget),
+    trace_level="summary", fault_model=None, clock_model=None,
+)
+engine = VectorizedBackend(strict=True)
+
+def best_of_two():
+    best, out = float("inf"), None
+    for _ in range(2):
+        start = time.perf_counter()
+        out = engine.run_task(task)
+        best = min(best, time.perf_counter() - start)
+    return best, (out.trace, out.derived, out.simulation.stop_round)
+
+with mock.patch.object(batched, "_SPARSE_MIN_NODES", 1 << 62):
+    dense_s, dense = best_of_two()
+with mock.patch.multiple(batched, _SPARSE_MIN_NODES=0, _SPARSE_FACTOR=0):
+    sparse_s, sparse = best_of_two()
+switched_s, switched = best_of_two()
+print(json.dumps({
+    "n": graph.n, "rounds": switched[2],
+    "dense_s": dense_s, "sparse_s": sparse_s, "switched_s": switched_s,
+    "traces_equal": dense == sparse == switched,
+}))
+"""
 
 
-def bench_sharded_large_instance(request):
-    """One n ≥ 5·10⁵ instance: sharded vs single-core vectorized round loop.
+def bench_large_rows(request):
+    """One large instance per cell, channel forced dense, forced sparse, switched.
 
-    Emits the ``sharded_rows`` section of BENCH_scaling.json.  Acceptance:
-    bit-for-bit equal traces everywhere, and > 1.5× over the single-core
-    vectorized engine at n ≥ 5·10⁵ — the wall-clock assertion is gated on
-    multi-core machines (``cores >= 4``), exactly like the parallel-executor
-    benchmark below: a process pool cannot beat serial execution on one CPU,
-    and the recorded rows keep the trajectory honest either way.  With
-    ``--quick`` the n = 10⁶ row is skipped so CI stays under budget.
+    Emits the ``large_rows`` section of BENCH_scaling.json: engine seconds
+    and rounds per cell with the sparse branch forced off, forced on, and
+    with the per-round choice, one interpreter per cell.  Asserts equal
+    traces, derived values and stop rounds in every cell; that switching
+    beats forced-dense for real λ on every grid of at least 10⁵ nodes; and
+    that it beats forced-sparse on the TDMA grid, whose late rounds reach
+    most nodes.  With ``--quick`` the n = 10⁶ grid is skipped.
     """
     import os
+    import subprocess
+    import sys
 
-    from repro.backends import ShardedVectorizedBackend, VectorizedBackend
-
-    quick = request.config.getoption("--quick")
-    cores = os.cpu_count() or 1
-    shards = min(4, cores)
-    vectorized = VectorizedBackend()
-    sharded = ShardedVectorizedBackend(shards=shards)
-    rounds_budget = 600
-    cells = [710]  # 710 × 710 = 504,100 >= 5e5
-    if not quick:
-        cells.append(1000)  # 10⁶ nodes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cells = list(LARGE_CELLS)
+    if not request.config.getoption("--quick"):
+        cells.append(LARGE_QUICK_SKIP)
     rows = []
-    try:
-        for side in cells:
-            task = _sharded_bench_task(side, rounds_budget)
-            n = task.graph.n
-
-            def best_of(fn, repeats=2):
-                best, out = float("inf"), None
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    out = fn()
-                    best = min(best, time.perf_counter() - start)
-                return best, out
-
-            wall_vec, out_vec = best_of(lambda: vectorized.run_task(task))
-            wall_sh, out_sh = best_of(lambda: sharded.run_task(task))
-            assert out_sh.trace == out_vec.trace, "sharded must be bit-identical"
-            assert out_sh.derived == out_vec.derived
-            speedup = round(wall_vec / wall_sh, 2)
-            for backend, wall in [("vectorized", wall_vec), ("sharded", wall_sh)]:
-                rows.append({
-                    "family": "grid",
-                    "n": n,
-                    "backend": backend,
-                    "shards": shards if backend == "sharded" else 1,
-                    "cores": cores,
-                    "rounds": rounds_budget,
-                    "rounds_per_sec": round(rounds_budget / wall, 1),
-                    "wall_time_s": round(wall, 6),
-                    "speedup_vs_vectorized": speedup if backend == "sharded" else 1.0,
-                })
-            if cores >= 4 and n >= 500_000:
-                assert speedup > 1.5, (
-                    f"sharded backend should be > 1.5x single-core vectorized "
-                    f"at n={n} on {cores} cores, got {speedup}x"
-                )
-    finally:
-        sharded.close()
-    _merge_bench_json("sharded_rows", rows)
+    for scheme, family, n, budget in cells:
+        out = subprocess.run(
+            [sys.executable, "-c", _LARGE_PROBE, scheme, family, str(n), budget],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        cell = json.loads(out.stdout.strip().splitlines()[-1])
+        assert cell["traces_equal"], (scheme, family, n)
+        if scheme == "lambda" and family == "grid":
+            assert cell["switched_s"] < cell["dense_s"], cell
+        if scheme == "coloring_tdma":
+            assert cell["switched_s"] < cell["sparse_s"], cell
+        rows.append({
+            "scheme": scheme,
+            "family": family,
+            "n": cell["n"],
+            "rounds": cell["rounds"],
+            "dense_s": round(cell["dense_s"], 3),
+            "sparse_s": round(cell["sparse_s"], 3),
+            "switched_s": round(cell["switched_s"], 3),
+            "speedup": round(cell["dense_s"] / cell["switched_s"], 2),
+            "traces_equal": cell["traces_equal"],
+        })
+    _merge_bench_json("large_rows", rows)
     report(
-        "E10e — sharded single-instance round loop (large n)",
-        format_table(rows) + f"\nwritten to {BENCH_JSON} "
-        f"(speedup asserted only on >= 4 cores; this machine has {cores})",
-    )
-
-
-def bench_ell_large_instance(request):
-    """One large instance through the ELL backend's JIT kernels.
-
-    Emits the ``ell_rows`` section of BENCH_scaling.json on the same
-    fixed-budget grid workload as the sharded benchmark (the regular grid is
-    exactly the graph shape the ELL layout exists for: width 4, padding ratio
-    ~1.0).  The CSR vectorized round loop is always recorded; the
-    event-driven JIT kernels (row ``ell:jit``) only when numba is importable
-    — without numba ``--backend ell`` *is* the vectorized engine.  Traces
-    are asserted bit-for-bit equal.  Acceptance: the JIT kernels are ≥ 5×
-    vectorized at n ≥ 5·10⁵ (target ≥ 3000 rounds/s at n = 10⁶ — their
-    per-round cost is O(frontier), not O(n), so this holds on any core
-    count).  With ``--quick`` the n = 10⁶ row is skipped.
-    """
-    from repro.backends import VectorizedBackend
-    from repro.backends.ell import EllBackend, jit_available
-
-    quick = request.config.getoption("--quick")
-    engines = [("vectorized", VectorizedBackend())]
-    if jit_available():
-        engines.append(("ell:jit", EllBackend()))
-    rounds_budget = 600
-    cells = [710]  # 710 × 710 = 504,100 >= 5e5
-    if not quick:
-        cells.append(1000)  # 10⁶ nodes
-    rows = []
-    for side in cells:
-        task = _sharded_bench_task(side, rounds_budget)
-        n = task.graph.n
-
-        def best_of(fn, repeats=2):
-            best, out = float("inf"), None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                out = fn()
-                best = min(best, time.perf_counter() - start)
-            return best, out
-
-        walls, out_vec = {}, None
-        for spec, engine in engines:
-            wall, out = best_of(lambda e=engine: e.run_task(task))
-            if spec == "vectorized":
-                out_vec = out
-            else:
-                assert out.backend == "ell", (
-                    f"{spec} must not have fallen back, got {out.backend!r}"
-                )
-                assert out.trace == out_vec.trace, f"{spec} must be bit-identical"
-                assert out.derived == out_vec.derived
-            walls[spec] = wall
-            rows.append({
-                "family": "grid",
-                "n": n,
-                "backend": spec,
-                "jit_available": jit_available(),
-                "rounds": rounds_budget,
-                "rounds_per_sec": round(rounds_budget / wall, 1),
-                "wall_time_s": round(wall, 6),
-                "speedup_vs_vectorized": round(walls["vectorized"] / wall, 2),
-            })
-        if "ell:jit" in walls and n >= 500_000:
-            jit_speedup = round(walls["vectorized"] / walls["ell:jit"], 2)
-            assert jit_speedup >= 5.0, (
-                f"ELL JIT kernels should be >= 5x vectorized at n={n}, "
-                f"got {jit_speedup}x"
-            )
-    _merge_bench_json("ell_rows", rows)
-    jit_note = (
-        "JIT kernels measured" if jit_available()
-        else "numba not importable: --backend ell runs the vectorized engine, "
-             "recorded alone"
-    )
-    report(
-        "E10f — padded-row (ELL) JIT kernels on one large instance",
-        format_table(rows) + f"\nwritten to {BENCH_JSON} ({jit_note})",
+        "E10f — one large instance, channel forced dense / forced sparse / switched",
+        format_table(rows) + f"\nwritten to {BENCH_JSON}",
     )
 
 

@@ -20,8 +20,9 @@ __all__ = ["report"]
 def pytest_addoption(parser):
     """``--quick``: skip the largest benchmark rows (CI budget mode).
 
-    Used by ``bench_scaling.py`` to drop the n = 10⁶ sharded row while still
-    measuring (and asserting, on multi-core machines) the n ≥ 5·10⁵ one.
+    Used by ``bench_scaling.py`` to drop its largest cells, among them the
+    n = 10⁶ grid of ``large_rows`` and ``labeling_rows``, while still
+    measuring the n ≥ 5·10⁵ ones.
     """
     parser.addoption(
         "--quick",

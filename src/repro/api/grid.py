@@ -125,11 +125,6 @@ class GridConfig:
     #: ``vectorized`` and ``batched`` engines, and runs one unit per call on
     #: the others.
     batch_size: Optional[int] = None
-    #: Segment worker count for the sharded backend: setting it selects
-    #: ``backend="sharded:<shards>"`` (the requested backend must be
-    #: ``"sharded"`` or unset).  Pure parallelism — rows and store keys are
-    #: independent of it.
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.faults = tuple(normalize_fault_spec(f) for f in self.faults) or (None,)
@@ -140,12 +135,6 @@ class GridConfig:
                 raise ValueError(
                     f"batch_size must be a positive integer or None, "
                     f"got {self.batch_size}"
-                )
-        if self.shards is not None:
-            self.shards = int(self.shards)
-            if self.shards < 1:
-                raise ValueError(
-                    f"shards must be a positive integer or None, got {self.shards}"
                 )
 
 
@@ -595,27 +584,6 @@ def iter_grid(
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
     backend_name = backend if isinstance(backend, str) else getattr(backend, "name", None)
-    if config.shards is not None:
-        # Shard selection composes the parameterized backend spec; the shard
-        # count is parallelism only, so store keys normalize it away.
-        if backend is not None and not (
-            backend_name == "sharded" or str(backend_name).startswith("sharded:")
-        ):
-            raise ValueError(
-                f"GridConfig.shards={config.shards} requires backend 'sharded' "
-                f"(or None), got {backend_name!r}"
-            )
-        if not (backend is None or isinstance(backend, str)):
-            # A backend *instance* carries its own shard count (and possibly
-            # strict mode); silently swapping it for a pooled default would
-            # discard both.
-            raise ValueError(
-                f"GridConfig.shards={config.shards} cannot override an explicit "
-                f"backend instance {backend!r}; configure the instance's shard "
-                f"count directly (or pass backend='sharded')"
-            )
-        backend = f"sharded:{config.shards}"
-        backend_name = backend
     if jobs > 1 and backend is not None and not isinstance(backend, str):
         if backend_name not in BACKEND_NAMES:
             raise ValueError(

@@ -47,7 +47,7 @@ def run(
         max_rounds=scenario.max_rounds,
         fault_model=fault_model_from_spec(scenario.faults),
         clock_model=clock_model_from_spec(scenario.clock, graph.n),
-        backend=backend if backend is not None else scenario.backend_spec(),
+        backend=backend if backend is not None else scenario.backend,
         trace_level=trace_level if trace_level is not None else scenario.trace_level,
         **scenario.options,
     )

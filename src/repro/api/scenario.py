@@ -98,13 +98,8 @@ class Scenario:
         Declarative channel perturbation specs (see :mod:`repro.api.specs`);
         ``None`` selects the paper's reliable synchronized model.
     backend:
-        Backend spec (``"reference"`` / ``"vectorized"`` / ``"batched"`` /
-        ``"sharded"`` / ``"ell"``, plus the parameterized form
-        ``"sharded:K"``) or ``None`` for the default.
-    shards:
-        Worker process count for the sharded backend (requires ``backend``
-        to be ``"sharded"`` or unset; setting it alone selects the sharded
-        backend).  ``None`` leaves the backend's own default.
+        Backend spec (``"reference"`` / ``"vectorized"`` / ``"batched"``) or
+        ``None`` for the default.
     trace_level:
         ``"full"`` / ``"summary"`` / ``"none"``.
     max_rounds:
@@ -121,7 +116,6 @@ class Scenario:
     faults: FaultSpec = None
     clock: ClockSpec = None
     backend: Optional[str] = None
-    shards: Optional[int] = None
     trace_level: str = "full"
     max_rounds: Optional[int] = None
     options: Dict[str, Any] = field(default_factory=dict)
@@ -131,21 +125,6 @@ class Scenario:
         self.clock = normalize_clock_spec(self.clock)
         if self.trace_level not in ("full", "summary", "none"):
             raise ValueError(f"unknown trace level {self.trace_level!r}")
-        if self.shards is not None:
-            self.shards = int(self.shards)
-            if self.shards < 1:
-                raise ValueError(f"shards must be a positive integer, got {self.shards}")
-            if self.backend not in (None, "sharded"):
-                raise ValueError(
-                    f"shards={self.shards} requires backend 'sharded' (or unset), "
-                    f"got {self.backend!r}"
-                )
-
-    def backend_spec(self) -> Optional[str]:
-        """The effective backend spec: ``shards`` composes ``"sharded:K"``."""
-        if self.shards is not None:
-            return f"sharded:{self.shards}"
-        return self.backend
 
     # ------------------------------------------------------------------ #
     # materialization
@@ -186,7 +165,6 @@ class Scenario:
             "faults": self.faults,
             "clock": self.clock,
             "backend": self.backend,
-            "shards": self.shards,
             "trace_level": self.trace_level,
             "max_rounds": self.max_rounds,
             "options": dict(self.options),
@@ -197,11 +175,20 @@ class Scenario:
         """Rebuild a scenario from :meth:`to_dict` output (or hand-written JSON)."""
         if not isinstance(doc, dict):
             raise TypeError(f"scenario document must be a dict, got {type(doc).__name__}")
+        data = dict(doc)
+        # Documents written while the sharded engine existed carry
+        # ``"shards": null``; a real shard count named an engine that is gone.
+        shards = data.pop("shards", None)
+        if shards is not None:
+            raise ValueError(
+                f"scenario sets shards={shards!r}, but the sharded backend was "
+                f"retired; the vectorized backend runs large instances on one "
+                f"core, so drop 'shards' (and set backend 'vectorized')"
+            )
         known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown scenario fields {unknown}; known: {sorted(known)}")
-        data = dict(doc)
         graph = data.get("graph")
         if isinstance(graph, dict):
             data["graph"] = Graph.from_edges(

@@ -240,12 +240,11 @@ def scheme_backend_coverage(name: Union[str, Scheme]) -> List[str]:
 
     Probes each backend's :meth:`~repro.backends.SimulationBackend.supports`
     with a tiny representative task (a 4-node path), so the answer reflects
-    the actual kernel coverage — e.g. every registered scheme is stacked by
-    the batched engine, while the sharded engine covers only λ and the two
-    TDMA baselines, and the ELL engine those three only where numba
-    imports.  The reference backend covers everything by
-    construction; backends outside a scheme's coverage still *run* it by
-    falling back per task.  Used by ``repro schemes --json`` so tooling that
+    the actual kernel coverage — every registered scheme runs on the
+    vectorized and batched kernels under the paper's default channel models,
+    and the reference backend covers everything by construction; tasks
+    outside an engine's coverage still *run* on it by falling back per
+    task.  Used by ``repro schemes --json`` so tooling that
     builds grids programmatically can pick backends without trial and error.
     """
     from ..backends import BACKEND_NAMES, resolve_backend

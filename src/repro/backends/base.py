@@ -20,12 +20,7 @@ The backends:
   identical outcomes at a fraction of the cost (the equivalence suites in
   ``tests/test_backend_equivalence.py`` and
   ``tests/test_batched_equivalence.py`` assert this on grids of families ×
-  sizes × seeds);
-* :class:`~repro.backends.sharded.ShardedVectorizedBackend` splits one
-  large instance's rounds across processes, and
-  :class:`~repro.backends.ell.EllBackend` runs JIT-compiled padded-row
-  kernels when numba imports; both hand the tasks they do not cover to the
-  vectorized engine.
+  sizes × seeds), at every instance size.
 
 Callers never need the per-protocol plumbing: :func:`resolve_backend` maps
 a backend spec (or an existing backend instance) to a shared backend
@@ -143,10 +138,9 @@ class BackendResult:
 
     ``backend`` is execution provenance: the registry name of the engine that
     *actually* ran the task.  Backends that delegate uncovered tasks (the
-    vectorized and batched backends to the reference engine, the sharded and
-    ELL backends to the vectorized one) leave the inner engine's tag in
-    place, so a row produced through a fallback is never mislabeled as
-    having run on the outer engine.
+    vectorized and batched backends, to the reference engine) leave the
+    inner engine's tag in place, so a row produced through a fallback is
+    never mislabeled as having run on the outer engine.
     """
 
     simulation: SimulationResult

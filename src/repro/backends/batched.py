@@ -11,20 +11,27 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
 * the batch's CSR adjacency blocks are stacked into one **block-diagonal**
   structure (a batch of one runs on its graph's own CSR arrays).  Blocks
   share no edges, so one channel resolution per round serves every
-  instance: the per-listener transmitter count is one ``bincount`` over the
-  concatenated neighbour slices of the transmitters (the SpMV), and the
-  unique transmitter heard by a count-1 listener falls out of a second,
-  weighted ``bincount`` (the sum of transmitter ids — exact where the count
-  is one);
+  instance.  The round's transmitters' concatenated neighbour slices are its
+  targets; each round chooses how to count them, as direction-optimizing
+  BFS (Beamer, Asanović and Patterson, SC 2012) chooses its step: a
+  ``bincount`` over all stacked nodes (plus a weighted one, the sum of
+  transmitter ids, naming the unique sender of a count-1 listener), or, when
+  the targets are few against a large channel, a sort of just the targets,
+  so a round costs O(targets) instead of O(n);
 * protocol state lives in arrays indexed by *stacked* node id, and the
-  transitions ("informed two rounds ago", "heard *stay* last round") are
-  boolean masks mirroring the object protocols branch for branch, in the
-  same priority order, so outcomes are **bit-for-bit identical** to the
+  transitions ("informed two rounds ago", "heard *stay* last round")
+  mirror the object protocols branch for branch, in the same priority
+  order, so outcomes are **bit-for-bit identical** to the
   :class:`~repro.backends.reference.ReferenceBackend` (asserted by
   ``tests/test_backend_equivalence.py`` and
-  ``tests/test_batched_equivalence.py``).  Only the genuinely sparse events —
-  acknowledgement chains, the B_arb coordinator, payload decoding — stay in
-  Python, bounded by the handful of nodes they touch per round;
+  ``tests/test_batched_equivalence.py``).  Algorithm B decides from id
+  lists: by Lemma 2.8 a node acts only in the two rounds after it learns µ
+  or right after it hears *stay*, so its transmitters come from the nodes
+  informed in the last two rounds and last round's *stay*-hearers.  The
+  other kernels decide with boolean masks over all nodes.  Only the
+  genuinely sparse events — acknowledgement chains, the B_arb coordinator,
+  payload decoding — stay in Python, bounded by the handful of nodes they
+  touch per round;
 * all instances start at round 1 together.  An instance that meets its stop
   rule or spends its budget retires: it is masked out of every later round,
   so its trace ends exactly where a solo run's would.  Stop-rule and
@@ -39,7 +46,7 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
   gets its :class:`~repro.radio.trace.RoundRecord` per round, its slice of
   the round's sorted id arrays cut at the block offsets.
 
-One engine runs these kernels under two names:
+One engine runs these kernels under two names, at every instance size:
 :class:`BatchedVectorizedBackend` (``"batched"``) and its subclass
 :class:`~repro.backends.vectorized.VectorizedBackend` (``"vectorized"``),
 which differ only in name.  ``run_task`` runs a batch of one, and
@@ -156,8 +163,21 @@ def _int_payload_bits(value: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# the channel and the per-round trace recorder
+# the channel
 # --------------------------------------------------------------------------- #
+#: The two crossover values of the per-round channel choice, measured on a
+#: 2-core x86 box with NumPy 2.4 by timing both branches on the recorded
+#: rounds of λ, λ_ack and TDMA runs (grids of 4096 to 504,100 nodes, a
+#: 2·10⁴-node G(n, p), a 65,536-node hypercube).  The target sort costs a
+#: fixed 20–30 µs: it lost every round at 4096 nodes and broke even near
+#: 10⁴ (so every stacked window of up to 512 nodes stays on ``bincount``).
+#: From 2·10⁴ nodes it won while the targets numbered fewer than about
+#: n / 55 to n / 24 depending on the graph (n / 40 to n / 27 on grids) and
+#: lost by up to 4× above that.
+_SPARSE_MIN_NODES = 20_000
+_SPARSE_FACTOR = 32
+
+
 class _Channel:
     """CSR adjacency plus the per-round collision-resolution kernel."""
 
@@ -168,29 +188,28 @@ class _Channel:
         self.degrees = indptr[1:] - indptr[:-1]
 
     def resolve(
-        self, tx_mask: np.ndarray
+        self, tx_ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Resolve one round of the radio channel.
+        """Resolve one round of the radio channel for the *sorted* ``tx_ids``.
 
         Returns ``(tx_ids, hears_ids, senders, collision_ids)`` where
         ``senders[i]`` is the unique transmitting neighbour heard by
         ``hears_ids[i]`` and ``collision_ids`` are the listeners with two or
-        more transmitting neighbours.
+        more transmitting neighbours, both sorted.
         """
-        # ``nonzero()[0]`` on these 1-D arrays is ``flatnonzero`` without
-        # its Python-level wrapper, which would cost more than the scan at
-        # the small n most sweeps run.
-        tx_ids = tx_mask.nonzero()[0]
         if tx_ids.size == 0:
             return tx_ids, _EMPTY, _EMPTY, _EMPTY
         deg = self.degrees[tx_ids]
-        total = int(deg.sum())
+        ends = np.cumsum(deg)
+        total = int(ends[-1])
         if total == 0:
             return tx_ids, _EMPTY, _EMPTY, _EMPTY
         # Transmitter i's neighbour slice starts at indptr[i]; in the
         # concatenation it starts at the exclusive prefix sum of the degrees.
-        base = np.repeat(self.indptr[tx_ids] + deg - np.cumsum(deg), deg)
+        base = np.repeat(self.indptr[tx_ids] + deg - ends, deg)
         targets = self.indices[base + np.arange(total, dtype=np.int64)]
+        if self.n >= _SPARSE_MIN_NODES and total * _SPARSE_FACTOR < self.n:
+            return (tx_ids, *self._resolve_sparse(tx_ids, ends, targets))
         # ``bincount`` returns the platform's intp dtype; force 64-bit so
         # receive counts (and everything derived from them) can never wrap on
         # 32-bit platforms even for n >= 10^6 high-degree instances.
@@ -206,37 +225,32 @@ class _Channel:
             senders = _EMPTY
         return tx_ids, hears_ids, senders, collision_ids
 
-
-class _Recorder:
-    """Per-round trace plumbing: full RoundRecords or O(1) summary increments."""
-
-    def __init__(self, n: int, source: Optional[int], level: str) -> None:
-        self.level = level
-        self.full = level == TRACE_FULL
-        self.per_node = level != "none"
-        self.trace = ExecutionTrace(num_nodes=n, source=source, level=level)
-
-    def full_round(
-        self,
-        r: int,
-        transmissions: Dict[int, Message],
-        receptions: Dict[int, Message],
-        collision_ids: np.ndarray,
-    ) -> None:
-        self.trace.append(
-            RoundRecord(
-                round_number=r,
-                transmissions=transmissions,
-                receptions=receptions,
-                collisions=frozenset(int(v) for v in collision_ids),
-            )
-        )
-
-    def summary_round(self, r: int, **kwargs) -> None:
-        if not self.per_node:
-            kwargs["informed"] = ()
-            kwargs["ack_hearers"] = ()
-        self.trace.record_summary_round(r, **kwargs)
+    @staticmethod
+    def _resolve_sparse(
+        tx_ids: np.ndarray, ends: np.ndarray, targets: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The counts of :meth:`resolve` from a sort of the targets alone."""
+        order = targets.argsort(kind="stable")
+        ordered = targets[order]
+        m = ordered.size
+        # head[i]: slot i starts a run of equal targets; the sentinel closes
+        # the last run, so a run of length one is a head followed by a head.
+        head = np.ones(m + 1, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:m])
+        starts = head[:m].nonzero()[0]
+        uniq = ordered[starts]
+        single = head[starts + 1]
+        pos = tx_ids.searchsorted(uniq)
+        np.minimum(pos, tx_ids.size - 1, out=pos)
+        listens = tx_ids[pos] != uniq  # transmitters hear nothing
+        one = single & listens
+        hears_ids = uniq[one]
+        collision_ids = uniq[listens & ~single]
+        if not hears_ids.size:
+            return _EMPTY, _EMPTY, collision_ids
+        # A count-1 target's only slot lies in its sender's slice.
+        senders = tx_ids[ends.searchsorted(order[starts[one]], side="right")]
+        return hears_ids, senders, collision_ids
 
 
 # --------------------------------------------------------------------------- #
@@ -344,10 +358,10 @@ class _BatchRun:
         _require_one(levels, "trace levels")
         self.lay = lay
         self.fast = TRACE_FULL not in levels
-        self.recs = (
+        self.traces = (
             None
             if self.fast
-            else [_Recorder(t.graph.n, t.source, t.trace_level) for t in lay.tasks]
+            else [ExecutionTrace(t.graph.n, t.source) for t in lay.tasks]
         )
         self.active = lay.max_rounds >= 1
         self.live = int(np.count_nonzero(self.active))
@@ -420,9 +434,14 @@ class _BatchRun:
                     senders[rx_pts[b] : rx_pts[b + 1]],
                 )
             }
-            self.recs[b].full_round(
-                r, transmissions, receptions,
-                collision_ids[col_pts[b] : col_pts[b + 1]] - off,
+            collisions = collision_ids[col_pts[b] : col_pts[b + 1]] - off
+            self.traces[b].append(
+                RoundRecord(
+                    round_number=r,
+                    transmissions=transmissions,
+                    receptions=receptions,
+                    collisions=frozenset(collisions.tolist()),
+                )
             )
 
     def results(
@@ -431,7 +450,7 @@ class _BatchRun:
         traces: Optional[List[Any]] = None,
     ) -> List[BackendResult]:
         if traces is None:
-            traces = [rec.trace for rec in self.recs]
+            traces = self.traces
         return [
             BackendResult(
                 simulation=SimulationResult(
@@ -552,15 +571,16 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     channel = lay.channel()
     x1, x2, _ = _stack_bit_labels(lay)
     stop_all = _stop_rule_mask(lay, "all_informed")
-    total = lay.total
 
-    informed = np.zeros(total, dtype=bool)
+    informed = np.zeros(lay.total, dtype=bool)
     informed[lay.sources] = True
     informed_count = lay.per_instance() + 1
-    informed_r = np.full(total, _NEVER, dtype=np.int64)
-    sent_src_prev = np.zeros(total, dtype=bool)
-    sent_src_prev2 = np.zeros(total, dtype=bool)
-    heard_stay_prev = np.zeros(total, dtype=bool)
+    # The last round each node transmitted µ: the stay rule's "sent µ two
+    # rounds ago", and the message kind of this round's transmitters.
+    src_round = np.full(lay.total, _NEVER, dtype=np.int64)
+    # Lemma 2.8: a node acts only in the two rounds after it learns µ, or
+    # right after it hears "stay", so three id lists hold every candidate.
+    new_prev = new_prev2 = stay_prev = _EMPTY
     completion: List[Optional[int]] = [None] * lay.B
     agg = _SummaryAggregates(lay) if run.fast else None
     src_tx_total = lay.per_instance()
@@ -570,44 +590,48 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     r = 0
     while run.live:
         r += 1
-        # Decide (Algorithm 1, in the object protocol's priority order).
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        tx_source = (m3 & x1) | (informed & ~m3 & ~m4 & sent_src_prev2 & heard_stay_prev)
+        # Decide (Algorithm 1, in the object protocol's priority order).  A
+        # node informed at r-2 relays µ if x1; one informed at r-1 sends
+        # "stay" if x2; a node that sent µ at r-2 and heard "stay" at r-1 —
+        # so was informed before r-2 — sends µ again.
         if r == 1:
-            tx_source[lay.sources] = True
-        tx_stay = m4 & x2
+            src_ids = lay.sources
+        else:
+            src_ids = np.concatenate((
+                new_prev2[x1[new_prev2]],
+                stay_prev[src_round[stay_prev] == r - 2],
+            ))
+        stay_ids = new_prev[x2[new_prev]]
         if run.node_mask is not None:
-            tx_source &= run.node_mask
-            tx_stay &= run.node_mask
+            src_ids = src_ids[run.node_mask[src_ids]]
+            stay_ids = stay_ids[run.node_mask[stay_ids]]
+        src_round[src_ids] = r
 
-        out = channel.resolve(tx_source | tx_stay)
+        out = channel.resolve(np.sort(np.concatenate((src_ids, stay_ids))))
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
-        heard_stay_now = np.zeros(total, dtype=bool)
-        mu_hearers = new_ids = _EMPTY
+        mu_hearers = new_ids = stay_prev = _EMPTY
         if hears_ids.size:
-            sender_is_stay = tx_stay[senders]
-            heard_stay_now[hears_ids[sender_is_stay]] = True
-            mu_hearers = hears_ids[~sender_is_stay]
+            heard_mu = src_round[senders] == r
+            stay_prev = hears_ids[~heard_mu]
+            mu_hearers = hears_ids[heard_mu]
             new_ids = mu_hearers[~informed[mu_hearers]]
             informed[new_ids] = True
-            informed_r[new_ids] = r
             informed_count += lay.counts(new_ids)
 
         # Record.
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
-            src_tx_total += lay.counts(tx_ids[tx_source[tx_ids]])
+            src_tx_total += lay.counts(src_ids)
             agg.mark_informed(mu_hearers, r)
         else:
             run.record_full(
-                r, out, lambda u, b: messages[b][0] if tx_source[u] else messages[b][1]
+                r, out,
+                lambda u, b: messages[b][0] if src_round[u] == r else messages[b][1],
             )
 
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_source
-        heard_stay_prev = heard_stay_now
+        new_prev2, new_prev = new_prev, new_ids
         if new_ids.size or r == 1:
             run.complete(r, informed_count == lay.sizes, completion, stop_all)
         run.end_round(r)
@@ -717,7 +741,7 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
         if run.node_mask is not None:
             tx_kind[~run.node_mask] = _K_NONE
 
-        out = channel.resolve(tx_kind > 0)
+        out = channel.resolve(tx_kind.nonzero()[0])
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
@@ -980,7 +1004,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                     ack_payloads[v] = ack_pay
                     break
 
-        out = channel.resolve(tx_kind > 0)
+        out = channel.resolve(tx_kind.nonzero()[0])
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
@@ -1164,7 +1188,7 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
         tx_mask = tx_mask_for_round(r, informed, run.active)
         if run.node_mask is not None:
             tx_mask &= run.node_mask
-        out = channel.resolve(tx_mask)
+        out = channel.resolve(tx_mask.nonzero()[0])
         tx_ids, hears_ids, senders, collision_ids = out
         new_ids = _EMPTY
         if hears_ids.size:
@@ -1209,9 +1233,12 @@ def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                     task.labels, task.graph.n
                 )
         slot_residue = slots % periods
+        # A batch of one has a single period, so its round residue is taken
+        # once instead of node by node; a mixed-period stack divides per node.
+        period = int(periods[0]) if (periods == periods[0]).all() else periods
 
         def tx(r: int, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
-            return informed & ((r % periods) == slot_residue)
+            return informed & ((r % period) == slot_residue)
 
         return tx
 
@@ -1331,7 +1358,7 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             tx_mask &= run.node_mask
             listeners &= run.node_mask
 
-        out = channel.resolve(tx_mask)
+        out = channel.resolve(tx_mask.nonzero()[0])
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Perceived energy: a heard message always; a collision only under

@@ -9,7 +9,9 @@ and collision-detection bit signalling.  The kernels live in
 batch of instances per round.  ``vectorized`` and ``batched`` are one engine
 under two names (and so two store-key names and ``backend`` column values):
 ``run_task`` runs a batch of one and ``run_batch`` stacks its tasks into one
-kernel call, which is how a grid sweep stacks its small instances.  Outcomes
+kernel call, which is how a grid sweep stacks its small instances.  It is
+the only array engine at every size: on one large instance the kernels'
+channel turns a round with few transmitters into O(frontier) work.  Outcomes
 are bit-for-bit identical to the
 :class:`~repro.backends.reference.ReferenceBackend` (asserted by
 ``tests/test_backend_equivalence.py``), and tasks the kernels do not cover

@@ -69,7 +69,7 @@ from .api import (
 )
 from .api import run as run_scenario
 from .api.grid import STACK_NODES
-from .backends import BACKEND_NAMES, BACKEND_SPECS, BackendError, jit_available, resolve_backend
+from .backends import BACKEND_NAMES, BACKEND_SPECS, BackendError, resolve_backend
 from .store import ResultStore, StoreError, compact_store
 from .core import (
     lambda_ack_scheme,
@@ -132,28 +132,14 @@ def _parse_batch_size(text: str) -> int:
 def _parse_backend_arg(text: str) -> str:
     """Argparse type for ``--backend``: any spec ``resolve_backend`` accepts.
 
-    Plain ``choices=`` can't express the parameterized form ``sharded:K``,
-    so the spec is validated by actually resolving it — the error message
-    lists every valid form.
+    The spec is validated by actually resolving it, so the error message is
+    the resolver's, listing every valid spec.
     """
     try:
         resolve_backend(text)
     except BackendError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
-
-
-def _parse_shards(text: str) -> int:
-    """Argparse type for ``--shards``: a positive integer, checked up front."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"shard count must be an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"shard count must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,9 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     bcast.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC",
                        default="reference",
                        help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
-                            f"(vectorized = NumPy CSR kernels; ell = JIT-compiled "
-                            f"padded-adjacency kernels when numba is installed, "
-                            f"vectorized otherwise)")
+                            f"(vectorized = NumPy CSR kernels, at any size)")
     bcast.add_argument("--render", action="store_true",
                        help="print the Figure-1 style annotated layers")
 
@@ -191,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC", default=None,
                       help=f"override the scenario's backend "
                            f"(one of: {', '.join(BACKEND_SPECS)})")
-    runp.add_argument("--shards", type=_parse_shards, default=None,
-                      help="segment worker count for the sharded backend "
-                           "(implies --backend sharded)")
     runp.add_argument("--trace-level", choices=["none", "summary", "full"], default=None,
                       help="override the scenario's trace level")
     runp.add_argument("--output", choices=["text", "json"], default="text",
@@ -227,14 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--payload", default="MSG")
     sweep.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC", default=None,
                        help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
-                            f"(vectorized = NumPy CSR kernels, stacking small "
-                            f"instances into one kernel call; batched = the same "
-                            f"engine under its own name; sharded = one large "
-                            f"instance split across processes; ell = JIT-compiled "
-                            f"padded-adjacency kernels when numba is installed, "
-                            f"vectorized otherwise); defaults to "
-                            f"reference, or to batched when --batch-size is set, or "
-                            f"to sharded when --shards is set")
+                            f"(vectorized = NumPy CSR kernels at any size, "
+                            f"stacking small instances into one kernel call; "
+                            f"batched = the same engine under its own name); "
+                            f"defaults to reference, or to batched when "
+                            f"--batch-size is set")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (results are "
                             "deterministic and independent of the job count)")
@@ -245,10 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                             f"up to {STACK_NODES} requested nodes, an instance "
                             f"that large runs alone, and other engines run one "
                             f"run per invocation)")
-    sweep.add_argument("--shards", type=_parse_shards, default=None,
-                       help="segment worker count for the sharded backend "
-                            "(implies --backend sharded; results and store "
-                            "keys are independent of the shard count)")
     sweep.add_argument("--trace-level", choices=["none", "summary", "full"],
                        default="summary",
                        help="trace recording level for each simulation")
@@ -482,19 +456,7 @@ def _cmd_run(args) -> int:
     scenario = Scenario.load(args.scenario)
     graph = scenario.materialize_graph()
     source = scenario.resolve_source(graph)
-    backend = args.backend
-    if args.shards is not None:
-        # Validate against whichever backend would actually apply — the flag
-        # or, when no flag overrides it, the scenario file's own declaration —
-        # mirroring Scenario(shards=...)'s constructor check.
-        effective = backend if backend is not None else scenario.backend
-        if effective not in (None, "sharded"):
-            print(f"error: --shards requires the sharded backend, but the "
-                  f"{'--backend flag' if backend is not None else 'scenario'} "
-                  f"selects {effective!r}", file=sys.stderr)
-            return 2
-        backend = f"sharded:{args.shards}"
-    outcome = run_scenario(scenario, scheme=args.scheme, backend=backend,
+    outcome = run_scenario(scenario, scheme=args.scheme, backend=args.backend,
                            trace_level=args.trace_level, graph=graph, source=source)
     if args.output == "json":
         row = metrics_from_run(
@@ -540,9 +502,6 @@ def _cmd_schemes(args) -> int:
             "backends": {
                 "names": list(BACKEND_NAMES),
                 "specs": list(BACKEND_SPECS),
-                # Whether `--backend ell` runs its numba JIT kernels on this
-                # machine (False: its tasks run on the vectorized engine).
-                "ell_jit_available": jit_available(),
             },
         }
         print(json.dumps(doc, indent=2))
@@ -561,21 +520,11 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
-def sweep_backend(
-    backend: Optional[str],
-    batch_size: Optional[int],
-    shards: Optional[int] = None,
-) -> str:
-    """The sweep's effective backend: explicit choice wins; ``--shards``
-    alone selects the sharded engine and ``--batch-size`` alone the batched
-    one (a reference-backend batch would stack nothing, silently
-    contradicting the flag); otherwise the reference default."""
-    if shards is not None:
-        if backend not in (None, "sharded"):
-            raise argparse.ArgumentTypeError(
-                f"--shards requires --backend sharded (or unset), got {backend!r}"
-            )
-        return f"sharded:{shards}"
+def sweep_backend(backend: Optional[str], batch_size: Optional[int]) -> str:
+    """The sweep's effective backend: explicit choice wins; ``--batch-size``
+    alone selects the batched engine (a reference-backend batch would stack
+    nothing, silently contradicting the flag); otherwise the reference
+    default."""
     if backend is not None:
         return backend
     return "batched" if batch_size is not None else "reference"
@@ -617,12 +566,7 @@ def _cmd_sweep(args) -> int:
             )
 
     try:
-        backend = sweep_backend(args.backend, args.batch_size, args.shards)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows = run_grid(cfg, backend=backend,
+        rows = run_grid(cfg, backend=sweep_backend(args.backend, args.batch_size),
                         jobs=args.jobs, trace_level=args.trace_level,
                         batch_size=args.batch_size, store=store,
                         strict=not args.keep_going, retries=args.retries,

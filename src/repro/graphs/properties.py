@@ -8,6 +8,7 @@ graphs) needed by the Section 5 one-bit schemes.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,37 +74,56 @@ def graph_square(graph: Graph) -> Graph:
 
 
 def graph_power(graph: Graph, k: int) -> Graph:
-    """The k-th power ``G^k``: nodes adjacent iff their distance in ``G`` is in 1..k."""
+    """The k-th power ``G^k``: nodes adjacent iff their distance in ``G`` is in 1..k.
+
+    Each node's k-ball is expanded over the CSR adjacency, so the cost is
+    the sum of the balls' sizes rather than n BFS runs over the whole graph.
+    """
     if k < 1:
         raise GraphError(f"graph power requires k >= 1, got {k}")
+    indptr, indices = (a.tolist() for a in graph.csr())
     edges: List[Tuple[int, int]] = []
     for u in range(graph.n):
-        dist = bfs_distances(graph, u)
-        for v in range(u + 1, graph.n):
-            if 0 < dist[v] <= k:
-                edges.append((u, v))
+        ball = {u}
+        frontier = [u]
+        for _ in range(k):
+            reached = []
+            for w in frontier:
+                for v in indices[indptr[w] : indptr[w + 1]]:
+                    if v not in ball:
+                        ball.add(v)
+                        reached.append(v)
+            frontier = reached
+        edges.extend((u, v) for v in ball if v > u)
     return Graph.from_edges(graph.n, edges)
 
 
 def degeneracy_ordering(graph: Graph) -> List[int]:
     """Smallest-last (degeneracy) ordering of the nodes.
 
-    Repeatedly removes a minimum-degree node; the reverse of the removal order
-    is returned, which is the order greedy colouring should use to achieve a
-    ``degeneracy+1`` colouring.
+    Repeatedly removes a remaining node of minimum remaining degree, ties
+    broken by the smaller id; the reverse of the removal order is returned,
+    which is the order greedy colouring should use to achieve a
+    ``degeneracy+1`` colouring.  A heap holds ``(degree, id)`` entries; an
+    entry whose node was removed or whose degree has since dropped is stale
+    and skipped, since every drop pushes the node's current entry.
     """
-    degrees = {u: graph.degree(u) for u in range(graph.n)}
-    remaining = set(range(graph.n))
+    indptr, indices = (a.tolist() for a in graph.csr())
+    degrees = graph.degrees().tolist()
+    heap = [(d, u) for u, d in enumerate(degrees)]
+    heapq.heapify(heap)
+    removed = [False] * graph.n
     removal: List[int] = []
-    adj = {u: set(graph.neighbors(u)) for u in range(graph.n)}
-    while remaining:
-        u = min(remaining, key=lambda x: (degrees[x], x))
+    while heap:
+        d, u = heapq.heappop(heap)
+        if removed[u] or d != degrees[u]:
+            continue
+        removed[u] = True
         removal.append(u)
-        remaining.discard(u)
-        for v in adj[u]:
-            if v in remaining:
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if not removed[v]:
                 degrees[v] -= 1
-            adj[v].discard(u)
+                heapq.heappush(heap, (degrees[v], v))
     removal.reverse()
     return removal
 

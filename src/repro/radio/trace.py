@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .messages import Message, message_size_bits
 
@@ -225,56 +225,6 @@ class ExecutionTrace:
         if self._completion_round is None and self.source is not None and not self._pending:
             self._completion_round = rnd
 
-    def record_summary_round(
-        self,
-        round_number: int,
-        *,
-        transmissions: int = 0,
-        receptions: int = 0,
-        collisions: int = 0,
-        kinds: Optional[Mapping[str, int]] = None,
-        fixed_bits: int = 0,
-        payload_messages: int = 0,
-        informed: Iterable[int] = (),
-        ack_hearers: Iterable[int] = (),
-    ) -> None:
-        """Record one round's aggregates without materialising a :class:`RoundRecord`.
-
-        This is the fast path used by the vectorized backend at the
-        ``"summary"`` / ``"none"`` levels: ``fixed_bits`` is the round's total
-        message size excluding source-payload bits, ``payload_messages`` the
-        number of transmissions whose size includes the payload, ``informed``
-        the nodes that heard a µ-carrying message this round and
-        ``ack_hearers`` the nodes that heard an ack.
-        """
-        if self.level == TRACE_FULL:
-            raise TraceLevelError(
-                "record_summary_round is only valid on summary/none traces; "
-                "append full RoundRecords instead"
-            )
-        expected = self._num_rounds + 1
-        if round_number != expected:
-            raise ValueError(f"expected round {expected}, got summary for round {round_number}")
-        self._num_rounds = expected
-        self._total_tx += transmissions
-        self._total_rx += receptions
-        self._total_collisions += collisions
-        for kind, count in (kinds or {}).items():
-            if count:
-                self._kind_hist[kind] = self._kind_hist.get(kind, 0) + int(count)
-        self._fixed_bits += int(fixed_bits)
-        self._payload_messages += int(payload_messages)
-        for node in informed:
-            node = int(node)
-            self._informed_first.setdefault(node, round_number)
-            self._pending.discard(node)
-        for node in ack_hearers:
-            node = int(node)
-            self._ack_first.setdefault(node, round_number)
-            self._ack_last[node] = round_number
-        if self._completion_round is None and self.source is not None and not self._pending:
-            self._completion_round = round_number
-
     @classmethod
     def from_aggregates(
         cls,
@@ -297,12 +247,10 @@ class ExecutionTrace:
         """Materialise a summary/none-level trace from whole-run aggregates.
 
         The batched backend advances many instances per kernel round and
-        accumulates each instance's aggregates in arrays; calling
-        :meth:`record_summary_round` once per instance per round would undo
-        that batching.  This constructor builds the identical end state in
-        one step: the result compares equal (``==``) to a trace built
-        incrementally from the same execution.  The first-informed and ack
-        maps are taken as given (int node → int round) and copied.  The
+        accumulates each instance's aggregates in arrays; this constructor
+        builds one instance's trace from them in one step.  The
+        first-informed and ack maps are taken as given (int node → int
+        round) and copied.  The
         completion round is derived exactly as the incremental path would
         have: the first round by which every non-source node appears in
         ``informed_first`` is their maximum first-receipt round (or round 1

@@ -48,19 +48,10 @@ def canonical_payload(payload: Any) -> str:
 
 
 def normalize_backend_name(backend: Any) -> str:
-    """Reduce a backend spec (name / instance / ``None``) to its registry name.
-
-    A shard-count suffix (``"sharded:4"``) is stripped: the shard count is
-    pure parallelism — results are bit-identical at any shard count — so it
-    is excluded from cache keys for the same reason ``jobs`` and
-    ``batch_size`` are.
-    """
+    """Reduce a backend spec (name / instance / ``None``) to its registry name."""
     if backend is None:
         return "reference"
-    name = backend if isinstance(backend, str) else str(getattr(backend, "name", backend))
-    if name.startswith("sharded:"):
-        return "sharded"
-    return name
+    return backend if isinstance(backend, str) else str(getattr(backend, "name", backend))
 
 
 def unit_key(

@@ -131,6 +131,33 @@ class TestScenarioRoundTrip:
         with pytest.raises(ValueError, match="unknown scenario fields"):
             Scenario.from_dict({"graph": "path:5", "bogus": 1})
 
+    #: ``to_json()`` of ``Scenario(graph="path:9", trace_level="summary")``
+    #: while scenarios still had a ``shards`` field (for the sharded engine).
+    SHARDS_ERA_DOC = """{
+  "backend": null,
+  "clock": null,
+  "faults": null,
+  "graph": "path:9",
+  "max_rounds": null,
+  "options": {},
+  "payload": "MSG",
+  "scheme": "lambda",
+  "shards": null,
+  "source": 0,
+  "trace_level": "summary"
+}"""
+
+    def test_saved_scenario_with_null_shards_still_loads(self):
+        clone = Scenario.from_json(self.SHARDS_ERA_DOC)
+        assert clone == Scenario(graph="path:9", trace_level="summary")
+        assert "shards" not in json.loads(clone.to_json())
+
+    def test_saved_scenario_with_a_shard_count_names_the_retired_engine(self):
+        doc = json.loads(self.SHARDS_ERA_DOC)
+        doc.update(shards=2, backend="sharded")
+        with pytest.raises(ValueError, match="sharded backend was retired"):
+            Scenario.from_dict(doc)
+
     def test_bad_graph_documents_rejected(self):
         with pytest.raises(ValueError):
             Scenario.from_dict({"graph": 17})

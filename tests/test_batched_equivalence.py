@@ -13,31 +13,42 @@ instances share a kernel call: ``batch_size`` when set, else up to
 heterogeneous batches refuse with a clear error, invalid batch sizes are
 rejected at config/CLI parse time, uncovered schemes ride the per-task
 fallback, and a failing cell surfaces a
-:class:`~repro.analysis.executor.GridExecutionError` naming its spec.
+:class:`~repro.analysis.executor.GridExecutionError` naming its spec.  The
+channel's two counting branches (an n-length ``bincount`` and a sort of
+just the round's targets) are each forced on the differential and on the
+graphs that stress them: the worst-case path, a high-degree star, barbells
+and isolated nodes.
 """
 
 from __future__ import annotations
 
 import pickle
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.executor import GridExecutionError
 from repro.api import GridConfig, get_scheme, run_grid
-from repro.api.grid import STACK_NODES
+from repro.api.grid import STACK_NODES, grid_row_specs, grid_unit_key
 from repro.backends import (
+    BACKEND_SPECS,
     BackendError,
     BatchedVectorizedBackend,
     ReferenceBackend,
     VectorizedBackend,
+    batched,
     resolve_backend,
 )
 from repro.baselines.collision_detection import run_collision_detection_broadcast
 from repro.cli import build_parser
 from repro.graphs import Graph, generate_family
+from repro.graphs.generators import barbell_graph, family_names
+from repro.store import ResultStore
 
 BATCHED = BatchedVectorizedBackend()
 VECTORIZED = VectorizedBackend()
@@ -90,10 +101,54 @@ def _fingerprint(result):
     )
 
 
+#: How the channel counts each round's receptions: chosen per round, or
+#: forced onto one branch by patching the two crossover constants.
+CHANNEL_BRANCHES = {
+    "switched": {},
+    "dense": {"_SPARSE_MIN_NODES": 1 << 62},
+    "sparse": {"_SPARSE_MIN_NODES": 0, "_SPARSE_FACTOR": 0},
+}
+
+
+def _channel(branch):
+    """Resolve every round inside the block on ``branch``."""
+    overrides = CHANNEL_BRANCHES[branch]
+    return mock.patch.multiple(batched, **overrides) if overrides else nullcontext()
+
+
+def _task_on(graph, scheme_name, trace_level="full"):
+    scheme = get_scheme(scheme_name)
+    info = scheme.build_labels(graph, 0)
+    return scheme.build_task(
+        graph, info, 0, payload="MSG",
+        max_rounds=scheme.default_budget(graph, info),
+        trace_level=trace_level, fault_model=None, clock_model=None,
+    )
+
+
+def _branch_log(monkeypatch):
+    """Record, per channel round from now on, the branch that resolved it:
+    ``"dense"``, ``"sparse"``, or ``"idle"`` when no transmitter had a
+    neighbour."""
+    log = []
+    resolve = batched._Channel.resolve
+    resolve_sparse = batched._Channel._resolve_sparse
+
+    def spy_resolve(self, tx_ids):
+        log.append("dense" if self.degrees[tx_ids].sum() else "idle")
+        return resolve(self, tx_ids)
+
+    def spy_sparse(*args):
+        log[-1] = "sparse"
+        return resolve_sparse(*args)
+
+    monkeypatch.setattr(batched._Channel, "resolve", spy_resolve)
+    monkeypatch.setattr(batched._Channel, "_resolve_sparse", staticmethod(spy_sparse))
+    return log
+
+
 def _count_kernel_calls(monkeypatch):
     """Record ``(protocol, B)`` for every stacked kernel call from now on."""
-    from repro.backends import batched
-
     calls = []
     for protocol, kernel in list(batched._BATCH_KERNELS.items()):
         def counting(tasks, _protocol=protocol, _kernel=kernel):
@@ -108,6 +163,7 @@ def _count_kernel_calls(monkeypatch):
 # property-based differential tests: batched == vectorized == reference
 # --------------------------------------------------------------------------- #
 class TestBatchedDifferential:
+    @pytest.mark.parametrize("channel", ["switched", "sparse"])
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -124,13 +180,14 @@ class TestBatchedDifferential:
         trace_level=st.sampled_from(["summary", "full"]),
     )
     def test_batched_matches_vectorized_and_reference(
-        self, scheme_name, instances, trace_level
+        self, channel, scheme_name, instances, trace_level
     ):
         built = [_build_task(scheme_name, f, n, s, trace_level) for f, n, s in instances]
-        outs = BATCHED.run_batch([task for *_, task in built])
-        for (graph, scheme, info, task), out in zip(built, outs):
+        with _channel(channel):
+            outs = BATCHED.run_batch([task for *_, task in built])
+            solos = [VECTORIZED.run_task(task) for *_, task in built]
+        for (graph, scheme, info, task), out, solo in zip(built, outs, solos):
             assert out.simulation.nodes == []  # the stacked kernel really ran
-            solo = VECTORIZED.run_task(task)
             assert _fingerprint(out) == _fingerprint(solo)
             ref = REFERENCE.run_task(task)
             if trace_level == "full":
@@ -161,6 +218,7 @@ class TestBatchedDifferential:
         for a, b, c in zip(whole, halves, singles):
             assert _fingerprint(a) == _fingerprint(b) == _fingerprint(c)
 
+    @pytest.mark.parametrize("channel", ["switched", "sparse"])
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -169,7 +227,7 @@ class TestBatchedDifferential:
         trace_level=st.sampled_from(["summary", "full"]),
     )
     def test_mixed_budgets_and_stop_rules_match_solo_runs(
-        self, data, scheme_name, trace_level
+        self, channel, data, scheme_name, trace_level
     ):
         """Instances retire at different rounds without disturbing the rest.
 
@@ -200,15 +258,218 @@ class TestBatchedDifferential:
             if not own_rule:
                 task = replace(task, stop_rule=None, stop_condition=None)
             tasks.append(task)
-        outs = BATCHED.run_batch(tasks)
-        for task, out in zip(tasks, outs):
+        with _channel(channel):
+            outs = BATCHED.run_batch(tasks)
+            solos = [VECTORIZED.run_task(task) for task in tasks]
+        for task, out, solo in zip(tasks, outs, solos):
             assert out.backend == "batched"
-            assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
+            assert _fingerprint(out) == _fingerprint(solo)
             ref = REFERENCE.run_task(task)
             assert (out.trace, out.simulation.stop_round, out.simulation.stop_reason) \
                 == (ref.trace, ref.simulation.stop_round, ref.simulation.stop_reason)
             if trace_level == "full":
                 assert out.trace.to_json() == ref.trace.to_json()
+
+
+class TestChannelBranches:
+    """Each counting branch, forced, on the graphs that stress it."""
+
+    @pytest.mark.parametrize("channel", ["dense", "sparse"])
+    def test_channel_counts_are_int64_on_a_high_degree_star(self, channel):
+        n = 4097
+        graph = generate_family("star", n, 0)
+        channel_ = batched._Channel(*graph.csr(), graph.n)
+        with _channel(channel):
+            # The hub transmits to every leaf at once.
+            tx_ids, hears_ids, senders, collision_ids = channel_.resolve(
+                np.array([0], dtype=np.int64)
+            )
+            assert hears_ids.size == n - 1 and collision_ids.size == 0
+            assert senders.tolist() == [0] * (n - 1)
+            for arr in (tx_ids, hears_ids, senders):
+                assert arr.dtype == np.int64
+            # All leaves answering floods the hub with one colliding burst.
+            _, hears_ids, _, collision_ids = channel_.resolve(
+                np.arange(1, n, dtype=np.int64)
+            )
+        assert collision_ids.tolist() == [0] and hears_ids.size == 0
+        assert collision_ids.dtype == np.int64
+
+    @pytest.mark.parametrize("channel", ["dense", "sparse"])
+    @pytest.mark.parametrize("backend_spec", ["vectorized", "batched"])
+    def test_star_broadcast_counts_survive_every_engine(self, backend_spec, channel):
+        *_, task = _build_task("lambda", "star", 2000, 0)
+        with _channel(channel):
+            out = resolve_backend(backend_spec).run_task(task)
+        ref = REFERENCE.run_task(task)
+        assert out.trace == ref.trace
+        assert out.trace.total_receptions() == ref.trace.total_receptions()
+
+    def test_batched_per_instance_counts_are_int64(self):
+        tasks = [_build_task("lambda", "star", 64, s)[-1] for s in range(3)]
+        lay = batched._BatchLayout(tasks)
+        counts = lay.counts(np.arange(lay.total, dtype=np.int64))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [64, 64, 64]
+
+    @pytest.mark.parametrize("channel", ["dense", "sparse"])
+    @pytest.mark.parametrize("graph", [
+        pytest.param(generate_family("path", 40, 1), id="path-40"),
+        pytest.param(generate_family("star", 33, 0), id="star-33"),
+        pytest.param(barbell_graph(12, 30), id="barbell-12-30"),
+        pytest.param(barbell_graph(5, 3), id="barbell-5-3"),
+    ])
+    def test_worst_case_shapes_match_reference(self, graph, channel):
+        # The 2n−3-round path maximises rounds; stars and barbells pair a
+        # hub of huge degree with long thin stretches.
+        for scheme_name in ("lambda", "round_robin", "coloring_tdma"):
+            task = _task_on(graph, scheme_name)
+            with _channel(channel):
+                out = VECTORIZED.run_task(task)
+            ref = REFERENCE.run_task(task)
+            assert out.simulation.nodes == []
+            assert out.trace.to_json() == ref.trace.to_json()
+            assert (out.simulation.stop_round, out.simulation.stop_reason) == \
+                (ref.simulation.stop_round, ref.simulation.stop_reason)
+
+    @pytest.mark.parametrize("channel", ["dense", "sparse"])
+    def test_isolated_nodes_never_hear_or_corrupt_counts(self, channel):
+        # Degree-0 nodes contribute no targets and must never be resolved;
+        # the λ schemes need connected graphs, so the slotted protocols are
+        # the ones that visit them.
+        graph = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3)])
+        for scheme_name in ("round_robin", "coloring_tdma"):
+            task = _task_on(graph, scheme_name)
+            with _channel(channel):
+                out = VECTORIZED.run_task(task)
+            ref = REFERENCE.run_task(task)
+            assert out.trace.to_json() == ref.trace.to_json()
+            assert out.derived["completion_round"] is None
+
+    @pytest.mark.parametrize("family", family_names())
+    def test_branches_match_a_brute_force_channel_on_every_family(self, family):
+        graph = generate_family(family, 40, 3)
+        channel_ = batched._Channel(*graph.csr(), graph.n)
+        rng = np.random.default_rng(0)
+        subsets = [[], list(graph.nodes()), [graph.n - 1]] + [
+            np.flatnonzero(rng.random(graph.n) < p).tolist()
+            for p in (0.05, 0.2, 0.5, 0.9) for _ in range(3)
+        ]
+        for tx in subsets:
+            transmitting = set(tx)
+            heard = {}
+            for v in graph.nodes():
+                if v not in transmitting:
+                    heard[v] = sorted(graph.neighbors(v) & transmitting)
+            hears = [v for v, us in heard.items() if len(us) == 1]
+            expected = (
+                tx,
+                hears,
+                [heard[v][0] for v in hears],
+                [v for v, us in heard.items() if len(us) >= 2],
+            )
+            for branch in ("dense", "sparse"):
+                with _channel(branch):
+                    out = channel_.resolve(np.array(tx, dtype=np.int64))
+                assert tuple(a.tolist() for a in out) == expected, (branch, tx)
+                assert {a.dtype for a in out} == {np.dtype(np.int64)}
+
+    @pytest.mark.parametrize("scheme_name", BATCHED_SCHEMES)
+    def test_switching_branches_mid_run_matches_reference(self, scheme_name, monkeypatch):
+        # A factor of 8 on this 126-node stack sends a round to the sparse
+        # branch below 16 targets and to bincount above, so every scheme's
+        # run mixes both branches from round to round.
+        members = [("star", 40, 0), ("grid", 36, 1), ("path", 20, 2), ("gnp_sparse", 30, 3)]
+        tasks = [_build_task(scheme_name, f, n, s, "full")[-1] for f, n, s in members]
+        log = _branch_log(monkeypatch)
+        with mock.patch.multiple(batched, _SPARSE_MIN_NODES=0, _SPARSE_FACTOR=8):
+            outs = BATCHED.run_batch(tasks)
+        assert {"dense", "sparse"} <= set(log)
+        for task, out in zip(tasks, outs):
+            ref = REFERENCE.run_task(task)
+            assert out.trace.to_json() == ref.trace.to_json()
+            assert (out.simulation.stop_round, out.simulation.stop_reason) == \
+                (ref.simulation.stop_round, ref.simulation.stop_reason)
+
+    @pytest.mark.parametrize("copies", [1, 2, 3, 7])
+    def test_stacked_worst_case_paths_through_the_sparse_branch(self, copies):
+        # Each sender is found by a search over the stacked transmitters'
+        # neighbour slices, so blocks sitting side by side must not leak
+        # senders into each other.
+        tasks = [_build_task("lambda", "path", 40, s, "full")[-1] for s in range(copies)]
+        with _channel("sparse"):
+            outs = BATCHED.run_batch(tasks)
+        for task, out in zip(tasks, outs):
+            with _channel("dense"):
+                solo = VECTORIZED.run_task(task)
+            assert _fingerprint(out) == _fingerprint(solo)
+            ref = REFERENCE.run_task(task)
+            assert out.trace.to_json() == ref.trace.to_json()
+            assert out.simulation.stop_round == ref.simulation.stop_round
+
+
+class TestRetiredEngines:
+    """The ``sharded`` and ``ell`` engines are gone; their rows are not."""
+
+    #: Every spec the retired engines answered to, suffixed forms included:
+    #: with the suffix parser gone, none may resolve to a surviving engine.
+    RETIRED_SPECS = [
+        "sharded", "sharded:2", "ell",
+        "sharded:0", "sharded:-1", "sharded:many", "sharded:K", "vectorized:3",
+        "ell:fast", "ell:2", "ell:jit", "ell:numpy", "vectorized:jit",
+    ]
+
+    #: Store keys of the one row of ``GridConfig(families=["path"],
+    #: sizes=[9], schemes=["lambda"])`` as every earlier version wrote them:
+    #: a changed key would orphan every saved store.
+    STORE_KEYS = {
+        None: "719e91063f962372adeea1c7fa9d3ca6954467f69eadd1d7b6dd7b18e0351c1d",
+        "reference": "719e91063f962372adeea1c7fa9d3ca6954467f69eadd1d7b6dd7b18e0351c1d",
+        "vectorized": "84ca7a2ed6aa0823da2d8df8da1d97ccf22dc9ddc2db2c1e8b1f43960db4cc43",
+        "batched": "36cc1428ff4d2c36827827353109c302bb132733634179411672336c5612d3bc",
+        "sharded": "7b591fbb87643220a91b7f7d4eb3265bb0ac057d8884d68e7a5dc23e669c7fe6",
+        "ell": "6df3b20fc80b4c89a9fd5576a4922a425a2ae01f19eda1278de0f0d39fc71f63",
+    }
+
+    @pytest.mark.parametrize("spec", RETIRED_SPECS)
+    def test_resolve_backend_lists_the_valid_specs(self, spec):
+        with pytest.raises(BackendError) as err:
+            resolve_backend(spec)
+        assert BACKEND_SPECS == ("batched", "reference", "vectorized")
+        for valid in BACKEND_SPECS:
+            assert valid in str(err.value)
+
+    @pytest.mark.parametrize("spec", ["sharded", "sharded:2", "ell"])
+    def test_cli_backend_rejects_retired_specs(self, spec, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["sweep", "--families", "path", "--sizes", "9", "--backend", spec]
+            )
+        err = capsys.readouterr().err
+        assert f"unknown backend {spec!r}" in err
+        assert "batched, reference, vectorized" in err
+
+    @pytest.mark.parametrize("backend", list(STORE_KEYS))
+    def test_store_keys_match_earlier_versions(self, backend):
+        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"])
+        (unit,) = grid_row_specs(cfg)
+        assert grid_unit_key(cfg, unit, backend=backend) == self.STORE_KEYS[backend]
+
+    def test_store_rows_keyed_by_retired_engines_still_load(self, tmp_path):
+        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"])
+        rows = run_grid(cfg, backend="vectorized")
+        (unit,) = grid_row_specs(cfg)
+        keys = {name: grid_unit_key(cfg, unit, backend=name)
+                for name in ("sharded", "ell")}
+        store = ResultStore(tmp_path / "store")
+        for name, key in keys.items():
+            store.put(key, replace(rows[0], backend=name))
+        store.close()
+        reopened = ResultStore(tmp_path / "store")
+        for name, key in keys.items():
+            row = reopened.get(key)
+            assert row == rows[0] and row.backend == name
+        assert sorted(r.backend for r in reopened.rows()) == ["ell", "sharded"]
 
 
 class TestCollisionDetectionVectorized:

@@ -103,6 +103,27 @@ class TestRunCommand:
         assert "acknowledgement round" in out
         assert "COMPLETED" in out
 
+    @staticmethod
+    def _shards_era_file(tmp_path, **fields):
+        # Scenario files saved while scenarios had a ``shards`` field (for
+        # the retired sharded engine) carry it, null unless set.
+        doc = json.loads(Scenario(graph="path:9", trace_level="summary").to_json())
+        doc.update({"shards": None, **fields})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_run_a_scenario_file_saved_with_null_shards(self, capsys, tmp_path):
+        path = self._shards_era_file(tmp_path)
+        assert main(["run", str(path), "--backend", "vectorized"]) == 0
+        out = capsys.readouterr().out
+        assert "scheme: lambda" in out and "COMPLETED" in out
+
+    def test_run_refuses_a_scenario_file_with_a_shard_count(self, tmp_path):
+        path = self._shards_era_file(tmp_path, shards=2, backend="sharded")
+        with pytest.raises(ValueError, match="sharded backend was retired"):
+            main(["run", str(path)])
+
     def test_run_any_registered_scheme_from_config_alone(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
         Scenario(graph="star:9:1", scheme="centralized",
@@ -177,28 +198,14 @@ class TestSessionCommands:
         assert by_name["lambda"]["kind"] == "paper"
         assert "batched" in by_name["lambda"]["backends"]
         # B_arb is stacked by the batched engine (per-instance coordinator
-        # state as arrays) but has no sharded segment kernel.
+        # state as arrays).
         assert "vectorized" in by_name["lambda_arb"]["backends"]
         assert "batched" in by_name["lambda_arb"]["backends"]
-        assert "sharded" not in by_name["lambda_arb"]["backends"]
-        # The sharded backend covers the dense-decision round kernels.
-        assert "sharded" in by_name["lambda"]["backends"]
-        assert "sharded" in by_name["round_robin"]["backends"]
-        # The ELL JIT kernels cover the three padded-row protocols (the
-        # probe task is a 4-node path, which passes the regularity check) —
-        # where numba imports; otherwise ell covers nothing natively, just
-        # as its rows then say "vectorized".
-        meta = doc["backends"]
-        assert isinstance(meta["ell_jit_available"], bool)
-        jit = meta["ell_jit_available"]
-        assert ("ell" in by_name["lambda"]["backends"]) is jit
-        assert ("ell" in by_name["round_robin"]["backends"]) is jit
-        assert ("ell" in by_name["coloring_tdma"]["backends"]) is jit
-        assert "ell" not in by_name["lambda_ack"]["backends"]
         # Machine-level backend registry info.
-        assert meta["names"] == ["reference", "vectorized", "batched",
-                                 "sharded", "ell"]
-        assert "ell" in meta["specs"] and "sharded:K" in meta["specs"]
+        meta = doc["backends"]
+        assert set(meta) == {"names", "specs"}
+        assert meta["names"] == ["reference", "vectorized", "batched"]
+        assert meta["specs"] == ["batched", "reference", "vectorized"]
 
     def test_sweep_store_then_resume_reports_full_cache_hits(self, capsys, tmp_path):
         store = str(tmp_path / "store")

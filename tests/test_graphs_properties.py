@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 import pytest
 
+from repro.baselines.coloring_tdma import coloring_tdma_labels
 from repro.graphs import (
     Graph,
+    bfs_distances,
+    generate_family,
     average_degree,
     center,
     complete_graph,
@@ -16,6 +21,7 @@ from repro.graphs import (
     diameter,
     graph_power,
     graph_square,
+    greedy_coloring,
     grid_graph,
     is_bipartite,
     is_series_parallel,
@@ -81,6 +87,72 @@ class TestGraphPowers:
     def test_power_requires_positive_k(self):
         with pytest.raises(GraphError):
             graph_power(path_graph(3), 0)
+
+
+def _graph_power_oracle(graph: Graph, k: int) -> Graph:
+    """A full BFS from every node, then a scan of every node pair."""
+    edges: List[Tuple[int, int]] = []
+    for u in range(graph.n):
+        dist = bfs_distances(graph, u)
+        for v in range(u + 1, graph.n):
+            if 0 < dist[v] <= k:
+                edges.append((u, v))
+    return Graph.from_edges(graph.n, edges)
+
+
+def _degeneracy_ordering_oracle(graph: Graph) -> List[int]:
+    """A ``min`` over the remaining nodes at every removal step."""
+    degrees = {u: graph.degree(u) for u in range(graph.n)}
+    remaining = set(range(graph.n))
+    removal: List[int] = []
+    adj = {u: set(graph.neighbors(u)) for u in range(graph.n)}
+    while remaining:
+        u = min(remaining, key=lambda x: (degrees[x], x))
+        removal.append(u)
+        remaining.discard(u)
+        for v in adj[u]:
+            if v in remaining:
+                degrees[v] -= 1
+            adj[v].discard(u)
+    removal.reverse()
+    return removal
+
+
+ORACLE_FAMILIES = ["path", "cycle", "star", "grid", "gnp_sparse", "geometric"]
+
+
+class TestAgainstQuadraticOracles:
+    """The ball-expansion power and the heap ordering against the quadratic
+    implementations they replaced, kept here as the reference."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_graph_power_matches_oracle(self, family, k):
+        for seed in range(3):
+            graph = generate_family(family, 40, seed)
+            assert graph_power(graph, k).edge_set == \
+                _graph_power_oracle(graph, k).edge_set
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_degeneracy_ordering_matches_oracle(self, family):
+        for seed in range(3):
+            graph = generate_family(family, 60, seed)
+            assert degeneracy_ordering(graph) == _degeneracy_ordering_oracle(graph)
+            square = graph_square(graph)
+            assert degeneracy_ordering(square) == _degeneracy_ordering_oracle(square)
+
+    def test_ordering_handles_isolated_nodes(self):
+        graph = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (4, 5)])
+        assert degeneracy_ordering(graph) == _degeneracy_ordering_oracle(graph)
+
+    def test_tdma_labels_match_the_oracle_colouring(self):
+        graph = generate_family("geometric", 120, 4)
+        square = _graph_power_oracle(graph, 2)
+        colours = greedy_coloring(square, _degeneracy_ordering_oracle(square))
+        labels, num_colours = coloring_tdma_labels(graph)
+        assert num_colours == max(colours.values()) + 1
+        width = len(labels[0]) // 2
+        assert {v: int(lab[:width], 2) for v, lab in labels.items()} == colours
 
 
 class TestDegeneracy:

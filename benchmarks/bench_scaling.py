@@ -374,6 +374,86 @@ def bench_grid_stacking(request):
     )
 
 
+#: (family, n, SHA-256 of the canonical CSR at seed 1) cells of the graph
+#: generation benchmark.  The pinned digests make every cell a check that
+#: generation still yields exactly the same graph.  The 10⁶ grid is the cell
+#: ``--quick`` skips.
+GRAPH_CELLS = [
+    ("geometric", 4096,
+     "bad49354e04350c083dacb711d3ff283e03b4feb508f172195784414d2ff8fa4"),
+    ("gnp_sparse", 4096,
+     "408340ea7e5fcd57c56ecdfeaca896af9da1330168a1b5164d7e23c53e01bafa"),
+    ("grid", 317 * 317,
+     "0c5f15c445238ea386d661f19a0a3d61a4b5041e9c2b263a237e283b1bf0100d"),
+    ("path", 20_000,
+     "18746f6a15e2dab0d66c835e05b8eb37c9cede959b68c72582ccb4b57a1dc5ed"),
+    ("series_parallel", 2000,
+     "32a4abb5ef06053c804570ee5213f47818cf747caa17459abb7acf4baf39be85"),
+]
+GRAPH_LARGE_CELL = (
+    "grid", 1000 * 1000,
+    "2d7f56dd8e30ec59d3051aab6449de5f258b92427e388efb241754f207d18602")
+
+#: One generation cell in a fresh interpreter, so ``ru_maxrss`` is this
+#: graph's peak alone: generate at seed 1, then digest the CSR.
+_GRAPH_PROBE = """
+import hashlib, json, resource, sys, time
+from repro.graphs import generate_family
+
+start = time.perf_counter()
+graph = generate_family(sys.argv[1], int(sys.argv[2]), 1)
+seconds = time.perf_counter() - start
+indptr, indices = graph.csr()
+digest = hashlib.sha256(indptr.astype("<i8").tobytes() + indices.astype("<i8").tobytes())
+print(json.dumps({"n": graph.n, "m": graph.num_edges, "seconds": seconds,
+                  "digest": digest.hexdigest(),
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+"""
+
+
+def bench_graph_rows(request):
+    """Graph generation alone at large n; emits the ``graph_rows`` section.
+
+    Each cell generates one family member at seed 1 in its own interpreter
+    and records the generation seconds, the process's peak RSS and the
+    SHA-256 of ``indptr`` and ``indices`` as little-endian int64.  Asserts
+    that every digest equals the pinned one.  With ``--quick`` the n = 10⁶
+    grid is skipped.
+    """
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cells = list(GRAPH_CELLS)
+    if not request.config.getoption("--quick"):
+        cells.append(GRAPH_LARGE_CELL)
+    rows = []
+    for family, n, digest in cells:
+        out = subprocess.run(
+            [sys.executable, "-c", _GRAPH_PROBE, family, str(n)],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        cell = json.loads(out.stdout.strip().splitlines()[-1])
+        assert cell["digest"] == digest, (family, n, cell["digest"])
+        rows.append({
+            "family": family,
+            "n": cell["n"],
+            "m": cell["m"],
+            "seconds": round(cell["seconds"], 4),
+            "peak_rss_mb": round(cell["peak_rss_mb"], 1),
+            "csr_sha256": cell["digest"][:16],
+            "digest_match": cell["digest"] == digest,
+        })
+    _merge_bench_json("graph_rows", rows)
+    report(
+        "E10k — graph generation alone (one interpreter per cell, seed 1)",
+        format_table(rows) + f"\nwritten to {BENCH_JSON}",
+    )
+
+
 #: (family, n) cells of the real-λ labeling benchmark; the 10⁶ grid is the
 #: cell ``--quick`` skips.
 LABELING_CELLS = [("grid", 10_000), ("grid", 317 * 317), ("path", 20_000),

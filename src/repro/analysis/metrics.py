@@ -126,26 +126,31 @@ def metrics_from_run(
     fault: str = "none",
     clock: str = "sync",
     backend: Optional[str] = None,
+    source_eccentricity: Optional[int] = None,
 ) -> RunMetrics:
     """Flatten any unified :class:`Outcome` into a :class:`RunMetrics` row.
 
     ``backend`` overrides the provenance tag; by default it is read from
     ``outcome.extras["executed_by"]``, which :meth:`repro.api.Scheme.run`
     stamps with the engine that actually executed the task.
+    ``source_eccentricity`` is the source's radius when the caller already
+    has it (the grid runner computes it once per instance); by default it is
+    one BFS from the source.
     """
-    src = source
-    if src is None and outcome.labeling is not None:
-        src = outcome.labeling.source
-    if src is None:
-        src = outcome.extras.get("coordinator", 0)
-    ecc = source_radius(graph, src) if graph.n > 0 else 0
+    if source_eccentricity is None:
+        src = source
+        if src is None and outcome.labeling is not None:
+            src = outcome.labeling.source
+        if src is None:
+            src = outcome.extras.get("coordinator", 0)
+        source_eccentricity = source_radius(graph, src) if graph.n > 0 else 0
     if backend is None:
         backend = outcome.extras.get("executed_by") or ""
     return RunMetrics(
         scheme=outcome.scheme,
         family=family,
         n=graph.n,
-        source_eccentricity=ecc,
+        source_eccentricity=source_eccentricity,
         label_bits=outcome.label_bits,
         distinct_labels=outcome.distinct_labels,
         completion_round=outcome.completion_round,

@@ -68,6 +68,7 @@ from typing import (
 from ..analysis.metrics import RunMetrics, metrics_from_run
 from ..analysis.sweep import instance_seed
 from ..backends import BACKEND_NAMES
+from ..graphs.properties import source_radius
 from ..store import ResultSet, ResultStore, StoreError, unit_key
 from .schemes import get_scheme, scheme_names
 from .specs import (
@@ -383,6 +384,8 @@ def _run_unit_window(
     # (bit signalling).  The other schemes swallow both.
     labels: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
     constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
+    # The source's radius, one BFS per instance for all of its rows.
+    radii: Dict[Tuple[str, int, int], int] = {}
 
     def task_of(unit: UnitSpec) -> Any:
         instance, scheme = instances[unit[:3]], get_scheme(unit[5])
@@ -412,11 +415,14 @@ def _run_unit_window(
             instance.graph, task, result, labels[unit[5], unit[:3]])
         if result.backend is not None:
             outcome.extras.setdefault("executed_by", result.backend)
+        if unit[:3] not in radii:
+            radii[unit[:3]] = source_radius(instance.graph, instance.source)
         return metrics_from_run(
             instance.graph, outcome, family=instance.family,
             source=instance.source,
             fault=spec_label(unit[3], default="none"),
             clock=spec_label(unit[4], default="sync"),
+            source_eccentricity=radii[unit[:3]],
         )
 
     def run_batch(tasks: List[Any]) -> List[Any]:

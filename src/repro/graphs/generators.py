@@ -62,63 +62,55 @@ __all__ = [
 def path_graph(n: int) -> Graph:
     """Path P_n: nodes 0-1-2-…-(n-1)."""
     _require_positive(n)
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    u = np.arange(n - 1)
+    return Graph.from_edge_arrays(n, u, u + 1)
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle C_n (requires n ≥ 3)."""
     if n < 3:
         raise GraphError(f"cycle graph needs at least 3 nodes, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges)
+    u = np.arange(n)
+    return Graph.from_edge_arrays(n, u, (u + 1) % n)
 
 
 def star_graph(n: int) -> Graph:
     """Star with centre 0 and n-1 leaves."""
     _require_positive(n)
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph.from_edge_arrays(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph K_n."""
     _require_positive(n)
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    return Graph.from_edge_arrays(n, *np.triu_indices(n, k=1))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """Complete bipartite graph K_{a,b}; side A is 0..a-1, side B is a..a+b-1."""
     if a < 1 or b < 1:
         raise GraphError("both sides of a complete bipartite graph must be non-empty")
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph.from_edges(a + b, edges)
+    return Graph.from_edge_arrays(a + b, np.repeat(np.arange(a), b), a + np.tile(np.arange(b), a))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """rows × cols grid; node (r, c) has index ``r * cols + c``."""
     if rows < 1 or cols < 1:
         raise GraphError("grid dimensions must be positive")
-    edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                edges.append((u, u + 1))
-            if r + 1 < rows:
-                edges.append((u, u + cols))
-    return Graph.from_edges(rows * cols, edges)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    u = np.concatenate((ids[:, :-1].ravel(), ids[:-1, :].ravel()))
+    v = np.concatenate((ids[:, 1:].ravel(), ids[1:, :].ravel()))
+    return Graph.from_edge_arrays(rows * cols, u, v)
 
 
 def torus_graph(rows: int, cols: int) -> Graph:
     """rows × cols torus (grid with wraparound); requires both dims ≥ 3."""
     if rows < 3 or cols < 3:
         raise GraphError("torus dimensions must be at least 3 to stay simple")
-    edges: List[Tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            edges.append((u, r * cols + (c + 1) % cols))
-            edges.append((u, ((r + 1) % rows) * cols + c))
-    return Graph.from_edges(rows * cols, edges)
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right, down = np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)
+    u = np.concatenate((ids.ravel(), ids.ravel()))
+    return Graph.from_edge_arrays(rows * cols, u, np.concatenate((right.ravel(), down.ravel())))
 
 
 def hypercube_graph(dim: int) -> Graph:
@@ -126,15 +118,17 @@ def hypercube_graph(dim: int) -> Graph:
     if dim < 0:
         raise GraphError("hypercube dimension must be non-negative")
     n = 1 << dim
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < (u ^ (1 << b))]
-    return Graph.from_edges(n, edges)
+    bits = 1 << np.arange(dim)
+    # one edge per (node, bit) pair whose bit is clear in the node
+    u, b = np.nonzero(np.arange(n)[:, None] & bits == 0)
+    return Graph.from_edge_arrays(n, u, u | bits[b])
 
 
 def binary_tree_graph(n: int) -> Graph:
     """Complete binary tree on n nodes in heap order (node i's children are 2i+1, 2i+2)."""
     _require_positive(n)
-    edges = [(i, (i - 1) // 2) for i in range(1, n)]
-    return Graph.from_edges(n, edges)
+    v = np.arange(1, n)
+    return Graph.from_edge_arrays(n, (v - 1) // 2, v)
 
 
 def full_kary_tree(k: int, depth: int) -> Graph:
@@ -160,13 +154,11 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> Graph:
     """Caterpillar: a spine path with ``legs_per_node`` pendant leaves per spine node."""
     if spine < 1 or legs_per_node < 0:
         raise GraphError("spine must be ≥ 1, legs_per_node ≥ 0")
-    edges = [(i, i + 1) for i in range(spine - 1)]
-    next_index = spine
-    for s in range(spine):
-        for _ in range(legs_per_node):
-            edges.append((s, next_index))
-            next_index += 1
-    return Graph.from_edges(next_index, edges)
+    n = spine * (1 + legs_per_node)
+    body = np.arange(spine - 1)
+    u = np.concatenate((body, np.repeat(np.arange(spine), legs_per_node)))
+    v = np.concatenate((body + 1, np.arange(spine, n)))
+    return Graph.from_edge_arrays(n, u, v)
 
 
 def spider_graph(legs: int, leg_length: int) -> Graph:
@@ -188,23 +180,18 @@ def wheel_graph(n: int) -> Graph:
     """Wheel W_n: a cycle on nodes 1..n-1 plus a hub 0 adjacent to all of them (n ≥ 4)."""
     if n < 4:
         raise GraphError(f"wheel graph needs at least 4 nodes, got {n}")
-    rim = n - 1
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(1 + i, 1 + (i + 1) % rim) for i in range(rim)]
-    return Graph.from_edges(n, edges)
+    rim = np.arange(n - 1)
+    u = np.concatenate((np.zeros(n - 1, dtype=np.int64), 1 + rim))
+    return Graph.from_edge_arrays(n, u, np.concatenate((1 + rim, 1 + (rim + 1) % (n - 1))))
 
 
 def ladder_graph(rungs: int) -> Graph:
     """Ladder: two paths of length ``rungs`` joined by rungs (2·rungs nodes)."""
     if rungs < 1:
         raise GraphError("ladder needs at least one rung")
-    edges: List[Tuple[int, int]] = []
-    for i in range(rungs):
-        edges.append((2 * i, 2 * i + 1))
-        if i + 1 < rungs:
-            edges.append((2 * i, 2 * i + 2))
-            edges.append((2 * i + 1, 2 * i + 3))
-    return Graph.from_edges(2 * rungs, edges)
+    rails = np.arange(2 * rungs - 2)
+    u = np.concatenate((np.arange(0, 2 * rungs, 2), rails))
+    return Graph.from_edge_arrays(2 * rungs, u, np.concatenate((u[:rungs] + 1, rails + 2)))
 
 
 def barbell_graph(clique_size: int, path_length: int) -> Graph:
@@ -308,11 +295,18 @@ def random_gnp_graph(n: int, p: float, seed: SeedLike = None, *, connect: bool =
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability must be in [0, 1], got {p}")
     rng = make_rng(seed)
-    mask = rng.random((n, n)) < p
-    iu, ju = np.triu_indices(n, k=1)
-    sel = mask[iu, ju]
-    edges = list(zip(iu[sel].tolist(), ju[sel].tolist()))
-    g = Graph.from_edges(n, edges)
+    # The coin of pair (i, j), i < j, is entry (i, j) of one (n, n) uniform
+    # draw.  Drawing it in blocks of whole rows consumes the stream in the
+    # same order, so the edges are the same in O(n · block) memory.
+    block = max(1, _GNP_BLOCK_CELLS // n)
+    us, vs = [], []
+    for start in range(0, n, block):
+        rows, cols = np.nonzero(rng.random((min(block, n - start), n)) < p)
+        rows += start
+        upper = cols > rows
+        us.append(rows[upper])
+        vs.append(cols[upper])
+    g = Graph.from_edge_arrays(n, np.concatenate(us), np.concatenate(vs))
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
     return g
@@ -373,16 +367,52 @@ def random_geometric_graph(
         raise GraphError(f"radius must be positive, got {radius}")
     rng = make_rng(seed)
     pts = rng.random((n, 2))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
-    mask = dist2 <= radius * radius
-    iu, ju = np.triu_indices(n, k=1)
-    sel = mask[iu, ju]
-    edges = list(zip(iu[sel].tolist(), ju[sel].tolist()))
-    g = Graph.from_edges(n, edges)
+    # With cells of side 1 / cells >= radius, every edge joins points of the
+    # same or of adjacent cells.  The slack keeps that so when 1 / radius is
+    # (nearly) a whole number and x * cells rounds across a cell boundary.
+    cells = max(1, int(1.0 / (radius * (1.0 + 1e-9))))
+    if cells < _GEOMETRIC_MIN_CELLS:
+        diff = pts[:, None, :] - pts[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+        u, v = np.nonzero(np.triu(dist2 <= radius * radius, k=1))
+    else:
+        u, v = _cell_pairs(pts, cells)
+        diff = pts[u] - pts[v]
+        near = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+        u, v = u[near], v[near]
+    g = Graph.from_edge_arrays(n, u, v)
     if connect and not is_connected(g):
         g = _connect_components(g, rng)
     return g
+
+
+def _cell_pairs(pts: np.ndarray, cells: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every pair of points in the same cell or in adjacent cells, once each.
+
+    The unit square is cut into ``cells × cells`` cells.  Each point is
+    paired with the later points of its own cell and with every point of
+    four of its eight neighbouring cells (right, and the three above), so
+    each pair of cells is visited from one side only.
+    """
+    cx, cy = (np.minimum((pts[:, k] * cells).astype(np.int64), cells - 1) for k in (0, 1))
+    cell_of = cx * cells + cy
+    order = np.argsort(cell_of, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(cell_of, minlength=cells * cells))))
+    cx, cy = cx[order], cy[order]
+    rank = np.arange(order.size) - starts[cell_of[order]]
+    us, vs = [], []
+    for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+        nx, ny = cx + dx, cy + dy
+        valid = (nx < cells) & (ny >= 0) & (ny < cells)
+        cell = np.where(valid, nx * cells + ny, 0)
+        # Within a cell only the points after this one; across cells all.
+        first = starts[cell] + (rank + 1 if dx == dy == 0 else 0)
+        take = np.where(valid, starts[cell + 1] - first, 0)
+        left = np.repeat(np.arange(order.size), take)
+        right = np.arange(left.size) - np.repeat(np.cumsum(take) - take, take)
+        us.append(order[left])
+        vs.append(order[np.repeat(first, take) + right])
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def random_series_parallel_graph(n: int, seed: SeedLike = None) -> Graph:
@@ -398,18 +428,18 @@ def random_series_parallel_graph(n: int, seed: SeedLike = None) -> Graph:
         raise GraphError("a series-parallel graph needs at least 2 nodes")
     rng = make_rng(seed)
     edges: List[Tuple[int, int]] = [(0, 1)]
-    while len({v for e in edges for v in e}) < n:
-        next_index = len({v for e in edges for v in e})
-        u, v = edges[int(rng.integers(0, len(edges)))]
+    # Each expansion adds exactly one node, and every edge it adds touches
+    # that new node, so the edge list never holds a duplicate.
+    for w in range(2, n):
+        picked = int(rng.integers(0, len(edges)))
+        u, v = edges[picked]
         if rng.random() < 0.5:
             # series expansion: replace edge (u,v) by (u,w),(w,v)
-            edges.remove((u, v))
-            edges.append((min(u, next_index), max(u, next_index)))
-            edges.append((min(v, next_index), max(v, next_index)))
-        else:
-            # attach a new node across the edge (keeps both endpoints)
-            edges.append((min(u, next_index), max(u, next_index)))
-            edges.append((min(v, next_index), max(v, next_index)))
+            del edges[picked]
+        # either way w joins both endpoints (attached across the edge when
+        # the edge stays)
+        edges.append((u, w))
+        edges.append((v, w))
     return Graph.from_edges(n, edges)
 
 
@@ -445,6 +475,15 @@ def _connect_components(g: Graph, rng: np.random.Generator) -> Graph:
         extra.append((a, b))
         base.extend(comp)
     return g.add_edges(extra)
+
+
+#: Uniform draws per row block of :func:`random_gnp_graph`.
+_GNP_BLOCK_CELLS = 1 << 20
+
+#: Below this many cells per side :func:`random_geometric_graph` compares all
+#: (n, n) pairs densely: with one or two cells per side the cell grid visits
+#: most pairs anyway and pays more for its index arithmetic.
+_GEOMETRIC_MIN_CELLS = 3
 
 
 def _require_positive(n: int) -> None:

@@ -7,9 +7,13 @@ deliberately small, immutable after construction, and cheap to query:
 
 * nodes are integers ``0..n-1`` (a separate :attr:`Graph.names` mapping keeps
   arbitrary user-facing identifiers when graphs are read from files);
-* adjacency is stored both as frozensets (exact set queries, used heavily by
-  the sequence construction of Section 2.1) and as a CSR-like pair of NumPy
-  arrays (vectorised neighbourhood sweeps in the simulator hot loop);
+* adjacency is stored once, as a canonical CSR pair of NumPy arrays (each
+  node's neighbours sorted ascending), which the simulator hot loop and the
+  traversals read directly; every constructor builds it from edge arrays
+  through :meth:`Graph.from_edge_arrays`;
+* the set views — :attr:`Graph.edge_set` and the neighbour frozensets the
+  sequence construction of Section 2.1 queries — are derived from the CSR on
+  first use and cached;
 * hashing/equality are structural so graphs can be deduplicated in sweeps.
 
 The class intentionally does not support mutation: the labeling schemes of the
@@ -20,7 +24,6 @@ assemble a graph incrementally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +37,9 @@ class GraphError(ValueError):
 
 Edge = Tuple[int, int]
 
+#: Largest node count whose edge keys ``row * n + column`` fit in int64.
+_MAX_NODES = 3_037_000_499
+
 
 def _normalise_edge(u: int, v: int) -> Edge:
     """Return the canonical (min, max) representation of an undirected edge."""
@@ -42,7 +48,52 @@ def _normalise_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _edge_columns(edges: Iterable[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Split an iterable of ``(u, v)`` pairs into two endpoint arrays."""
+    pairs = np.array(list(edges))
+    if pairs.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphError("edges must be (u, v) pairs")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _endpoints(values: Sequence[int]) -> np.ndarray:
+    """One endpoint array as flat int64, refusing non-integer node indices."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphError(f"edge endpoints must be integer node indices, got {arr.dtype}")
+    return arr.astype(np.int64, copy=False).ravel()
+
+
+def _canonical_csr(n: int, u: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate int64 edge endpoint arrays and build the canonical CSR pair.
+
+    Both orientations of every edge become one key ``row * n + column``; one
+    sort orders the keys by row, then by neighbour, and a compare of
+    neighbouring keys drops duplicate edges (deliberately not ``np.unique``,
+    whose first call imports ``numpy.ma``).
+    """
+    if u.shape != v.shape:
+        raise GraphError(f"edge arrays differ in length: {u.size} and {v.size}")
+    if u.size:
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise GraphError(
+                f"edge ({u[i]}, {v[i]}) references a node outside 0..{n - 1}")
+        loops = u == v
+        if loops.any():
+            raise GraphError(
+                f"self-loop at node {u[np.flatnonzero(loops)[0]]} is not allowed")
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr.astype(np.int64, copy=False), keys % max(n, 1)
+
+
 class Graph:
     """A simple undirected graph on nodes ``0..n-1``.
 
@@ -50,7 +101,7 @@ class Graph:
     ----------
     n:
         Number of nodes.  Must be non-negative.
-    edges:
+    edge_set:
         Iterable of ``(u, v)`` pairs with ``0 <= u, v < n`` and ``u != v``.
         Duplicate edges (in either orientation) are collapsed.
     names:
@@ -66,43 +117,63 @@ class Graph:
     [0, 2]
     """
 
+    __slots__ = ("n", "names", "_indptr", "_indices", "_edge_set", "_adj", "_hash")
+
     n: int
-    edge_set: FrozenSet[Edge]
-    names: Optional[Tuple[str, ...]] = None
-    _adj: Tuple[FrozenSet[int], ...] = field(init=False, repr=False, compare=False)
-    _csr_indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    _csr_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    names: Optional[Tuple[str, ...]]
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"node count must be non-negative, got {self.n}")
-        if self.names is not None and len(self.names) != self.n:
+    def __init__(
+        self,
+        n: int,
+        edge_set: Iterable[Tuple[int, int]],
+        names: Optional[Sequence[str]] = None,
+    ) -> None:
+        self._assign(n, *_edge_columns(edge_set), names)
+
+    def _assign(self, n: int, u, v, names: Optional[Sequence[str]]) -> None:
+        """Validate and store the canonical CSR of ``n`` nodes and edges ``(u, v)``."""
+        if n < 0:
+            raise GraphError(f"node count must be non-negative, got {n}")
+        if n > _MAX_NODES:
+            raise GraphError(f"node count {n} exceeds the supported {_MAX_NODES}")
+        if names is not None and len(names) != n:
             raise GraphError(
-                f"names has {len(self.names)} entries but the graph has {self.n} nodes"
+                f"names has {len(names)} entries but the graph has {n} nodes"
             )
-        adj: List[set] = [set() for _ in range(self.n)]
-        for u, v in self.edge_set:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise GraphError(f"edge ({u}, {v}) references a node outside 0..{self.n - 1}")
-            if u == v:
-                raise GraphError(f"self-loop at node {u} is not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
-        frozen = tuple(frozenset(s) for s in adj)
-        object.__setattr__(self, "_adj", frozen)
-        # CSR arrays: indptr[u]..indptr[u+1] slices indices to u's sorted neighbours.
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        for u in range(self.n):
-            indptr[u + 1] = indptr[u] + len(frozen[u])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        for u in range(self.n):
-            nbrs = sorted(frozen[u])
-            indices[indptr[u] : indptr[u + 1]] = nbrs
-        object.__setattr__(self, "_csr_indptr", indptr)
-        object.__setattr__(self, "_csr_indices", indices)
+        indptr, indices = _canonical_csr(n, _endpoints(u), _endpoints(v))
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        set_ = object.__setattr__
+        set_(self, "n", int(n))
+        set_(self, "names", tuple(names) if names is not None else None)
+        set_(self, "_indptr", indptr)
+        set_(self, "_indices", indices)
+        set_(self, "_edge_set", None)
+        set_(self, "_adj", None)
+        set_(self, "_hash", None)
+
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        n: int,
+        u: Sequence[int],
+        v: Sequence[int],
+        names: Optional[Sequence[str]] = None,
+    ) -> "Graph":
+        """Build a graph from two endpoint arrays: edge ``i`` joins ``u[i]`` and ``v[i]``.
+
+        Every constructor routes through this one.  Edges may come in either
+        orientation and repeat; they are canonicalised and deduplicated.
+        Raises :class:`GraphError` for a negative ``n``, a ``names`` of the
+        wrong length, a non-integer endpoint, an endpoint outside
+        ``0..n-1`` or a self-loop.
+        """
+        graph = cls.__new__(cls)
+        graph._assign(n, u, v, names)
+        return graph
 
     @classmethod
     def from_edges(
@@ -112,8 +183,7 @@ class Graph:
         names: Optional[Sequence[str]] = None,
     ) -> "Graph":
         """Build a graph from a node count and an edge iterable."""
-        edge_set = frozenset(_normalise_edge(u, v) for u, v in edges)
-        return cls(n=n, edge_set=edge_set, names=tuple(names) if names is not None else None)
+        return cls(n, edges, names)
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[int, Iterable[int]]) -> "Graph":
@@ -134,7 +204,16 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         """Graph on ``n`` nodes with no edges."""
-        return cls(n=n, edge_set=frozenset())
+        return cls.from_edge_arrays(n, (), ())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Graph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Graph.from_edge_arrays, (self.n, *self._edge_arrays(), self.names))
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -147,7 +226,15 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        return len(self.edge_set)
+        return self._indices.size // 2
+
+    @property
+    def edge_set(self) -> FrozenSet[Edge]:
+        """Canonical ``(u, v)`` edges with ``u < v``, as a frozenset (cached view)."""
+        if self._edge_set is None:
+            u, v = self._edge_arrays()
+            object.__setattr__(self, "_edge_set", frozenset(zip(u.tolist(), v.tolist())))
+        return self._edge_set
 
     def nodes(self) -> range:
         """Iterate over node indices ``0..n-1``."""
@@ -155,7 +242,14 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over canonical ``(u, v)`` edges with ``u < v`` in sorted order."""
-        return iter(sorted(self.edge_set))
+        u, v = self._edge_arrays()
+        return zip(u.tolist(), v.tolist())
+
+    def _edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays ``(u, v)`` of the canonical edges, ``u < v``, sorted."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self._indptr))
+        upper = rows < self._indices
+        return rows[upper], self._indices[upper]
 
     def has_node(self, u: int) -> bool:
         """Return ``True`` if ``u`` is a valid node index."""
@@ -170,25 +264,29 @@ class Graph:
     def neighbors(self, u: int) -> FrozenSet[int]:
         """Return the neighbour set of ``u`` as a frozenset."""
         self._check_node(u)
-        return self._adj[u]
+        return (self._adj or self.neighbor_sets())[u]
 
     def neighbor_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """Every node's neighbour set, indexed by node (no per-call node check)."""
+        """Every node's neighbour set, indexed by node (cached view, no per-call node check)."""
+        if self._adj is None:
+            indptr, indices = self._indptr.tolist(), self._indices.tolist()
+            object.__setattr__(self, "_adj", tuple([
+                frozenset(indices[start:end]) for start, end in zip(indptr, indptr[1:])]))
         return self._adj
 
     def neighbors_array(self, u: int) -> np.ndarray:
         """Return the sorted neighbour indices of ``u`` as a NumPy view."""
         self._check_node(u)
-        return self._csr_indices[self._csr_indptr[u] : self._csr_indptr[u + 1]]
+        return self._indices[self._indptr[u] : self._indptr[u + 1]]
 
     def degree(self, u: int) -> int:
         """Degree of node ``u``."""
         self._check_node(u)
-        return len(self._adj[u])
+        return int(self._indptr[u + 1] - self._indptr[u])
 
     def degrees(self) -> np.ndarray:
         """Vector of all node degrees (``shape (n,)``)."""
-        return np.diff(self._csr_indptr)
+        return np.diff(self._indptr)
 
     def max_degree(self) -> int:
         """Maximum degree Δ (0 for an empty graph)."""
@@ -205,18 +303,19 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (``shape (n, n)``)."""
         mat = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edge_set:
-            mat[u, v] = True
-            mat[v, u] = True
+        u, v = self._edge_arrays()
+        mat[u, v] = True
+        mat[v, u] = True
         return mat
 
     def adjacency_lists(self) -> Dict[int, List[int]]:
         """Plain-dict adjacency representation with sorted neighbour lists."""
-        return {u: sorted(self._adj[u]) for u in range(self.n)}
+        indptr, indices = self._indptr.tolist(), self._indices.tolist()
+        return {u: indices[indptr[u] : indptr[u + 1]] for u in range(self.n)}
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the ``(indptr, indices)`` CSR arrays (read-only views)."""
-        return self._csr_indptr, self._csr_indices
+        """Return the ``(indptr, indices)`` CSR arrays (read-only)."""
+        return self._indptr, self._indices
 
     # ------------------------------------------------------------------ #
     # set-level neighbourhood queries (used by the Section 2.1 construction)
@@ -227,9 +326,10 @@ class Graph:
         Matches the paper's definition — note that Γ(X) may intersect X and
         does *not* automatically include X.
         """
+        adj = self.neighbor_sets()
         out: set = set()
         for u in nodes:
-            out.update(self._adj[u])
+            out.update(adj[u])
         return frozenset(out)
 
     def closed_neighborhood(self, nodes: Iterable[int]) -> FrozenSet[int]:
@@ -243,13 +343,13 @@ class Graph:
         This is the paper's domination relation (a node does not dominate
         itself unless it has a neighbour in the dominating set).
         """
+        adj = self.neighbor_sets()
         dom = set(dominators)
-        return all(bool(self._adj[t] & dom) for t in targets)
+        return all(bool(adj[t] & dom) for t in targets)
 
     def count_neighbors_in(self, u: int, subset: Iterable[int]) -> int:
         """Number of neighbours of ``u`` that lie inside ``subset``."""
-        self._check_node(u)
-        return len(self._adj[u] & set(subset))
+        return len(self.neighbors(u) & set(subset))
 
     # ------------------------------------------------------------------ #
     # derived graphs
@@ -263,49 +363,44 @@ class Graph:
         nodes = list(dict.fromkeys(nodes))  # preserve order, dedupe
         for u in nodes:
             self._check_node(u)
+        new_index = np.full(self.n, -1, dtype=np.int64)
+        new_index[np.asarray(nodes, dtype=np.int64)] = np.arange(len(nodes))
+        u, v = (new_index[end] for end in self._edge_arrays())
+        inside = (u >= 0) & (v >= 0)
         remap = {u: i for i, u in enumerate(nodes)}
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self.edge_set
-            if u in remap and v in remap
-        ]
-        return Graph.from_edges(len(nodes), edges), remap
+        return Graph.from_edge_arrays(len(nodes), u[inside], v[inside]), remap
 
     def relabel(self, permutation: Sequence[int]) -> "Graph":
         """Return an isomorphic graph where old node ``u`` becomes ``permutation[u]``."""
         if sorted(permutation) != list(range(self.n)):
             raise GraphError("permutation must be a bijection on 0..n-1")
-        edges = [(permutation[u], permutation[v]) for u, v in self.edge_set]
-        return Graph.from_edges(self.n, edges)
+        perm = np.asarray(permutation, dtype=np.int64)
+        u, v = self._edge_arrays()
+        return Graph.from_edge_arrays(self.n, perm[u], perm[v])
 
     def union_disjoint(self, other: "Graph") -> "Graph":
         """Disjoint union: ``other``'s nodes are shifted by ``self.n``."""
-        edges = list(self.edge_set) + [(u + self.n, v + self.n) for u, v in other.edge_set]
-        return Graph.from_edges(self.n + other.n, edges)
+        (u1, v1), (u2, v2) = self._edge_arrays(), other._edge_arrays()
+        return Graph.from_edge_arrays(
+            self.n + other.n,
+            np.concatenate((u1, u2 + self.n)), np.concatenate((v1, v2 + self.n)))
 
     def add_edges(self, extra: Iterable[Tuple[int, int]]) -> "Graph":
         """Return a new graph with additional edges (the original is unchanged)."""
-        edges = set(self.edge_set)
-        for u, v in extra:
-            self._check_node(u)
-            self._check_node(v)
-            edges.add(_normalise_edge(u, v))
-        return Graph(n=self.n, edge_set=frozenset(edges), names=self.names)
+        eu, ev = _edge_columns(extra)
+        u, v = self._edge_arrays()
+        return Graph.from_edge_arrays(
+            self.n, np.concatenate((u, eu)), np.concatenate((v, ev)), names=self.names)
 
     def remove_edges(self, gone: Iterable[Tuple[int, int]]) -> "Graph":
         """Return a new graph with the listed edges removed."""
         removed = {_normalise_edge(u, v) for u, v in gone}
-        return Graph(n=self.n, edge_set=frozenset(self.edge_set - removed), names=self.names)
+        return Graph(self.n, self.edge_set - removed, names=self.names)
 
     def complement(self) -> "Graph":
         """Complement graph (no self loops)."""
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edge_set
-        ]
-        return Graph.from_edges(self.n, edges)
+        u, v = np.nonzero(np.triu(~self.adjacency_matrix(), k=1))
+        return Graph.from_edge_arrays(self.n, u, v)
 
     # ------------------------------------------------------------------ #
     # dunder / misc
@@ -324,12 +419,19 @@ class Graph:
         return iter(range(self.n))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edge_set))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.n, self._indptr.tobytes(), self._indices.tobytes())))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_set == other.edge_set
+        return self is other or (
+            self.n == other.n
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+        )
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"

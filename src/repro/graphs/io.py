@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .graph import Graph, GraphError
 
@@ -29,6 +29,14 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
+def _ints(tokens: Sequence[str], line: str, what: str) -> Tuple[int, ...]:
+    """Parse ``tokens`` as integers, or raise a :class:`GraphError` naming ``line``."""
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise GraphError(f"bad {what} {line!r}: expected integers") from None
+
+
 # --------------------------------------------------------------------------- #
 # edge-list text format: first line "n m", then one "u v" line per edge
 # --------------------------------------------------------------------------- #
@@ -40,20 +48,25 @@ def to_edge_list(graph: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list text format produced by :func:`to_edge_list`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Parse the plain edge-list text format produced by :func:`to_edge_list`.
+
+    Blank lines and lines starting with ``#`` (after indentation) are
+    skipped.  Every malformed line raises :class:`GraphError` naming it.
+    """
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
+             if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty edge-list document")
     header = lines[0].split()
     if len(header) != 2:
         raise GraphError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    n, m = int(header[0]), int(header[1])
+    n, m = _ints(header, lines[0], "edge-list header")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(_ints(parts, ln, "edge line"))
     if len(edges) != m:
         raise GraphError(f"header promised {m} edges but found {len(edges)}")
     return Graph.from_edges(n, edges)
@@ -106,9 +119,14 @@ def to_dimacs(graph: Graph) -> str:
 
 
 def from_dimacs(text: str) -> Graph:
-    """Parse the DIMACS edge format."""
+    """Parse the DIMACS edge format.
+
+    Blank lines and ``c`` comment lines are skipped; lines of any other kind
+    than ``p`` and ``e`` are ignored.  A malformed ``p`` or ``e`` line raises
+    :class:`GraphError` naming it.
+    """
     n: Optional[int] = None
-    edges: List = []
+    edges: List[Tuple[int, int]] = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("c"):
@@ -117,10 +135,13 @@ def from_dimacs(text: str) -> Graph:
             parts = ln.split()
             if len(parts) < 4:
                 raise GraphError(f"bad DIMACS problem line {ln!r}")
-            n = int(parts[2])
+            n, _ = _ints(parts[2:4], ln, "DIMACS problem line")
         elif ln.startswith("e"):
             parts = ln.split()
-            edges.append((int(parts[1]) - 1, int(parts[2]) - 1))
+            if len(parts) < 3:
+                raise GraphError(f"bad DIMACS edge line {ln!r}")
+            u, v = _ints(parts[1:3], ln, "DIMACS edge line")
+            edges.append((u - 1, v - 1))
     if n is None:
         raise GraphError("DIMACS document has no problem line")
     return Graph.from_edges(n, edges)

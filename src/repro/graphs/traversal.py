@@ -120,7 +120,7 @@ def connected_components(graph: Graph) -> List[List[int]]:
 
     Components are ordered by their smallest node.
     """
-    adj = graph.neighbor_sets()
+    indptr, indices = (a.tolist() for a in graph.csr())
     seen = [False] * graph.n
     components: List[List[int]] = []
     for start in range(graph.n):
@@ -129,7 +129,7 @@ def connected_components(graph: Graph) -> List[List[int]]:
         seen[start] = True
         comp = [start]
         for u in comp:  # grows behind the cursor: a BFS queue
-            for v in adj[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)

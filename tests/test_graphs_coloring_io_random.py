@@ -106,6 +106,43 @@ class TestSerialization:
         with pytest.raises(GraphError):
             from_dimacs("e 1 2\n")
 
+    def test_edge_list_accepts_indented_comments(self):
+        text = "  # a note\n3 2\n\t# another\n0 1\n  1 2  \n"
+        assert from_edge_list(text) == path_graph(3)
+
+    @pytest.mark.parametrize("text, line", [
+        ("3 1\n3 x\n", "3 x"),
+        ("3 1\n0 one\n", "0 one"),
+        ("three 1\n0 1\n", "three 1"),
+        ("3 1\n0 1 2\n", "0 1 2"),
+        ("3 1\n0\n", "0"),
+    ])
+    def test_edge_list_malformed_line_names_it(self, text, line):
+        with pytest.raises(GraphError, match=repr(line)):
+            from_edge_list(text)
+
+    def test_edge_list_out_of_range_edge_rejected(self):
+        with pytest.raises(GraphError):
+            from_edge_list("3 1\n0 3\n")
+        with pytest.raises(GraphError):
+            from_edge_list("3 1\n0 99999999999999999999\n")
+        with pytest.raises(GraphError):
+            from_edge_list("99999999999999999999 0\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("p edge 3 1\ne 1\n", "e 1"),
+        ("p edge three 1\ne 1 2\n", "p edge three 1"),
+        ("p edge 3\n", "p edge 3"),
+        ("p edge 3 1\ne 1 x\n", "e 1 x"),
+    ])
+    def test_dimacs_malformed_line_names_it(self, text, line):
+        with pytest.raises(GraphError, match=repr(line)):
+            from_dimacs(text)
+
+    def test_dimacs_skips_comments_and_blank_lines(self):
+        text = "c made by hand\n\n  p edge 3 2\n  c note\ne 1 2\ne 2 3\n"
+        assert from_dimacs(text) == path_graph(3)
+
     def test_networkx_roundtrip(self):
         networkx = pytest.importorskip("networkx")
         from repro.graphs import from_networkx, to_networkx

@@ -18,6 +18,8 @@ from repro.core import (
     run_broadcast,
 )
 from repro.graphs import (
+    Graph,
+    GraphError,
     from_adjacency_json,
     from_dimacs,
     from_edge_list,
@@ -139,6 +141,38 @@ def test_serialization_roundtrips(n, seed, density):
     assert from_edge_list(to_edge_list(graph)) == graph
     assert from_adjacency_json(to_adjacency_json(graph)) == graph
     assert from_dimacs(to_dimacs(graph)) == graph
+
+
+def _parses_or_graph_error(reader, text):
+    try:
+        assert isinstance(reader(text), Graph)
+    except GraphError:
+        pass
+
+
+#: Line-structured junk: small and negative integers, reader keywords and
+#: stray words, so the readers' branches are reached far more often than by
+#: uniform text.
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "7", "-1", "p", "e", "c", "edge",
+                           "#", "x", "1.5", "", "  "])
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(max_size=80), _LINES))
+def test_graph_readers_return_a_graph_or_raise_graph_error(text):
+    _parses_or_graph_error(from_edge_list, text)
+    _parses_or_graph_error(from_dimacs, text)
+
+
+@_SETTINGS
+@given(n=st.integers(min_value=1, max_value=20),
+       edges=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=40))
+def test_graphs_with_isolated_nodes_roundtrip(n, edges):
+    graph = Graph.from_edges(n, [(u % n, v % n) for u, v in edges if u % n != v % n])
+    assert from_edge_list(to_edge_list(graph)) == graph
+    assert from_dimacs(to_dimacs(graph)) == graph
+    assert from_adjacency_json(to_adjacency_json(graph)) == graph
 
 
 @_SETTINGS

@@ -6,8 +6,8 @@ n for the worst-case path and for "good" families (where it tracks the source
 eccentricity rather than n), (b) the cost of computing the labeling scheme
 itself as n grows (the sequence construction is the dominant part),
 (c) the reference-vs-vectorized backend comparison and (d) the
-many-small-instances sweep throughput of the batched engine against
-per-instance vectorized dispatch — both emitted into machine-readable
+many-small-instances sweep throughput of one stacked ``run_batch`` call
+against per-task ``run_task`` dispatch — both emitted into machine-readable
 ``BENCH_scaling.json`` at the repository root (each section updates its own
 key, so the benchmarks can run independently) so future optimisation PRs
 have a perf trajectory to compare against.
@@ -205,30 +205,25 @@ def bench_backend_scaling():
 
 
 def bench_batched_small_graph_sweep():
-    """Many small instances, one kernel loop: batched vs vectorized vs reference.
+    """Many small instances, one kernel loop: stacked vs per task vs reference.
 
     The statistical sweeps behind the paper's family-level claims run
     thousands of small instances, exactly where per-instance NumPy dispatch
     overhead dominates the vectorized backend.  This benchmark times the
     *engine* on a 256-instance n=32 sweep workload (tasks prebuilt, so
-    labeling/metrics cost — identical in every path — is excluded):
-    per-task reference, per-task vectorized dispatch, and one
-    ``run_batch`` over the stacked batch.  Acceptance: the batched engine
-    sustains ≥ 3× the per-instance vectorized throughput (≥ 2× asserted, to
-    absorb shared-CI noise) with bit-identical results, and stays ahead at
-    every (n ≤ 64, k ≥ 256) cell.
+    labeling/metrics cost — identical in every path — is excluded): the
+    reference engine task by task, the vectorized engine task by task
+    (``run_task``, a batch of one) and one vectorized ``run_batch`` over the
+    stacked batch.  Rows are keyed by ``mode`` (``reference`` /
+    ``per_task`` / ``stacked``).  Acceptance: stacking sustains ≥ 3× the
+    per-task throughput (≥ 2× asserted, to absorb shared-CI noise) with
+    bit-identical results, and stays ahead at every (n ≤ 64, k ≥ 256) cell.
     """
     from repro.api import get_scheme
-    from repro.backends import (
-        BatchedVectorizedBackend,
-        ReferenceBackend,
-        VectorizedBackend,
-    )
+    from repro.backends import ReferenceBackend, VectorizedBackend
 
     scheme = get_scheme("lambda")
-    batched, vectorized, reference = (
-        BatchedVectorizedBackend(), VectorizedBackend(), ReferenceBackend(),
-    )
+    engine, reference = VectorizedBackend(), ReferenceBackend()
     rows = []
     for family, n, k in [("gnp_sparse", 32, 256), ("geometric", 64, 256)]:
         tasks = []
@@ -252,36 +247,37 @@ def bench_batched_small_graph_sweep():
         wall_ref, outs_ref = best_of(
             lambda: [reference.run_task(t) for t in tasks], repeats=1
         )
-        wall_vec, outs_vec = best_of(lambda: [vectorized.run_task(t) for t in tasks])
-        wall_bat, outs_bat = best_of(lambda: batched.run_batch(tasks))
-        for ref_out, vec_out, bat_out in zip(outs_ref, outs_vec, outs_bat):
-            assert bat_out.trace == vec_out.trace == ref_out.trace
-            assert bat_out.derived == vec_out.derived
-        rounds = sum(out.trace.num_rounds for out in outs_bat)
-        for backend, wall in [("reference", wall_ref), ("vectorized", wall_vec),
-                              ("batched", wall_bat)]:
+        wall_task, outs_task = best_of(lambda: [engine.run_task(t) for t in tasks])
+        wall_stack, outs_stack = best_of(lambda: engine.run_batch(tasks))
+        for ref_out, task_out, stack_out in zip(outs_ref, outs_task, outs_stack):
+            assert stack_out.trace == task_out.trace == ref_out.trace
+            assert stack_out.derived == task_out.derived
+            assert stack_out.backend == task_out.backend == "vectorized"
+        rounds = sum(out.trace.num_rounds for out in outs_stack)
+        for mode, wall in [("reference", wall_ref), ("per_task", wall_task),
+                           ("stacked", wall_stack)]:
             rows.append({
                 "family": family,
                 "n": n,
                 "instances": k,
-                "backend": backend,
+                "mode": mode,
                 "rounds": rounds,
                 "rounds_per_sec": round(rounds / wall, 1),
                 "wall_time_s": round(wall, 6),
-                "speedup_vs_vectorized": round(wall_vec / wall, 2),
+                "speedup_vs_per_task": round(wall_task / wall, 2),
             })
-        assert wall_bat < wall_vec, (
-            f"batched must beat per-instance vectorized dispatch at "
-            f"n={n}, k={k}, got {wall_bat:.4f}s vs {wall_vec:.4f}s"
+        assert wall_stack < wall_task, (
+            f"stacked run_batch must beat per-task run_task at n={n}, k={k}, "
+            f"got {wall_stack:.4f}s vs {wall_task:.4f}s"
         )
-    headline = next(r for r in rows if r["backend"] == "batched" and r["n"] == 32)
-    assert headline["speedup_vs_vectorized"] >= 2.0, (
-        f"batched engine should be >= 2x per-instance vectorized dispatch on "
-        f"the 256-instance n=32 sweep, got {headline['speedup_vs_vectorized']}x"
+    headline = next(r for r in rows if r["mode"] == "stacked" and r["n"] == 32)
+    assert headline["speedup_vs_per_task"] >= 2.0, (
+        f"stacked run_batch should be >= 2x per-task run_task on the "
+        f"256-instance n=32 sweep, got {headline['speedup_vs_per_task']}x"
     )
     _merge_bench_json("batched_sweep", rows)
     report(
-        "E10d — batched multi-instance sweep (256 small graphs per cell)",
+        "E10d — stacked multi-instance sweep (256 small graphs per cell)",
         format_table(rows) + f"\nwritten to {BENCH_JSON}",
     )
 
@@ -294,18 +290,21 @@ STACKING_SEEDS = 16
 #: One cold ``run_grid`` in a fresh interpreter, so ``ru_maxrss`` is this
 #: cell's peak alone: λ and λ_ack on 16 seeds of one (family, n) on the
 #: vectorized engine, best of ``repeats`` runs, plus a digest of the rows.
+#: Mode ``alone`` sets ``STACK_NODES = 0``: one instance per kernel call.
 _STACKING_PROBE = """
 import hashlib, json, resource, sys, time
+import repro.api.grid as grid
 from repro.api import GridConfig, run_grid
 
-family, n, batch, seeds, repeats = sys.argv[1:6]
+family, n, mode, seeds, repeats = sys.argv[1:6]
 config = GridConfig(families=[family], sizes=[int(n)], seeds_per_size=int(seeds),
                     schemes=["lambda", "lambda_ack"])
-batch_size = None if batch == "unset" else int(batch)
+if mode == "alone":
+    grid.STACK_NODES = 0
 best = float("inf")
 for _ in range(int(repeats)):
     start = time.perf_counter()
-    rows = run_grid(config, backend="vectorized", batch_size=batch_size)
+    rows = run_grid(config, backend="vectorized")
     best = min(best, time.perf_counter() - start)
 blob = json.dumps([row.as_dict() for row in rows], sort_keys=True)
 print(json.dumps({"rows": len(rows), "seconds": best,
@@ -317,11 +316,11 @@ print(json.dumps({"rows": len(rows), "seconds": best,
 def bench_grid_stacking(request):
     """Cold grid sweeps, stacked by default vs one instance per kernel call.
 
-    With an unset ``batch_size`` the vectorized engine stacks consecutive
-    whole instances of a grid while their requested sizes sum to at most
-    ``STACK_NODES``; an instance that large runs alone.  This benchmark runs
-    the same grid (λ and λ_ack, 16 seeds) that way and with
-    ``batch_size=1``, at sizes on both sides of the cap.  Each run is a
+    The vectorized engine stacks consecutive whole instances of a grid while
+    their requested sizes sum to at most ``STACK_NODES``; an instance that
+    large runs alone.  This benchmark runs the same grid (λ and λ_ack, 16
+    seeds) that way and with ``STACK_NODES = 0`` (one instance per call), at
+    sizes on both sides of the cap.  Each run is a
     fresh interpreter and records rows/s (best of its repeats) and its
     ``ru_maxrss``.  Asserts identical rows in every cell and stacked ≥
     per-instance rows/s at n = 32.  ``--quick`` skips n = 4096.
@@ -337,10 +336,10 @@ def bench_grid_stacking(request):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     sizes = STACKING_SIZES[:-1] if request.config.getoption("--quick") else STACKING_SIZES
 
-    def run(family: str, n: int, batch: str) -> dict:
+    def run(family: str, n: int, mode: str) -> dict:
         repeats = 1 if n > STACK_NODES else 3
         out = subprocess.run(
-            [sys.executable, "-c", _STACKING_PROBE, family, str(n), batch,
+            [sys.executable, "-c", _STACKING_PROBE, family, str(n), mode,
              str(STACKING_SEEDS), str(repeats)],
             env=env, check=True, capture_output=True, text=True,
         )
@@ -349,8 +348,8 @@ def bench_grid_stacking(request):
     rows = []
     for family in ("gnp_sparse", "geometric"):
         for n in sizes:
-            alone = run(family, n, "1")
-            stacked = run(family, n, "unset")
+            alone = run(family, n, "alone")
+            stacked = run(family, n, "stacked")
             assert stacked["digest"] == alone["digest"], (family, n)
             rows.append({
                 "family": family,
@@ -557,7 +556,7 @@ task = scheme.build_task(
     max_rounds=scheme.default_budget(graph, info) if budget == "default" else int(budget),
     trace_level="summary", fault_model=None, clock_model=None,
 )
-engine = VectorizedBackend(strict=True)
+engine = VectorizedBackend()
 
 def best_of_two():
     best, out = float("inf"), None
@@ -565,6 +564,7 @@ def best_of_two():
         start = time.perf_counter()
         out = engine.run_task(task)
         best = min(best, time.perf_counter() - start)
+    assert out.backend == "vectorized", "the kernels must run, not the fallback"
     return best, (out.trace, out.derived, out.simulation.stop_round)
 
 with mock.patch.object(batched, "_SPARSE_MIN_NODES", 1 << 62):

@@ -48,10 +48,11 @@ class RunMetrics:
     ``backend`` is execution *provenance*: the registry name of the engine
     that actually ran the cell — which differs from the requested backend
     whenever a task rode a fallback (e.g. a B_arb cell under a non-default
-    clock model dispatched to ``batched`` executes on the reference engine).
-    It is excluded from row equality (``compare=False``): the differential
-    suites assert that backends agree on *measurements*, and provenance is
-    metadata about how the row was produced, not part of the result.
+    clock model dispatched to ``vectorized`` executes on the reference
+    engine).  It is excluded from row equality (``compare=False``): the
+    differential suites assert that backends agree on *measurements*, and
+    provenance is metadata about how the row was produced, not part of the
+    result.
     """
 
     scheme: str

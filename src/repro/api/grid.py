@@ -22,9 +22,9 @@ layered:
 
 The unit of work is one **row**: one scheme run on one
 (family, size, rep, fault, clock) cell.  Row order is the stable sweep order
-(instance → fault → clock → scheme) for any job count, chunk size and batch
-size; with ``jobs > 1`` cells fan out over a process pool as plain
-serializable specs the workers rematerialize.
+(instance → fault → clock → scheme) for any job count and chunk size; with
+``jobs > 1`` cells fan out over a process pool as plain serializable specs
+the workers rematerialize.
 
 ``strict=False`` records a failing cell as a row with an ``"error:..."``
 status instead of aborting the sweep; in strict mode the failure surfaces as
@@ -34,13 +34,12 @@ a :class:`~repro.analysis.executor.GridExecutionError` naming the cell spec
 One runner executes every unit: ``build_task`` → ``SimulationBackend.run_batch``
 → ``derive_outcome``, a window of consecutive whole instances at a time.
 Units of a window sharing a (scheme, fault spec, clock spec, trace level)
-compatibility key share one ``run_batch`` call — on the ``vectorized`` and
-``batched`` engines one block-diagonal kernel invocation — with rows
-guaranteed identical to running them one by one.  ``batch_size=K`` makes a
-window K instances.  Unset, the ``vectorized`` and ``batched`` engines
-stack instances while their requested sizes sum to at most
-:data:`STACK_NODES` (an instance that large runs alone), and every other
-engine runs one instance per window, one unit per call.
+compatibility key share one ``run_batch`` call — on the ``vectorized``
+engine one block-diagonal kernel invocation — with rows guaranteed
+identical to running them one by one.  One rule sets the windows: the
+``vectorized`` engine stacks instances while their requested sizes sum to
+at most :data:`STACK_NODES` (an instance that large runs alone), and every
+other engine runs one instance per window.
 """
 
 from __future__ import annotations
@@ -63,13 +62,16 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from ..analysis.metrics import RunMetrics, metrics_from_run
 from ..analysis.sweep import instance_seed
-from ..backends import BACKEND_NAMES
+from ..backends import BACKEND_NAMES, resolve_backend
+from ..graphs.generators import family_names
 from ..graphs.properties import source_radius
 from ..store import ResultSet, ResultStore, StoreError, unit_key
+from .scenario import SOURCE_RULES
 from .schemes import get_scheme, scheme_names
 from .specs import (
     ClockSpec,
@@ -108,35 +110,48 @@ class GridConfig:
     :func:`~repro.analysis.sweep.materialize_instance` for seeds and the
     ``source_rule``), ``schemes`` are registry names, ``faults`` / ``clocks``
     the channel-perturbation axes and ``payload`` the source message.  Every
-    axis entry must be serializable spec data.
+    axis entry must be serializable spec data.  Malformed axes (a bare
+    string, an unknown family, a size that is not a positive int, a
+    negative seed count, an unknown source rule) raise :class:`ValueError`
+    naming the field; values are stored as given.
     """
 
     families: Sequence[str]
     sizes: Sequence[int]
     seeds_per_size: int = 1
     schemes: Sequence[str] = ("lambda",)
-    source_rule: str = "zero"
+    source_rule: Union[int, str] = "zero"
     base_seed: int = 2019
     faults: Sequence[FaultSpec] = (None,)
     clocks: Sequence[ClockSpec] = (None,)
     payload: Any = "MSG"
-    #: Whole instances per window, whose compatible work units share one
-    #: engine call (same as ``run_grid(batch_size=...)``).  ``None`` stacks
-    #: up to :data:`STACK_NODES` requested nodes per window on the
-    #: ``vectorized`` and ``batched`` engines, and runs one unit per call on
-    #: the others.
-    batch_size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("families", "schemes", "sizes"):
+            axis = getattr(self, name)
+            if isinstance(axis, (str, bytes)) or not isinstance(axis, Sequence):
+                raise ValueError(f"{name} must be a list, got {axis!r}")
+        known = family_names()
+        unknown = [f for f in self.families if f not in known]
+        if unknown:
+            raise ValueError(f"families: unknown {unknown}; known: {known}")
+        bad = [s for s in self.sizes if not _is_int(s) or s < 1]
+        if bad:
+            raise ValueError(f"sizes must be positive ints, got {bad}")
+        if not _is_int(self.seeds_per_size) or self.seeds_per_size < 0:
+            raise ValueError(f"seeds_per_size must be an int >= 0, "
+                             f"got {self.seeds_per_size!r}")
+        rule = self.source_rule
+        if rule not in SOURCE_RULES and not (_is_int(rule) and rule >= 0):
+            raise ValueError(f"source_rule must be one of {SOURCE_RULES} or "
+                             f"a node id, got {rule!r}")
         self.faults = tuple(normalize_fault_spec(f) for f in self.faults) or (None,)
         self.clocks = tuple(normalize_clock_spec(c) for c in self.clocks) or (None,)
-        if self.batch_size is not None:
-            self.batch_size = int(self.batch_size)
-            if self.batch_size < 1:
-                raise ValueError(
-                    f"batch_size must be a positive integer or None, "
-                    f"got {self.batch_size}"
-                )
+
+
+def _is_int(value: Any) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def grid_cell_specs(config: GridConfig) -> List[CellSpec]:
@@ -266,39 +281,33 @@ def _failure_row(
     )
 
 
-#: Requested nodes per stacked window.  With an unset ``batch_size`` the
-#: ``vectorized`` and ``batched`` engines stack consecutive whole instances
-#: while their requested sizes sum to at most this, so an instance this
-#: large or larger runs alone.  Chosen for memory: a window's graphs, labels
-#: and kernel state are alive together, and past a few hundred nodes a
-#: round's arithmetic, not its NumPy dispatch, sets the engine's cost.
+#: Requested nodes per stacked window.  The ``vectorized`` engine stacks
+#: consecutive whole instances while their requested sizes sum to at most
+#: this, so an instance this large or larger runs alone.  Chosen for memory:
+#: a window's graphs, labels and kernel state are alive together, and past a
+#: few hundred nodes a round's arithmetic, not its NumPy dispatch, sets the
+#: engine's cost.
 STACK_NODES = 512
 
 
-def _unit_windows(
-    units: Sequence[UnitSpec], *, backend: Any, batch_size: Optional[int],
-) -> List[List[int]]:
+def _unit_windows(units: Sequence[UnitSpec], *, backend: Any) -> List[List[int]]:
     """Positions of ``units`` (in row order) split into windows of
     consecutive whole instances.
 
-    A window holds ``batch_size`` instances when it is set.  Unset, the
-    engines that stack (``vectorized`` and ``batched``) take instances while
-    their requested sizes sum to at most :data:`STACK_NODES`, and every
-    other engine takes one.
+    The ``vectorized`` engine takes instances while their requested sizes
+    sum to at most :data:`STACK_NODES`; every other engine takes one.
     """
-    stacks = getattr(backend, "name", backend) in ("vectorized", "batched")
-    by_nodes = batch_size is None and stacks
-    cap = STACK_NODES if by_nodes else batch_size or 1
+    stacks = getattr(backend, "name", backend) == "vectorized"
     windows: List[List[int]] = []
     load = 0
     for _, group in groupby(range(len(units)), key=lambda i: units[i][:3]):
         positions = list(group)
-        weight = int(units[positions[0]][1]) if by_nodes else 1
-        if not windows or load + weight > cap:
+        size = int(units[positions[0]][1])
+        if not windows or not stacks or load + size > STACK_NODES:
             windows.append([])
             load = 0
         windows[-1].extend(positions)
-        load += weight
+        load += size
     return windows
 
 
@@ -308,7 +317,6 @@ def _run_units(
     *,
     backend: Any,
     trace_level: str,
-    batch_size: Optional[int] = None,
     strict: bool = True,
     retries: int = 0,
 ) -> List[RunMetrics]:
@@ -319,25 +327,24 @@ def _run_units(
     instance is materialized once and peak memory stays bounded by the
     window.  Within a window, units sharing a (scheme, fault spec, clock
     spec) compatibility key share one ``run_batch`` call.  Rows come back in
-    stable row order either way: backends guarantee batched results are
+    stable row order either way: backends guarantee stacked results are
     bit-identical to per-task execution.  ``backend=None`` is the reference
-    engine, or the batched one once ``batch_size`` is set.
+    engine.
 
-    ``retries`` is one rule at every batch size: a unit that fails anywhere
-    from its labels to its row is re-run alone, with fresh fault/clock
-    models, up to ``retries`` more times.  A unit that ran alone counts that
-    run as its first try; a failed stacked batch replays each of its units
-    alone on the full budget.  A deterministic failure fails again, a
-    transient one (OOM, a signal) heals.  Then ``strict`` applies: a
-    :class:`~repro.analysis.executor.GridExecutionError` naming the unit's
-    spec and store key, or an error-status row.
+    ``retries`` is one rule however many units share a call: a unit that
+    fails anywhere from its labels to its row is re-run alone, with fresh
+    fault/clock models, up to ``retries`` more times.  A unit that ran
+    alone counts that run as its first try; a failed stacked batch replays
+    each of its units alone on the full budget.  A deterministic failure
+    fails again, a transient one (OOM, a signal) heals.  Then ``strict``
+    applies: a :class:`~repro.analysis.executor.GridExecutionError` naming
+    the unit's spec and store key, or an error-status row.
     """
     rows: List[RunMetrics] = []
-    for window in _unit_windows(units, backend=backend, batch_size=batch_size):
+    for window in _unit_windows(units, backend=backend):
         rows.extend(_run_unit_window(
-            config, [units[i] for i in window],
-            backend=backend, trace_level=trace_level, batch_size=batch_size,
-            strict=strict, retries=retries))
+            config, [units[i] for i in window], backend=backend,
+            trace_level=trace_level, strict=strict, retries=retries))
     return rows
 
 
@@ -347,16 +354,12 @@ def _run_unit_window(
     *,
     backend: Any,
     trace_level: str,
-    batch_size: Optional[int],
     strict: bool,
     retries: int,
 ) -> List[RunMetrics]:
     """One window of :func:`_run_units`: materialize, group, run, derive."""
-    from ..analysis.executor import chunk_specs
     from ..analysis.sweep import materialize_instance  # local: avoids cycle
-    from ..backends import resolve_backend
 
-    engine = "batched" if backend is None and batch_size is not None else backend
     rows: List[Optional[RunMetrics]] = [None] * len(units)
     instances: Dict[Tuple[str, int, int], Any] = {}
     groups: Dict[Tuple[str, str, str], List[Tuple[int, UnitSpec]]] = {}
@@ -428,7 +431,7 @@ def _run_unit_window(
     def run_batch(tasks: List[Any]) -> List[Any]:
         # Resolved per call, so a bad backend spec fails units like any
         # other unit failure.
-        return resolve_backend(engine).run_batch(tasks)
+        return resolve_backend(backend).run_batch(tasks)
 
     def retry_alone(index: int, unit: UnitSpec, error: Exception, tries: int) -> None:
         """Re-run a failed unit by itself up to ``tries`` times, then apply
@@ -452,45 +455,42 @@ def _run_unit_window(
 
     # The window already caps how many instances share a call.
     for members in groups.values():
-        for batch in chunk_specs(members, batch_size or len(units)):
-            built = []
-            for index, unit in batch:
-                try:
-                    built.append((index, unit, task_of(unit)))
-                except Exception as exc:
-                    retry_alone(index, unit, exc, retries)
-            if not built:
-                continue
+        built = []
+        for index, unit in members:
             try:
-                results = run_batch([task for _, _, task in built])
+                built.append((index, unit, task_of(unit)))
             except Exception as exc:
-                # A unit that ran alone has had its first try; the units of a
-                # failed stacked batch each replay alone on the full budget.
-                tries = retries if len(built) == 1 else retries + 1
-                for index, unit, _ in built:
-                    retry_alone(index, unit, exc, tries)
-                continue
-            for (index, unit, task), result in zip(built, results):
-                try:
-                    rows[index] = row_of(unit, task, result)
-                except Exception as exc:
-                    retry_alone(index, unit, exc, retries)
+                retry_alone(index, unit, exc, retries)
+        if not built:
+            continue
+        try:
+            results = run_batch([task for _, _, task in built])
+        except Exception as exc:
+            # A unit that ran alone has had its first try; the units of a
+            # failed stacked batch each replay alone on the full budget.
+            tries = retries if len(built) == 1 else retries + 1
+            for index, unit, _ in built:
+                retry_alone(index, unit, exc, tries)
+            continue
+        for (index, unit, task), result in zip(built, results):
+            try:
+                rows[index] = row_of(unit, task, result)
+            except Exception as exc:
+                retry_alone(index, unit, exc, retries)
     return rows  # type: ignore[return-value]
 
 
 #: One work unit chunk crossing the pool boundary: the grid config (as a
 #: dict), a list of unit specs and the execution knobs — all plain picklable
 #: data.
-_ChunkPayload = Tuple[dict, List[UnitSpec], Optional[str], str, Optional[int],
-                      bool, int]
+_ChunkPayload = Tuple[dict, List[UnitSpec], Optional[str], str, bool, int]
 
 
 def _run_grid_chunk(payload: _ChunkPayload) -> List[RunMetrics]:
     """Worker entry point: rematerialize each unit's cell and run its scheme."""
-    config_dict, chunk, backend, trace_level, batch_size, strict, retries = payload
+    config_dict, chunk, backend, trace_level, strict, retries = payload
     return _run_units(GridConfig(**config_dict), chunk, backend=backend,
-                      trace_level=trace_level, batch_size=batch_size,
-                      strict=strict, retries=retries)
+                      trace_level=trace_level, strict=strict, retries=retries)
 
 
 @dataclass(frozen=True)
@@ -528,7 +528,6 @@ def iter_grid(
     trace_level: str = "summary",
     jobs: Optional[int] = 1,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     ordered: bool = False,
     store: Optional[ResultStore] = None,
     strict: bool = True,
@@ -543,9 +542,10 @@ def iter_grid(
     pool — which makes the first rows observable long before the pool
     drains; ``ordered=True`` buffers just enough to emit rows in the stable
     grid order instead (the order ``run_grid`` returns).  At ``jobs=1`` a
-    chunk is one window (see ``batch_size`` in :func:`run_grid`), so rows
-    stream window by window: per instance on the reference engine, per
-    stack of small instances on the ``vectorized`` and ``batched`` engines.
+    chunk is one window (see :func:`_unit_windows`), so rows stream window
+    by window: per instance on the reference engine, per stack of small
+    instances on the ``vectorized`` engine.  An unknown scheme or backend
+    spec raises here, before any instance is built.
 
     Parameters beyond :func:`run_grid`'s:
 
@@ -568,13 +568,14 @@ def iter_grid(
     retries:
         Extra attempts for transient failures before the ``strict`` handling
         applies, at two levels: each failing *cell* is re-run alone with fresh
-        fault/clock models (one rule at every batch size; see
-        :func:`_run_units`), and a chunk whose **pool worker process died**
-        (``BrokenProcessPool`` — a kill -9, an OOM reap) is resubmitted to a
-        rebuilt pool instead of aborting the sweep.  Deterministic failures
-        produce identical rows either way; the service path runs workers
-        with ``retries=1`` and shares this accounting with the coordinator's
-        lease expiry.  Default ``0`` (historical behavior).
+        fault/clock models (one rule however many units share an engine
+        call; see :func:`_run_units`), and a chunk whose **pool worker
+        process died** (``BrokenProcessPool`` — a kill -9, an OOM reap) is
+        resubmitted to a rebuilt pool instead of aborting the sweep.
+        Deterministic failures produce identical rows either way; the
+        service path runs workers with ``retries=1`` and shares this
+        accounting with the coordinator's lease expiry.  Default ``0``
+        (historical behavior).
     on_cell:
         Called with each row right before it is yielded.
     on_chunk:
@@ -582,13 +583,8 @@ def iter_grid(
         and after every completed chunk.
     """
     _validate_schemes(config)
+    resolve_backend(backend)
     jobs = _default_jobs() if jobs is None else max(1, int(jobs))
-    if batch_size is None:
-        batch_size = config.batch_size
-    if batch_size is not None:
-        batch_size = int(batch_size)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
     backend_name = backend if isinstance(backend, str) else getattr(backend, "name", None)
     if jobs > 1 and backend is not None and not isinstance(backend, str):
         if backend_name not in BACKEND_NAMES:
@@ -603,7 +599,7 @@ def iter_grid(
     units = grid_row_specs(config)
     return _iter_grid_stream(
         config, units, backend=backend, trace_level=trace_level, jobs=jobs,
-        chunk_size=chunk_size, batch_size=batch_size, ordered=ordered,
+        chunk_size=chunk_size, ordered=ordered,
         store=store, strict=strict, retries=int(retries),
         on_cell=on_cell, on_chunk=on_chunk,
     )
@@ -623,7 +619,6 @@ def _iter_grid_stream(
     trace_level: str,
     jobs: int,
     chunk_size: Optional[int],
-    batch_size: Optional[int],
     ordered: bool,
     store: Optional[ResultStore],
     strict: bool,
@@ -653,19 +648,11 @@ def _iter_grid_stream(
         index_chunks = [
             [pending[j] for j in window]
             for window in _unit_windows([units[i] for i in pending],
-                                        backend=backend, batch_size=batch_size)
+                                        backend=backend)
         ]
     else:
         if chunk_size is None:
             chunk_size = max(1, (len(pending) + jobs * 4 - 1) // (jobs * 4))
-            if batch_size is not None:
-                # A worker can only stack units within its own chunk: keep
-                # each chunk wide enough to span ~batch_size instances per
-                # (scheme, fault, clock) group, or the pool's load-balancing
-                # default would silently cap batches.
-                per_instance = max(1, len(config.faults) * len(config.clocks)
-                                   * len(config.schemes))
-                chunk_size = max(chunk_size, batch_size * per_instance)
         index_chunks = chunk_specs(pending, chunk_size) if pending else []
 
     progress = GridProgress(
@@ -737,7 +724,7 @@ def _iter_grid_stream(
 
     payloads: List[_ChunkPayload] = [
         (asdict(config), [units[i] for i in chunk], backend, trace_level,
-         batch_size, strict, retries)
+         strict, retries)
         for chunk in index_chunks
     ]
 
@@ -837,7 +824,6 @@ def run_grid(
     trace_level: str = "summary",
     jobs: Optional[int] = 1,
     chunk_size: Optional[int] = None,
-    batch_size: Optional[int] = None,
     store: Optional[ResultStore] = None,
     strict: bool = True,
     retries: int = 0,
@@ -864,17 +850,13 @@ def run_grid(
         count.  Rows come back in the same stable order for any job count.
     chunk_size:
         Work units per pool chunk; defaults to one window per chunk at
-        ``jobs=1`` and ~4 chunks per worker otherwise.
-    batch_size:
-        Whole instances per window (or ``config.batch_size``).  Work units
-        of a window sharing (scheme, fault, clock, trace level) run as one
-        block-diagonal kernel invocation on the ``vectorized`` and
-        ``batched`` engines, the backends that stack.  Unset, those two
-        engines stack consecutive instances while their requested sizes sum
-        to at most :data:`STACK_NODES` (an instance that large runs alone),
-        and every other engine makes one call per unit.  Results are
-        guaranteed identical either way, and ``retries`` means the same at
-        every batch size.  Must be positive.
+        ``jobs=1`` and ~4 chunks per worker otherwise.  On the
+        ``vectorized`` engine a window stacks consecutive instances while
+        their requested sizes sum to at most :data:`STACK_NODES` (an
+        instance that large runs alone), and the work units of a window
+        sharing (scheme, fault, clock, trace level) run as one
+        block-diagonal kernel invocation; every other engine runs one
+        instance per window.  Rows are identical either way.
     store:
         A :class:`~repro.store.ResultStore` making the grid incremental:
         already-stored cells are served from disk, fresh rows are flushed as
@@ -895,7 +877,6 @@ def run_grid(
             trace_level=trace_level,
             jobs=jobs,
             chunk_size=chunk_size,
-            batch_size=batch_size,
             ordered=True,
             store=store,
             strict=strict,

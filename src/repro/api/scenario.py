@@ -98,8 +98,8 @@ class Scenario:
         Declarative channel perturbation specs (see :mod:`repro.api.specs`);
         ``None`` selects the paper's reliable synchronized model.
     backend:
-        Backend spec (``"reference"`` / ``"vectorized"`` / ``"batched"``) or
-        ``None`` for the default.
+        Backend name (``"reference"`` or ``"vectorized"``), or ``None``
+        for the reference default.
     trace_level:
         ``"full"`` / ``"summary"`` / ``"none"``.
     max_rounds:

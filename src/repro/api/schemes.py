@@ -241,7 +241,7 @@ def scheme_backend_coverage(name: Union[str, Scheme]) -> List[str]:
     Probes each backend's :meth:`~repro.backends.SimulationBackend.supports`
     with a tiny representative task (a 4-node path), so the answer reflects
     the actual kernel coverage — every registered scheme runs on the
-    vectorized and batched kernels under the paper's default channel models,
+    vectorized kernels under the paper's default channel models,
     and the reference backend covers everything by construction; tasks
     outside an engine's coverage still *run* on it by falling back per
     task.  Used by ``repro schemes --json`` so tooling that

@@ -8,15 +8,13 @@ Public surface::
     result = backend.run_task(task)
 
 ``resolve_backend`` accepts a backend name (``"reference"`` /
-``"vectorized"`` / ``"batched"``), an existing backend instance, or ``None``
-(the reference default), and returns a shared instance.  ``vectorized`` and
-``batched`` are one engine — the NumPy kernels of
-:mod:`repro.backends.batched` — under two names, and the only array engine
-at every size: ``run_task`` runs one task per kernel call and
-``run_batch(tasks)`` stacks many compatible tasks into one block-diagonal
-kernel invocation (a grid sweep stacks its small instances this way by
-default), while a large instance's rounds cost O(frontier) where its
-transmitters are few.
+``"vectorized"``), an existing backend instance, or ``None`` (the reference
+default), and returns a shared instance.  ``vectorized`` is the NumPy kernels
+of :mod:`repro.backends.batched` and the only array engine at every size:
+``run_task`` runs one task per kernel call and ``run_batch(tasks)`` stacks
+many compatible tasks into one block-diagonal kernel invocation (a grid
+sweep stacks its small instances this way), while a large instance's rounds
+cost O(frontier) where its transmitters are few.
 """
 
 from __future__ import annotations
@@ -32,15 +30,12 @@ from .base import (
     SimulationTask,
 )
 from .reference import ReferenceBackend
-from .vectorized import VectorizedBackend
-from .batched import BatchedVectorizedBackend
+from .batched import VectorizedBackend
 
 __all__ = [
     "BACKEND_NAMES",
-    "BACKEND_SPECS",
     "BackendError",
     "BackendResult",
-    "BatchedVectorizedBackend",
     "PROTOCOLS",
     "ReferenceBackend",
     "STOP_RULES",
@@ -53,15 +48,10 @@ __all__ = [
 _BACKEND_CLASSES = {
     ReferenceBackend.name: ReferenceBackend,
     VectorizedBackend.name: VectorizedBackend,
-    BatchedVectorizedBackend.name: BatchedVectorizedBackend,
 }
 
 #: Names accepted by :func:`resolve_backend` (and the CLI ``--backend`` flag).
 BACKEND_NAMES = tuple(_BACKEND_CLASSES)
-
-#: Every spec :func:`resolve_backend` accepts, sorted, for error messages
-#: and interface docs.
-BACKEND_SPECS = tuple(sorted(_BACKEND_CLASSES))
 
 _instances: Dict[str, SimulationBackend] = {}
 
@@ -89,7 +79,7 @@ def resolve_backend(
         except KeyError:
             raise BackendError(
                 f"unknown backend {backend!r}; valid backend specs: "
-                f"{', '.join(BACKEND_SPECS)}"
+                f"{', '.join(BACKEND_NAMES)}"
             ) from None
         _instances[backend] = cls()
     return _instances[backend]

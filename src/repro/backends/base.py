@@ -13,10 +13,9 @@ The backends:
 
 * :class:`~repro.backends.reference.ReferenceBackend` drives the faithful
   per-node object engine (:mod:`repro.radio.engine`) — the ground truth;
-* :class:`~repro.backends.vectorized.VectorizedBackend` and
-  :class:`~repro.backends.batched.BatchedVectorizedBackend` run one family
-  of NumPy array kernels over CSR adjacency for every registered scheme,
-  one task or a whole stacked batch per kernel call, producing bit-for-bit
+* :class:`~repro.backends.batched.VectorizedBackend` runs one family of
+  NumPy array kernels over CSR adjacency for every registered scheme, one
+  task or a whole stacked batch per kernel call, producing bit-for-bit
   identical outcomes at a fraction of the cost (the equivalence suites in
   ``tests/test_backend_equivalence.py`` and
   ``tests/test_batched_equivalence.py`` assert this on grids of families ×
@@ -138,9 +137,9 @@ class BackendResult:
 
     ``backend`` is execution provenance: the registry name of the engine that
     *actually* ran the task.  Backends that delegate uncovered tasks (the
-    vectorized and batched backends, to the reference engine) leave the
-    inner engine's tag in place, so a row produced through a fallback is
-    never mislabeled as having run on the outer engine.
+    vectorized backend, to the reference engine) leave the inner engine's
+    tag in place, so a row produced through a fallback is never mislabeled
+    as having run on the outer engine.
     """
 
     simulation: SimulationResult
@@ -167,7 +166,7 @@ class SimulationBackend(ABC):
         """Execute several tasks and return their results in input order.
 
         The default simply loops; backends that can amortise per-task
-        overhead (see :class:`~repro.backends.batched.BatchedVectorizedBackend`)
+        overhead (see :class:`~repro.backends.batched.VectorizedBackend`)
         override this with a genuinely stacked execution.  Results must be
         identical to per-task :meth:`run_task` calls.
         """

@@ -46,15 +46,14 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
   gets its :class:`~repro.radio.trace.RoundRecord` per round, its slice of
   the round's sorted id arrays cut at the block offsets.
 
-One engine runs these kernels under two names, at every instance size:
-:class:`BatchedVectorizedBackend` (``"batched"``) and its subclass
-:class:`~repro.backends.vectorized.VectorizedBackend` (``"vectorized"``),
-which differ only in name.  ``run_task`` runs a batch of one, and
-:meth:`~BatchedVectorizedBackend.run_batch` stacks its tasks into one kernel
-loop.  Tasks the kernels do not cover (custom node factories, fault/clock
-models other than the paper's defaults) run on the reference engine, so
-either backend is always safe to pass.  Batches must be *homogeneous* in
-protocol and trace level; mixing either raises
+One engine runs these kernels at every instance size:
+:class:`VectorizedBackend` (``"vectorized"``).  Its
+:meth:`~VectorizedBackend.run_batch` stacks its tasks into one kernel loop,
+and ``run_task`` is a batch of one.  Tasks the kernels do not cover (custom
+node factories, fault/clock models other than the paper's defaults) run on
+the reference engine, and each result's ``backend`` tag names the engine
+that ran it, so the backend is always safe to pass.  Batches must be
+*homogeneous* in protocol and trace level; mixing either raises
 :class:`~repro.backends.base.BackendError`.
 
 Determinism needs no per-instance RNG plumbing: the compiled protocols are
@@ -93,7 +92,7 @@ from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
 from .reference import ReferenceBackend
 
 __all__ = [
-    "BatchedVectorizedBackend",
+    "VectorizedBackend",
     "run_broadcast_batch",
     "run_acknowledged_batch",
     "run_arbitrary_batch",
@@ -1454,21 +1453,12 @@ _BATCH_KERNELS = {
 }
 
 
-class BatchedVectorizedBackend(SimulationBackend):
-    """The NumPy kernels, stacking every :meth:`run_batch` into one kernel loop.
+class VectorizedBackend(SimulationBackend):
+    """The NumPy kernels, stacking every :meth:`run_batch` into one kernel loop."""
 
-    Parameters
-    ----------
-    strict:
-        If true, raise :class:`~repro.backends.base.BackendError` on tasks the
-        kernels cannot execute instead of silently running them on the
-        reference backend.
-    """
+    name = "vectorized"
 
-    name = "batched"
-
-    def __init__(self, *, strict: bool = False) -> None:
-        self.strict = strict
+    def __init__(self) -> None:
         self._fallback = ReferenceBackend()
 
     def supports(self, task: SimulationTask) -> bool:
@@ -1496,22 +1486,9 @@ class BatchedVectorizedBackend(SimulationBackend):
             return False
         return True
 
-    def _uncovered(self, task: SimulationTask) -> BackendError:
-        return BackendError(
-            f"{self.name} backend has no stacked kernel for protocol "
-            f"{task.protocol!r} with the given channel models"
-        )
-
     def run_task(self, task: SimulationTask) -> BackendResult:
         """Run ``task`` as a batch of one (or on the reference engine)."""
-        if not self.supports(task):
-            if self.strict:
-                raise self._uncovered(task)
-            # The fallback result keeps its own provenance tag ("reference").
-            return self._fallback.run_task(task)
-        result = _BATCH_KERNELS[task.protocol]([task])[0]
-        result.backend = self.name
-        return result
+        return self.run_batch([task])[0]
 
     def run_batch(self, tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         """Execute a homogeneous batch, stacked where possible.
@@ -1529,11 +1506,6 @@ class BatchedVectorizedBackend(SimulationBackend):
         _require_one({t.protocol for t in tasks}, "protocols")
         _require_one({t.trace_level for t in tasks}, "trace levels")
         stacked = [i for i, t in enumerate(tasks) if self.supports(t)]
-        if self.strict and len(stacked) < len(tasks):
-            stacked_set = set(stacked)
-            raise self._uncovered(
-                next(t for i, t in enumerate(tasks) if i not in stacked_set)
-            )
         results: List[Optional[BackendResult]] = [None] * len(tasks)
         if stacked:
             kernel = _BATCH_KERNELS[tasks[0].protocol]

@@ -69,7 +69,7 @@ from .api import (
 )
 from .api import run as run_scenario
 from .api.grid import STACK_NODES
-from .backends import BACKEND_NAMES, BACKEND_SPECS, BackendError, resolve_backend
+from .backends import BACKEND_NAMES, BackendError, resolve_backend
 from .store import ResultStore, StoreError, compact_store
 from .core import (
     lambda_ack_scheme,
@@ -116,19 +116,6 @@ def _parse_clock_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_batch_size(text: str) -> int:
-    """Argparse type for ``--batch-size``: a positive integer, checked up front."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"batch size must be >= 1, got {value}")
-    return value
-
-
 def _parse_backend_arg(text: str) -> str:
     """Argparse type for ``--backend``: any spec ``resolve_backend`` accepts.
 
@@ -161,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     bcast.add_argument("--payload", default="MSG")
     bcast.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC",
                        default="reference",
-                       help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
+                       help=f"simulation engine spec, one of: {', '.join(BACKEND_NAMES)} "
                             f"(vectorized = NumPy CSR kernels, at any size)")
     bcast.add_argument("--render", action="store_true",
                        help="print the Figure-1 style annotated layers")
@@ -174,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="override the scenario's scheme (see `repro schemes`)")
     runp.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC", default=None,
                       help=f"override the scenario's backend "
-                           f"(one of: {', '.join(BACKEND_SPECS)})")
+                           f"(one of: {', '.join(BACKEND_NAMES)})")
     runp.add_argument("--trace-level", choices=["none", "summary", "full"], default=None,
                       help="override the scenario's trace level")
     runp.add_argument("--output", choices=["text", "json"], default="text",
@@ -206,23 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--clocks", nargs="+", type=_parse_clock_arg, default=["sync"],
                        help="clock-model axis, e.g. sync offset:3 random_offsets:50:9")
     sweep.add_argument("--payload", default="MSG")
-    sweep.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC", default=None,
-                       help=f"simulation engine spec, one of: {', '.join(BACKEND_SPECS)} "
+    sweep.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC",
+                       default="reference",
+                       help=f"simulation engine spec, one of: {', '.join(BACKEND_NAMES)} "
                             f"(vectorized = NumPy CSR kernels at any size, "
-                            f"stacking small instances into one kernel call; "
-                            f"batched = the same engine under its own name); "
-                            f"defaults to reference, or to batched when "
-                            f"--batch-size is set")
+                            f"stacking consecutive instances up to "
+                            f"{STACK_NODES} requested nodes into one kernel "
+                            f"call; an instance that large runs alone); "
+                            f"default: reference")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep (results are "
                             "deterministic and independent of the job count)")
-    sweep.add_argument("--batch-size", type=_parse_batch_size, default=None,
-                       help=f"stack the compatible runs of this many whole "
-                            f"instances into one kernel invocation (unset: "
-                            f"vectorized and batched stack consecutive instances "
-                            f"up to {STACK_NODES} requested nodes, an instance "
-                            f"that large runs alone, and other engines run one "
-                            f"run per invocation)")
     sweep.add_argument("--trace-level", choices=["none", "summary", "full"],
                        default="summary",
                        help="trace recording level for each simulation")
@@ -341,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--backend", type=_parse_backend_arg, metavar="SPEC",
                         default=None,
                         help=f"run every cell on this engine (one of: "
-                             f"{', '.join(BACKEND_SPECS)}); default: whatever "
+                             f"{', '.join(BACKEND_NAMES)}); default: whatever "
                              f"each submission requests (execution only — "
                              f"store keys come from the submission)")
     worker.add_argument("--jobs", type=int, default=1,
@@ -499,10 +480,7 @@ def _cmd_schemes(args) -> int:
                 }
                 for name in scheme_names()
             ],
-            "backends": {
-                "names": list(BACKEND_NAMES),
-                "specs": list(BACKEND_SPECS),
-            },
+            "backends": {"names": list(BACKEND_NAMES)},
         }
         print(json.dumps(doc, indent=2))
         return 0
@@ -520,28 +498,22 @@ def _cmd_figure1(args) -> int:
     return 0
 
 
-def sweep_backend(backend: Optional[str], batch_size: Optional[int]) -> str:
-    """The sweep's effective backend: explicit choice wins; ``--batch-size``
-    alone selects the batched engine (a reference-backend batch would stack
-    nothing, silently contradicting the flag); otherwise the reference
-    default."""
-    if backend is not None:
-        return backend
-    return "batched" if batch_size is not None else "reference"
-
-
 def _cmd_sweep(args) -> int:
-    cfg = GridConfig(
-        families=args.families,
-        sizes=args.sizes,
-        seeds_per_size=args.seeds_per_size,
-        schemes=args.schemes,
-        source_rule=args.source_rule,
-        base_seed=args.base_seed,
-        faults=args.faults,
-        clocks=args.clocks,
-        payload=args.payload,
-    )
+    try:
+        cfg = GridConfig(
+            families=args.families,
+            sizes=args.sizes,
+            seeds_per_size=args.seeds_per_size,
+            schemes=args.schemes,
+            source_rule=args.source_rule,
+            base_seed=args.base_seed,
+            faults=args.faults,
+            clocks=args.clocks,
+            payload=args.payload,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.resume and not args.store:
         print("error: --resume requires --store DIR", file=sys.stderr)
         return 2
@@ -566,9 +538,8 @@ def _cmd_sweep(args) -> int:
             )
 
     try:
-        rows = run_grid(cfg, backend=sweep_backend(args.backend, args.batch_size),
-                        jobs=args.jobs, trace_level=args.trace_level,
-                        batch_size=args.batch_size, store=store,
+        rows = run_grid(cfg, backend=args.backend, jobs=args.jobs,
+                        trace_level=args.trace_level, store=store,
                         strict=not args.keep_going, retries=args.retries,
                         on_chunk=on_chunk)
     finally:

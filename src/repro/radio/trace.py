@@ -246,7 +246,7 @@ class ExecutionTrace:
     ) -> "ExecutionTrace":
         """Materialise a summary/none-level trace from whole-run aggregates.
 
-        The batched backend advances many instances per kernel round and
+        The vectorized backend advances many instances per kernel round and
         accumulates each instance's aggregates in arrays; this constructor
         builds one instance's trace from them in one step.  The
         first-informed and ack maps are taken as given (int node → int
@@ -289,7 +289,7 @@ class ExecutionTrace:
         accepts, with integer-keyed maps stringified for JSON.  For a
         summary/none trace whose metadata values are JSON-native,
         ``from_aggregates_doc(json.loads(json.dumps(t.to_aggregates())))``
-        compares equal (``==``) to ``t`` — including the batched backend's
+        compares equal (``==``) to ``t`` — including the vectorized backend's
         whole-run aggregates (kind histogram, fixed bits, payload-message
         count, first-informed/ack maps).  Metadata travels verbatim, so
         non-JSON-serializable metadata values fail at ``json.dumps`` time

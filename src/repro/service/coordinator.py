@@ -510,6 +510,7 @@ class Coordinator:
             grid_row_specs,
             grid_unit_key,
         )
+        from ..backends import BackendError, resolve_backend
 
         conn.credit.add(int(frame.get("credit", DEFAULT_CLIENT_CREDIT)))
         strict = bool(frame.get("strict", True))
@@ -518,10 +519,11 @@ class Coordinator:
         try:
             config = GridConfig(**frame.get("config", {}))
             _validate_schemes(config)
+            resolve_backend(backend)
             units = grid_row_specs(config)
             keys = [grid_unit_key(config, unit, backend=backend,
                                   trace_level=trace_level) for unit in units]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, BackendError) as exc:
             async with conn.wlock:
                 await write_frame(conn.writer, {
                     "type": "error", "message": f"invalid submission: {exc}"})

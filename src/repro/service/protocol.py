@@ -162,10 +162,14 @@ def _parse_body(body: bytes) -> Dict[str, Any]:
         frame = json.loads(body)
     except ValueError as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from None
-    if not isinstance(frame, dict) or frame.get("type") not in FRAME_TYPES:
+    except RecursionError:
+        raise ProtocolError("frame body nests too deeply to decode") from None
+    kind = frame.get("type") if isinstance(frame, dict) else type(frame).__name__
+    # A str check first: an unhashable ``type`` (a list) cannot be looked up.
+    if not isinstance(frame, dict) or not isinstance(kind, str) \
+            or kind not in FRAME_TYPES:
         raise ProtocolError(
-            f"frame body must be an object with a known 'type', got "
-            f"{frame.get('type') if isinstance(frame, dict) else type(frame).__name__!r}"
+            f"frame body must be an object with a known 'type', got {kind!r}"
         )
     return frame
 

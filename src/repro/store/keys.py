@@ -11,9 +11,12 @@ assert backends agree, and instance seeds are derived deterministically), so
 a :class:`~repro.store.store.ResultStore` can skip every cell whose key it
 already holds.
 
-Deliberately *not* part of the key: ``jobs``, ``chunk_size`` and
-``batch_size`` — rows are independent of all three by construction — so a
-sweep resumed with different parallelism still hits the cache.
+Deliberately *not* part of the key: ``jobs`` and ``chunk_size`` — rows are
+independent of both by construction — so a sweep resumed with different
+parallelism still hits the cache.  The backend name is part of the key, so
+rows stored under a retired engine's name (``batched``, ``sharded``,
+``ell``) keep their keys and stay readable by key; no current backend
+writes them.
 
 Bumping :data:`SCHEMA_VERSION` (done whenever the meaning of a stored row
 changes) invalidates every previously stored row *by construction*: old rows

@@ -52,7 +52,7 @@ scan-everything store:
 
 The optional ``trace`` attachment carries a summary/none-level
 :class:`~repro.radio.trace.ExecutionTrace` as its aggregate fields (the form
-the batched backend produces via ``ExecutionTrace.from_aggregates``);
+the vectorized backend produces via ``ExecutionTrace.from_aggregates``);
 :meth:`ResultStore.get_trace` rebuilds a trace that compares equal to the
 original.  The trace served for a key always belongs to the same line as the
 row served by ``get`` (the last valid line for that key).

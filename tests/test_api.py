@@ -403,6 +403,45 @@ class TestGridEquivalence:
         assert len(calls) == 1
 
 
+class TestGridConfigValidation:
+    """Malformed axes from outside input (grid files, submit frames) raise at
+    construction, naming the field, instead of failing cell by cell."""
+
+    BAD = [
+        ("families", {"families": "path"}),
+        ("families", {"families": 7}),
+        ("families", {"families": ["path", "nope"]}),
+        ("schemes", {"schemes": "lambda"}),
+        ("sizes", {"sizes": 8}),
+        ("sizes", {"sizes": "8"}),
+        ("sizes", {"sizes": ["8"]}),
+        ("sizes", {"sizes": [0]}),
+        ("sizes", {"sizes": [-3]}),
+        ("sizes", {"sizes": [True]}),
+        ("sizes", {"sizes": [8.0]}),
+        ("seeds_per_size", {"seeds_per_size": -1}),
+        ("seeds_per_size", {"seeds_per_size": "2"}),
+        ("seeds_per_size", {"seeds_per_size": 1.5}),
+        ("source_rule", {"source_rule": "bogus"}),
+        ("source_rule", {"source_rule": -1}),
+        ("source_rule", {"source_rule": True}),
+    ]
+
+    @pytest.mark.parametrize("field,override", BAD,
+                             ids=[f"{f}-{v[f]!r}" for f, v in BAD])
+    def test_malformed_axes_raise_at_construction(self, field, override):
+        fields = {"families": ["path"], "sizes": [8], **override}
+        with pytest.raises(ValueError, match=field):
+            GridConfig(**fields)
+
+    def test_values_are_stored_as_given(self):
+        cfg = GridConfig(families=["path", "grid"], sizes=(8, 9),
+                         seeds_per_size=0, schemes=["lambda"], source_rule=3)
+        assert cfg.families == ["path", "grid"] and cfg.sizes == (8, 9)
+        assert cfg.source_rule == 3
+        assert run_grid(cfg) == []  # zero seeds per size: zero rows
+
+
 # --------------------------------------------------------------------------- #
 # the unified Outcome
 # --------------------------------------------------------------------------- #

@@ -222,20 +222,6 @@ class TestBackendPlumbing:
         assert vec.completion_round == ref.completion_round
         assert len(vec.simulation.nodes) == len(ref.simulation.nodes)  # object engine ran
 
-    def test_vectorized_strict_raises_for_unsupported(self):
-        graph, source = _instance("path", 9, 1)
-        labeling = lambda_scheme(graph, source)
-        strict = VectorizedBackend(strict=True)
-        task = SimulationTask(
-            protocol="centralized",
-            graph=graph,
-            labels=labeling.labels,
-            source=source,
-            max_rounds=5,
-        )
-        with pytest.raises(BackendError):
-            strict.run_task(task)
-
     def test_vectorized_supports_the_compiled_protocols(self):
         graph, source = _instance("grid", 9, 1)
         labeling = lambda_scheme(graph, source)
@@ -245,6 +231,9 @@ class TestBackendPlumbing:
             task = SimulationTask(protocol=protocol, graph=graph,
                                   labels=labeling.labels, source=source, max_rounds=1)
             assert vec.supports(task)
-        task = SimulationTask(protocol="custom", graph=graph,
-                              labels=labeling.labels, source=source, max_rounds=1)
-        assert not vec.supports(task)
+        # An unknown protocol, and a centralized task without the schedule
+        # data its kernel reads, run on the reference fallback instead.
+        for protocol in ("custom", "centralized"):
+            task = SimulationTask(protocol=protocol, graph=graph,
+                                  labels=labeling.labels, source=source, max_rounds=1)
+            assert not vec.supports(task)

@@ -1,18 +1,19 @@
-"""Differential suite for the batched multi-instance engine.
+"""Differential suite for the stacked multi-instance kernels.
 
-The batched backend stacks many tasks' CSR blocks into one block-diagonal
-kernel invocation; its *entire* claim is that this is invisible: outcomes,
-derived values, stop bookkeeping and full traces must be bit-for-bit
-identical to per-task execution — each task as a batch of one through
-``run_task`` — and to the reference engine, for any batch composition
-(ragged sizes, mixed budgets and stop rules, any batch size, any scheme mix
+The vectorized backend's ``run_batch`` stacks many tasks' CSR blocks into
+one block-diagonal kernel invocation; its *entire* claim is that this is
+invisible: outcomes, derived values, stop bookkeeping and full traces must
+be bit-for-bit identical to per-task execution — each task as a batch of
+one through ``run_task`` — and to the reference engine, for any batch
+composition (ragged sizes, mixed budgets and stop rules, any scheme mix
 routed through the grid), and grid rows must be independent of the job
-count and the batch size.  The grid's window rule decides how many
-instances share a kernel call: ``batch_size`` when set, else up to
-``STACK_NODES`` requested nodes on the stacking engines.  Negative paths:
-heterogeneous batches refuse with a clear error, invalid batch sizes are
-rejected at config/CLI parse time, uncovered schemes ride the per-task
-fallback, and a failing cell surfaces a
+count and of how many instances share a call.  The grid's one window rule
+decides that: up to ``STACK_NODES`` requested nodes on ``vectorized``, one
+instance on every other engine; the tests patch ``STACK_NODES`` to move
+the windows.  Negative paths: heterogeneous batches refuse with a clear
+error, the retired engine names and knobs are rejected, uncovered tasks
+ride the per-task fallback (their ``backend`` tag says so), and a failing
+cell surfaces a
 :class:`~repro.analysis.executor.GridExecutionError` naming its spec.  The
 channel's two counting branches (an n-length ``bincount`` and a sort of
 just the round's targets) are each forced on the differential and on the
@@ -22,6 +23,7 @@ and isolated nodes.
 
 from __future__ import annotations
 
+import json
 import pickle
 from contextlib import nullcontext
 from dataclasses import replace
@@ -33,24 +35,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.executor import GridExecutionError
+import repro.api.grid as grid
 from repro.api import GridConfig, get_scheme, run_grid
 from repro.api.grid import STACK_NODES, grid_row_specs, grid_unit_key
 from repro.backends import (
-    BACKEND_SPECS,
+    BACKEND_NAMES,
     BackendError,
-    BatchedVectorizedBackend,
     ReferenceBackend,
     VectorizedBackend,
     batched,
     resolve_backend,
 )
 from repro.baselines.collision_detection import run_collision_detection_broadcast
-from repro.cli import build_parser
+from repro.cli import build_parser, main
 from repro.graphs import Graph, generate_family
 from repro.graphs.generators import barbell_graph, family_names
 from repro.store import ResultStore
 
-BATCHED = BatchedVectorizedBackend()
 VECTORIZED = VectorizedBackend()
 REFERENCE = ReferenceBackend()
 
@@ -184,7 +185,7 @@ class TestBatchedDifferential:
     ):
         built = [_build_task(scheme_name, f, n, s, trace_level) for f, n, s in instances]
         with _channel(channel):
-            outs = BATCHED.run_batch([task for *_, task in built])
+            outs = VECTORIZED.run_batch([task for *_, task in built])
             solos = [VECTORIZED.run_task(task) for *_, task in built]
         for (graph, scheme, info, task), out, solo in zip(built, outs, solos):
             assert out.simulation.nodes == []  # the stacked kernel really ran
@@ -210,11 +211,11 @@ class TestBatchedDifferential:
             _build_task(scheme_name, "gnp_sparse", n, i) for i, n in enumerate(sizes)
         ]
         tasks = [task for *_, task in built]
-        whole = BATCHED.run_batch(tasks)
-        halves = BATCHED.run_batch(tasks[: len(tasks) // 2]) + BATCHED.run_batch(
+        whole = VECTORIZED.run_batch(tasks)
+        halves = VECTORIZED.run_batch(tasks[: len(tasks) // 2]) + VECTORIZED.run_batch(
             tasks[len(tasks) // 2 :]
         )
-        singles = [BATCHED.run_batch([t])[0] for t in tasks]
+        singles = [VECTORIZED.run_batch([t])[0] for t in tasks]
         for a, b, c in zip(whole, halves, singles):
             assert _fingerprint(a) == _fingerprint(b) == _fingerprint(c)
 
@@ -259,10 +260,10 @@ class TestBatchedDifferential:
                 task = replace(task, stop_rule=None, stop_condition=None)
             tasks.append(task)
         with _channel(channel):
-            outs = BATCHED.run_batch(tasks)
+            outs = VECTORIZED.run_batch(tasks)
             solos = [VECTORIZED.run_task(task) for task in tasks]
         for task, out, solo in zip(tasks, outs, solos):
-            assert out.backend == "batched"
+            assert out.backend == "vectorized"
             assert _fingerprint(out) == _fingerprint(solo)
             ref = REFERENCE.run_task(task)
             assert (out.trace, out.simulation.stop_round, out.simulation.stop_reason) \
@@ -296,11 +297,10 @@ class TestChannelBranches:
         assert collision_ids.dtype == np.int64
 
     @pytest.mark.parametrize("channel", ["dense", "sparse"])
-    @pytest.mark.parametrize("backend_spec", ["vectorized", "batched"])
-    def test_star_broadcast_counts_survive_every_engine(self, backend_spec, channel):
+    def test_star_broadcast_counts_survive_every_engine(self, channel):
         *_, task = _build_task("lambda", "star", 2000, 0)
         with _channel(channel):
-            out = resolve_backend(backend_spec).run_task(task)
+            out = resolve_backend("vectorized").run_task(task)
         ref = REFERENCE.run_task(task)
         assert out.trace == ref.trace
         assert out.trace.total_receptions() == ref.trace.total_receptions()
@@ -383,7 +383,7 @@ class TestChannelBranches:
         tasks = [_build_task(scheme_name, f, n, s, "full")[-1] for f, n, s in members]
         log = _branch_log(monkeypatch)
         with mock.patch.multiple(batched, _SPARSE_MIN_NODES=0, _SPARSE_FACTOR=8):
-            outs = BATCHED.run_batch(tasks)
+            outs = VECTORIZED.run_batch(tasks)
         assert {"dense", "sparse"} <= set(log)
         for task, out in zip(tasks, outs):
             ref = REFERENCE.run_task(task)
@@ -398,7 +398,7 @@ class TestChannelBranches:
         # senders into each other.
         tasks = [_build_task("lambda", "path", 40, s, "full")[-1] for s in range(copies)]
         with _channel("sparse"):
-            outs = BATCHED.run_batch(tasks)
+            outs = VECTORIZED.run_batch(tasks)
         for task, out in zip(tasks, outs):
             with _channel("dense"):
                 solo = VECTORIZED.run_task(task)
@@ -409,12 +409,13 @@ class TestChannelBranches:
 
 
 class TestRetiredEngines:
-    """The ``sharded`` and ``ell`` engines are gone; their rows are not."""
+    """The ``batched``, ``sharded`` and ``ell`` engine names and the
+    ``batch_size`` knob are gone; rows stored under those names are not."""
 
     #: Every spec the retired engines answered to, suffixed forms included:
     #: with the suffix parser gone, none may resolve to a surviving engine.
     RETIRED_SPECS = [
-        "sharded", "sharded:2", "ell",
+        "batched", "sharded", "sharded:2", "ell",
         "sharded:0", "sharded:-1", "sharded:many", "sharded:K", "vectorized:3",
         "ell:fast", "ell:2", "ell:jit", "ell:numpy", "vectorized:jit",
     ]
@@ -435,19 +436,39 @@ class TestRetiredEngines:
     def test_resolve_backend_lists_the_valid_specs(self, spec):
         with pytest.raises(BackendError) as err:
             resolve_backend(spec)
-        assert BACKEND_SPECS == ("batched", "reference", "vectorized")
-        for valid in BACKEND_SPECS:
-            assert valid in str(err.value)
+        assert BACKEND_NAMES == ("reference", "vectorized")
+        assert "valid backend specs: reference, vectorized" in str(err.value)
 
-    @pytest.mark.parametrize("spec", ["sharded", "sharded:2", "ell"])
+    @pytest.mark.parametrize("spec", ["batched", "sharded", "sharded:2", "ell"])
     def test_cli_backend_rejects_retired_specs(self, spec, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_:
             build_parser().parse_args(
                 ["sweep", "--families", "path", "--sizes", "9", "--backend", spec]
             )
+        assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert f"unknown backend {spec!r}" in err
-        assert "batched, reference, vectorized" in err
+        assert "reference, vectorized" in err
+
+    def test_cli_sweep_rejects_batch_size(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--families", "path", "--sizes", "9",
+                  "--batch-size", "4"])
+        assert exit_.value.code == 2
+        assert "--batch-size" in capsys.readouterr().err
+
+    def test_grid_config_rejects_batch_size(self):
+        with pytest.raises(TypeError, match="batch_size"):
+            GridConfig(families=["path"], sizes=[9], batch_size=4)
+
+    def test_submit_grid_file_with_batch_size_exits_2(self, tmp_path, capsys):
+        # Rejected while the file is parsed, before any connection attempt.
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps(
+            {"families": ["path"], "sizes": [9], "batch_size": 4}))
+        assert main(["submit", str(grid_file), "--connect", "127.0.0.1:9"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid grid file" in err and "batch_size" in err
 
     @pytest.mark.parametrize("backend", list(STORE_KEYS))
     def test_store_keys_match_earlier_versions(self, backend):
@@ -460,7 +481,8 @@ class TestRetiredEngines:
         rows = run_grid(cfg, backend="vectorized")
         (unit,) = grid_row_specs(cfg)
         keys = {name: grid_unit_key(cfg, unit, backend=name)
-                for name in ("sharded", "ell")}
+                for name in ("batched", "sharded", "ell")}
+        assert keys["batched"] == self.STORE_KEYS["batched"]
         store = ResultStore(tmp_path / "store")
         for name, key in keys.items():
             store.put(key, replace(rows[0], backend=name))
@@ -469,7 +491,8 @@ class TestRetiredEngines:
         for name, key in keys.items():
             row = reopened.get(key)
             assert row == rows[0] and row.backend == name
-        assert sorted(r.backend for r in reopened.rows()) == ["ell", "sharded"]
+        assert sorted(r.backend for r in reopened.rows()) == [
+            "batched", "ell", "sharded"]
 
 
 class TestCollisionDetectionVectorized:
@@ -479,23 +502,21 @@ class TestCollisionDetectionVectorized:
 
     @pytest.mark.parametrize("family,size,seed", CASES,
                              ids=[f"{f}-{n}" for f, n, _ in CASES])
-    @pytest.mark.parametrize("backend", ["vectorized", "batched"])
-    def test_with_detection_identical_to_reference(self, backend, family, size, seed):
+    def test_with_detection_identical_to_reference(self, family, size, seed):
         graph = generate_family(family, size, seed)
         source = seed % graph.n
         ref = run_collision_detection_broadcast(
             graph, source, backend="reference", trace_level="summary"
         )
         alt = run_collision_detection_broadcast(
-            graph, source, backend=backend, trace_level="summary"
+            graph, source, backend="vectorized", trace_level="summary"
         )
         assert alt.completion_round == ref.completion_round
         assert alt.extras["decoded_correctly"] and ref.extras["decoded_correctly"]
         assert alt.simulation.trace == ref.simulation.trace
         assert len(alt.simulation.nodes) == 0  # kernel path, no node objects
 
-    @pytest.mark.parametrize("backend", ["vectorized", "batched"])
-    def test_without_detection_fails_identically(self, backend):
+    def test_without_detection_fails_identically(self):
         # The protocol genuinely needs the detection channel; under the
         # paper's default model it must fail the same way on every engine.
         graph = generate_family("grid", 16, 1)
@@ -503,7 +524,7 @@ class TestCollisionDetectionVectorized:
             graph, 0, with_detection=False, backend="reference", trace_level="summary"
         )
         alt = run_collision_detection_broadcast(
-            graph, 0, with_detection=False, backend=backend, trace_level="summary"
+            graph, 0, with_detection=False, backend="vectorized", trace_level="summary"
         )
         assert ref.completion_round is None and alt.completion_round is None
         assert not alt.extras["decoded_correctly"]
@@ -521,7 +542,7 @@ class TestCollisionDetectionVectorized:
 
 
 # --------------------------------------------------------------------------- #
-# grid-level equality: batch sizes × job counts × fault/clock axes
+# grid-level equality: window sizes × job counts × fault/clock axes
 # --------------------------------------------------------------------------- #
 GRID_CFG = GridConfig(
     families=["path", "gnp_sparse"],
@@ -544,61 +565,45 @@ class TestGridBatching:
     def test_vectorized_rows_match_reference(self, reference_rows):
         assert run_grid(GRID_CFG, backend="vectorized", jobs=1) == reference_rows
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 7, 64])
-    def test_batched_rows_match_reference(self, reference_rows, batch_size):
-        rows = run_grid(GRID_CFG, backend="batched", jobs=1, batch_size=batch_size)
+    #: ``STACK_NODES`` values that cut GRID_CFG's eight instances (requested
+    #: sizes 9, 9, 16, 16 per family) into windows of 1, 2, 7 (plus 1) and
+    #: all 8 instances, and into a mix of 2- and 1-instance windows, with
+    #: the largest stacked kernel call each gives.
+    WINDOWS = [(0, 1), (32, 2), (84, 7), (512, 8), (20, 2)]
+
+    @pytest.mark.parametrize("stack_nodes,per_call", WINDOWS,
+                             ids=["1", "2", "7", "all", "mixed"])
+    def test_batched_rows_match_reference(self, reference_rows, monkeypatch,
+                                          stack_nodes, per_call):
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
+        calls = _count_kernel_calls(monkeypatch)
+        rows = run_grid(GRID_CFG, backend="vectorized", jobs=1)
         assert rows == reference_rows
+        assert max(b for _, b in calls) == per_call
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_batched_rows_independent_of_jobs(self, reference_rows, jobs):
-        rows = run_grid(GRID_CFG, backend="batched", jobs=jobs)
+        rows = run_grid(GRID_CFG, backend="vectorized", jobs=jobs)
         assert rows == reference_rows
-
-    def test_config_level_batch_size_engages_batching(self, reference_rows):
-        cfg = GridConfig(**{**GRID_CFG.__dict__, "batch_size": 5})
-        assert run_grid(cfg, backend="batched", jobs=1) == reference_rows
-
-    def test_batch_size_with_default_backend_is_valid(self):
-        # batch_size routes through the grouping path for any backend; the
-        # default (reference) backend just runs its batches task by task.
-        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"])
-        assert run_grid(cfg, batch_size=4) == run_grid(cfg)
-
-    def test_batched_path_windows_do_not_change_rows(self, reference_rows):
-        # The batched path materializes instances per ~batch_size window to
-        # bound memory; a batch size smaller than the instance count forces
-        # several windows and must not perturb row order or content.
-        rows = run_grid(GRID_CFG, backend="batched", jobs=1, batch_size=3)
-        assert rows == reference_rows
-
-    def test_cli_batch_size_implies_batched_backend(self):
-        from repro.cli import build_parser, sweep_backend
-
-        args = build_parser().parse_args(
-            ["sweep", "--families", "path", "--sizes", "9", "--batch-size", "4"]
-        )
-        assert args.backend is None
-        assert sweep_backend(args.backend, args.batch_size) == "batched"
-        assert sweep_backend(None, None) == "reference"
-        # An explicit engine choice always wins over the implication.
-        assert sweep_backend("vectorized", 4) == "vectorized"
 
 
 # --------------------------------------------------------------------------- #
 # the grid's window rule: instances per kernel call
 # --------------------------------------------------------------------------- #
 class TestStackingWindows:
-    """An unset ``batch_size`` stacks whole instances on ``vectorized`` and
-    ``batched`` while their requested sizes sum to at most ``STACK_NODES``;
-    an explicit ``batch_size`` stacks that many; other engines run one."""
+    """``vectorized`` stacks whole instances while their requested sizes sum
+    to at most ``STACK_NODES``; every other engine runs one instance per
+    window.  ``STACK_NODES = 0`` is the one-instance-per-call baseline."""
 
-    def test_unset_batch_size_stacks_up_to_the_node_cap(self, monkeypatch):
+    def test_stacks_up_to_the_node_cap(self, monkeypatch):
         # Requested sizes 128, 128, 256 | 256: the first window holds
         # exactly STACK_NODES nodes, so the last instance starts a second.
         cfg = GridConfig(families=["path"], sizes=[128, 256], seeds_per_size=2,
                          schemes=["lambda", "round_robin"])
         assert STACK_NODES == 512
-        per_instance = run_grid(cfg, backend="vectorized", batch_size=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "STACK_NODES", 0)
+            per_instance = run_grid(cfg, backend="vectorized")
         calls = _count_kernel_calls(monkeypatch)
         snapshots = []
         rows = run_grid(cfg, backend="vectorized", on_chunk=snapshots.append)
@@ -608,21 +613,24 @@ class TestStackingWindows:
         assert [r.as_dict() for r in rows] == [r.as_dict() for r in per_instance]
         assert {r.backend for r in rows} == {"vectorized"}
 
-    @pytest.mark.parametrize("backend", ["vectorized", "batched"])
-    def test_instances_at_or_past_the_cap_run_alone(self, monkeypatch, backend):
+    def test_instances_at_or_past_the_cap_run_alone(self, monkeypatch):
         cfg = GridConfig(families=["gnp_sparse"],
                          sizes=[16, STACK_NODES, STACK_NODES + 88, 16],
                          seeds_per_size=2, schemes=["lambda"])
+        with monkeypatch.context() as patch:
+            patch.setattr(grid, "STACK_NODES", 0)
+            per_instance = run_grid(cfg, backend="vectorized")
         calls = _count_kernel_calls(monkeypatch)
-        rows = run_grid(cfg, backend=backend)
+        rows = run_grid(cfg, backend="vectorized")
         assert calls == [("broadcast", 2)] + [("broadcast", 1)] * 4 + [("broadcast", 2)]
-        assert rows == run_grid(cfg, backend=backend, batch_size=1)
+        assert rows == per_instance
 
-    def test_explicit_batch_size_stacks_on_vectorized(self, monkeypatch):
+    def test_patched_node_cap_sets_the_window(self, monkeypatch):
         cfg = GridConfig(families=["path"], sizes=[9], seeds_per_size=6,
                          schemes=["lambda"])
+        monkeypatch.setattr(grid, "STACK_NODES", 36)
         calls = _count_kernel_calls(monkeypatch)
-        rows = run_grid(cfg, backend="vectorized", batch_size=4)
+        rows = run_grid(cfg, backend="vectorized")
         assert calls == [("broadcast", 4), ("broadcast", 2)]
         assert [r.backend for r in rows] == ["vectorized"] * 6
 
@@ -642,37 +650,22 @@ class TestStackingWindows:
 # --------------------------------------------------------------------------- #
 class TestBatchingNegativePaths:
     def test_empty_batch(self):
-        assert BATCHED.run_batch([]) == []
+        assert VECTORIZED.run_batch([]) == []
 
     def test_mixed_protocols_refuse_to_batch(self):
         _, _, _, a = _build_task("lambda", "path", 9, 1)
         _, _, _, b = _build_task("round_robin", "path", 9, 1)
         with pytest.raises(BackendError, match="mixed protocols"):
-            BATCHED.run_batch([a, b])
+            VECTORIZED.run_batch([a, b])
 
     def test_mixed_trace_levels_refuse_to_batch(self):
         _, _, _, a = _build_task("lambda", "path", 9, 1, trace_level="summary")
         _, _, _, b = _build_task("lambda", "path", 9, 2, trace_level="full")
         with pytest.raises(BackendError, match="mixed trace levels"):
-            BATCHED.run_batch([a, b])
-
-    def test_strict_batched_raises_for_uncovered_models(self):
-        from repro.radio.clock import OffsetClocks
-
-        graph = generate_family("path", 9, 1)
-        scheme = get_scheme("lambda")
-        info = scheme.build_labels(graph, 0)
-        task = scheme.build_task(
-            graph, info, 0, payload="MSG",
-            max_rounds=scheme.default_budget(graph, info),
-            trace_level="summary", fault_model=None,
-            clock_model=OffsetClocks({v: 3 for v in graph.nodes()}),
-        )
-        with pytest.raises(BackendError, match="no stacked kernel"):
-            BatchedVectorizedBackend(strict=True).run_batch([task])
+            VECTORIZED.run_batch([a, b])
 
     def test_arb_runs_stacked_without_fallback(self, monkeypatch):
-        # B_arb is batched natively: the per-task fallback must never be
+        # B_arb is stacked natively: the per-task fallback must never be
         # touched for default channel models.
         built = [_build_task("lambda_arb", f, n, s)
                  for f, n, s in [("grid", 16, 2), ("path", 9, 1), ("star", 7, 3)]]
@@ -682,10 +675,10 @@ class TestBatchingNegativePaths:
             raise AssertionError("stacked B_arb must not fall back per task")
 
         monkeypatch.setattr(ReferenceBackend, "run_task", boom)
-        outs = BATCHED.run_batch([task for *_, task in built])
+        outs = VECTORIZED.run_batch([task for *_, task in built])
         for out, solo in zip(outs, solos):
             assert _fingerprint(out) == _fingerprint(solo)
-            assert out.backend == "batched"
+            assert out.backend == "vectorized"
 
     def test_fallback_covers_non_default_models(self):
         from repro.radio.clock import OffsetClocks
@@ -701,37 +694,22 @@ class TestBatchingNegativePaths:
                 trace_level="summary", fault_model=None,
                 clock_model=OffsetClocks({v: 3 for v in graph.nodes()}),
             ))
-        out = BATCHED.run_batch([tasks[0]])[0]
+        out = VECTORIZED.run_batch([tasks[0]])[0]
         ref = REFERENCE.run_task(tasks[1])
         assert out.trace == ref.trace
+        # The provenance tag says the reference fallback ran, not a kernel.
+        assert out.backend == "reference" and out.simulation.nodes
 
-    @pytest.mark.parametrize("bad", [0, -3])
-    def test_grid_config_rejects_non_positive_batch_size(self, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            GridConfig(families=["path"], sizes=[9], batch_size=bad)
-
-    @pytest.mark.parametrize("bad", [0, -1])
-    def test_run_grid_rejects_non_positive_batch_size(self, bad):
-        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"])
-        with pytest.raises(ValueError, match="batch_size"):
-            run_grid(cfg, batch_size=bad)
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "many"])
-    def test_cli_rejects_bad_batch_size(self, bad, capsys):
-        parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args(["sweep", "--families", "path", "--sizes", "9",
-                               "--batch-size", bad])
-        assert "batch size" in capsys.readouterr().err
-
-    def test_resolve_backend_knows_batched(self):
-        backend = resolve_backend("batched")
-        assert isinstance(backend, BatchedVectorizedBackend)
-        assert resolve_backend("batched") is backend
+    def test_resolve_backend_shares_one_vectorized_instance(self):
+        backend = resolve_backend("vectorized")
+        assert isinstance(backend, VectorizedBackend)
+        assert resolve_backend("vectorized") is backend
+        # The two calls a per-call tracer wraps on the shared instance.
+        assert callable(backend.run_task) and callable(backend._fallback.run_task)
 
     def test_vectorized_run_batch_is_one_kernel_call(self, monkeypatch):
-        # vectorized and batched are one engine: run_batch stacks the whole
-        # batch into one kernel call, equal task by task to run_task.
+        # run_batch stacks the whole batch into one kernel call, equal task
+        # by task to run_task.
         backend = resolve_backend("vectorized")
         *_, a = _build_task("lambda", "grid", 16, 1)
         *_, b = _build_task("lambda", "path", 9, 2)
@@ -767,7 +745,7 @@ class TestGridExecutionError:
         cfg = GridConfig(families=["path"], sizes=[9],
                          schemes=["collision_detection"], payload=self.BAD_PAYLOAD)
         with pytest.raises(GridExecutionError) as excinfo:
-            run_grid(cfg, backend="batched", jobs=1, batch_size=4)
+            run_grid(cfg, backend="vectorized", jobs=1)
         assert excinfo.value.spec["scheme"] == "collision_detection"
 
     def test_parallel_failure_names_the_spec(self):
@@ -777,7 +755,7 @@ class TestGridExecutionError:
                          schemes=["lambda", "collision_detection"],
                          payload=self.BAD_PAYLOAD)
         with pytest.raises(GridExecutionError) as excinfo:
-            run_grid(cfg, backend="batched", jobs=2, batch_size=2)
+            run_grid(cfg, backend="vectorized", jobs=2)
         assert excinfo.value.spec["scheme"] == "collision_detection"
         assert "seed=" in str(excinfo.value)
 
@@ -794,19 +772,20 @@ class TestGridExecutionError:
 # --------------------------------------------------------------------------- #
 class TestBackendProvenance:
     def test_fallback_rows_report_their_actual_backend(self):
-        # Fault-model cells cannot run stacked: dispatched to the batched
+        # Fault-model cells cannot run stacked: dispatched to the vectorized
         # backend they execute on the reference engine, and the row must say
-        # so instead of being labeled "batched".
-        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"],
-                         faults=[None, "drop:0.2:3"])
-        rows = run_grid(cfg, backend="batched", jobs=1, batch_size=4)
-        by_fault = {r.fault: r.backend for r in rows}
-        assert by_fault == {"none": "batched", "drop:0.2:3": "reference"}
+        # so instead of being labeled "vectorized".
+        cfg = GridConfig(families=["path"], sizes=[9], seeds_per_size=4,
+                         schemes=["lambda"], faults=[None, "drop:0.2:3"])
+        rows = run_grid(cfg, backend="vectorized", jobs=1)
+        assert {(r.fault, r.backend) for r in rows} == {
+            ("none", "vectorized"), ("drop:0.2:3", "reference")}
 
-    def test_arb_rows_report_batched(self):
-        cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda_arb"])
-        rows = run_grid(cfg, backend="batched", jobs=1, batch_size=4)
-        assert [r.backend for r in rows] == ["batched"]
+    def test_arb_rows_report_vectorized(self):
+        cfg = GridConfig(families=["path"], sizes=[9], seeds_per_size=4,
+                         schemes=["lambda_arb"])
+        rows = run_grid(cfg, backend="vectorized", jobs=1)
+        assert [r.backend for r in rows] == ["vectorized"] * 4
 
     def test_vectorized_fallback_reports_reference(self):
         cfg = GridConfig(families=["path"], sizes=[9], schemes=["lambda"],
@@ -826,5 +805,4 @@ class TestBackendProvenance:
     def test_coverage_probe_reflects_stacked_arb(self):
         from repro.api import scheme_backend_coverage
 
-        coverage = scheme_backend_coverage("lambda_arb")
-        assert "batched" in coverage and "vectorized" in coverage
+        assert scheme_backend_coverage("lambda_arb") == ["reference", "vectorized"]

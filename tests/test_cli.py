@@ -196,16 +196,12 @@ class TestSessionCommands:
             assert set(entry) == {"name", "kind", "description", "backends"}
             assert "reference" in entry["backends"]
         assert by_name["lambda"]["kind"] == "paper"
-        assert "batched" in by_name["lambda"]["backends"]
-        # B_arb is stacked by the batched engine (per-instance coordinator
-        # state as arrays).
+        assert "vectorized" in by_name["lambda"]["backends"]
+        # B_arb is stacked by the vectorized kernels (per-instance
+        # coordinator state as arrays).
         assert "vectorized" in by_name["lambda_arb"]["backends"]
-        assert "batched" in by_name["lambda_arb"]["backends"]
         # Machine-level backend registry info.
-        meta = doc["backends"]
-        assert set(meta) == {"names", "specs"}
-        assert meta["names"] == ["reference", "vectorized", "batched"]
-        assert meta["specs"] == ["batched", "reference", "vectorized"]
+        assert doc["backends"] == {"names": ["reference", "vectorized"]}
 
     def test_sweep_store_then_resume_reports_full_cache_hits(self, capsys, tmp_path):
         store = str(tmp_path / "store")

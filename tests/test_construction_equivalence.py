@@ -15,11 +15,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.api.grid as api_grid
 import repro.core.labeling as core_labeling
 import repro.core.sequences as core_sequences
 from repro.analysis.metrics import metrics_from_run
 from repro.analysis.sweep import materialize_instance
 from repro.api import GridConfig, Scenario, get_scheme, run, run_grid
+from repro.api.grid import STACK_NODES
 from repro.baselines.centralized import compute_centralized_schedule
 from repro.core import (
     build_sequences,
@@ -284,10 +286,12 @@ def _standalone_rows(config, instance):
     return rows
 
 
-@pytest.mark.parametrize("batch_size", [None, 4])
-def test_grid_builds_two_constructions_per_paper_instance(sequence_builds, batch_size):
+@pytest.mark.parametrize("stack_nodes", [0, STACK_NODES], ids=["alone", "stacked"])
+def test_grid_builds_two_constructions_per_paper_instance(sequence_builds, monkeypatch,
+                                                          stack_nodes):
+    monkeypatch.setattr(api_grid, "STACK_NODES", stack_nodes)
     instance = materialize_instance(PAPER_GRID, "geometric", 48, 0)
-    rows = run_grid(PAPER_GRID, backend="vectorized", jobs=1, batch_size=batch_size)
+    rows = run_grid(PAPER_GRID, backend="vectorized", jobs=1)
     # λ and λ_ack share the source's construction; λ_arb's coordinator is n−1.
     assert sequence_builds == [instance.source, instance.graph.n - 1]
     assert list(rows) == _standalone_rows(PAPER_GRID, instance)

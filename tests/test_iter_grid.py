@@ -8,13 +8,15 @@ The resume tests simulate the two ways a sweep dies mid-grid:
 
 Either way the store must keep every completed cell, the resumed run must
 only compute the missing cells, and the final ResultSet must be bit-identical
-to an uninterrupted run — for jobs 1/2/3 and independent of --batch-size.
+to an uninterrupted run — for jobs 1/2/3 and however many instances share
+an engine call.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.api.grid as grid
 from repro.analysis.executor import GridExecutionError
 from repro.api import (
     GridConfig,
@@ -25,6 +27,8 @@ from repro.api import (
     iter_grid,
     run_grid,
 )
+from repro.api.grid import STACK_NODES
+from repro.backends import BackendError
 
 CFG = GridConfig(
     families=["path", "grid", "gnp_sparse"],
@@ -39,6 +43,21 @@ FAULT_CFG = GridConfig(
     seeds_per_size=2,
     schemes=["lambda", "lambda_ack"],
     faults=[None, "drop:0.2:5"],
+)
+
+
+#: ``(backend, STACK_NODES)``: one instance per engine call, on the
+#: reference engine and on ``vectorized`` with a zero node cap.
+ALONE = pytest.mark.parametrize(
+    "backend,stack_nodes", [(None, STACK_NODES), ("vectorized", 0)],
+    ids=["None", "vectorized-0"],
+)
+
+#: ``ALONE`` plus ``vectorized`` stacking up to its default node cap.
+ALONE_OR_STACKED = pytest.mark.parametrize(
+    "backend,stack_nodes",
+    [(None, STACK_NODES), ("vectorized", 0), ("vectorized", STACK_NODES)],
+    ids=["None", "vectorized-0", "vectorized"],
 )
 
 
@@ -105,8 +124,18 @@ class TestStreaming:
     def test_iter_grid_validates_eagerly(self):
         with pytest.raises(ValueError, match="unknown schemes"):
             iter_grid(GridConfig(families=["path"], sizes=[6], schemes=["nope"]))
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            iter_grid(CFG, batch_size=0)
+
+    @pytest.mark.parametrize("backend", ["nope", "batched", "sharded"])
+    def test_unknown_backend_raises_before_any_instance(self, monkeypatch,
+                                                        backend):
+        import repro.analysis.sweep as sweep
+
+        def built(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(sweep, "materialize_instance", built)
+        with pytest.raises(BackendError, match="reference, vectorized"):
+            iter_grid(CFG, backend=backend)
 
     def test_run_grid_returns_a_result_set(self):
         rows = run_grid(CFG)
@@ -139,17 +168,19 @@ class TestStoreBackedGrids:
             resumed = run_grid(FAULT_CFG, backend=backend, jobs=jobs, store=store)
         assert resumed == baseline
 
-    @pytest.mark.parametrize("batch_size", [None, 1, 3])
-    def test_resume_is_unaffected_by_batch_size(self, tmp_path, batch_size):
+    @ALONE_OR_STACKED
+    def test_resume_is_unaffected_by_stacking(self, tmp_path, monkeypatch,
+                                              backend, stack_nodes):
         baseline = run_grid(FAULT_CFG)
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
         with ResultStore(tmp_path / "s") as store:
-            stream = iter_grid(FAULT_CFG, ordered=True, store=store,
-                               batch_size=batch_size, chunk_size=3)
+            stream = iter_grid(FAULT_CFG, backend=backend, ordered=True,
+                               store=store, chunk_size=3)
             for _ in range(4):
                 next(stream)
             stream.close()
         with ResultStore(tmp_path / "s") as store:
-            resumed = run_grid(FAULT_CFG, store=store, batch_size=batch_size)
+            resumed = run_grid(FAULT_CFG, backend=backend, store=store)
         assert resumed == baseline
 
     def test_warm_store_skips_every_cell(self, tmp_path, backend_calls):
@@ -261,7 +292,9 @@ class TestFailureHandling:
     def test_keep_going_batched_path(self, monkeypatch):
         baseline = run_grid(CFG)
         _install_flaky_lambda(monkeypatch)
-        rows = run_grid(CFG, strict=False, batch_size=2)
+        # Windows of two instances (requested sizes 9 + 12) per kernel call.
+        monkeypatch.setattr(grid, "STACK_NODES", 21)
+        rows = run_grid(CFG, backend="vectorized", strict=False)
         assert len(rows) == len(baseline)
         assert len(rows.filter(status="ok")) < len(baseline)
         assert set(rows.filter(lambda r: r.status != "ok").column("scheme")
@@ -315,22 +348,24 @@ def _install_transient_lambda(monkeypatch, fail_first: int = 1):
     return state
 
 
-#: ``(backend, batch_size)`` cases of the retry rule: one unit per engine
-#: call (the reference default, and ``1``), stacked batches of ``4``, and the
-#: ``vectorized`` default, which stacks the whole six-instance grid.
+#: ``(backend, STACK_NODES)`` cases of the retry rule: one unit per engine
+#: call (the reference engine, and ``vectorized`` with a zero node cap),
+#: stacked windows of four instances (requested sizes 9 + 12 + 9 + 12), and
+#: the default cap, which stacks the whole six-instance grid.
 RETRY_CASES = pytest.mark.parametrize(
-    "backend,batch_size",
-    [(None, None), (None, 1), (None, 4), ("vectorized", None)],
-    ids=["None", "1", "4", "vectorized-None"],
+    "backend,stack_nodes",
+    [(None, STACK_NODES), ("vectorized", 0), ("vectorized", 42),
+     ("vectorized", STACK_NODES)],
+    ids=["None", "vectorized-0", "vectorized-42", "vectorized"],
 )
 
 
 class TestCellRetries:
-    """One retry rule at every batch size: ``batch_size=None`` and ``1`` both
-    run one unit per engine call on the reference engine and must spend
-    exactly the same attempts; a unit whose task build fails inside a
-    stacked batch (``4``, or the ``vectorized`` default's windows) is re-run
-    alone on the same budget."""
+    """One retry rule however many units share an engine call: the
+    reference engine and ``vectorized`` with ``STACK_NODES = 0`` both run
+    one unit per call and must spend exactly the same attempts; a unit
+    whose task build fails inside a stacked window is re-run alone on the
+    same budget."""
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries must be >= 0"):
@@ -338,44 +373,46 @@ class TestCellRetries:
 
     @RETRY_CASES
     def test_transient_failure_heals_with_one_retry(self, monkeypatch,
-                                                    backend, batch_size):
+                                                    backend, stack_nodes):
         baseline = run_grid(CFG)
         state = _install_transient_lambda(monkeypatch)
-        assert run_grid(CFG, backend=backend, batch_size=batch_size,
-                        retries=1) == baseline
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
+        assert run_grid(CFG, backend=backend, retries=1) == baseline
         # Six lambda units, plus exactly one retry of the first.
         assert state["calls"] == 6 + 1
 
-    @pytest.mark.parametrize("batch_size", [None, 1])
+    @ALONE
     def test_without_retries_the_same_fault_is_fatal(self, monkeypatch,
-                                                     batch_size):
+                                                     backend, stack_nodes):
         _install_transient_lambda(monkeypatch)
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
         with pytest.raises(GridExecutionError, match="transient"):
-            run_grid(CFG, batch_size=batch_size)  # retries defaults to 0
+            run_grid(CFG, backend=backend)  # retries defaults to 0
 
-    @pytest.mark.parametrize("batch_size", [None, 1])
+    @ALONE
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_retry_heals_inside_forked_workers(self, monkeypatch, jobs,
-                                               batch_size):
+                                               backend, stack_nodes):
         # Each forked worker fails its own first lambda cell; the retry
         # happens inside that worker, so the sweep never sees the fault.
         baseline = run_grid(CFG)
         _install_transient_lambda(monkeypatch)
-        rows = run_grid(CFG, jobs=jobs, batch_size=batch_size, retries=1,
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
+        rows = run_grid(CFG, backend=backend, jobs=jobs, retries=1,
                         chunk_size=2)
         assert rows == baseline
 
     @RETRY_CASES
     def test_keep_going_only_records_cells_that_exhaust_retries(
-        self, monkeypatch, backend, batch_size
+        self, monkeypatch, backend, stack_nodes
     ):
         baseline = run_grid(CFG)
         # Fails the first three lambda calls: with one retry the first cell
         # consumes both its attempts and fails, the second cell fails once
         # and heals on its retry (call #4), the rest never fault.
         state = _install_transient_lambda(monkeypatch, fail_first=3)
-        rows = run_grid(CFG, backend=backend, batch_size=batch_size,
-                        strict=False, retries=1)
+        monkeypatch.setattr(grid, "STACK_NODES", stack_nodes)
+        rows = run_grid(CFG, backend=backend, strict=False, retries=1)
         failed = rows.filter(lambda r: r.status != "ok")
         assert len(failed) == 1
         assert failed[0].scheme == "lambda"
@@ -384,12 +421,12 @@ class TestCellRetries:
         assert state["calls"] == 6 + 2
 
     def test_batched_replay_retries_transient_kernel_faults(self, monkeypatch):
-        # The batched path replays a failed batch per task; a fault that also
-        # kills the first replay must heal on the replay's retry.
-        from repro.backends.batched import BatchedVectorizedBackend
+        # A failed stacked call replays its units one by one; a fault that
+        # also kills the first replay must heal on the replay's retry.
+        from repro.backends import VectorizedBackend
 
-        baseline = run_grid(CFG, batch_size=4)
-        original = BatchedVectorizedBackend.run_batch
+        baseline = run_grid(CFG, backend="vectorized")
+        original = VectorizedBackend.run_batch
         state = {"calls": 0}
 
         def transient(self, tasks):
@@ -398,13 +435,14 @@ class TestCellRetries:
                 raise RuntimeError("transient kernel failure")
             return original(self, tasks)
 
-        monkeypatch.setattr(BatchedVectorizedBackend, "run_batch", transient)
-        assert run_grid(CFG, batch_size=4, retries=1) == baseline
+        monkeypatch.setattr(VectorizedBackend, "run_batch", transient)
+        assert run_grid(CFG, backend="vectorized", retries=1) == baseline
         monkeypatch.undo()
         state["calls"] = 0
-        monkeypatch.setattr(BatchedVectorizedBackend, "run_batch", transient)
+        monkeypatch.setattr(VectorizedBackend, "run_batch", transient)
         with pytest.raises(GridExecutionError):
-            run_grid(CFG, batch_size=4)  # no retries: the replay stays dead
+            # No retries: the replay stays dead.
+            run_grid(CFG, backend="vectorized")
 
 
 # --------------------------------------------------------------------------- #

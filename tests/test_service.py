@@ -18,6 +18,8 @@ The contract under test (ISSUE 9 acceptance):
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
 import time
 
@@ -25,6 +27,7 @@ import pytest
 
 from repro.api import GridConfig, ResultStore, grid_row_specs, grid_unit_key, run_grid
 from repro.service import ServiceClient, ServiceError, ServiceHarness
+from repro.service.protocol import parse_address, recv_frame
 
 CFG = GridConfig(
     families=["path", "grid"],
@@ -290,6 +293,47 @@ class TestValidation:
                 with pytest.raises(ServiceError):
                     client.submit({"families": ["path"], "sizes": [9],
                                    "no_such_field": True})
+                # A bare string axis would otherwise run the families p, a,
+                # t and h, one error row each.
+                with pytest.raises(ServiceError,
+                                   match="invalid submission: families"):
+                    client.submit({"families": "path", "sizes": [9]})
+                # A client of an older version still sending batch_size.
+                with pytest.raises(ServiceError,
+                                   match="invalid submission.*batch_size"):
+                    client.submit({"families": ["path"], "sizes": [9],
+                                   "batch_size": 4})
+
+    def test_unknown_backend_rejected_before_any_work(self, tmp_path,
+                                                      backend_calls):
+        with ServiceHarness(tmp_path / "svc", workers=1) as svc:
+            with ServiceClient(svc.address) as client:
+                for backend in ("nope", "batched", "sharded"):
+                    with pytest.raises(ServiceError) as err:
+                        client.submit(CFG, backend=backend, strict=False)
+                    message = str(err.value)
+                    assert message.startswith("invalid submission")
+                    assert "reference, vectorized" in message
+                assert client.ping()  # the connection stays usable
+            counters = svc.describe()
+        assert counters["computed"] == 0 and counters["submissions"] == 0
+        assert backend_calls == []
+
+    def test_deeply_nested_hello_gets_an_error_frame(self, tmp_path):
+        # 100,000 open brackets parse past the recursion limit; the peer
+        # must get the error frame any malformed hello gets, and the next
+        # client must still be served.
+        body = b"[" * 100_000
+        with ServiceHarness(tmp_path / "svc", workers=1) as svc:
+            host, port = parse_address(svc.address)
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(struct.pack(">I", len(body)) + body)
+                reply = recv_frame(sock)
+            assert reply["type"] == "error"
+            assert "nests too deeply" in reply["message"]
+            with ServiceClient(svc.address) as client:
+                assert client.ping()
+                assert client.submit(CFG) == run_grid(CFG)
 
 
 # --------------------------------------------------------------------------- #

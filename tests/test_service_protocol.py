@@ -4,7 +4,9 @@
 layer is exercised here against the two realities of a TCP stream — frames
 split across arbitrarily many reads and several frames arriving in one read —
 plus every rejection path (oversized headers, junk JSON, unknown types,
-version mismatches).  One socketpair test pins the sync and async transports
+bodies nested past the decoder's recursion limit, version mismatches) and a
+Hypothesis property: arbitrary bytes in arbitrary splits yield whole frames
+or a :class:`ProtocolError`, nothing else.  One socketpair test pins the sync and async transports
 to the same wire format.
 """
 
@@ -16,6 +18,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service.protocol import (
     FRAME_TYPES,
@@ -134,10 +138,34 @@ class TestRejections:
             FrameDecoder().feed(wire)
 
     def test_body_must_be_an_object_with_a_known_type(self):
-        for payload in (b"[1,2]", b'"ping"', b'{"type": "warp"}', b"{}"):
+        for payload in (b"[1,2]", b'"ping"', b'{"type": "warp"}', b"{}",
+                        b'{"type": []}', b'{"type": {"a": 1}}', b'{"type": 3}'):
             wire = struct.pack(">I", len(payload)) + payload
             with pytest.raises(ProtocolError, match="known 'type'"):
                 FrameDecoder().feed(wire)
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.binary(max_size=512), tail=st.binary(max_size=64),
+           framed=st.booleans(), cuts=st.lists(st.integers(0, 600)))
+    # Far below MAX_FRAME_BYTES, far past the JSON decoder's recursion
+    # limit, and out of reach of random bytes.
+    @example(body=b"[" * 100_000, tail=b"", framed=True, cuts=[50_000])
+    def test_arbitrary_bytes_yield_frames_or_protocol_errors(
+        self, body, tail, framed, cuts
+    ):
+        """Any bytes, split anywhere: whole frames come out, or a
+        ProtocolError does; nothing else escapes the decoder.  ``framed``
+        puts a header announcing the body's exact length in front, so the
+        body parser sees arbitrary bytes too, not only the header check."""
+        data = (struct.pack(">I", len(body)) if framed else b"") + body + tail
+        bounds = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
+        decoder = FrameDecoder()
+        try:
+            for lo, hi in zip(bounds, bounds[1:]):
+                for frame in decoder.feed(data[lo:hi]):
+                    assert isinstance(frame, dict) and frame["type"] in FRAME_TYPES
+        except ProtocolError:
+            pass
 
 
 # --------------------------------------------------------------------------- #

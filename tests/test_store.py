@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis import RunMetrics, metrics_to_csv, metrics_to_json
 from repro.api import GridConfig, grid_row_specs, grid_unit_key, run_grid
-from repro.backends import BatchedVectorizedBackend
+from repro.backends import VectorizedBackend
 from repro.radio.trace import ExecutionTrace, TraceLevelError
 from repro.store import (
     SCHEMA_VERSION,
@@ -68,8 +68,6 @@ class TestKeys:
         assert len(unit_key(**{**BASE_KEY_FIELDS, "payload": {3, 4}})) == 64
 
     def test_backend_instances_reduce_to_names(self):
-        from repro.backends import VectorizedBackend
-
         by_name = unit_key(**{**BASE_KEY_FIELDS, "backend": "vectorized"})
         by_instance = unit_key(**{**BASE_KEY_FIELDS,
                                   "backend": VectorizedBackend()})
@@ -85,9 +83,6 @@ class TestKeys:
         units = grid_row_specs(cfg)
         keys = {grid_unit_key(cfg, u) for u in units}
         assert len(keys) == len(units)  # all distinct
-        # Unaffected by execution knobs that cannot change row values.
-        assert grid_unit_key(cfg, units[0]) == grid_unit_key(
-            GridConfig(**{**cfg.__dict__, "batch_size": 4}), units[0])
 
 
 # --------------------------------------------------------------------------- #
@@ -271,7 +266,7 @@ def _batched_trace(trace_level="summary") -> ExecutionTrace:
                              max_rounds=scheme.default_budget(graph, info),
                              trace_level=trace_level, fault_model=None,
                              clock_model=None)
-    result = BatchedVectorizedBackend().run_batch([task])[0]
+    result = VectorizedBackend().run_batch([task])[0]
     return result.simulation.trace
 
 

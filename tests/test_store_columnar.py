@@ -107,7 +107,7 @@ class TestColumnarRoundTrip:
         # run_grid never persists traces, so attach one explicitly: trace
         # sidecars are JSONL-only and must ride through a columnar rewrite.
         from repro.api import get_scheme
-        from repro.backends import BatchedVectorizedBackend
+        from repro.backends import VectorizedBackend
         from repro.graphs import generate_family
 
         scheme = get_scheme("lambda_ack")
@@ -117,7 +117,7 @@ class TestColumnarRoundTrip:
                                  max_rounds=scheme.default_budget(graph, info),
                                  trace_level="summary", fault_model=None,
                                  clock_model=None)
-        trace = BatchedVectorizedBackend().run_batch([task])[0].simulation.trace
+        trace = VectorizedBackend().run_batch([task])[0].simulation.trace
 
         _filled_store(tmp_path / "s")
         key = "cd" + "0" * 62

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from repro import api
 from repro.analysis import format_table
-from repro.core import lambda_scheme, run_broadcast
+from repro.api import get_scheme
+from repro.core import lambda_scheme
 from repro.graphs import generate_family
 from conftest import report
 
@@ -31,7 +32,7 @@ def _strategy_comparison():
         per_strategy = {}
         for strategy in ("prune", "greedy"):
             labeling = lambda_scheme(graph, 0, strategy=strategy)
-            outcome = run_broadcast(graph, 0, labeling=labeling)
+            outcome = get_scheme("lambda").run(graph, 0, labeling=labeling)
             assert outcome.completed
             per_strategy[strategy] = outcome
         rows.append({

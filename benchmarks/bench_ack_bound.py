@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.core import run_acknowledged_broadcast
+from repro.api import get_scheme
 from repro.graphs import generate_family, path_graph
 from conftest import report
 
@@ -24,7 +24,7 @@ def _sweep():
     for family in FAMILIES:
         for n in SIZES:
             graph = generate_family(family, n, seed=5)
-            outcome = run_acknowledged_broadcast(graph, 0)
+            outcome = get_scheme("lambda_ack").run(graph, 0)
             rows.append((family, graph, outcome))
     return rows
 
@@ -54,6 +54,6 @@ def bench_theorem_3_9_ack_window(benchmark):
 @pytest.mark.parametrize("n", [16, 64])
 def bench_path_realises_latest_ack(benchmark, n):
     """On the path the ack arrives exactly at 3n−4 = completion + n − 1."""
-    outcome = benchmark(run_acknowledged_broadcast, path_graph(n), 0)
+    outcome = benchmark(get_scheme("lambda_ack").run, path_graph(n), 0)
     assert outcome.completion_round == 2 * n - 3
     assert outcome.acknowledgement_round == 3 * n - 4

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.core import lambda_arb_scheme, run_arbitrary_source_broadcast
+from repro.api import get_scheme
+from repro.core import lambda_arb_scheme
 from repro.graphs import generate_family
 from conftest import report
 
@@ -35,8 +36,7 @@ def _run_case(family: str, n: int, sample):
         sources = list(range(0, graph.n, step))
     completions = []
     for source in sources:
-        outcome = run_arbitrary_source_broadcast(graph, true_source=source,
-                                                 labeling=labeling)
+        outcome = get_scheme("lambda_arb").run(graph, source, labeling=labeling)
         assert outcome.completed, (family, source)
         assert outcome.common_completion_round is not None, (family, source)
         completions.append(outcome.completion_round)
@@ -68,6 +68,6 @@ def bench_arbitrary_source_single(benchmark, family, n):
     """Timing of a single B_arb execution (labeling excluded)."""
     graph = generate_family(family, n, seed=9)
     labeling = lambda_arb_scheme(graph)
-    outcome = benchmark(run_arbitrary_source_broadcast, graph,
-                        true_source=graph.n - 1, labeling=labeling)
+    outcome = benchmark(get_scheme("lambda_arb").run, graph, graph.n - 1,
+                        labeling=labeling)
     assert outcome.completed

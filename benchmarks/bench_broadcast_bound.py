@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import format_table
 from repro.api import GridConfig, run_grid
-from repro.core import run_broadcast
+from repro.api import get_scheme
 from repro.graphs import path_graph
 from conftest import report
 
@@ -57,5 +57,5 @@ def bench_theorem_2_9_bound_sweep(benchmark):
 def bench_worst_case_path_is_tight(benchmark, n):
     """The path from an endpoint realises the bound exactly: 2n − 3 rounds."""
     graph = path_graph(n)
-    outcome = benchmark(run_broadcast, graph, 0)
+    outcome = benchmark(get_scheme("lambda").run, graph, 0)
     assert outcome.completion_round == 2 * n - 3

@@ -11,11 +11,8 @@ impossibility and Theorem 2.9.
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import (
-    broadcast_succeeds_with_labels,
-    run_broadcast,
-    search_minimum_labels,
-)
+from repro.api import get_scheme
+from repro.core import broadcast_succeeds_with_labels, search_minimum_labels
 from repro.graphs import cycle_graph
 from conftest import report
 
@@ -29,7 +26,7 @@ def _study():
             for lab in ("00", "01", "10", "11")
         )
         search = search_minimum_labels(graph, 0, max_bits=2)
-        lam = run_broadcast(graph, 0)
+        lam = get_scheme("lambda").run(graph, 0)
         rows.append({
             "graph": f"C{n}",
             "uniform labels fail": uniform_fails,

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import format_table
-from repro.core import check_lemma_2_8, lambda_scheme, run_broadcast
+from repro.api import get_scheme
+from repro.core import check_lemma_2_8, lambda_scheme
 from repro.graphs import generate_family
 from conftest import report
 
@@ -24,7 +25,7 @@ CASES = [
 def _verify_case(family: str, n: int):
     graph = generate_family(family, n, seed=11)
     labeling = lambda_scheme(graph, 0)
-    outcome = run_broadcast(graph, 0, labeling=labeling)
+    outcome = get_scheme("lambda").run(graph, 0, labeling=labeling)
     violations = check_lemma_2_8(graph, labeling, labeling.construction, outcome.trace)
     return graph, labeling, outcome, violations
 

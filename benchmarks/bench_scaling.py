@@ -22,7 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import format_table
-from repro.core import build_sequences, lambda_scheme, run_broadcast
+from repro.api import get_scheme
+from repro.core import build_sequences, lambda_scheme
 from repro.graphs import generate_family, path_graph
 from conftest import report
 
@@ -72,7 +73,7 @@ def _round_growth():
     for family in ("path", "grid", "gnp_sparse", "geometric"):
         for n in SIZES:
             graph = generate_family(family, n, seed=1)
-            outcome = run_broadcast(graph, 0)
+            outcome = get_scheme("lambda").run(graph, 0)
             rows.append({
                 "family": family,
                 "n": graph.n,
@@ -126,7 +127,7 @@ def bench_simulation_only(benchmark, n):
     """Time one Algorithm B execution with a precomputed labeling."""
     graph = generate_family("geometric", n, seed=6)
     labeling = lambda_scheme(graph, 0)
-    outcome = benchmark(run_broadcast, graph, 0, labeling=labeling)
+    outcome = benchmark(get_scheme("lambda").run, graph, 0, labeling=labeling)
     assert outcome.completed
 
 
@@ -135,7 +136,7 @@ def _time_backend(graph, labeling, backend: str, repeats: int = 3):
     best, outcome = float("inf"), None
     for _ in range(repeats):
         start = time.perf_counter()
-        outcome = run_broadcast(
+        outcome = get_scheme("lambda").run(
             graph, 0, labeling=labeling, backend=backend, trace_level="summary"
         )
         best = min(best, time.perf_counter() - start)
@@ -219,7 +220,6 @@ def bench_batched_small_graph_sweep():
     per-task throughput (≥ 2× asserted, to absorb shared-CI noise) with
     bit-identical results, and stays ahead at every (n ≤ 64, k ≥ 256) cell.
     """
-    from repro.api import get_scheme
     from repro.backends import ReferenceBackend, VectorizedBackend
 
     scheme = get_scheme("lambda")

@@ -14,8 +14,7 @@ that:
 
 The failover loop drives the registered `"lambda_arb"` scheme from the
 unified registry (`repro.api`), reusing one precomputed labeling across
-sources; the legacy `run_arbitrary_source_broadcast(...)` entry point remains
-as a thin compatibility wrapper over the same scheme.
+sources: `api.get_scheme("lambda_arb").run(graph, source, labeling=...)`.
 
 Run:  python examples/arbitrary_source_failover.py [--nodes 40] [--seed 3]
 """

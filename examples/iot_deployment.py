@@ -55,9 +55,8 @@ def main() -> None:
     print(f"Monitor assigns λ_ack labels: {labeling.length} bits/device, "
           f"{labeling.num_distinct_labels()} distinct roles")
 
-    # The gateway streams messages, pacing on acknowledgements.  (The legacy
-    # compatibility path `run_acknowledged_broadcast(network, gateway,
-    # labeling=labeling, ...)` is a thin wrapper over this same scheme.)
+    # The gateway streams messages, pacing on acknowledgements, reusing the
+    # monitor's labeling for every message.
     ack_scheme = api.get_scheme("lambda_ack")
     total_rounds = 0
     total_messages = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 
 from repro import api
-from repro.core import run_broadcast, verify_broadcast_outcome
+from repro.core import verify_broadcast_outcome
 from repro.graphs import grid_graph
 from repro.viz import render_labeled_layers, render_round_table, transmit_receive_maps
 
@@ -58,10 +58,10 @@ def main() -> None:
     print(f"Verification against the paper's lemmas: "
           f"{'PASS' if not violations else violations}")
 
-    # Compatibility path: the classic per-scheme entry point is a thin wrapper
-    # over the same scheme registry and returns the same unified Outcome.
-    legacy = run_broadcast(graph, args.source, payload="hello-radio")
-    assert legacy.completion_round == outcome.completion_round
+    # The graph-level entry point: `api.run(scenario)` resolves the scenario's
+    # scheme and runs it this way, so both give the same unified Outcome.
+    direct = api.get_scheme("lambda").run(graph, args.source, payload="hello-radio")
+    assert direct.completion_round == outcome.completion_round
 
     transmit, receive = transmit_receive_maps(outcome.trace)
     print("\nFigure-1 style rendering (node:label{transmit rounds}(receive rounds)):")

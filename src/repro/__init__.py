@@ -17,10 +17,14 @@ The package is organised in layers:
 
 Quick start::
 
-    from repro import grid_graph, run_broadcast
+    from repro import api, grid_graph
     g = grid_graph(4, 4)
-    outcome = run_broadcast(g, source=0)
+    outcome = api.get_scheme("lambda").run(g, 0)
     print(outcome.completion_round, "<=", outcome.bound_broadcast)
+
+Every registered scheme (the paper's three and the four baselines) runs one
+execution through ``api.get_scheme(name).run(graph, source, ...)``, and a
+declarative scenario through ``api.run(scenario)``.
 """
 
 from .graphs import (
@@ -44,9 +48,6 @@ from .core import (
     lambda_ack_scheme,
     lambda_arb_scheme,
     lambda_scheme,
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
     verify_broadcast_outcome,
 )
 from .radio import ExecutionTrace, Message, RadioSimulator, run_protocol
@@ -77,9 +78,6 @@ __all__ = [
     "random_geometric_graph",
     "random_gnp_graph",
     "random_tree",
-    "run_acknowledged_broadcast",
-    "run_arbitrary_source_broadcast",
-    "run_broadcast",
     "run_protocol",
     "star_graph",
     "verify_broadcast_outcome",

@@ -383,8 +383,8 @@ def _run_unit_window(
     # built once per (scheme, instance) and reused across its fault/clock
     # rows.  ``_constructions`` is the instance's Section 2.1 construction
     # cache, through which λ and λ_ack label from one construction of the
-    # source; ``_payload_text`` reaches the one labeler sized by the payload
-    # (bit signalling).  The other schemes swallow both.
+    # source; ``payload`` reaches the one labeler sized by the payload (bit
+    # signalling).  The other schemes swallow both.
     labels: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
     constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
     # The source's radius, one BFS per instance for all of its rows.
@@ -397,7 +397,7 @@ def _run_unit_window(
         if lkey not in labels:
             labels[lkey] = scheme.build_labels(
                 instance.graph, instance.source,
-                _payload_text=str(config.payload),
+                payload=config.payload,
                 _constructions=constructions.setdefault(unit[:3], {}),
                 **scheme.grid_options(instance.graph, instance.source),
             )

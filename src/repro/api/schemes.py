@@ -15,9 +15,11 @@ scheme shares:
    result into the unified :class:`~repro.core.outcome.Outcome`.
 
 :meth:`Scheme.run` is the template method gluing the three together through
-:func:`~repro.backends.resolve_backend`, which is what ``repro.api.run`` /
-``run_grid``, the legacy ``run_*`` entry points, the sweep layer and the CLI
-all call.  New schemes plug in with::
+:func:`~repro.backends.resolve_backend`: ``get_scheme(name).run(graph,
+source, ...)`` is the one graph-level way to run one execution, and
+``repro.api.run`` and the CLI call it.  The grid runner calls the three steps
+itself, so it can share labels across an instance's rows and stack tasks.
+New schemes plug in with::
 
     @register_scheme("my_scheme")
     class MyScheme(Scheme):
@@ -104,7 +106,11 @@ class Scheme(ABC):
     def build_labels(
         self, graph: Graph, source: int, *, labeling: Optional[Labeling] = None, **options: Any
     ) -> SchemeLabels:
-        """Compute (or validate a reused) labeling for ``graph`` / ``source``."""
+        """Compute (or validate a reused) labeling for ``graph`` / ``source``.
+
+        ``options`` may carry ``payload``: only a labeler sized by it (bit
+        signalling) reads it, and the others swallow it.
+        """
 
     @abstractmethod
     def default_budget(self, graph: Graph, info: SchemeLabels) -> int:
@@ -153,7 +159,6 @@ class Scheme(ABC):
         *,
         payload: Any = "MSG",
         labeling: Optional[Labeling] = None,
-        labels_info: Optional[SchemeLabels] = None,
         max_rounds: Optional[int] = None,
         fault_model: Optional[FaultModel] = None,
         clock_model: Optional[ClockModel] = None,
@@ -163,16 +168,15 @@ class Scheme(ABC):
     ) -> Outcome:
         """Label, simulate and derive the outcome of one execution.
 
-        ``labels_info`` lets callers that run the same (graph, source) many
-        times — e.g. the sweep grid across fault/clock cells — reuse a
-        previously built :class:`SchemeLabels` instead of recomputing labels
-        or schedules; it must come from this scheme's own
-        :meth:`build_labels` on the same instance.
+        ``labeling`` reuses a precomputed labeling of this scheme; other
+        ``options`` (``strategy``, λ_arb's ``coordinator``, bit signalling's
+        ``with_detection``) reach :meth:`build_labels`.  ``backend`` is a
+        name, a backend instance or ``None`` (the reference engine), and
+        ``trace_level`` is ``"full"``, ``"summary"`` or ``"none"``.
         """
         self.validate_source(graph, source)
-        info = labels_info if labels_info is not None else self.build_labels(
-            graph, source, labeling=labeling, **options
-        )
+        info = self.build_labels(graph, source, labeling=labeling,
+                                 payload=payload, **options)
         budget = max_rounds if max_rounds is not None else self.default_budget(graph, info)
         task = self.build_task(
             graph,
@@ -319,7 +323,7 @@ class LambdaScheme(Scheme):
             construction=_shared_construction(_constructions, graph, source, strategy),
         )
         if lab.scheme != "lambda":
-            raise GraphError(f"run_broadcast expects a λ labeling, got {lab.scheme!r}")
+            raise GraphError(f"the lambda scheme expects a λ labeling, got {lab.scheme!r}")
         return _labels_from_labeling(lab)
 
     def default_budget(self, graph, info):
@@ -373,7 +377,7 @@ class LambdaAckScheme(Scheme):
         )
         if lab.scheme != "lambda_ack":
             raise GraphError(
-                f"run_acknowledged_broadcast expects a λ_ack labeling, got {lab.scheme!r}"
+                f"the lambda_ack scheme expects a λ_ack labeling, got {lab.scheme!r}"
             )
         return _labels_from_labeling(lab)
 
@@ -447,7 +451,7 @@ class LambdaArbScheme(Scheme):
         )
         if lab.scheme != "lambda_arb":
             raise GraphError(
-                f"run_arbitrary_source_broadcast expects a λ_arb labeling, got {lab.scheme!r}"
+                f"the lambda_arb scheme expects a λ_arb labeling, got {lab.scheme!r}"
             )
         return _labels_from_labeling(lab)
 
@@ -476,13 +480,6 @@ class LambdaArbScheme(Scheme):
                 fault_model=fault_model, clock_model=clock_model,
                 extras={"coordinator": coordinator_node},
             )
-
-        def everyone_knows_completion(sim) -> bool:
-            return all(
-                isinstance(node, ArbitrarySourceNode) and node.knows_completion
-                for node in sim.nodes
-            )
-
         return SimulationTask(
             protocol="arbitrary",
             graph=graph,
@@ -492,7 +489,6 @@ class LambdaArbScheme(Scheme):
             payload=payload,
             max_rounds=max_rounds,
             stop_rule="arb_complete",
-            stop_condition=everyone_knows_completion,
             trace_level=trace_level,
             fault_model=fault_model,
             clock_model=clock_model,
@@ -701,8 +697,9 @@ class CollisionDetectionScheme(Scheme):
     description = "label-free bit signalling (needs the detection channel)"
 
     def build_labels(self, graph, source, *, labeling=None, with_detection=True,
-                     _payload_text="MSG", **_):
-        symbol_count = 1 + LENGTH_HEADER_BITS + 8 * len(_payload_text.encode("utf-8"))
+                     payload="MSG", **_):
+        # The symbol stream, and so the round budget, grows with the payload.
+        symbol_count = 1 + LENGTH_HEADER_BITS + 8 * len(str(payload).encode("utf-8"))
         return SchemeLabels(
             labels={v: "0" for v in graph.nodes()},
             label_bits=0,
@@ -719,15 +716,7 @@ class CollisionDetectionScheme(Scheme):
             return BitSignalNode(node_id, label, is_source=is_source,
                                  source_payload=source_payload)
 
-        def all_decoded(s) -> bool:
-            return all(
-                isinstance(node, BitSignalNode) and node.has_decoded for node in s.nodes
-            )
-
         with_detection = info.extras["with_detection"]
-        # ``stop_rule`` is the declarative twin of ``stop_condition``: array
-        # backends (which have no node objects to inspect) implement it
-        # natively, while the reference engine keeps using the callable.
         return SimulationTask(
             protocol="collision_detection",
             graph=graph,
@@ -737,18 +726,11 @@ class CollisionDetectionScheme(Scheme):
             payload=str(payload),
             max_rounds=max_rounds,
             stop_rule="all_decoded",
-            stop_condition=all_decoded,
             trace_level=trace_level,
             collision_model=WithCollisionDetection() if with_detection else None,
             fault_model=fault_model,
             clock_model=clock_model,
         )
-
-    def run(self, graph, source, *, payload="MSG", **kwargs):
-        # The round budget depends on the payload length, so the labeler needs
-        # to see the serialized payload text when sizing the symbol stream.
-        return super().run(graph, source, payload=payload,
-                           _payload_text=str(payload), **kwargs)
 
     def derive_outcome(self, graph, task, result, info):
         sim = result.simulation

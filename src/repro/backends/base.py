@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..graphs.graph import Graph
 from ..radio.clock import ClockModel
@@ -59,7 +59,9 @@ PROTOCOLS = (
     "custom",
 )
 
-#: Declarative stop rules every backend understands.
+#: Declarative stop rules every backend understands: every node informed,
+#: the source acknowledged, every node knows B_arb completed, every node
+#: decoded the bit-signalled payload.
 STOP_RULES = ("all_informed", "acknowledged", "arb_complete", "all_decoded")
 
 
@@ -86,12 +88,9 @@ class SimulationTask:
         Hard round budget.
     stop_rule:
         One of :data:`STOP_RULES` or ``None`` (run to budget).  Backends stop
-        after the first round in which the rule holds.
-    stop_condition:
-        Optional callable ``sim -> bool`` used by the reference engine when
-        the rule needs node introspection (e.g. B_arb's common-completion
-        check).  Takes precedence over :attr:`stop_rule` on the reference
-        path; array backends implement :attr:`stop_rule` natively.
+        after the first round in which the rule holds: the reference engine
+        evaluates it over its node objects, the array kernels over their
+        state arrays.
     trace_level:
         ``"full"`` / ``"summary"`` / ``"none"`` (see :mod:`repro.radio.trace`).
     collision_model / fault_model / clock_model:
@@ -109,7 +108,6 @@ class SimulationTask:
     payload: Any = "MSG"
     max_rounds: int = 0
     stop_rule: Optional[str] = None
-    stop_condition: Optional[Callable[..., bool]] = None
     trace_level: str = "full"
     collision_model: Optional[CollisionModel] = None
     fault_model: Optional[FaultModel] = None

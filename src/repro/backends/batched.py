@@ -1100,7 +1100,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             run.stop(r, stop_arb & all_known)
         run.end_round(r)
 
-    # Derived outcomes, mirroring the reference derivation in core.runner.
+    # Derived outcomes, mirroring api.schemes._derive_arbitrary_outcome.
     derived: List[Dict[str, Any]] = []
     for b in range(B):
         lo, hi = int(lay.offsets[b]), int(lay.offsets[b + 1])

@@ -3,18 +3,28 @@
 This is the paper's model executed literally: one :class:`~repro.radio.node.
 RadioNode` per node, a Python ``decide``/``deliver`` cycle per round.  It is
 the ground truth every other backend is tested against, and the only backend
-that supports arbitrary node factories, fault/clock/collision models and
-custom stop conditions.
+that supports arbitrary node factories and fault/clock/collision models.
+Every :data:`~repro.backends.base.STOP_RULES` entry is a predicate over the
+simulator and its node objects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict
 
 from ..radio.engine import RadioSimulator
 from .base import BackendError, BackendResult, SimulationBackend, SimulationTask
 
 __all__ = ["ReferenceBackend"]
+
+_STOP_PREDICATES: Dict[str, Callable[[RadioSimulator], bool]] = {
+    "all_informed": RadioSimulator.all_informed,
+    "acknowledged": RadioSimulator.source_acknowledged,
+    "arb_complete": lambda sim: all(
+        getattr(node, "knows_completion", False) for node in sim.nodes),
+    "all_decoded": lambda sim: all(
+        getattr(node, "has_decoded", False) for node in sim.nodes),
+}
 
 
 class ReferenceBackend(SimulationBackend):
@@ -42,20 +52,6 @@ class ReferenceBackend(SimulationBackend):
             clock_model=task.clock_model,
             trace_level=trace_level,
         )
-        stop = self._stop_condition(task)
+        stop = None if task.stop_rule is None else _STOP_PREDICATES[task.stop_rule]
         result = sim.run(task.max_rounds, stop)
         return BackendResult(simulation=result, derived={}, backend=self.name)
-
-    def _stop_condition(self, task: SimulationTask) -> Optional[Callable]:
-        if task.stop_condition is not None:
-            return task.stop_condition
-        if task.stop_rule is None:
-            return None
-        if task.stop_rule == "all_informed":
-            return lambda sim: sim.all_informed()
-        if task.stop_rule == "acknowledged":
-            return lambda sim: sim.source_acknowledged()
-        raise BackendError(
-            f"stop rule {task.stop_rule!r} needs an explicit stop_condition "
-            f"on the reference backend"
-        )

@@ -1,21 +1,21 @@
-"""Baseline broadcast schemes the paper's introduction compares against."""
+"""Baseline broadcast schemes the paper's introduction compares against.
+
+This package holds each baseline's labels, node class and helpers; the
+registered schemes in :mod:`repro.api.schemes` run them, e.g.
+``get_scheme("round_robin").run(graph, source)``.
+"""
 
 from .base import bits_needed, int_to_bits
-from .centralized import (
-    ScheduledNode,
-    compute_centralized_schedule,
-    run_centralized_schedule,
-)
+from .centralized import ScheduledNode, compute_centralized_schedule
 from .collision_detection import (
     BitSignalNode,
     LENGTH_HEADER_BITS,
     SLOT_LENGTH,
     decode_payload_bits,
     encode_payload_bits,
-    run_collision_detection_broadcast,
 )
-from .coloring_tdma import ColoringTdmaNode, coloring_tdma_labels, run_coloring_tdma
-from .round_robin import RoundRobinNode, round_robin_labels, run_round_robin
+from .coloring_tdma import ColoringTdmaNode, coloring_tdma_labels
+from .round_robin import RoundRobinNode, round_robin_labels
 
 __all__ = [
     "BitSignalNode",
@@ -31,8 +31,4 @@ __all__ = [
     "encode_payload_bits",
     "int_to_bits",
     "round_robin_labels",
-    "run_centralized_schedule",
-    "run_collision_detection_broadcast",
-    "run_coloring_tdma",
-    "run_round_robin",
 ]

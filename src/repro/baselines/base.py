@@ -11,9 +11,10 @@ alternatives:
 * with **complete topology knowledge**, a centralised schedule can be
   precomputed (unbounded advice).
 
-Each baseline in this package produces a labeling, a node factory for the
-radio simulator, and an :class:`~repro.core.outcome.Outcome` with the metrics
-the benchmark tables compare: label length, completion round, number of
+Each baseline in this package provides its labels and its node class.  Its
+registered scheme in :mod:`repro.api.schemes` builds the task from them and
+derives the unified :class:`~repro.core.outcome.Outcome` with the metrics the
+benchmark tables compare: label length, completion round, number of
 transmissions and collisions.  This module holds their shared bit helpers.
 """
 

@@ -19,14 +19,14 @@ rounds and usually close to the source eccentricity.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, FrozenSet, List, Optional, Set
 
 from ..graphs.graph import Graph, GraphError
 from ..graphs.traversal import is_connected
 from ..radio.messages import Message, source_message
 from ..radio.node import RadioNode
 
-__all__ = ["compute_centralized_schedule", "ScheduledNode", "run_centralized_schedule"]
+__all__ = ["compute_centralized_schedule", "ScheduledNode"]
 
 
 def compute_centralized_schedule(
@@ -86,32 +86,3 @@ class ScheduledNode(RadioNode):
         """Adopt the first µ heard."""
         if self.sourcemsg is None and message.is_source:
             self.sourcemsg = message.payload
-
-
-def run_centralized_schedule(
-    graph: Graph,
-    source: int,
-    *,
-    payload: Any = "MSG",
-    strategy: str = "greedy",
-    max_rounds: Optional[int] = None,
-    fault_model=None,
-    clock_model=None,
-    backend=None,
-    trace_level: str = "full",
-):
-    """Run the centralised greedy schedule and collect comparison metrics.
-
-    Thin wrapper over the registered ``"centralized"`` scheme (see
-    :mod:`repro.api.schemes`); returns the unified outcome record.  The
-    schedule travels with the task as declarative data, so the vectorized
-    backend executes it natively instead of falling back to the object
-    engine.
-    """
-    from ..api.schemes import get_scheme
-
-    return get_scheme("centralized").run(
-        graph, source, payload=payload, strategy=strategy, max_rounds=max_rounds,
-        fault_model=fault_model, clock_model=clock_model,
-        backend=backend, trace_level=trace_level,
-    )

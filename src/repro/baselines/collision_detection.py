@@ -26,9 +26,8 @@ no-detection model makes it fail, which the tests demonstrate.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
-from ..graphs.graph import Graph
 from ..radio.messages import Message, source_message
 from ..radio.node import RadioNode
 
@@ -38,7 +37,6 @@ __all__ = [
     "encode_payload_bits",
     "decode_payload_bits",
     "BitSignalNode",
-    "run_collision_detection_broadcast",
 ]
 
 #: Rounds per transmitted symbol (1 transmit round + 2 guard rounds).
@@ -145,33 +143,3 @@ class BitSignalNode(RadioNode):
     def has_decoded(self) -> bool:
         """True once the node has reconstructed the full payload."""
         return self.decoded is not None
-
-
-def run_collision_detection_broadcast(
-    graph: Graph,
-    source: int,
-    *,
-    payload: str = "MSG",
-    max_rounds: Optional[int] = None,
-    with_detection: bool = True,
-    fault_model=None,
-    clock_model=None,
-    backend=None,
-    trace_level: str = "full",
-):
-    """Run the anonymous bit-signalling broadcast.
-
-    ``with_detection=False`` runs the same protocol under the paper's default
-    no-collision-detection channel, where it is expected to fail — used by the
-    tests to demonstrate that the scheme genuinely needs the stronger model.
-
-    Thin wrapper over the registered ``"collision_detection"`` scheme (see
-    :mod:`repro.api.schemes`); returns the unified outcome record.
-    """
-    from ..api.schemes import get_scheme
-
-    return get_scheme("collision_detection").run(
-        graph, source, payload=payload, max_rounds=max_rounds,
-        with_detection=with_detection, fault_model=fault_model,
-        clock_model=clock_model, backend=backend, trace_level=trace_level,
-    )

@@ -23,7 +23,7 @@ from ..radio.messages import Message, source_message
 from ..radio.node import RadioNode
 from .base import bits_needed, int_to_bits
 
-__all__ = ["coloring_tdma_labels", "ColoringTdmaNode", "run_coloring_tdma"]
+__all__ = ["coloring_tdma_labels", "ColoringTdmaNode"]
 
 
 def coloring_tdma_labels(graph: Graph) -> Tuple[Dict[int, str], int]:
@@ -68,28 +68,3 @@ class ColoringTdmaNode(RadioNode):
         """Adopt the first µ heard."""
         if self.sourcemsg is None and message.is_source:
             self.sourcemsg = message.payload
-
-
-def run_coloring_tdma(
-    graph: Graph,
-    source: int,
-    *,
-    payload: Any = "MSG",
-    max_rounds: Optional[int] = None,
-    fault_model=None,
-    clock_model=None,
-    backend=None,
-    trace_level: str = "full",
-):
-    """Run the G²-colouring TDMA baseline and collect comparison metrics.
-
-    Thin wrapper over the registered ``"coloring_tdma"`` scheme (see
-    :mod:`repro.api.schemes`); returns the unified outcome record.
-    """
-    from ..api.schemes import get_scheme
-
-    return get_scheme("coloring_tdma").run(
-        graph, source, payload=payload, max_rounds=max_rounds,
-        fault_model=fault_model, clock_model=clock_model,
-        backend=backend, trace_level=trace_level,
-    )

@@ -24,7 +24,7 @@ from ..radio.messages import Message, source_message
 from ..radio.node import RadioNode
 from .base import bits_needed, int_to_bits
 
-__all__ = ["round_robin_labels", "RoundRobinNode", "run_round_robin"]
+__all__ = ["round_robin_labels", "RoundRobinNode"]
 
 
 def round_robin_labels(graph: Graph) -> Dict[int, str]:
@@ -71,28 +71,3 @@ class RoundRobinNode(RadioNode):
         """Adopt the first µ heard."""
         if self.sourcemsg is None and message.is_source:
             self.sourcemsg = message.payload
-
-
-def run_round_robin(
-    graph: Graph,
-    source: int,
-    *,
-    payload: Any = "MSG",
-    max_rounds: Optional[int] = None,
-    fault_model=None,
-    clock_model=None,
-    backend=None,
-    trace_level: str = "full",
-):
-    """Run the round-robin baseline and collect comparison metrics.
-
-    Thin wrapper over the registered ``"round_robin"`` scheme (see
-    :mod:`repro.api.schemes`); returns the unified outcome record.
-    """
-    from ..api.schemes import get_scheme
-
-    return get_scheme("round_robin").run(
-        graph, source, payload=payload, max_rounds=max_rounds,
-        fault_model=fault_model, clock_model=clock_model,
-        backend=backend, trace_level=trace_level,
-    )

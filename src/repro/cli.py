@@ -75,9 +75,6 @@ from .core import (
     lambda_ack_scheme,
     lambda_arb_scheme,
     lambda_scheme,
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
     verify_broadcast_outcome,
 )
 from .graphs import Graph
@@ -404,16 +401,8 @@ def _cmd_label(args) -> int:
 
 def _cmd_broadcast(args) -> int:
     graph = args.graph
-    if args.scheme == "lambda":
-        outcome = run_broadcast(graph, args.source, payload=args.payload,
-                                backend=args.backend)
-    elif args.scheme == "lambda_ack":
-        outcome = run_acknowledged_broadcast(graph, args.source, payload=args.payload,
-                                             backend=args.backend)
-    else:
-        outcome = run_arbitrary_source_broadcast(graph, true_source=args.source,
-                                                 payload=args.payload,
-                                                 backend=args.backend)
+    outcome = get_scheme(args.scheme).run(graph, args.source, payload=args.payload,
+                                          backend=args.backend)
     print(f"graph: {graph.summary()}")
     print(f"scheme: {outcome.scheme} ({outcome.label_bits} bits)")
     print(f"completion round: {outcome.completion_round} (bound {outcome.bound_broadcast})")

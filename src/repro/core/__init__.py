@@ -2,9 +2,11 @@
 
 Typical use::
 
-    from repro.core import lambda_scheme, run_broadcast
-    outcome = run_broadcast(graph, source=0)
-    assert outcome.completion_round <= outcome.bound_broadcast
+    from repro.core import lambda_scheme
+    labeling = lambda_scheme(graph, source=0)
+
+One execution (label, simulate, derive the outcome) runs through the scheme
+registry: ``repro.api.get_scheme("lambda").run(graph, 0)``.
 """
 
 from .domination import (
@@ -33,11 +35,6 @@ from .protocols import (
     make_acknowledged_node,
     make_arbitrary_node,
     make_broadcast_node,
-)
-from .runner import (
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
 )
 from .sequences import SequenceConstruction, Stage, build_sequences
 from .special import (
@@ -93,9 +90,6 @@ __all__ = [
     "make_broadcast_node",
     "minimal_dominating_subset",
     "prune_to_minimal",
-    "run_acknowledged_broadcast",
-    "run_arbitrary_source_broadcast",
-    "run_broadcast",
     "run_tree_flood",
     "scheme_length",
     "search_minimum_labels",

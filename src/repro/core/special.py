@@ -91,7 +91,7 @@ def run_tree_flood(graph: Graph, source: int, *, payload: Any = "MSG",
     or may not complete; the tests demonstrate a failing non-tree instance).
     """
     if not is_tree(graph):
-        raise GraphError("run_tree_flood requires a tree; use run_broadcast for general graphs")
+        raise GraphError("run_tree_flood requires a tree; use the lambda scheme for general graphs")
     labels = {v: "0" for v in graph.nodes()}
     budget = max_rounds if max_rounds is not None else 2 * graph.n + 4
 

@@ -217,11 +217,8 @@ class RadioSimulator:
         self,
         max_rounds: int,
         stop_condition: Optional[Callable[["RadioSimulator"], bool]] = None,
-        *,
-        stop_on_quiescence: bool = False,
-        quiescence_window: int = 2,
     ) -> SimulationResult:
-        """Run rounds until a stop condition, quiescence, or the round budget.
+        """Run rounds until the stop condition holds or the budget runs out.
 
         Parameters
         ----------
@@ -229,14 +226,12 @@ class RadioSimulator:
             Hard budget on the number of rounds to simulate.
         stop_condition:
             Optional predicate evaluated after every round; the run stops when
-            it returns ``True``.
-        stop_on_quiescence:
-            Stop early after ``quiescence_window`` consecutive silent rounds
-            (nobody transmitted).  Handy for protocols that simply go quiet.
+            it returns ``True`` (stop reason ``"condition"``, otherwise
+            ``"budget"``).  The reference backend passes the predicate of the
+            task's stop rule.
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-        silent_streak = 0
         stop_reason = "budget"
         stop_round = self._round
         for _ in range(max_rounds):
@@ -245,11 +240,6 @@ class RadioSimulator:
             if stop_condition is not None and stop_condition(self):
                 stop_reason = "condition"
                 break
-            if stop_on_quiescence:
-                silent_streak = silent_streak + 1 if record.is_silent else 0
-                if silent_streak >= quiescence_window:
-                    stop_reason = "quiescence"
-                    break
         return SimulationResult(
             trace=self.trace, nodes=self.nodes, stop_round=stop_round, stop_reason=stop_reason
         )
@@ -281,7 +271,6 @@ def run_protocol(
     collision_model: Optional[CollisionModel] = None,
     fault_model: Optional[FaultModel] = None,
     clock_model: Optional[ClockModel] = None,
-    stop_on_quiescence: bool = False,
     trace_level: str = "full",
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`RadioSimulator` and run it.
@@ -302,4 +291,4 @@ def run_protocol(
         clock_model=clock_model,
         trace_level=trace_level,
     )
-    return sim.run(max_rounds, stop_condition, stop_on_quiescence=stop_on_quiescence)
+    return sim.run(max_rounds, stop_condition)

@@ -273,13 +273,14 @@ class ColumnarSegment:
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
-        self._file = open(self.path, "rb")
-        try:
+        # The map keeps its own descriptor, so the file closes right away.
+        with open(self.path, "rb") as handle:
             try:
-                self._mm: Any = mmap.mmap(self._file.fileno(), 0,
+                self._mm: Any = mmap.mmap(handle.fileno(), 0,
                                           access=mmap.ACCESS_READ)
             except ValueError:  # empty file cannot be mapped
-                raise ColumnarError(f"{self.path}: empty columnar segment")
+                raise ColumnarError(f"{self.path}: empty columnar segment") from None
+        try:
             buf = self._mm
             magic_len = len(COLUMNAR_MAGIC)
             if buf[:magic_len] != COLUMNAR_MAGIC:
@@ -330,6 +331,11 @@ class ColumnarSegment:
         except ColumnarError:
             self.close()
             raise
+        except (TypeError, ValueError, KeyError, OverflowError, RecursionError) as exc:
+            # Well-formed JSON with ill-typed fields (a string row count, an
+            # unhashable column name or kind).
+            self.close()
+            raise ColumnarError(f"{self.path}: corrupt columnar header: {exc!r}") from None
 
     # -------------------------------------------------------------- #
     # validation
@@ -376,13 +382,16 @@ class ColumnarSegment:
                                 offset=off_offset)
         blob_len = entry["blocks"][1]
         if offsets[0] != 0 or offsets[-1] != blob_len or np.any(np.diff(offsets) < 0):
-            raise ValueError(f"{self.path}: corrupt offsets for column {name!r}")
+            raise ColumnarError(f"{self.path}: corrupt offsets for column {name!r}")
         return offsets, blob_offset, blob_len
 
     def _str_value(self, name: str, i: int) -> str:
         offsets, blob_offset, _ = self._str_parts(name)
         start, end = int(offsets[i]), int(offsets[i + 1])
-        return bytes(self._mm[blob_offset + start:blob_offset + end]).decode("utf-8")
+        try:
+            return bytes(self._mm[blob_offset + start:blob_offset + end]).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ColumnarError(f"{self.path}: column {name!r} is not UTF-8") from None
 
     def _str_column(self, name: str) -> np.ndarray:
         cached = self._decoded.get(name)
@@ -390,11 +399,14 @@ class ColumnarSegment:
             offsets, blob_offset, blob_len = self._str_parts(name)
             blob = bytes(self._mm[blob_offset:blob_offset + blob_len])
             bounds = offsets.tolist()
-            cached = np.array(
-                [blob[bounds[i]:bounds[i + 1]].decode("utf-8")
-                 for i in range(self.rows)],
-                dtype=np.str_,
-            ) if self.rows else np.array([], dtype=np.str_)
+            try:
+                cached = np.array(
+                    [blob[bounds[i]:bounds[i + 1]].decode("utf-8")
+                     for i in range(self.rows)],
+                    dtype=np.str_,
+                ) if self.rows else np.array([], dtype=np.str_)
+            except UnicodeDecodeError:
+                raise ColumnarError(f"{self.path}: column {name!r} is not UTF-8") from None
             self._decoded[name] = cached
         return cached
 
@@ -463,9 +475,6 @@ class ColumnarSegment:
         if mm is not None:
             mm.close()
             self._mm = None
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
     def __enter__(self) -> "ColumnarSegment":
         return self

@@ -29,6 +29,7 @@ produced.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,9 +75,10 @@ def load_segment_index(
 
     ``segment_bytes`` is the segment's current size: an index claiming to
     cover more bytes than exist (the segment was truncated or compacted) is
-    stale, as is one built under a different row-schema version or whose
-    entries point past its own covered range.  Any parse error also returns
-    ``None`` — the caller falls back to a full JSONL scan.
+    stale, as is one built under a different row-schema version or with a
+    negative field or span, or a span ending past its own covered range.
+    Any parse error also returns ``None`` — the caller falls back to a full
+    JSONL scan.
     """
     spath = os.fspath(segment_path)
     if spath.endswith(".jsonl"):
@@ -94,7 +96,8 @@ def load_segment_index(
         if len(fields) != 5:
             return None
         covered, idx_schema, entries, skipped, stale = map(int, fields)
-        if idx_schema != schema or covered > segment_bytes:
+        if (idx_schema != schema or covered > segment_bytes
+                or min(covered, entries, skipped, stale) < 0):
             return None
         keys_end = raw.index(b"\n", meta_end + 1)
         key_blob = raw[meta_end + 1:keys_end]
@@ -102,19 +105,25 @@ def load_segment_index(
         spans = np.frombuffer(raw, dtype=_SPAN_DTYPE, offset=keys_end + 1)
         if len(keys) != entries or spans.size != 2 * entries:
             return None
-        # Span *values* are not range-checked here: a reader that follows a
-        # bad span fails to parse the line and self-heals by rescanning the
-        # JSONL (ResultStore._load_doc), so per-entry validation on the open
-        # fast path would buy nothing.
-        spans = spans.reshape(-1, 2)
+        # Readers trust span values: a negative length marks a columnar
+        # slot and a huge one would be read whole, so every span must lie
+        # inside the covered bytes (a span in range but wrong fails to parse
+        # and self-heals, see ResultStore._load_doc).  Checked on the Python
+        # int lists the index returns anyway: sums cannot overflow, and
+        # unlike NumPy compares it adds no per-segment dispatch cost or
+        # first-use resident memory to a warm store's open.
+        offsets, lengths = spans[0::2].tolist(), spans[1::2].tolist()
+        if entries and (min(offsets) < 0 or min(lengths) < 0
+                        or max(map(operator.add, offsets, lengths)) > covered):
+            return None
         return SegmentIndex(
             segment_bytes=covered,
             schema=schema,
             skipped=skipped,
             stale=stale,
             keys=keys,
-            offsets=spans[:, 0].tolist(),
-            lengths=spans[:, 1].tolist(),
+            offsets=offsets,
+            lengths=lengths,
         )
     except (ValueError, OverflowError, UnicodeDecodeError):
         return None

@@ -179,6 +179,9 @@ class ResultStore:
         # Open columnar segments by shard.  A slot living in one of these has
         # _lens[slot] == -1 and _offs[slot] == its row index in the segment.
         self._columnar: Dict[str, ColumnarSegment] = {}
+        # Bumped by every self-healing reload, so a read can tell that the
+        # view changed under it.
+        self._generation = 0
         self.skipped_lines = 0
         self.stale_lines = 0
         self.scanned_lines = 0
@@ -306,20 +309,17 @@ class ResultStore:
         """Open ``path`` as a columnar segment and register its keys.
 
         A segment that fails validation (torn tail from a killed rewrite,
-        foreign schema, size mismatch) is *quarantined*: counted, never read,
-        left on disk for ``compact()`` to drop — the columnar analogue of a
-        truncated JSONL line.
+        foreign schema, size mismatch, a key column that does not decode) is
+        *quarantined*: counted, never read, left on disk for ``compact()`` to
+        drop — the columnar analogue of a truncated JSONL line.
         """
         try:
             segment = ColumnarSegment(path)
+            keys = segment.keys_list()
         except (OSError, ColumnarError):
             self.quarantined_segments += 1
             return
-        old = self._columnar.pop(shard, None)
-        if old is not None:  # pragma: no cover - one .colseg per shard
-            old.close()
         self._columnar[shard] = segment
-        keys = segment.keys_list()
         if rebuild:
             for row, key in enumerate(keys):
                 self._record(key, shard, row, -1)
@@ -405,12 +405,13 @@ class ResultStore:
         for handle in self._readers.values():
             handle.close()
         self._readers.clear()
-        for segment in self._columnar.values():
-            segment.close()
+        # Dropped, not closed: a lazy ResultSet or a column view may still
+        # read these maps, and each is unmapped once its last user is gone.
         self._columnar.clear()
 
     def _reload(self) -> None:
         """Re-derive the in-memory view from the JSONL ground truth."""
+        self._generation += 1
         self._reset_memory()
         self._load(rebuild_index=True)
 
@@ -508,7 +509,18 @@ class ResultStore:
         only read — straight from the segments' mmapped blocks — when a query
         touches it, so aggregating one column of a million-row store loads
         bytes proportional to that column.
+
+        A stale span met on the way reloads the view, as in :meth:`get`; the
+        set is then read once more from the healed view, so it never misses
+        a key the reload found or mixes two generations of the store.
         """
+        generation = self._generation
+        rows = self._read_rows()
+        if self._generation != generation:
+            rows = self._read_rows()
+        return rows
+
+    def _read_rows(self) -> ResultSet:
         if not self._columnar:
             return ResultSet.from_dicts(doc["row"] for doc in self.iter_docs())
         sources: List[Any] = []

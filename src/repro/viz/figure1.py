@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..api.schemes import get_scheme
 from ..core.labeling import Labeling, lambda_scheme
 from ..core.outcome import Outcome
-from ..core.runner import run_broadcast
 from ..graphs.graph import Graph
 from .ascii_graph import render_labeled_layers
 from .trace_render import transmit_receive_maps
@@ -94,7 +94,7 @@ def figure1_report() -> Figure1Result:
     """Label the example with λ, run Algorithm B and render the annotated figure."""
     graph = figure1_graph()
     labeling = lambda_scheme(graph, FIGURE1_SOURCE)
-    outcome = run_broadcast(graph, FIGURE1_SOURCE, labeling=labeling)
+    outcome = get_scheme("lambda").run(graph, FIGURE1_SOURCE, labeling=labeling)
     transmit, receive = transmit_receive_maps(outcome.trace)
     rendering = render_labeled_layers(
         graph,

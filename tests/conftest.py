@@ -7,7 +7,10 @@ Everything is seeded so the suite is fully deterministic.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
+from hypothesis import strategies as st
 
 from repro.graphs import (
     Graph,
@@ -69,3 +72,41 @@ def small_path() -> Graph:
 def four_cycle() -> Graph:
     """The 4-cycle from the paper's impossibility argument."""
     return cycle_graph(4)
+
+
+#: int64 values that byte-level readers must survive in an offset or length
+#: slot: the columnar-slot marker (-1), the extremes, and far-out offsets.
+_EDGE_INT64 = st.sampled_from([-1, 0, 7, 10**9, 2**62, -(2**63), 2**63 - 1])
+
+
+def mutate_bytes(data, blob: bytes, *, words: int = 0) -> bytes:
+    """``blob`` after 1-3 drawn corruptions (a Hypothesis ``data`` draw).
+
+    Each corruption is a bit flip, a truncation, a random overwrite, or one
+    8-byte little-endian word set to an edge or arbitrary int64.  ``words``
+    limits the word sets to the file's last ``words`` words (a sidecar's
+    span pairs); 0 picks any 8-byte-aligned word.
+    """
+    raw = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3), label="corruptions")):
+        kind = data.draw(st.sampled_from(("flip", "truncate", "overwrite", "word")))
+        if kind == "truncate":
+            del raw[data.draw(st.integers(0, len(raw))):]
+        elif not raw:
+            continue
+        elif kind == "flip":
+            i = data.draw(st.integers(0, len(raw) - 1))
+            raw[i] ^= 1 << data.draw(st.integers(0, 7))
+        elif kind == "overwrite":
+            i = data.draw(st.integers(0, len(raw) - 1))
+            chunk = data.draw(st.binary(min_size=1, max_size=16))
+            raw[i:i + len(chunk)] = chunk
+        else:
+            count = min(words, len(raw) // 8) if words else len(raw) // 8
+            if not count:
+                continue
+            j = data.draw(st.integers(0, count - 1))
+            start = len(raw) - 8 * (j + 1) if words else 8 * j
+            value = data.draw(_EDGE_INT64 | st.integers(-(2**63), 2**63 - 1))
+            struct.pack_into("<q", raw, start, value)
+    return bytes(raw)

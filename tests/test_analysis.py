@@ -23,8 +23,7 @@ from repro.analysis import (
     scheme_length_bound,
 )
 from repro.api import GridConfig, grid_cell_specs, run_grid
-from repro.baselines import run_round_robin
-from repro.core import run_acknowledged_broadcast, run_broadcast
+from repro.api import get_scheme
 from repro.graphs import grid_graph, path_graph
 
 
@@ -71,7 +70,7 @@ class TestBounds:
 class TestMetrics:
     def test_paper_run_metrics(self):
         g = grid_graph(3, 4)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         m = metrics_from_run(g, outcome, family="grid")
         assert m.scheme == "lambda"
         assert m.n == 12
@@ -81,13 +80,13 @@ class TestMetrics:
 
     def test_metrics_from_ack_outcome_has_ack_round(self):
         g = path_graph(6)
-        outcome = run_acknowledged_broadcast(g, 0)
+        outcome = get_scheme("lambda_ack").run(g, 0)
         m = metrics_from_run(g, outcome, family="path")
         assert m.acknowledgement_round is not None
 
     def test_baseline_run_metrics(self):
         g = path_graph(6)
-        outcome = run_round_robin(g, 0)
+        outcome = get_scheme("round_robin").run(g, 0)
         m = metrics_from_run(g, outcome, family="path", source=0)
         assert m.scheme == "round_robin"
         assert m.bound is None
@@ -95,19 +94,19 @@ class TestMetrics:
 
     def test_message_bits_positive(self):
         g = grid_graph(3, 3)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         assert message_bits_total(outcome.trace) > 0
 
     def test_per_round_transmitter_counts(self):
         g = path_graph(5)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         counts = per_round_transmitter_counts(outcome.trace)
         assert len(counts) == outcome.trace.num_rounds
         assert counts[0] == 1
 
     def test_aggregate(self):
         g = path_graph(6)
-        rows = [metrics_from_run(g, run_broadcast(g, 0), family="path")] * 3
+        rows = [metrics_from_run(g, get_scheme("lambda").run(g, 0), family="path")] * 3
         agg = aggregate(rows, "completion_round")
         assert agg["count"] == 3
         assert agg["min"] == agg["max"] == agg["mean"]
@@ -127,14 +126,14 @@ class TestReportRendering:
 
     def test_format_metrics_table(self):
         g = path_graph(5)
-        rows = [metrics_from_run(g, run_broadcast(g, 0), family="path")]
+        rows = [metrics_from_run(g, get_scheme("lambda").run(g, 0), family="path")]
         text = format_metrics_table(rows, title="T")
         assert "lambda" in text and "path" in text
 
     def test_format_comparison_contains_ratio(self):
         g = grid_graph(3, 4)
-        ref = [metrics_from_run(g, run_broadcast(g, 0), family="grid")]
-        base = [metrics_from_run(g, run_round_robin(g, 0), family="grid", source=0)]
+        ref = [metrics_from_run(g, get_scheme("lambda").run(g, 0), family="grid")]
+        base = [metrics_from_run(g, get_scheme("round_robin").run(g, 0), family="grid", source=0)]
         text = format_comparison(ref, base, field="completion_round")
         assert "round_robin" in text
         assert "/λ" in text

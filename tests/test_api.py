@@ -23,17 +23,6 @@ from repro.api import (
     run_grid,
     scheme_names,
 )
-from repro.baselines import (
-    run_centralized_schedule,
-    run_coloring_tdma,
-    run_collision_detection_broadcast,
-    run_round_robin,
-)
-from repro.core import (
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
-)
 from repro.graphs import Graph, grid_graph, path_graph
 
 ALL_SCHEMES = [
@@ -300,35 +289,35 @@ LEGACY_CFG = GridConfig(
 
 LEGACY_RUNNERS = {
     "lambda": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_broadcast(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("lambda").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
     "lambda_ack": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_acknowledged_broadcast(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("lambda_ack").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
     "lambda_arb": lambda inst, **kw: metrics_from_run(
         inst.graph,
-        run_arbitrary_source_broadcast(
-            inst.graph, true_source=inst.source,
+        get_scheme("lambda_arb").run(
+            inst.graph, inst.source,
             coordinator=0 if inst.source != 0 else inst.graph.n - 1, **kw),
         family=inst.family, source=inst.source),
     "round_robin": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_round_robin(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("round_robin").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
     "coloring_tdma": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_coloring_tdma(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("coloring_tdma").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
     "collision_detection": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_collision_detection_broadcast(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("collision_detection").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
     "centralized": lambda inst, **kw: metrics_from_run(
-        inst.graph, run_centralized_schedule(inst.graph, inst.source, **kw),
+        inst.graph, get_scheme("centralized").run(inst.graph, inst.source, **kw),
         family=inst.family, source=inst.source),
 }
 
 
 def legacy_sweep_rows(config: GridConfig):
     """Re-derivation of the pre-registry sweep loop: instance → scheme order,
-    one standalone ``run_*`` call per row."""
+    one standalone ``get_scheme(name).run`` call per row."""
     rows = []
     for family, size, rep, _fault, _clock in grid_cell_specs(config):
         instance = materialize_instance(config, family, size, rep)
@@ -403,6 +392,36 @@ class TestGridEquivalence:
         assert len(calls) == 1
 
 
+class TestPayloadReachesTheLabeler:
+    """Bit signalling sizes its symbol stream (and so its round budget) from
+    the payload, which both entry points hand to ``build_labels``."""
+
+    SYMBOLS = 1 + 16 + 8 * len("hello radio")
+
+    def test_scheme_run(self):
+        outcome = get_scheme("collision_detection").run(
+            path_graph(6), 0, payload="hello radio")
+        assert outcome.extras["symbols"] == self.SYMBOLS
+        assert outcome.extras["decoded_correctly"]
+
+    def test_grid(self, monkeypatch):
+        scheme_cls = type(get_scheme("collision_detection"))
+        original = scheme_cls.derive_outcome
+        seen = []
+
+        def spying(self, *args, **kwargs):
+            outcome = original(self, *args, **kwargs)
+            seen.append(outcome.extras["symbols"])
+            return outcome
+
+        monkeypatch.setattr(scheme_cls, "derive_outcome", spying)
+        rows = run_grid(GridConfig(families=["path"], sizes=[6],
+                                   schemes=["collision_detection"],
+                                   payload="hello radio"))
+        assert seen == [self.SYMBOLS]
+        assert rows[0].completion_round is not None
+
+
 class TestGridConfigValidation:
     """Malformed axes from outside input (grid files, submit frames) raise at
     construction, naming the field, instead of failing cell by cell."""
@@ -447,20 +466,20 @@ class TestGridConfigValidation:
 # --------------------------------------------------------------------------- #
 class TestUnifiedOutcome:
     def test_broadcast_outcome_is_outcome(self):
-        outcome = run_broadcast(path_graph(6), 0)
+        outcome = get_scheme("lambda").run(path_graph(6), 0)
         assert isinstance(outcome, Outcome)
         assert outcome.scheme == "lambda"
         assert outcome.label_bits == outcome.labeling.length == 2
 
     def test_baselines_return_outcomes(self):
-        outcome = run_round_robin(path_graph(6), 0)
+        outcome = get_scheme("round_robin").run(path_graph(6), 0)
         assert isinstance(outcome, Outcome)
         assert outcome.labeling is None
         assert outcome.bound_broadcast is None
 
     def test_summary_row_shared_schema(self):
-        paper = run_broadcast(path_graph(6), 0).summary_row()
-        baseline = run_round_robin(path_graph(6), 0).summary_row()
+        paper = get_scheme("lambda").run(path_graph(6), 0).summary_row()
+        baseline = get_scheme("round_robin").run(path_graph(6), 0).summary_row()
         assert set(paper) == set(baseline)
 
 

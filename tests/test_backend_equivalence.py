@@ -13,22 +13,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme
 from repro.backends import (
+    STOP_RULES,
     BackendError,
     ReferenceBackend,
     SimulationTask,
     VectorizedBackend,
     resolve_backend,
-)
-from repro.baselines import (
-    run_centralized_schedule,
-    run_coloring_tdma,
-    run_round_robin,
-)
-from repro.core import (
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
 )
 from repro.core.labeling import lambda_ack_scheme, lambda_arb_scheme, lambda_scheme
 from repro.graphs import generate_family
@@ -92,10 +84,10 @@ class TestLabeledProtocolEquivalence:
     def test_broadcast_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
         labeling = lambda_scheme(graph, source)
-        ref = run_broadcast(graph, source, labeling=labeling,
-                            backend="reference", trace_level="summary")
-        vec = run_broadcast(graph, source, labeling=labeling,
-                            backend="vectorized", trace_level="summary")
+        ref = get_scheme("lambda").run(graph, source, labeling=labeling,
+                                       backend="reference", trace_level="summary")
+        vec = get_scheme("lambda").run(graph, source, labeling=labeling,
+                                       backend="vectorized", trace_level="summary")
         assert _outcome_fingerprint(vec) == _outcome_fingerprint(ref)
         assert ref.completed and vec.completed
 
@@ -103,10 +95,10 @@ class TestLabeledProtocolEquivalence:
     def test_acknowledged_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
         labeling = lambda_ack_scheme(graph, source)
-        ref = run_acknowledged_broadcast(graph, source, labeling=labeling,
-                                         backend="reference", trace_level="summary")
-        vec = run_acknowledged_broadcast(graph, source, labeling=labeling,
-                                         backend="vectorized", trace_level="summary")
+        ref = get_scheme("lambda_ack").run(graph, source, labeling=labeling,
+                                           backend="reference", trace_level="summary")
+        vec = get_scheme("lambda_ack").run(graph, source, labeling=labeling,
+                                           backend="vectorized", trace_level="summary")
         assert _outcome_fingerprint(vec) == _outcome_fingerprint(ref)
         assert ref.acknowledgement_round is not None
         assert vec.acknowledgement_round == ref.acknowledgement_round
@@ -116,12 +108,12 @@ class TestLabeledProtocolEquivalence:
         graph, source = _instance(family, size, seed)
         coordinator = (source + 1) % graph.n
         labeling = lambda_arb_scheme(graph, coordinator=coordinator)
-        ref = run_arbitrary_source_broadcast(
-            graph, true_source=source, labeling=labeling,
+        ref = get_scheme("lambda_arb").run(
+            graph, source, labeling=labeling,
             backend="reference", trace_level="summary",
         )
-        vec = run_arbitrary_source_broadcast(
-            graph, true_source=source, labeling=labeling,
+        vec = get_scheme("lambda_arb").run(
+            graph, source, labeling=labeling,
             backend="vectorized", trace_level="summary",
         )
         assert _outcome_fingerprint(vec) == _outcome_fingerprint(ref)
@@ -131,24 +123,28 @@ class TestBaselineEquivalence:
     @pytest.mark.parametrize("family,size,seed", GRID, ids=GRID_IDS)
     def test_round_robin_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
-        ref = run_round_robin(graph, source, backend="reference", trace_level="summary")
-        vec = run_round_robin(graph, source, backend="vectorized", trace_level="summary")
+        ref = get_scheme("round_robin").run(graph, source, backend="reference",
+                                            trace_level="summary")
+        vec = get_scheme("round_robin").run(graph, source, backend="vectorized",
+                                            trace_level="summary")
         assert _baseline_fingerprint(vec) == _baseline_fingerprint(ref)
 
     @pytest.mark.parametrize("family,size,seed", GRID, ids=GRID_IDS)
     def test_coloring_tdma_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
-        ref = run_coloring_tdma(graph, source, backend="reference", trace_level="summary")
-        vec = run_coloring_tdma(graph, source, backend="vectorized", trace_level="summary")
+        ref = get_scheme("coloring_tdma").run(graph, source, backend="reference",
+                                              trace_level="summary")
+        vec = get_scheme("coloring_tdma").run(graph, source, backend="vectorized",
+                                              trace_level="summary")
         assert _baseline_fingerprint(vec) == _baseline_fingerprint(ref)
 
     @pytest.mark.parametrize("family,size,seed", GRID, ids=GRID_IDS)
     def test_centralized_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
-        ref = run_centralized_schedule(graph, source, backend="reference",
-                                       trace_level="summary")
-        vec = run_centralized_schedule(graph, source, backend="vectorized",
-                                       trace_level="summary")
+        ref = get_scheme("centralized").run(graph, source, backend="reference",
+                                            trace_level="summary")
+        vec = get_scheme("centralized").run(graph, source, backend="vectorized",
+                                            trace_level="summary")
         assert _baseline_fingerprint(vec) == _baseline_fingerprint(ref)
         assert ref.label_bits == vec.label_bits
 
@@ -156,10 +152,10 @@ class TestBaselineEquivalence:
                              ids=[f"{f}-{n}" for f, n, _ in CENTRALIZED_FULL_CASES])
     def test_centralized_full_trace_identical(self, family, size, seed):
         graph, source = _instance(family, size, seed)
-        ref = run_centralized_schedule(graph, source, backend="reference",
-                                       trace_level="full")
-        vec = run_centralized_schedule(graph, source, backend="vectorized",
-                                       trace_level="full")
+        ref = get_scheme("centralized").run(graph, source, backend="reference",
+                                            trace_level="full")
+        vec = get_scheme("centralized").run(graph, source, backend="vectorized",
+                                            trace_level="full")
         assert vec.simulation.trace.to_json() == ref.simulation.trace.to_json()
 
     def test_centralized_runs_natively_on_the_vectorized_backend(self):
@@ -167,10 +163,10 @@ class TestBaselineEquivalence:
         # materialised, which is the signature of the array path (the old
         # behaviour silently fell back to the reference engine).
         graph, source = _instance("grid", 16, 1)
-        vec = run_centralized_schedule(graph, source, backend="vectorized",
-                                       trace_level="summary")
-        ref = run_centralized_schedule(graph, source, backend="reference",
-                                       trace_level="summary")
+        vec = get_scheme("centralized").run(graph, source, backend="vectorized",
+                                            trace_level="summary")
+        ref = get_scheme("centralized").run(graph, source, backend="reference",
+                                            trace_level="summary")
         assert len(vec.simulation.nodes) == 0
         assert len(ref.simulation.nodes) == graph.n
 
@@ -186,15 +182,49 @@ class TestFullTraceEquivalence:
     def test_trace_json_identical(self, scheme, family, size, seed):
         graph, source = _instance(family, size, seed)
         runner = {
-            "lambda": run_broadcast,
-            "lambda_ack": run_acknowledged_broadcast,
-            "lambda_arb": lambda g, s, **kw: run_arbitrary_source_broadcast(
-                g, true_source=s, coordinator=(s + 1) % g.n, **kw
+            "lambda": get_scheme("lambda").run,
+            "lambda_ack": get_scheme("lambda_ack").run,
+            "lambda_arb": lambda g, s, **kw: get_scheme("lambda_arb").run(
+                g, s, coordinator=(s + 1) % g.n, **kw
             ),
         }[scheme]
         ref = runner(graph, source, backend="reference", trace_level="full")
         vec = runner(graph, source, backend="vectorized", trace_level="full")
         assert vec.trace.to_json() == ref.trace.to_json()
+
+
+class TestStopRules:
+    """A task's declarative stop rule is its only stop mechanism: the
+    reference engine evaluates each rule over its node objects."""
+
+    SCHEME_OF = {"all_informed": "lambda", "acknowledged": "lambda_ack",
+                 "arb_complete": "lambda_arb", "all_decoded": "collision_detection"}
+
+    @pytest.mark.parametrize("rule", STOP_RULES)
+    def test_reference_stops_on_the_rule_at_the_vectorized_round(self, rule):
+        graph, source = _instance("grid", 16, 1)
+        scheme = get_scheme(self.SCHEME_OF[rule])
+        info = scheme.build_labels(graph, source, **scheme.grid_options(graph, source))
+        task = scheme.build_task(
+            graph, info, source, payload="MSG",
+            max_rounds=scheme.default_budget(graph, info), trace_level="summary",
+            fault_model=None, clock_model=None,
+        )
+        assert task.stop_rule == rule
+        ref = ReferenceBackend().run_task(task)
+        vec = VectorizedBackend().run_task(task)
+        assert vec.backend == "vectorized"
+        assert ref.simulation.stop_reason == vec.simulation.stop_reason == "condition"
+        assert ref.simulation.stop_round == vec.simulation.stop_round < task.max_rounds
+
+    def test_every_rule_has_a_scheme_here(self):
+        assert set(self.SCHEME_OF) == set(STOP_RULES)
+
+    def test_tasks_take_no_stop_callable(self):
+        graph, source = _instance("path", 9, 1)
+        with pytest.raises(TypeError):
+            SimulationTask(protocol="broadcast", graph=graph, labels={},
+                           stop_condition=lambda sim: True)
 
 
 class TestBackendPlumbing:
@@ -217,8 +247,8 @@ class TestBackendPlumbing:
         # Offset clocks are outside the kernels' model: the vectorized backend
         # must delegate to the reference engine and still be correct.
         clock = OffsetClocks({v: 3 for v in graph.nodes()})
-        ref = run_broadcast(graph, source, clock_model=clock, backend="reference")
-        vec = run_broadcast(graph, source, clock_model=clock, backend="vectorized")
+        ref = get_scheme("lambda").run(graph, source, clock_model=clock, backend="reference")
+        vec = get_scheme("lambda").run(graph, source, clock_model=clock, backend="vectorized")
         assert vec.completion_round == ref.completion_round
         assert len(vec.simulation.nodes) == len(ref.simulation.nodes)  # object engine ran
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.api import get_scheme
 from repro.baselines import (
     bits_needed,
     coloring_tdma_labels,
@@ -14,12 +15,7 @@ from repro.baselines import (
     encode_payload_bits,
     int_to_bits,
     round_robin_labels,
-    run_centralized_schedule,
-    run_coloring_tdma,
-    run_collision_detection_broadcast,
-    run_round_robin,
 )
-from repro.core import run_broadcast
 from repro.graphs import (
     GraphError,
     complete_graph,
@@ -71,22 +67,22 @@ class TestRoundRobin:
     def test_completes_on_all_families(self):
         for g, src in [(path_graph(9), 0), (cycle_graph(8), 2), (grid_graph(4, 4), 0),
                        (star_graph(10), 3), (random_gnp_graph(18, 0.2, seed=2), 0)]:
-            outcome = run_round_robin(g, src)
+            outcome = get_scheme("round_robin").run(g, src)
             assert outcome.completed, g
             assert outcome.total_collisions == 0  # distinct slots never collide
 
     def test_slower_than_lambda_on_sparse_graphs(self):
         g = random_gnp_graph(30, 0.1, seed=5)
-        rr = run_round_robin(g, 0)
-        lb = run_broadcast(g, 0)
+        rr = get_scheme("round_robin").run(g, 0)
+        lb = get_scheme("lambda").run(g, 0)
         assert rr.completion_round >= lb.completion_round
 
     def test_invalid_source(self):
         with pytest.raises(GraphError):
-            run_round_robin(path_graph(3), 9)
+            get_scheme("round_robin").run(path_graph(3), 9)
 
     def test_summary_row(self):
-        row = run_round_robin(path_graph(5), 0).summary_row()
+        row = get_scheme("round_robin").run(path_graph(5), 0).summary_row()
         assert row["scheme"] == "round_robin"
         assert row["rounds"] is not None
 
@@ -105,48 +101,48 @@ class TestColoringTdma:
     def test_completes_without_collisions(self):
         for g, src in [(grid_graph(4, 5), 0), (cycle_graph(9), 0),
                        (random_gnp_graph(20, 0.2, seed=7), 3)]:
-            outcome = run_coloring_tdma(g, src)
+            outcome = get_scheme("coloring_tdma").run(g, src)
             assert outcome.completed
             assert outcome.total_collisions == 0
 
     def test_label_length_grows_with_degree_not_n(self):
-        small_deg = run_coloring_tdma(cycle_graph(40), 0)
-        big_deg = run_coloring_tdma(star_graph(40), 0)
+        small_deg = get_scheme("coloring_tdma").run(cycle_graph(40), 0)
+        big_deg = get_scheme("coloring_tdma").run(star_graph(40), 0)
         assert small_deg.label_bits < big_deg.label_bits
 
     def test_invalid_source(self):
         with pytest.raises(GraphError):
-            run_coloring_tdma(path_graph(3), -1)
+            get_scheme("coloring_tdma").run(path_graph(3), -1)
 
 
 class TestCollisionDetectionBaseline:
     def test_anonymous_broadcast_with_detection(self):
         for g in (path_graph(6), grid_graph(3, 4), star_graph(8)):
-            outcome = run_collision_detection_broadcast(g, 0, payload="OK")
+            outcome = get_scheme("collision_detection").run(g, 0, payload="OK")
             assert outcome.completed
             assert outcome.label_bits == 0
             assert outcome.extras["decoded_correctly"]
 
     def test_payload_recovered_exactly(self):
-        outcome = run_collision_detection_broadcast(grid_graph(3, 3), 0, payload="hello µ!")
+        outcome = get_scheme("collision_detection").run(grid_graph(3, 3), 0, payload="hello µ!")
         assert outcome.extras["decoded_correctly"]
 
     def test_fails_without_detection_on_dense_graph(self):
         # Without collision detection the OR-channel trick breaks on graphs
         # where listeners have several previous-layer neighbours.
-        outcome = run_collision_detection_broadcast(
+        outcome = get_scheme("collision_detection").run(
             grid_graph(3, 4), 0, payload="OK", with_detection=False
         )
         assert not outcome.completed
 
     def test_rounds_scale_with_message_length(self):
-        short = run_collision_detection_broadcast(path_graph(5), 0, payload="a")
-        long = run_collision_detection_broadcast(path_graph(5), 0, payload="a" * 8)
+        short = get_scheme("collision_detection").run(path_graph(5), 0, payload="a")
+        long = get_scheme("collision_detection").run(path_graph(5), 0, payload="a" * 8)
         assert long.completion_round > short.completion_round
 
     def test_invalid_source(self):
         with pytest.raises(GraphError):
-            run_collision_detection_broadcast(path_graph(3), 5)
+            get_scheme("collision_detection").run(path_graph(3), 5)
 
 
 class TestCentralizedSchedule:
@@ -154,21 +150,21 @@ class TestCentralizedSchedule:
         for g, src in [(path_graph(8), 0), (grid_graph(4, 4), 5),
                        (random_gnp_graph(22, 0.15, seed=9), 0)]:
             schedule = compute_centralized_schedule(g, src)
-            outcome = run_centralized_schedule(g, src)
+            outcome = get_scheme("centralized").run(g, src)
             assert outcome.completed
             assert outcome.completion_round == len(schedule)
 
     def test_schedule_is_collision_free_for_new_nodes(self):
         g = grid_graph(4, 4)
-        outcome = run_centralized_schedule(g, 0)
+        outcome = get_scheme("centralized").run(g, 0)
         assert outcome.completed
 
     def test_faster_than_universal_scheme(self):
         # Unbounded advice buys speed: the centralised schedule never needs the
         # even "stay" rounds, so it is at least as fast as λ+B.
         for g in (path_graph(10), grid_graph(4, 5), random_gnp_graph(25, 0.12, seed=4)):
-            central = run_centralized_schedule(g, 0)
-            universal = run_broadcast(g, 0)
+            central = get_scheme("centralized").run(g, 0)
+            universal = get_scheme("lambda").run(g, 0)
             assert central.completion_round <= universal.completion_round
 
     def test_source_validation(self):

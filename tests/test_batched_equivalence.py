@@ -46,7 +46,6 @@ from repro.backends import (
     batched,
     resolve_backend,
 )
-from repro.baselines.collision_detection import run_collision_detection_broadcast
 from repro.cli import build_parser, main
 from repro.graphs import Graph, generate_family
 from repro.graphs.generators import barbell_graph, family_names
@@ -79,7 +78,7 @@ def _build_task(scheme_name, family, size, seed, trace_level="summary"):
     source = seed % graph.n
     scheme = get_scheme(scheme_name)
     options = scheme.grid_options(graph, source)
-    info = scheme.build_labels(graph, source, _payload_text="MSG", **options)
+    info = scheme.build_labels(graph, source, **options)
     task = scheme.build_task(
         graph, info, source,
         payload="MSG",
@@ -257,7 +256,7 @@ class TestBatchedDifferential:
             budget = {"zero": 0, "one": 1, "default": task.max_rounds}[budgets[i]]
             task = replace(task, max_rounds=budget)
             if not own_rule:
-                task = replace(task, stop_rule=None, stop_condition=None)
+                task = replace(task, stop_rule=None)
             tasks.append(task)
         with _channel(channel):
             outs = VECTORIZED.run_batch(tasks)
@@ -505,10 +504,10 @@ class TestCollisionDetectionVectorized:
     def test_with_detection_identical_to_reference(self, family, size, seed):
         graph = generate_family(family, size, seed)
         source = seed % graph.n
-        ref = run_collision_detection_broadcast(
+        ref = get_scheme("collision_detection").run(
             graph, source, backend="reference", trace_level="summary"
         )
-        alt = run_collision_detection_broadcast(
+        alt = get_scheme("collision_detection").run(
             graph, source, backend="vectorized", trace_level="summary"
         )
         assert alt.completion_round == ref.completion_round
@@ -520,10 +519,10 @@ class TestCollisionDetectionVectorized:
         # The protocol genuinely needs the detection channel; under the
         # paper's default model it must fail the same way on every engine.
         graph = generate_family("grid", 16, 1)
-        ref = run_collision_detection_broadcast(
+        ref = get_scheme("collision_detection").run(
             graph, 0, with_detection=False, backend="reference", trace_level="summary"
         )
-        alt = run_collision_detection_broadcast(
+        alt = get_scheme("collision_detection").run(
             graph, 0, with_detection=False, backend="vectorized", trace_level="summary"
         )
         assert ref.completion_round is None and alt.completion_round is None
@@ -532,10 +531,10 @@ class TestCollisionDetectionVectorized:
 
     def test_full_trace_identical(self):
         graph = generate_family("gnp_sparse", 16, 3)
-        ref = run_collision_detection_broadcast(
+        ref = get_scheme("collision_detection").run(
             graph, 1, backend="reference", trace_level="full"
         )
-        vec = run_collision_detection_broadcast(
+        vec = get_scheme("collision_detection").run(
             graph, 1, backend="vectorized", trace_level="full"
         )
         assert vec.trace.to_json() == ref.trace.to_json()

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme
 from repro.core import (
     AcknowledgedBroadcastNode,
     check_theorem_3_9,
     lambda_ack_scheme,
-    run_acknowledged_broadcast,
     verify_broadcast_outcome,
 )
 from repro.graphs import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
@@ -86,20 +86,20 @@ class TestAcknowledgedNodeUnit:
 class TestTheorem39:
     def test_all_families_acknowledge(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         assert outcome.completed
         assert outcome.acknowledgement_round is not None
         assert check_theorem_3_9(graph, outcome) == []
 
     def test_ack_strictly_after_completion(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         if graph.n > 1:
             assert outcome.acknowledgement_round > outcome.completion_round
 
     def test_corollary_38_window(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         seq = outcome.labeling.construction
         if graph.n > 1 and seq.ell >= 2:
             lo, hi = 2 * seq.ell - 2, 3 * seq.ell - 4
@@ -108,16 +108,15 @@ class TestTheorem39:
     def test_broadcast_part_matches_plain_algorithm(self, labeled_instance):
         # The µ/stay schedule of B_ack is identical to B; in particular the
         # completion rounds agree.
-        from repro.core import run_broadcast
 
         name, graph, source = labeled_instance
-        plain = run_broadcast(graph, source)
-        acked = run_acknowledged_broadcast(graph, source)
+        plain = get_scheme("lambda").run(graph, source)
+        acked = get_scheme("lambda_ack").run(graph, source)
         assert plain.completion_round == acked.completion_round
 
     def test_full_verification_clean(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         assert verify_broadcast_outcome(graph, outcome) == []
 
     def test_path_realises_late_ack(self):
@@ -125,19 +124,19 @@ class TestTheorem39:
         # i.e. completion + n - 1 (one more than the literal Theorem 3.9 text;
         # see EXPERIMENTS.md).
         n = 9
-        outcome = run_acknowledged_broadcast(path_graph(n), 0)
+        outcome = get_scheme("lambda_ack").run(path_graph(n), 0)
         assert outcome.completion_round == 2 * n - 3
         assert outcome.acknowledgement_round == 3 * n - 4
 
     def test_two_node_graph(self):
-        outcome = run_acknowledged_broadcast(path_graph(2), 0)
+        outcome = get_scheme("lambda_ack").run(path_graph(2), 0)
         assert outcome.completion_round == 1
         assert outcome.acknowledgement_round == 2
 
     def test_single_node_graph(self):
         from repro.graphs import Graph
 
-        outcome = run_acknowledged_broadcast(Graph.empty(1), 0)
+        outcome = get_scheme("lambda_ack").run(Graph.empty(1), 0)
         assert outcome.completed
 
 
@@ -145,7 +144,7 @@ class TestAckChainMechanics:
     def test_at_most_one_transmitter_after_broadcast_ends(self, labeled_instance):
         # Lemma 3.6: after round 2ℓ-3, at most one node transmits per round.
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         if graph.n <= 1:
             return
         cutoff = outcome.completion_round
@@ -156,7 +155,7 @@ class TestAckChainMechanics:
     def test_ack_stamps_strictly_decrease_along_chain(self, labeled_instance):
         # Lemma 3.7: each relayed ack carries a strictly smaller informing round.
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         stamps = [
             m.round_stamp
             for record in outcome.trace.rounds
@@ -169,7 +168,7 @@ class TestAckChainMechanics:
     def test_stamped_messages_sent_in_matching_round(self, labeled_instance):
         # Lemma 3.5: a message stamped t is transmitted exactly in round t.
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         for record in outcome.trace.rounds:
             for m in record.transmissions.values():
                 if (m.is_source or m.is_stay) and m.round_stamp is not None:
@@ -178,7 +177,7 @@ class TestAckChainMechanics:
     def test_no_mu_or_stay_after_completion(self, labeled_instance):
         # Observation 3.3.
         name, graph, source = labeled_instance
-        outcome = run_acknowledged_broadcast(graph, source)
+        outcome = get_scheme("lambda_ack").run(graph, source)
         if graph.n <= 1:
             return
         for record in outcome.trace.rounds:

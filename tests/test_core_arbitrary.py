@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme
 from repro.core import (
     ArbitrarySourceNode,
     COORDINATOR_LABEL,
     lambda_arb_scheme,
-    run_arbitrary_source_broadcast,
     verify_broadcast_outcome,
 )
 from repro.graphs import (
@@ -80,22 +80,22 @@ class TestEndToEnd:
                       complete_graph(5)):
             labeling = lambda_arb_scheme(graph)
             for source in graph.nodes():
-                outcome = run_arbitrary_source_broadcast(
-                    graph, true_source=source, labeling=labeling
+                outcome = get_scheme("lambda_arb").run(
+                    graph, source, labeling=labeling
                 )
                 assert outcome.completed, (graph, source)
                 assert outcome.common_completion_round is not None, (graph, source)
 
     def test_fixture_families(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_arbitrary_source_broadcast(graph, true_source=source)
+        outcome = get_scheme("lambda_arb").run(graph, source)
         assert outcome.completed
         assert outcome.common_completion_round is not None
         assert verify_broadcast_outcome(graph, outcome) == []
 
     def test_source_equals_coordinator(self):
         graph = grid_graph(3, 4)
-        outcome = run_arbitrary_source_broadcast(graph, true_source=0, coordinator=0)
+        outcome = get_scheme("lambda_arb").run(graph, 0, coordinator=0)
         assert outcome.completed
         assert outcome.common_completion_round is not None
 
@@ -103,12 +103,12 @@ class TestEndToEnd:
         graph = path_graph(7)
         labeling = lambda_arb_scheme(graph)
         z = labeling.acknowledger
-        outcome = run_arbitrary_source_broadcast(graph, true_source=z, labeling=labeling)
+        outcome = get_scheme("lambda_arb").run(graph, z, labeling=labeling)
         assert outcome.completed
 
     def test_all_nodes_know_completion_in_same_round(self):
         graph = random_gnp_graph(20, 0.15, seed=3)
-        outcome = run_arbitrary_source_broadcast(graph, true_source=11)
+        outcome = get_scheme("lambda_arb").run(graph, 11)
         rounds = {
             node.completion_known_local_round
             for node in outcome.simulation.nodes
@@ -119,7 +119,7 @@ class TestEndToEnd:
 
     def test_everyone_actually_holds_the_payload(self):
         graph = cycle_graph(9)
-        outcome = run_arbitrary_source_broadcast(graph, true_source=4, payload="secret-42")
+        outcome = get_scheme("lambda_arb").run(graph, 4, payload="secret-42")
         for node in outcome.simulation.nodes:
             assert isinstance(node, ArbitrarySourceNode)
             assert node.sourcemsg == "secret-42" or node.holds_message
@@ -130,8 +130,8 @@ class TestEndToEnd:
         labeling = lambda_arb_scheme(graph)
         completions = []
         for source in range(0, graph.n, 4):
-            outcome = run_arbitrary_source_broadcast(graph, true_source=source,
-                                                     labeling=labeling)
+            outcome = get_scheme("lambda_arb").run(graph, source,
+                                                   labeling=labeling)
             assert outcome.completed
             completions.append(outcome.completion_round)
         assert all(c is not None for c in completions)
@@ -139,7 +139,7 @@ class TestEndToEnd:
     def test_phases_do_not_overlap(self):
         # No round mixes the "initialize"/"ready"/final µ broadcasts.
         graph = grid_graph(4, 4)
-        outcome = run_arbitrary_source_broadcast(graph, true_source=10)
+        outcome = get_scheme("lambda_arb").run(graph, 10)
         for record in outcome.trace.rounds:
             kinds = {m.kind for m in record.transmissions.values()}
             broadcast_kinds = kinds & {"initialize", "ready", "source"}
@@ -148,5 +148,5 @@ class TestEndToEnd:
     def test_single_node(self):
         from repro.graphs import Graph
 
-        outcome = run_arbitrary_source_broadcast(Graph.empty(1), true_source=0)
+        outcome = get_scheme("lambda_arb").run(Graph.empty(1), 0)
         assert outcome.completed

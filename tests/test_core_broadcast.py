@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme
 from repro.core import (
     BroadcastNode,
     check_lemma_2_8,
     check_theorem_2_9,
     lambda_scheme,
-    run_broadcast,
     verify_broadcast_outcome,
 )
 from repro.graphs import complete_graph, cycle_graph, grid_graph, path_graph, star_graph
@@ -99,14 +99,14 @@ class TestBroadcastNodeUnit:
 class TestTheorem29:
     def test_all_families_complete_within_bound(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         assert outcome.completed, f"{name}: broadcast did not complete"
         assert outcome.completion_round <= max(1, 2 * graph.n - 3)
         assert not check_theorem_2_9(graph, outcome)
 
     def test_sharp_bound_2ell_minus_3(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         seq = outcome.labeling.construction
         if graph.n > 1:
             assert outcome.completion_round == 2 * seq.ell - 3
@@ -114,20 +114,20 @@ class TestTheorem29:
     def test_path_from_endpoint_is_tight(self):
         # The path realises the worst case 2n-3 exactly.
         for n in (4, 6, 9, 12):
-            outcome = run_broadcast(path_graph(n), 0)
+            outcome = get_scheme("lambda").run(path_graph(n), 0)
             assert outcome.completion_round == 2 * n - 3
 
     def test_star_completes_in_one_round(self):
-        outcome = run_broadcast(star_graph(30), 0)
+        outcome = get_scheme("lambda").run(star_graph(30), 0)
         assert outcome.completion_round == 1
 
     def test_complete_graph_one_round(self):
-        outcome = run_broadcast(complete_graph(12), 5)
+        outcome = get_scheme("lambda").run(complete_graph(12), 5)
         assert outcome.completion_round == 1
 
     def test_only_source_transmits_in_round_one(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         first = outcome.trace.record(1)
         assert set(first.transmissions) == {source}
 
@@ -136,13 +136,13 @@ class TestLemma28:
     def test_characterisation_matches_trace(self, labeled_instance):
         name, graph, source = labeled_instance
         labeling = lambda_scheme(graph, source)
-        outcome = run_broadcast(graph, source, labeling=labeling)
+        outcome = get_scheme("lambda").run(graph, source, labeling=labeling)
         violations = check_lemma_2_8(graph, labeling, labeling.construction, outcome.trace)
         assert violations == []
 
     def test_odd_rounds_transmit_source_even_rounds_stay(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         for record in outcome.trace.rounds:
             kinds = {m.kind for m in record.transmissions.values()}
             if record.round_number % 2 == 1:
@@ -152,12 +152,12 @@ class TestLemma28:
 
     def test_full_verification_clean(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         assert verify_broadcast_outcome(graph, outcome) == []
 
     def test_uninformed_nodes_never_transmit(self, labeled_instance):
         name, graph, source = labeled_instance
-        outcome = run_broadcast(graph, source)
+        outcome = get_scheme("lambda").run(graph, source)
         informed_by = outcome.trace.informed_by_round()
         for record in outcome.trace.rounds:
             for v in record.transmissions:
@@ -171,10 +171,10 @@ class TestMessageEconomy:
         # Each node transmits µ at most once per stage it belongs to a DOM set,
         # plus at most one stay; the total stays well below n per stage.
         g = grid_graph(6, 6)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         assert outcome.total_transmissions <= 4 * g.n
 
     def test_messages_are_source_or_stay_only(self):
-        outcome = run_broadcast(cycle_graph(10), 0)
+        outcome = get_scheme("lambda").run(cycle_graph(10), 0)
         kinds = set(outcome.trace.transmissions_by_kind())
         assert kinds <= {"source", "stay"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import get_scheme
 from repro.core import (
     broadcast_succeeds_with_labels,
     check_corollary_2_7,
@@ -12,8 +13,6 @@ from repro.core import (
     lambda_ack_scheme,
     lambda_arb_scheme,
     lambda_scheme,
-    run_acknowledged_broadcast,
-    run_broadcast,
     run_tree_flood,
     search_minimum_labels,
     verify_broadcast_outcome,
@@ -36,24 +35,24 @@ class TestRunnerApi:
         g = path_graph(4)
         ack = lambda_ack_scheme(g, 0)
         with pytest.raises(GraphError):
-            run_broadcast(g, 0, labeling=ack)
+            get_scheme("lambda").run(g, 0, labeling=ack)
 
     def test_run_ack_rejects_wrong_labeling(self):
         g = path_graph(4)
         plain = lambda_scheme(g, 0)
         with pytest.raises(GraphError):
-            run_acknowledged_broadcast(g, 0, labeling=plain)
+            get_scheme("lambda_ack").run(g, 0, labeling=plain)
 
     def test_payload_is_delivered_verbatim(self):
         g = grid_graph(3, 3)
-        outcome = run_broadcast(g, 0, payload={"k": 1})
+        outcome = get_scheme("lambda").run(g, 0, payload={"k": 1})
         for node in outcome.simulation.nodes:
             if not node.is_source:
                 assert node.sourcemsg == {"k": 1}
 
     def test_outcome_properties(self):
         g = star_graph(6)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         assert outcome.completed
         assert outcome.total_transmissions >= 1
         assert outcome.total_collisions == 0
@@ -61,13 +60,13 @@ class TestRunnerApi:
 
     def test_custom_round_budget_can_truncate(self):
         g = path_graph(12)
-        outcome = run_broadcast(g, 0, max_rounds=3)
+        outcome = get_scheme("lambda").run(g, 0, max_rounds=3)
         assert not outcome.completed
 
     def test_broadcast_resilient_to_clock_offsets(self):
         g = grid_graph(4, 4)
         clock = OffsetClocks({v: 7 * v for v in g.nodes()})
-        outcome = run_broadcast(g, 0, clock_model=clock)
+        outcome = get_scheme("lambda").run(g, 0, clock_model=clock)
         assert outcome.completed
         assert verify_broadcast_outcome(g, outcome) == []
 
@@ -75,7 +74,7 @@ class TestRunnerApi:
         # The paper assumes a reliable channel; with heavy losses the bound fails,
         # which is exactly what the fault-injection ablation demonstrates.
         g = path_graph(10)
-        outcome = run_broadcast(g, 0, fault_model=TransmissionDropFaults(0.9, seed=1))
+        outcome = get_scheme("lambda").run(g, 0, fault_model=TransmissionDropFaults(0.9, seed=1))
         assert outcome.completion_round is None
 
 
@@ -110,7 +109,7 @@ class TestVerifyModule:
 
     def test_verify_detects_incomplete_broadcast(self):
         g = path_graph(12)
-        outcome = run_broadcast(g, 0, max_rounds=3)
+        outcome = get_scheme("lambda").run(g, 0, max_rounds=3)
         assert verify_broadcast_outcome(g, outcome)
 
 

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import run_coloring_tdma, run_round_robin
+from repro.api import get_scheme
 from repro.core import (
     broadcast_succeeds_with_labels,
     lambda_ack_scheme,
     lambda_scheme,
-    run_acknowledged_broadcast,
-    run_arbitrary_source_broadcast,
-    run_broadcast,
     verify_broadcast_outcome,
 )
 from repro.graphs import (
@@ -31,26 +28,26 @@ class TestUniversality:
     def test_broadcast_invariant_under_clock_offsets(self):
         # Arbitrary per-node clock offsets must not change the global schedule.
         g = grid_graph(4, 4)
-        baseline = run_broadcast(g, 0)
+        baseline = get_scheme("lambda").run(g, 0)
         for seed in (1, 2, 3):
             offset = random_offsets(g.n, max_offset=500, seed=seed)
-            shifted = run_broadcast(g, 0, clock_model=offset)
+            shifted = get_scheme("lambda").run(g, 0, clock_model=offset)
             assert shifted.completion_round == baseline.completion_round
             assert shifted.trace.to_json() == baseline.trace.to_json()
 
     def test_acknowledged_invariant_under_clock_offsets(self):
         g = random_gnp_graph(18, 0.2, seed=4)
-        baseline = run_acknowledged_broadcast(g, 0)
-        shifted = run_acknowledged_broadcast(
+        baseline = get_scheme("lambda_ack").run(g, 0)
+        shifted = get_scheme("lambda_ack").run(
             g, 0, clock_model=OffsetClocks({v: 13 * v + 1 for v in g.nodes()})
         )
         assert shifted.acknowledgement_round == baseline.acknowledgement_round
 
     def test_arbitrary_source_invariant_under_clock_offsets(self):
         g = cycle_graph(8)
-        baseline = run_arbitrary_source_broadcast(g, true_source=3)
-        shifted = run_arbitrary_source_broadcast(
-            g, true_source=3, clock_model=OffsetClocks({v: 5 * v for v in g.nodes()})
+        baseline = get_scheme("lambda_arb").run(g, 3)
+        shifted = get_scheme("lambda_arb").run(
+            g, 3, clock_model=OffsetClocks({v: 5 * v for v in g.nodes()})
         )
         assert shifted.completion_round == baseline.completion_round
 
@@ -60,7 +57,7 @@ class TestUniversality:
         g = grid_graph(3, 4)
         source = 0
         labeling = lambda_scheme(g, source)
-        outcome = run_broadcast(g, source, labeling=labeling)
+        outcome = get_scheme("lambda").run(g, source, labeling=labeling)
 
         perm = [(7 * v + 3) % g.n for v in range(g.n)]
         assert sorted(perm) == list(range(g.n))
@@ -92,7 +89,7 @@ class TestImpossibilityExample:
         assert result.trace.collision_rounds(2) != []
 
     def test_lambda_succeeds_on_four_cycle(self, four_cycle):
-        outcome = run_broadcast(four_cycle, 0)
+        outcome = get_scheme("lambda").run(four_cycle, 0)
         assert outcome.completed
         assert outcome.completion_round <= 2 * 4 - 3
 
@@ -102,18 +99,18 @@ class TestCrossSchemeComparison:
     def test_label_length_ranking(self, family):
         g = generate_family(family, 24, seed=5)
         lam = lambda_scheme(g, 0)
-        rr = run_round_robin(g, 0)
-        td = run_coloring_tdma(g, 0)
+        rr = get_scheme("round_robin").run(g, 0)
+        td = get_scheme("coloring_tdma").run(g, 0)
         assert lam.length == 2
         assert rr.label_bits > lam.length
         assert td.label_bits > lam.length
 
     def test_all_schemes_inform_everyone(self):
         g = random_geometric_graph(30, 0.3, seed=8)
-        assert run_broadcast(g, 0).completed
-        assert run_acknowledged_broadcast(g, 0).completed
-        assert run_round_robin(g, 0).completed
-        assert run_coloring_tdma(g, 0).completed
+        assert get_scheme("lambda").run(g, 0).completed
+        assert get_scheme("lambda_ack").run(g, 0).completed
+        assert get_scheme("round_robin").run(g, 0).completed
+        assert get_scheme("coloring_tdma").run(g, 0).completed
 
     def test_repeated_broadcasts_reuse_labels(self):
         # The IoT scenario: one labeling, many messages.
@@ -121,8 +118,8 @@ class TestCrossSchemeComparison:
         labeling = lambda_ack_scheme(g, 0)
         rounds = set()
         for k in range(3):
-            outcome = run_acknowledged_broadcast(g, 0, labeling=labeling,
-                                                 payload=f"msg{k}")
+            outcome = get_scheme("lambda_ack").run(g, 0, labeling=labeling,
+                                                   payload=f"msg{k}")
             assert outcome.completed
             assert verify_broadcast_outcome(g, outcome) == []
             rounds.add(outcome.acknowledgement_round)
@@ -133,6 +130,6 @@ class TestCrossSchemeComparison:
 
         for family in family_names():
             g = generate_family(family, 16, seed=3)
-            outcome = run_broadcast(g, 0)
+            outcome = get_scheme("lambda").run(g, 0)
             assert outcome.completed, family
             assert verify_broadcast_outcome(g, outcome) == [], family

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import get_scheme
 from repro.core import (
     FORBIDDEN_ACK_LABELS,
     build_sequences,
     lambda_ack_scheme,
     lambda_scheme,
-    run_acknowledged_broadcast,
-    run_broadcast,
 )
 from repro.graphs import (
     Graph,
@@ -84,7 +83,7 @@ def test_lambda_labels_are_two_bits_and_at_most_four_values(n, seed, density):
 @given(n=GRAPH_SIZES, seed=SEEDS, density=DENSITIES)
 def test_broadcast_always_completes_within_2n_minus_3(n, seed, density):
     graph, source = _graph_and_source(n, seed, density)
-    outcome = run_broadcast(graph, source)
+    outcome = get_scheme("lambda").run(graph, source)
     assert outcome.completed
     assert outcome.completion_round <= max(1, 2 * n - 3)
     # sharp version
@@ -95,7 +94,7 @@ def test_broadcast_always_completes_within_2n_minus_3(n, seed, density):
 @given(n=GRAPH_SIZES, seed=SEEDS, density=DENSITIES)
 def test_acknowledged_broadcast_ack_window(n, seed, density):
     graph, source = _graph_and_source(n, seed, density)
-    outcome = run_acknowledged_broadcast(graph, source)
+    outcome = get_scheme("lambda_ack").run(graph, source)
     assert outcome.completed
     assert outcome.acknowledgement_round is not None
     ell = outcome.labeling.construction.ell
@@ -118,7 +117,7 @@ def test_lambda_ack_never_uses_forbidden_labels(n, seed, density):
 @given(n=GRAPH_SIZES, seed=SEEDS, density=DENSITIES)
 def test_uninformed_nodes_never_transmit(n, seed, density):
     graph, source = _graph_and_source(n, seed, density)
-    outcome = run_broadcast(graph, source)
+    outcome = get_scheme("lambda").run(graph, source)
     informed_by = outcome.trace.informed_by_round()
     for record in outcome.trace.rounds:
         for v in record.transmissions:
@@ -179,6 +178,6 @@ def test_graphs_with_isolated_nodes_roundtrip(n, edges):
 @given(n=GRAPH_SIZES, seed=SEEDS, density=DENSITIES)
 def test_simulation_is_deterministic(n, seed, density):
     graph, source = _graph_and_source(n, seed, density)
-    a = run_broadcast(graph, source)
-    b = run_broadcast(graph, source)
+    a = get_scheme("lambda").run(graph, source)
+    b = get_scheme("lambda").run(graph, source)
     assert a.trace.to_json() == b.trace.to_json()

@@ -188,13 +188,6 @@ class TestEngineMechanics:
         assert result.stop_round == 3
         assert result.completed
 
-    def test_quiescence_stop(self):
-        g = path_graph(3)
-        sim = RadioSimulator(g, _uniform_labels(g), _factory(SilentNode), source=None)
-        result = sim.run(max_rounds=100, stop_on_quiescence=True, quiescence_window=3)
-        assert result.stop_reason == "quiescence"
-        assert result.stop_round == 3
-
     def test_negative_budget_rejected(self):
         g = path_graph(2)
         sim = RadioSimulator(g, _uniform_labels(g), _factory(SilentNode), source=None)

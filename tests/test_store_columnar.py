@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import json
 import shutil
+import struct
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import mutate_bytes
+from repro.analysis import RunMetrics
+from repro.analysis.metrics import METRIC_FIELDS
 from repro.analysis.stream import (
     StreamAggregator,
     aggregate_result_set,
@@ -43,9 +50,11 @@ from repro.store import (
     ColumnarSegment,
     ResultSet,
     ResultStore,
+    StoreError,
     compact_store,
     write_columnar_segment,
 )
+from repro.radio.trace import ExecutionTrace
 from repro.store.columnar import COLUMNAR_SUFFIX
 
 CFG = GridConfig(families=["path", "grid"], sizes=[9, 12], seeds_per_size=1,
@@ -275,6 +284,164 @@ class TestQuarantine:
         with pytest.raises(ColumnarError, match="magic"):
             ColumnarSegment(path)
         assert not path.read_bytes().startswith(COLUMNAR_MAGIC)
+
+
+# --------------------------------------------------------------------------- #
+# corrupt segments: quarantined at open or typed errors on read
+# --------------------------------------------------------------------------- #
+def _row(i: int) -> RunMetrics:
+    return RunMetrics(
+        scheme="lambda", family="path", n=8 + i, source_eccentricity=7,
+        label_bits=2, distinct_labels=2, completion_round=13, bound=13,
+        acknowledgement_round=None if i % 2 else i, transmissions=7,
+        collisions=0, total_message_bits=224,
+    )
+
+
+def _key(i: int, shard: str = "aa") -> str:
+    return shard + f"{i:062x}"
+
+
+def _columnar_shard(root: Path, *, jsonl_row: bool = True) -> Path:
+    """Shard ``aa`` as one 4-row .colseg (two rows with traces), plus one
+    JSONL row in shard ``bb`` unless ``jsonl_row`` is False."""
+    trace = ExecutionTrace.from_aggregates(8, 0, level="summary", num_rounds=5,
+                                           total_transmissions=7)
+    with ResultStore(root) as store:
+        for i in range(4):
+            store.put(_key(i), _row(i), trace=trace if i % 2 else None)
+    compact_store(root, format="columnar")
+    if jsonl_row:
+        with ResultStore(root) as store:
+            store.put(_key(0, "bb"), _row(9))
+    return root
+
+
+def _header(path: Path):
+    """A segment's bytes (mutable) and its parsed JSON header."""
+    raw = bytearray(path.read_bytes())
+    (size,) = struct.unpack_from("<q", raw, len(COLUMNAR_MAGIC))
+    start = len(COLUMNAR_MAGIC) + 8
+    return raw, json.loads(raw[start:start + size])
+
+
+def _column(header, name):
+    return next(c for c in header["columns"] if c["name"] == name)
+
+
+@pytest.fixture(scope="module")
+def colseg_template(tmp_path_factory):
+    return _columnar_shard(tmp_path_factory.mktemp("colseg") / "s")
+
+
+class TestCorruptSegments:
+    def test_bad_first_key_offset_is_quarantined(self, tmp_path):
+        root = _columnar_shard(tmp_path / "s")
+        victim = root / "segments" / "aa.colseg"
+        raw, header = _header(victim)
+        struct.pack_into("<q", raw, _column(header, "key")["offsets"][0], 7)
+        victim.write_bytes(bytes(raw))
+        with ResultStore(root) as store:
+            assert store.describe()["quarantined_segments"] == 1
+            assert store.keys() == [_key(0, "bb")]
+            assert list(store.rows()) == [_row(9)]
+
+    def test_ill_typed_header_is_quarantined(self, tmp_path):
+        # Same-length edit: a column kind becomes a JSON list (unhashable).
+        root = _columnar_shard(tmp_path / "s")
+        victim = root / "segments" / "aa.colseg"
+        raw = victim.read_bytes()
+        assert raw.count(b'"kind":"str"') >= 1
+        victim.write_bytes(raw.replace(b'"kind":"str"', b'"kind":["t"]', 1))
+        with pytest.raises(ColumnarError, match="corrupt columnar header"):
+            ColumnarSegment(victim)
+        with ResultStore(root) as store:
+            assert store.describe()["quarantined_segments"] == 1
+            assert store.get(_key(0, "bb")) == _row(9)
+
+    def test_undecodable_string_column_raises_columnar_error(self, tmp_path):
+        root = _columnar_shard(tmp_path / "s", jsonl_row=False)
+        victim = root / "segments" / "aa.colseg"
+        raw, header = _header(victim)
+        raw[_column(header, "scheme")["offsets"][1]] = 0xFF  # not UTF-8
+        victim.write_bytes(bytes(raw))
+        with ResultStore(root) as store:
+            with pytest.raises(ColumnarError, match="not UTF-8"):
+                store.rows().column("scheme")
+            with pytest.raises(StoreError):
+                store.get(_key(0))
+
+    def test_bad_string_offsets_raise_columnar_error(self, tmp_path):
+        root = _columnar_shard(tmp_path / "s", jsonl_row=False)
+        victim = root / "segments" / "aa.colseg"
+        raw, header = _header(victim)
+        struct.pack_into("<q", raw, _column(header, "family")["offsets"][0] + 8, -3)
+        victim.write_bytes(bytes(raw))
+        with ResultStore(root) as store:
+            assert len(store) == 4  # the key column is intact: the segment loads
+            with pytest.raises(ColumnarError, match="corrupt offsets"):
+                store.rows().column("family")
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_segments_load_or_quarantine(self, colseg_template, data):
+        # Checksums are out of scope: a flipped number may read back wrong,
+        # but nothing may escape except StoreError or ColumnarError, and the
+        # store always opens.
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(shutil.copytree(colseg_template, Path(tmp) / "s"))
+            victim = root / "segments" / "aa.colseg"
+            victim.write_bytes(mutate_bytes(data, victim.read_bytes()))
+            with ResultStore(root) as store:
+                assert len(store.keys()) == len(store)
+                assert store.get(_key(0, "bb")) == _row(9)
+                try:
+                    rows = store.rows()
+                except (StoreError, ColumnarError):
+                    rows = None
+                for name in METRIC_FIELDS if rows is not None else ():
+                    try:
+                        rows.column(name)
+                    except (StoreError, ColumnarError):
+                        pass
+                for key in [_key(i) for i in range(4)]:
+                    try:
+                        store.get(key)
+                    except StoreError:
+                        pass
+
+
+# --------------------------------------------------------------------------- #
+# a self-healing reload keeps the segments its readers still use
+# --------------------------------------------------------------------------- #
+class TestReloadKeepsSegmentsAlive:
+    def test_lazy_set_survives_a_reload(self, tmp_path):
+        with ResultStore(_columnar_shard(tmp_path / "s", jsonl_row=False)) as store:
+            rows = store.rows()
+            store._reload()
+            assert rows.column("n").tolist() == [8, 9, 10, 11]
+
+    def test_reload_with_a_column_view_alive(self, tmp_path):
+        with ResultStore(_columnar_shard(tmp_path / "s", jsonl_row=False)) as store:
+            rows = store.rows()
+            rows.column("n")  # the set now caches a view over the segment's map
+            store._reload()
+            assert len(store) == 4
+            assert rows.column("n").tolist() == [8, 9, 10, 11]
+
+    def test_get_self_heals_with_a_view_held(self, tmp_path):
+        root = _columnar_shard(tmp_path / "s", jsonl_row=False)
+        with ResultStore(root) as store:
+            rows = store.rows()
+            before = rows.column("n")
+            store.put(_key(0, "bb"), _row(9))
+            # Another process compacts the store: bb's JSONL file is replaced
+            # by a segment, so this handle's span for the new row is stale.
+            compact_store(root, format="columnar")
+            assert store.get(_key(0, "bb")) == _row(9)
+            assert rows.column("n").tolist() == before.tolist()
 
 
 # --------------------------------------------------------------------------- #

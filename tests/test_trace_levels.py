@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import message_bits_total, metrics_from_run
-from repro.core import run_acknowledged_broadcast, run_broadcast
+from repro.api import get_scheme
 from repro.graphs import grid_graph, path_graph
 from repro.radio import (
     TRACE_LEVELS,
@@ -66,7 +66,7 @@ class TestTraceLevelKnob:
         assert build(1) != build(2)  # different executions must not compare equal
 
     def test_full_trace_aggregates_match_recomputation(self):
-        outcome = run_broadcast(grid_graph(4, 4), 0, trace_level="full")
+        outcome = get_scheme("lambda").run(grid_graph(4, 4), 0, trace_level="full")
         trace = outcome.trace
         assert trace.total_transmissions() == sum(
             r.num_transmitters for r in trace.rounds
@@ -84,8 +84,8 @@ class TestTraceLevelKnob:
 class TestSummaryLevelOutcomes:
     @pytest.mark.parametrize("level", ["none", "summary", "full"])
     def test_broadcast_outcome_identical_across_levels(self, level):
-        full = run_broadcast(path_graph(12), 0, trace_level="full")
-        other = run_broadcast(path_graph(12), 0, trace_level=level)
+        full = get_scheme("lambda").run(path_graph(12), 0, trace_level="full")
+        other = get_scheme("lambda").run(path_graph(12), 0, trace_level=level)
         assert other.completion_round == full.completion_round
         assert other.total_transmissions == full.total_transmissions
         assert other.total_collisions == full.total_collisions
@@ -95,7 +95,7 @@ class TestSummaryLevelOutcomes:
         graph = grid_graph(4, 4)
         rows = []
         for level in ("summary", "full"):
-            outcome = run_acknowledged_broadcast(
+            outcome = get_scheme("lambda_ack").run(
                 graph, 0, backend=backend, trace_level=level
             )
             rows.append(metrics_from_run(graph, outcome, family="grid", source=0))
@@ -103,9 +103,9 @@ class TestSummaryLevelOutcomes:
 
     def test_message_bits_agree_between_levels(self):
         for level in ("summary", "full"):
-            outcome = run_acknowledged_broadcast(path_graph(9), 0, trace_level=level)
+            outcome = get_scheme("lambda_ack").run(path_graph(9), 0, trace_level=level)
             assert message_bits_total(outcome.trace) == message_bits_total(
-                run_acknowledged_broadcast(path_graph(9), 0, trace_level="full").trace
+                get_scheme("lambda_ack").run(path_graph(9), 0, trace_level="full").trace
             )
 
     def test_run_protocol_threads_trace_level(self):

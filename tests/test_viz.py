@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import check_lemma_2_8, lambda_scheme, run_broadcast
+from repro.api import get_scheme
+from repro.core import check_lemma_2_8, lambda_scheme
 from repro.graphs import grid_graph, path_graph
 from repro.viz import (
     FIGURE1_SOURCE,
@@ -40,7 +41,7 @@ class TestAsciiRendering:
 
     def test_round_table_and_timelines(self):
         g = path_graph(6)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         table = render_round_table(outcome.trace, max_rounds=4)
         assert "round" in table and "more rounds" in table
         timelines = render_node_timelines(outcome.trace)
@@ -48,7 +49,7 @@ class TestAsciiRendering:
 
     def test_transmit_receive_maps_consistent_with_trace(self):
         g = grid_graph(3, 4)
-        outcome = run_broadcast(g, 0)
+        outcome = get_scheme("lambda").run(g, 0)
         tx, rx = transmit_receive_maps(outcome.trace)
         assert tx[0] == [1] + tx[0][1:]
         total_tx = sum(len(v) for v in tx.values())

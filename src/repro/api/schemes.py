@@ -8,11 +8,14 @@ scheme shares:
 
 1. **labeler** (:meth:`Scheme.build_labels`) — compute (or validate a reused)
    labeling and its advice-size metadata;
-2. **task builder** (:meth:`Scheme.build_task`) — describe the execution as a
-   declarative :class:`~repro.backends.base.SimulationTask` (protocol, stop
-   rule, budget, channel models);
-3. **outcome deriver** (:meth:`Scheme.derive_outcome`) — turn the backend's
-   result into the unified :class:`~repro.core.outcome.Outcome`.
+2. **task builder** (:meth:`Scheme.build_task`, one for every scheme) —
+   describe the execution as a pure-data
+   :class:`~repro.backends.base.SimulationTask`: the scheme's protocol name
+   and stop rule, the budget, the channel models and protocol data such as
+   a schedule.  Each backend alone knows how to run each protocol;
+3. **outcome deriver** (:meth:`Scheme.derive_outcome`) — turn the backend
+   result's ``derived`` dict, which every backend fills with the same keys,
+   into the unified :class:`~repro.core.outcome.Outcome`.
 
 :meth:`Scheme.run` is the template method gluing the three together through
 :func:`~repro.backends.resolve_backend`: ``get_scheme(name).run(graph,
@@ -23,6 +26,7 @@ New schemes plug in with::
 
     @register_scheme("my_scheme")
     class MyScheme(Scheme):
+        protocol = "broadcast"
         ...
 
 and immediately become available to scenarios, sweeps and the CLI.
@@ -37,14 +41,10 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Un
 from ..backends import SimulationTask, resolve_backend
 from ..backends.base import BackendResult
 from ..baselines.base import bits_needed
-from ..baselines.centralized import ScheduledNode, compute_centralized_schedule
-from ..baselines.collision_detection import (
-    LENGTH_HEADER_BITS,
-    SLOT_LENGTH,
-    BitSignalNode,
-)
-from ..baselines.coloring_tdma import ColoringTdmaNode, coloring_tdma_labels
-from ..baselines.round_robin import RoundRobinNode, round_robin_labels
+from ..baselines.centralized import compute_centralized_schedule, transmit_rounds
+from ..baselines.collision_detection import LENGTH_HEADER_BITS, SLOT_LENGTH
+from ..baselines.coloring_tdma import coloring_tdma_labels
+from ..baselines.round_robin import round_robin_labels
 from ..core import labeling as core_labeling
 from ..core.labeling import (
     Labeling,
@@ -53,9 +53,7 @@ from ..core.labeling import (
     lambda_scheme,
 )
 from ..core.outcome import Outcome
-from ..core.protocols.acknowledged import make_acknowledged_node
-from ..core.protocols.arbitrary import ArbitrarySourceNode, make_arbitrary_node
-from ..core.protocols.broadcast import make_broadcast_node
+from ..core.protocols.arbitrary import COORDINATOR_LABEL
 from ..core.sequences import SequenceConstruction
 from ..graphs.graph import Graph, GraphError
 from ..radio.clock import ClockModel
@@ -98,9 +96,16 @@ class Scheme(ABC):
     kind: str = "baseline"
     #: One-line description shown by ``repro schemes``.
     description: str = ""
+    #: The :data:`~repro.backends.base.PROTOCOLS` entry its nodes run.
+    protocol: str = ""
+    #: The :data:`~repro.backends.base.STOP_RULES` entry its tasks stop by.
+    stop_rule: str = "all_informed"
+    #: True where broadcast and acknowledgement are vacuous in a one-node
+    #: network, whose task is then one round with no stop rule.
+    one_round_alone: bool = False
 
     # ------------------------------------------------------------------ #
-    # the three scheme-specific steps
+    # the scheme-specific steps
     # ------------------------------------------------------------------ #
     @abstractmethod
     def build_labels(
@@ -117,6 +122,18 @@ class Scheme(ABC):
         """Round budget used when the caller does not set ``max_rounds``."""
 
     @abstractmethod
+    def derive_outcome(
+        self, graph: Graph, task: SimulationTask, result: BackendResult, info: SchemeLabels
+    ) -> Outcome:
+        """Assemble the unified :class:`Outcome` from ``result.derived``."""
+
+    # ------------------------------------------------------------------ #
+    # the shared task builder and outcome helper
+    # ------------------------------------------------------------------ #
+    def task_extras(self, info: SchemeLabels) -> Dict[str, Any]:
+        """Protocol data the task carries (see :attr:`SimulationTask.extras`)."""
+        return {}
+
     def build_task(
         self,
         graph: Graph,
@@ -129,13 +146,41 @@ class Scheme(ABC):
         fault_model: Optional[FaultModel],
         clock_model: Optional[ClockModel],
     ) -> SimulationTask:
-        """Describe the execution declaratively for the backend layer."""
+        """Describe the execution as pure data for the backend layer.
 
-    @abstractmethod
-    def derive_outcome(
-        self, graph: Graph, task: SimulationTask, result: BackendResult, info: SchemeLabels
-    ) -> Outcome:
-        """Assemble the unified :class:`Outcome` from the backend result."""
+        Schemes differ here only in :attr:`protocol`, :attr:`stop_rule`,
+        :attr:`one_round_alone` and :meth:`task_extras`, and in the detection
+        channel a bit-signalling labeler asks for.
+        """
+        stop_rule: Optional[str] = self.stop_rule
+        if graph.n == 1 and self.one_round_alone:
+            max_rounds, stop_rule = 1, None
+        detection = info.extras.get("with_detection", False)
+        return SimulationTask(
+            protocol=self.protocol,
+            graph=graph,
+            labels=info.labels,
+            source=source,
+            payload=payload,
+            max_rounds=max_rounds,
+            stop_rule=stop_rule,
+            trace_level=trace_level,
+            collision_model=WithCollisionDetection() if detection else None,
+            fault_model=fault_model,
+            clock_model=clock_model,
+            extras=self.task_extras(info),
+        )
+
+    def outcome(self, result: BackendResult, info: SchemeLabels, **fields: Any) -> Outcome:
+        """An :class:`Outcome` of this scheme's run, labeling fields filled in."""
+        return Outcome(
+            scheme=self.name,
+            simulation=result.simulation,
+            labeling=info.labeling,
+            label_bits=info.label_bits,
+            distinct_labels=info.distinct_labels,
+            **fields,
+        )
 
     # ------------------------------------------------------------------ #
     # hooks with sensible defaults
@@ -299,13 +344,12 @@ def _shared_construction(
     return cache[key]
 
 
-def _labels_from_labeling(lab: Labeling, **extras: Any) -> SchemeLabels:
+def _labels_from_labeling(lab: Labeling) -> SchemeLabels:
     return SchemeLabels(
         labels=lab.labels,
         label_bits=lab.length,
         distinct_labels=lab.num_distinct_labels(),
         labeling=lab,
-        extras=extras,
     )
 
 
@@ -315,6 +359,7 @@ class LambdaScheme(Scheme):
 
     kind = "paper"
     description = "2-bit λ labels + universal Algorithm B (≤ 2n−3 rounds)"
+    protocol = "broadcast"
 
     def build_labels(self, graph, source, *, labeling=None, strategy="prune",
                      _constructions=None, **_):
@@ -329,35 +374,10 @@ class LambdaScheme(Scheme):
     def default_budget(self, graph, info):
         return _broadcast_bound(graph.n) + 4
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        return SimulationTask(
-            protocol="broadcast",
-            graph=graph,
-            labels=info.labels,
-            node_factory=make_broadcast_node,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule="all_informed",
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-        )
-
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
-        if "completion_round" in result.derived:
-            completion = result.derived["completion_round"]
-        else:
-            completion = sim.trace.broadcast_completion_round()
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            labeling=info.labeling,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
+        return self.outcome(
+            result, info,
+            completion_round=result.derived["completion_round"],
             bound_broadcast=_broadcast_bound(graph.n),
         )
 
@@ -368,6 +388,9 @@ class LambdaAckScheme(Scheme):
 
     kind = "paper"
     description = "3-bit λ_ack labels + acknowledged broadcast B_ack (≤ t+n−2)"
+    protocol = "acknowledged"
+    stop_rule = "acknowledged"
+    one_round_alone = True
 
     def build_labels(self, graph, source, *, labeling=None, strategy="prune",
                      _constructions=None, **_):
@@ -384,56 +407,21 @@ class LambdaAckScheme(Scheme):
     def default_budget(self, graph, info):
         return 3 * graph.n + 6
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        if graph.n == 1:
-            # A single-node network: broadcast and acknowledgement are vacuous;
-            # one round through the regular backend path suffices.
-            max_rounds, stop_rule = 1, None
-        else:
-            stop_rule = "acknowledged"
-        return SimulationTask(
-            protocol="acknowledged",
-            graph=graph,
-            labels=info.labels,
-            node_factory=make_acknowledged_node,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule=stop_rule,
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-        )
-
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
         if graph.n == 1:
-            return Outcome(
-                scheme=self.name, simulation=sim, completion_round=1,
-                labeling=info.labeling, label_bits=info.label_bits,
-                distinct_labels=info.distinct_labels, acknowledgement_round=1,
+            return self.outcome(
+                result, info, completion_round=1, acknowledgement_round=1,
                 bound_broadcast=1, bound_acknowledgement=2,
             )
-        if "completion_round" in result.derived:
-            completion = result.derived["completion_round"]
-            ack_round = result.derived.get("acknowledgement_round")
-        else:
-            completion = sim.trace.broadcast_completion_round()
-            ack_round = sim.trace.first_ack_at(task.source)
-        bound_ack = None
-        if completion is not None:
-            bound_ack = completion + max(1, graph.n - 2)
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
+        completion = result.derived["completion_round"]
+        return self.outcome(
+            result, info,
             completion_round=completion,
-            labeling=info.labeling,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
-            acknowledgement_round=ack_round,
+            acknowledgement_round=result.derived["acknowledgement_round"],
             bound_broadcast=_broadcast_bound(graph.n),
-            bound_acknowledgement=bound_ack,
+            bound_acknowledgement=(
+                None if completion is None else completion + max(1, graph.n - 2)
+            ),
         )
 
 
@@ -443,6 +431,9 @@ class LambdaArbScheme(Scheme):
 
     kind = "paper"
     description = "3-bit λ_arb labels + arbitrary-source broadcast B_arb"
+    protocol = "arbitrary"
+    stop_rule = "arb_complete"
+    one_round_alone = True
 
     def build_labels(self, graph, source, *, labeling=None, coordinator=None,
                      strategy="prune", **_):
@@ -452,6 +443,13 @@ class LambdaArbScheme(Scheme):
         if lab.scheme != "lambda_arb":
             raise GraphError(
                 f"the lambda_arb scheme expects a λ_arb labeling, got {lab.scheme!r}"
+            )
+        # The nodes recognise the coordinator by its label alone, so the
+        # labeling must name the node that carries it.
+        if lab.coordinator is None or lab.labels.get(lab.coordinator) != COORDINATOR_LABEL:
+            raise GraphError(
+                f"a λ_arb labeling must name its coordinator, the node labelled "
+                f"{COORDINATOR_LABEL!r}; got coordinator {lab.coordinator!r}"
             )
         return _labels_from_labeling(lab)
 
@@ -468,169 +466,56 @@ class LambdaArbScheme(Scheme):
         # comfortably above the worst case (each phase is O(n) rounds).
         return 12 * graph.n + 30
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        lab = info.labeling
-        coordinator_node = lab.coordinator if lab.coordinator is not None else 0
-        if graph.n == 1:
-            return SimulationTask(
-                protocol="arbitrary", graph=graph, labels=info.labels,
-                node_factory=make_arbitrary_node, source=source, payload=payload,
-                max_rounds=1, trace_level=trace_level,
-                fault_model=fault_model, clock_model=clock_model,
-                extras={"coordinator": coordinator_node},
-            )
-        return SimulationTask(
-            protocol="arbitrary",
-            graph=graph,
-            labels=info.labels,
-            node_factory=make_arbitrary_node,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule="arb_complete",
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-            extras={"coordinator": coordinator_node},
-        )
+    def task_extras(self, info):
+        return {"coordinator": info.labeling.coordinator}
 
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
-        true_source = task.source
-        coordinator_node = task.extras["coordinator"]
+        extras = {"true_source": task.source, "coordinator": task.extras["coordinator"]}
         if graph.n == 1:
-            return Outcome(
-                scheme=self.name, simulation=sim, completion_round=1,
-                labeling=info.labeling, label_bits=info.label_bits,
-                distinct_labels=info.distinct_labels, acknowledgement_round=1,
-                common_completion_round=1, bound_broadcast=1,
-                extras={"true_source": true_source,
-                        "coordinator": info.labeling.coordinator},
+            return self.outcome(
+                result, info, completion_round=1, acknowledgement_round=1,
+                common_completion_round=1, bound_broadcast=1, extras=extras,
             )
-        if "completion_round" in result.derived:
-            completion = result.derived["completion_round"]
-            ack_round = result.derived.get("acknowledgement_round")
-            common = result.derived.get("common_completion_round")
-        else:
-            completion, ack_round, common = _derive_arbitrary_outcome(
-                graph, sim, true_source, coordinator_node
-            )
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            labeling=info.labeling,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
-            acknowledgement_round=ack_round,
-            common_completion_round=common,
+        return self.outcome(
+            result, info,
+            completion_round=result.derived["completion_round"],
+            acknowledgement_round=result.derived["acknowledgement_round"],
+            common_completion_round=result.derived["common_completion_round"],
             bound_broadcast=_broadcast_bound(graph.n),
-            extras={"true_source": true_source, "coordinator": coordinator_node},
+            extras=extras,
         )
-
-
-def _derive_arbitrary_outcome(graph, sim, true_source, coordinator_node):
-    """Assemble B_arb's headline rounds from the trace and node objects.
-
-    Completion for B_arb: every node other than the coordinator and the true
-    source hears µ via a SOURCE message in phase 3; the true source holds µ
-    from the start; the coordinator learns µ from the phase-2 ack payload.
-    The trace-level helper (which requires *every* non-source node to hear a
-    SOURCE message) would therefore never credit the coordinator, so the
-    completion round is assembled here from those three ingredients.
-    """
-    ack_round = sim.trace.first_ack_at(coordinator_node)
-    receipt_rounds = []
-    missing = False
-    for v in graph.nodes():
-        if v in (true_source, coordinator_node):
-            continue
-        first = sim.trace.first_source_receipt(v)
-        if first is None:
-            missing = True
-            break
-        receipt_rounds.append(first)
-    coordinator_knows = any(
-        isinstance(node, ArbitrarySourceNode)
-        and node.node_id == coordinator_node
-        and (node.sourcemsg is not None)
-        for node in sim.nodes
-    )
-    coordinator_learned_round = None
-    if coordinator_node != true_source:
-        # The phase-2 ack (the one carrying µ) is the last ack the coordinator
-        # hears; the trace tracks it incrementally at every level.
-        coordinator_learned_round = sim.trace.last_ack_at(coordinator_node)
-    completion = None
-    if not missing and (coordinator_knows or coordinator_node == true_source):
-        candidates = list(receipt_rounds)
-        if coordinator_learned_round is not None:
-            candidates.append(coordinator_learned_round)
-        completion = max(candidates) if candidates else 1
-    common_rounds = {
-        node.completion_known_local_round
-        for node in sim.nodes
-        if isinstance(node, ArbitrarySourceNode)
-    }
-    common = None
-    if len(common_rounds) == 1 and None not in common_rounds:
-        common = common_rounds.pop()
-    return completion, ack_round, common
 
 
 # --------------------------------------------------------------------------- #
 # the comparison baselines
 # --------------------------------------------------------------------------- #
+def _slot_labels(labels: Dict[int, str], **extras: Any) -> SchemeLabels:
+    return SchemeLabels(
+        labels=labels,
+        label_bits=max(len(lab) for lab in labels.values()),
+        distinct_labels=len(set(labels.values())),
+        extras=extras,
+    )
+
+
 @register_scheme("round_robin")
 class RoundRobinScheme(Scheme):
     """Folklore round-robin broadcast with distinct O(log n)-bit labels."""
 
     kind = "baseline"
     description = "distinct-id round-robin TDMA, 2·⌈log₂ n⌉-bit labels"
+    protocol = "round_robin"
 
     def build_labels(self, graph, source, *, labeling=None, **_):
-        labels = round_robin_labels(graph)
-        return SchemeLabels(
-            labels=labels,
-            label_bits=max(len(lab) for lab in labels.values()),
-            distinct_labels=len(set(labels.values())),
-        )
+        return _slot_labels(round_robin_labels(graph))
 
     def default_budget(self, graph, info):
         return graph.n * (graph.n + 2)
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        def factory(node_id, label, is_source, source_payload):
-            return RoundRobinNode(node_id, label, is_source=is_source,
-                                  source_payload=source_payload)
-
-        return SimulationTask(
-            protocol="round_robin",
-            graph=graph,
-            labels=info.labels,
-            node_factory=factory,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule="all_informed",
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-        )
-
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
-        completion = result.derived.get(
-            "completion_round", sim.trace.broadcast_completion_round()
-        )
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
+        return self.outcome(
+            result, info,
+            completion_round=result.derived["completion_round"],
             extras={"period": graph.n},
         )
 
@@ -641,50 +526,19 @@ class ColoringTdmaScheme(Scheme):
 
     kind = "baseline"
     description = "G²-coloring TDMA, collision-free by construction"
+    protocol = "coloring_tdma"
 
     def build_labels(self, graph, source, *, labeling=None, **_):
         labels, num_colours = coloring_tdma_labels(graph)
-        return SchemeLabels(
-            labels=labels,
-            label_bits=max(len(lab) for lab in labels.values()),
-            distinct_labels=len(set(labels.values())),
-            extras={"num_colours": num_colours},
-        )
+        return _slot_labels(labels, num_colours=num_colours)
 
     def default_budget(self, graph, info):
         return info.extras["num_colours"] * (graph.n + 2)
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        def factory(node_id, label, is_source, source_payload):
-            return ColoringTdmaNode(node_id, label, is_source=is_source,
-                                    source_payload=source_payload)
-
-        return SimulationTask(
-            protocol="coloring_tdma",
-            graph=graph,
-            labels=info.labels,
-            node_factory=factory,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule="all_informed",
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-        )
-
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
-        completion = result.derived.get(
-            "completion_round", sim.trace.broadcast_completion_round()
-        )
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
+        return self.outcome(
+            result, info,
+            completion_round=result.derived["completion_round"],
             extras={"num_colours": info.extras["num_colours"]},
         )
 
@@ -695,6 +549,8 @@ class CollisionDetectionScheme(Scheme):
 
     kind = "baseline"
     description = "label-free bit signalling (needs the detection channel)"
+    protocol = "collision_detection"
+    stop_rule = "all_decoded"
 
     def build_labels(self, graph, source, *, labeling=None, with_detection=True,
                      payload="MSG", **_):
@@ -710,45 +566,12 @@ class CollisionDetectionScheme(Scheme):
     def default_budget(self, graph, info):
         return SLOT_LENGTH * info.extras["symbol_count"] + graph.n + 10
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        def factory(node_id, label, is_source, source_payload):
-            return BitSignalNode(node_id, label, is_source=is_source,
-                                 source_payload=source_payload)
-
-        with_detection = info.extras["with_detection"]
-        return SimulationTask(
-            protocol="collision_detection",
-            graph=graph,
-            labels=info.labels,
-            node_factory=factory,
-            source=source,
-            payload=str(payload),
-            max_rounds=max_rounds,
-            stop_rule="all_decoded",
-            trace_level=trace_level,
-            collision_model=WithCollisionDetection() if with_detection else None,
-            fault_model=fault_model,
-            clock_model=clock_model,
-        )
-
     def derive_outcome(self, graph, task, result, info):
         sim = result.simulation
-        payload = task.payload
-        if "decoded_correctly" in result.derived:
-            decoded_ok = result.derived["decoded_correctly"]
-        else:
-            decoded_ok = all(
-                isinstance(node, BitSignalNode) and node.decoded == str(payload)
-                for node in sim.nodes
-            )
-        completion = sim.stop_round if (sim.completed and decoded_ok) else None
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            label_bits=0,
-            distinct_labels=1,
+        decoded_ok = result.derived["decoded_correctly"]
+        return self.outcome(
+            result, info,
+            completion_round=sim.stop_round if (sim.completed and decoded_ok) else None,
             extras={
                 "symbols": info.extras["symbol_count"],
                 "slot_length": SLOT_LENGTH,
@@ -764,68 +587,32 @@ class CentralizedScheme(Scheme):
 
     kind = "baseline"
     description = "precomputed greedy schedule, unbounded advice size"
+    protocol = "centralized"
 
     def build_labels(self, graph, source, *, labeling=None, strategy="greedy", **_):
-        schedule = compute_centralized_schedule(graph, source, strategy=strategy)
-        per_node_rounds: Dict[int, set] = {v: set() for v in graph.nodes()}
-        for idx, transmitters in enumerate(schedule, start=1):
-            for v in transmitters:
-                per_node_rounds[v].add(idx)
+        schedule = [
+            sorted(int(v) for v in transmitters)
+            for transmitters in compute_centralized_schedule(graph, source, strategy=strategy)
+        ]
+        per_node_rounds = transmit_rounds(schedule, graph.n)
         # Advice size: each scheduled round index costs ceil(log2(len+1)) bits.
         round_bits = bits_needed(len(schedule) + 1)
-        label_bits = max(
-            (len(rounds) * round_bits for rounds in per_node_rounds.values()), default=0
-        )
         return SchemeLabels(
             labels={v: "0" for v in graph.nodes()},
-            label_bits=label_bits,
-            distinct_labels=len({frozenset(r) for r in per_node_rounds.values()}),
-            extras={
-                "schedule": [sorted(int(v) for v in s) for s in schedule],
-                "per_node_rounds": per_node_rounds,
-            },
+            label_bits=max((len(r) * round_bits for r in per_node_rounds), default=0),
+            distinct_labels=len({frozenset(r) for r in per_node_rounds}),
+            extras={"schedule": schedule},
         )
 
     def default_budget(self, graph, info):
         return len(info.extras["schedule"]) + 2
 
-    def build_task(self, graph, info, source, *, payload, max_rounds, trace_level,
-                   fault_model, clock_model):
-        per_node_rounds = info.extras["per_node_rounds"]
-
-        def factory(node_id, label, is_source, source_payload):
-            return ScheduledNode(
-                node_id, label, is_source=is_source, source_payload=source_payload,
-                transmit_rounds=per_node_rounds[node_id],
-            )
-
-        # The schedule travels in extras so array backends can execute it
-        # natively; the node factory covers the reference engine.
-        return SimulationTask(
-            protocol="centralized",
-            graph=graph,
-            labels=info.labels,
-            node_factory=factory,
-            source=source,
-            payload=payload,
-            max_rounds=max_rounds,
-            stop_rule="all_informed",
-            trace_level=trace_level,
-            fault_model=fault_model,
-            clock_model=clock_model,
-            extras={"schedule": info.extras["schedule"]},
-        )
+    def task_extras(self, info):
+        return {"schedule": info.extras["schedule"]}
 
     def derive_outcome(self, graph, task, result, info):
-        sim = result.simulation
-        completion = result.derived.get(
-            "completion_round", sim.trace.broadcast_completion_round()
-        )
-        return Outcome(
-            scheme=self.name,
-            simulation=sim,
-            completion_round=completion,
-            label_bits=info.label_bits,
-            distinct_labels=info.distinct_labels,
+        return self.outcome(
+            result, info,
+            completion_round=result.derived["completion_round"],
             extras={"schedule_length": len(info.extras["schedule"])},
         )

@@ -2,17 +2,19 @@
 
 The tentpole refactor of this layer splits the execution core in two:
 
-* a :class:`SimulationTask` is a declarative description of one protocol
+* a :class:`SimulationTask` is pure data describing one protocol
   execution — topology, labeling, protocol name, source, round budget, stop
-  rule and channel semantics;
+  rule, channel semantics and protocol data such as a schedule;
 * a :class:`SimulationBackend` turns a task into a
   :class:`~repro.radio.engine.SimulationResult` plus a ``derived`` dict of
-  protocol-level outcomes (completion round, acknowledgement round, …).
+  protocol-level outcomes (completion round, acknowledgement round, …),
+  the same keys from every engine.
 
-The backends:
+Each engine holds the only description of how it runs each protocol:
 
 * :class:`~repro.backends.reference.ReferenceBackend` drives the faithful
-  per-node object engine (:mod:`repro.radio.engine`) — the ground truth;
+  per-node object engine (:mod:`repro.radio.engine`) — the ground truth — with
+  one node class per protocol, and reads ``derived`` off its trace and nodes;
 * :class:`~repro.backends.batched.VectorizedBackend` runs one family of
   NumPy array kernels over CSR adjacency for every registered scheme, one
   task or a whole stacked batch per kernel call, producing bit-for-bit
@@ -35,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from ..graphs.graph import Graph
 from ..radio.clock import ClockModel
 from ..radio.collision import CollisionModel
-from ..radio.engine import NodeFactory, SimulationResult
+from ..radio.engine import SimulationResult
 from ..radio.faults import FaultModel
 
 __all__ = [
@@ -47,7 +49,7 @@ __all__ = [
     "SimulationTask",
 ]
 
-#: Protocol names a task may carry.  ``node_factory`` covers anything else.
+#: Protocol names a task may carry; every backend runs each of them.
 PROTOCOLS = (
     "broadcast",
     "acknowledged",
@@ -56,7 +58,6 @@ PROTOCOLS = (
     "coloring_tdma",
     "collision_detection",
     "centralized",
-    "custom",
 )
 
 #: Declarative stop rules every backend understands: every node informed,
@@ -71,19 +72,17 @@ class BackendError(RuntimeError):
 
 @dataclass
 class SimulationTask:
-    """One protocol execution, described declaratively.
+    """One protocol execution, described as pure data.
 
     Attributes
     ----------
     protocol:
-        Semantic protocol name (see :data:`PROTOCOLS`).  Array backends key
-        their compiled kernels off this; the reference backend only needs
-        :attr:`node_factory`.
+        Semantic protocol name (see :data:`PROTOCOLS`).  Each backend maps it
+        to its own implementation: a kernel, or a node class on the
+        reference engine.
     graph / labels / source / payload:
         The workload: topology, labeling, designated source (the node holding
         µ) and the payload µ itself.
-    node_factory:
-        Builds the per-node protocol object for the reference engine.
     max_rounds:
         Hard round budget.
     stop_rule:
@@ -97,13 +96,13 @@ class SimulationTask:
         Channel semantics; ``None`` selects the paper's defaults.  Non-default
         models force array backends to fall back to the reference engine.
     extras:
-        Protocol-specific knobs (e.g. the B_arb coordinator id).
+        Protocol data: B_arb's ``"coordinator"`` id and the centralized
+        ``"schedule"`` (one transmitter-id list per round).
     """
 
     protocol: str
     graph: Graph
     labels: Mapping[int, str]
-    node_factory: Optional[NodeFactory] = None
     source: Optional[int] = None
     payload: Any = "MSG"
     max_rounds: int = 0
@@ -127,11 +126,12 @@ class SimulationTask:
 class BackendResult:
     """What a backend hands back: the simulation plus derived outcomes.
 
-    ``derived`` carries protocol-level conclusions the backend computed while
-    running (``completion_round``, ``acknowledgement_round``,
-    ``common_completion_round``, …).  The reference backend leaves it empty —
-    callers derive outcomes from the trace and node objects as before — while
-    array backends fill it, since they have no node objects to inspect.
+    ``derived`` carries the protocol-level conclusions of the run, with the
+    same keys and values from every backend: ``completion_round`` (plus
+    ``acknowledgement_round`` for B_ack and B_arb, and
+    ``common_completion_round`` for B_arb), or ``decoded_correctly`` for bit
+    signalling.  The array kernels compute it from their state arrays, the
+    reference backend from its trace and node objects.
 
     ``backend`` is execution provenance: the registry name of the engine that
     *actually* ran the task.  Backends that delegate uncovered tasks (the

@@ -49,10 +49,10 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
 One engine runs these kernels at every instance size:
 :class:`VectorizedBackend` (``"vectorized"``).  Its
 :meth:`~VectorizedBackend.run_batch` stacks its tasks into one kernel loop,
-and ``run_task`` is a batch of one.  Tasks the kernels do not cover (custom
-node factories, fault/clock models other than the paper's defaults) run on
-the reference engine, and each result's ``backend`` tag names the engine
-that ran it, so the backend is always safe to pass.  Batches must be
+and ``run_task`` is a batch of one.  Tasks the kernels do not cover
+(fault/clock models other than the paper's defaults) run on the reference
+engine, and each result's ``backend`` tag names the engine that ran it, so
+the backend is always safe to pass.  Batches must be
 *homogeneous* in protocol and trace level; mixing either raises
 :class:`~repro.backends.base.BackendError`.
 
@@ -69,6 +69,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..baselines.base import parse_slot_label
 from ..baselines.collision_detection import (
     LENGTH_HEADER_BITS,
     SLOT_LENGTH,
@@ -140,12 +141,7 @@ def _parse_slot_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray]:
     slots = np.zeros(n, dtype=np.int64)
     periods = np.ones(n, dtype=np.int64)
     for v in range(n):
-        lab = labels[v]
-        if len(lab) % 2 != 0:
-            raise BackendError(f"malformed slotted label {lab!r} for node {v}")
-        half = len(lab) // 2
-        slots[v] = int(lab[:half], 2)
-        periods[v] = int(lab[half:], 2) + 1
+        slots[v], periods[v] = parse_slot_label(labels[v])
     return slots, periods
 
 
@@ -835,15 +831,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     stop_arb = _stop_rule_mask(lay, "arb_complete")
     B, total = lay.B, lay.total
 
-    coords_local: List[int] = []
-    for task in lay.tasks:
-        coordinator = task.extras.get("coordinator")
-        if coordinator is None:
-            matches = [v for v in range(task.graph.n) if task.labels[v] == "111"]
-            if not matches:
-                raise BackendError("λ_arb labeling has no coordinator label '111'")
-            coordinator = matches[0]
-        coords_local.append(int(coordinator))
+    coords_local = [int(task.extras["coordinator"]) for task in lay.tasks]
     coords = lay.offsets[:-1] + np.array(coords_local, dtype=np.int64)
     srcs = lay.sources
     coord_of = coords[lay.owner]  # each node's own instance coordinator
@@ -1100,7 +1088,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             run.stop(r, stop_arb & all_known)
         run.end_round(r)
 
-    # Derived outcomes, mirroring api.schemes._derive_arbitrary_outcome.
+    # Derived outcomes, computed as the reference backend's _arbitrary does.
     derived: List[Dict[str, Any]] = []
     for b in range(B):
         lo, hi = int(lay.offsets[b]), int(lay.offsets[b + 1])
@@ -1127,7 +1115,6 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 "completion_round": completion,
                 "acknowledgement_round": coord_ack_first[b],
                 "common_completion_round": common,
-                "coordinator": c_local,
             }
         )
 
@@ -1247,17 +1234,17 @@ def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
 def run_centralized_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     """Centralized schedules: round ``r``'s precomputed transmitter set, once informed.
 
-    Each schedule arrives as declarative data in ``task.extras["schedule"]``
-    (one node-id list per round), mirroring
-    :class:`~repro.baselines.centralized.ScheduledNode`, which transmits in
-    its scheduled rounds provided it already knows µ.
+    Each schedule arrives as data in ``task.extras["schedule"]`` (one
+    node-id list per round), the data the reference engine's
+    :class:`~repro.baselines.centralized.ScheduledNode` objects are built
+    from: a node transmits in its scheduled rounds provided it knows µ.
     """
 
     def make(lay: _BatchLayout):
         schedules = [
             [
                 np.asarray(round_ids, dtype=np.int64) + lay.offsets[b]
-                for round_ids in task.extras.get("schedule", ())
+                for round_ids in task.extras["schedule"]
             ]
             for b, task in enumerate(lay.tasks)
         ]
@@ -1320,8 +1307,6 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
     recv = np.zeros((lay.total, cap), dtype=np.int8)
     recv_len = np.zeros(lay.total, dtype=np.int64)
     start_r = np.full(lay.total, -1, dtype=np.int64)
-    decoded = np.zeros(lay.total, dtype=bool)
-    decoded[lay.sources] = True
     matches = np.zeros(lay.total, dtype=bool)
     matches[lay.sources] = True  # the source holds µ verbatim
     attempted = np.zeros(lay.total, dtype=bool)
@@ -1403,7 +1388,6 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
                     # now-fixed stream prefix: one attempt settles it forever
                     text = decode_payload_bits(recv[v, 1 : recv_len[v]].tolist())
                     if text is not None:
-                        decoded[v] = True
                         decoded_now = True
                         b = int(lay.owner[v])
                         decoded_count[b] += 1
@@ -1419,15 +1403,10 @@ def run_collision_detection_batch(tasks: Sequence[SimulationTask]) -> List[Backe
             run.stop(r, stop_decoded & (decoded_count == lay.ns))
         run.end_round(r)
 
-    derived = []
-    for b in range(lay.B):
-        lo, hi = lay.offsets[b], lay.offsets[b + 1]
-        derived.append(
-            {
-                "all_decoded": bool(decoded[lo:hi].all()),
-                "decoded_correctly": bool(matches[lo:hi].all()),
-            }
-        )
+    derived = [
+        {"decoded_correctly": bool(matches[lay.offsets[b]:lay.offsets[b + 1]].all())}
+        for b in range(lay.B)
+    ]
     if not run.fast:
         return run.results(derived)
     traces = []
@@ -1467,10 +1446,6 @@ class VectorizedBackend(SimulationBackend):
             return False
         if task.source is None or task.graph.n == 0:
             return False
-        if task.protocol == "centralized" and "schedule" not in task.extras:
-            # A centralized task without declarative schedule data can only be
-            # executed through its node objects.
-            return False
         if task.collision_model is not None and type(task.collision_model) is not NoCollisionDetection:
             # The bit-signalling kernel natively implements the detection
             # channel (energy = message or collision); everything else is
@@ -1495,10 +1470,10 @@ class VectorizedBackend(SimulationBackend):
 
         All tasks must share one protocol and one trace level (mixing either
         is a grouping bug in the caller and raises).  Tasks outside the
-        kernels' envelope — non-default fault/clock/collision models, custom
-        node factories — run per task on the reference engine, so results
-        are always exactly what per-task execution would have produced (and
-        each result's ``backend`` tag names the engine that actually ran it).
+        kernels' envelope — non-default fault/clock/collision models — run
+        per task on the reference engine, so results are always exactly what
+        per-task execution would have produced (and each result's
+        ``backend`` tag names the engine that actually ran it).
         """
         tasks = list(tasks)
         if not tasks:

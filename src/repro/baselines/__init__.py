@@ -5,8 +5,8 @@ registered schemes in :mod:`repro.api.schemes` run them, e.g.
 ``get_scheme("round_robin").run(graph, source)``.
 """
 
-from .base import bits_needed, int_to_bits
-from .centralized import ScheduledNode, compute_centralized_schedule
+from .base import SlottedNode, bits_needed, int_to_bits
+from .centralized import ScheduledNode, compute_centralized_schedule, transmit_rounds
 from .collision_detection import (
     BitSignalNode,
     LENGTH_HEADER_BITS,
@@ -14,16 +14,15 @@ from .collision_detection import (
     decode_payload_bits,
     encode_payload_bits,
 )
-from .coloring_tdma import ColoringTdmaNode, coloring_tdma_labels
-from .round_robin import RoundRobinNode, round_robin_labels
+from .coloring_tdma import coloring_tdma_labels
+from .round_robin import round_robin_labels
 
 __all__ = [
     "BitSignalNode",
-    "ColoringTdmaNode",
     "LENGTH_HEADER_BITS",
-    "RoundRobinNode",
     "SLOT_LENGTH",
     "ScheduledNode",
+    "SlottedNode",
     "bits_needed",
     "coloring_tdma_labels",
     "compute_centralized_schedule",
@@ -31,4 +30,5 @@ __all__ = [
     "encode_payload_bits",
     "int_to_bits",
     "round_robin_labels",
+    "transmit_rounds",
 ]

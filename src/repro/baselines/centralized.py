@@ -19,14 +19,14 @@ rounds and usually close to the source eccentricity.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, List, Optional, Set
+from typing import Any, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from ..graphs.graph import Graph, GraphError
 from ..graphs.traversal import is_connected
 from ..radio.messages import Message, source_message
 from ..radio.node import RadioNode
 
-__all__ = ["compute_centralized_schedule", "ScheduledNode"]
+__all__ = ["compute_centralized_schedule", "ScheduledNode", "transmit_rounds"]
 
 
 def compute_centralized_schedule(
@@ -61,6 +61,15 @@ def compute_centralized_schedule(
             raise GraphError("centralised schedule made no progress — internal error")
         informed |= newly
     return schedule
+
+
+def transmit_rounds(schedule: Sequence[Iterable[int]], n: int) -> List[Set[int]]:
+    """Each node's scheduled rounds (numbered from 1) under ``schedule``."""
+    rounds: List[Set[int]] = [set() for _ in range(n)]
+    for r, transmitters in enumerate(schedule, start=1):
+        for v in transmitters:
+            rounds[v].add(r)
+    return rounds
 
 
 class ScheduledNode(RadioNode):

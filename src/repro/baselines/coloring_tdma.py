@@ -10,20 +10,19 @@ colour classes therefore grows the informed set by the entire frontier every
 broadcast completes within ``C · (D + 1)`` rounds.
 
 Each label encodes ``(colour, C)`` as two fixed-width fields, for a scheme
-length of ``2·⌈log₂ C⌉ = O(log Δ)`` bits.
+length of ``2·⌈log₂ C⌉ = O(log Δ)`` bits — the round-robin label format, so
+the nodes run the same :class:`~repro.baselines.base.SlottedNode`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..graphs.coloring import square_coloring
 from ..graphs.graph import Graph
-from ..radio.messages import Message, source_message
-from ..radio.node import RadioNode
 from .base import bits_needed, int_to_bits
 
-__all__ = ["coloring_tdma_labels", "ColoringTdmaNode"]
+__all__ = ["coloring_tdma_labels"]
 
 
 def coloring_tdma_labels(graph: Graph) -> Tuple[Dict[int, str], int]:
@@ -39,32 +38,3 @@ def coloring_tdma_labels(graph: Graph) -> Tuple[Dict[int, str], int]:
         for v in graph.nodes()
     }
     return labels, num_colours
-
-
-def _parse_label(label: str) -> Tuple[int, int]:
-    """Recover ``(colour, C)`` from a TDMA label."""
-    half = len(label) // 2
-    return int(label[:half], 2), int(label[half:], 2) + 1
-
-
-class ColoringTdmaNode(RadioNode):
-    """Informed node of colour ``c`` transmits µ in rounds ``r ≡ c (mod C)``."""
-
-    def __init__(self, node_id: int, label: str, *, is_source: bool = False,
-                 source_payload: Any = None) -> None:
-        super().__init__(node_id, label, is_source=is_source, source_payload=source_payload)
-        self.colour, self.num_colours = _parse_label(label)
-        self.sourcemsg: Any = source_payload if is_source else None
-
-    def decide(self, local_round: int) -> Optional[Message]:
-        """Transmit µ in our colour slot once informed."""
-        if self.sourcemsg is None:
-            return None
-        if local_round % self.num_colours == self.colour % self.num_colours:
-            return source_message(self.sourcemsg)
-        return None
-
-    def on_receive(self, local_round: int, message: Message) -> None:
-        """Adopt the first µ heard."""
-        if self.sourcemsg is None and message.is_source:
-            self.sourcemsg = message.payload

@@ -28,8 +28,9 @@ appends land in the new file); nothing is lost either way.  Segments that
 are already clean are left untouched — running compaction twice is
 byte-stable.  Sidecar offset indexes are refreshed to cover compacted JSONL
 segments; columnar segments are self-indexing.  Columnar segments that fail
-validation (torn tail from a killed rewrite) are quarantined junk and are
-dropped here.
+validation (torn tail from a killed rewrite) or whose keys or rows do not
+decode are junk: counted in ``junk_dropped`` and dropped here, in either
+format.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .columnar import (
     COLUMNAR_MAGIC,
@@ -78,6 +79,28 @@ def _fsync_dir(path: Path) -> None:
 
 def _canonical_line(doc: Dict[str, Any]) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def _columnar_docs(path: Path) -> Optional[List[Dict[str, Any]]]:
+    """Every document of a columnar segment, or ``None`` when its header,
+    keys or rows fail to decode.
+
+    The store's loader quarantines a segment whose header or key column does
+    not decode; compaction decodes the rows too, and drops the segment as
+    junk when any of them fails.  The segment closes only after the decode
+    error is handled, so no column view outlives its map.
+    """
+    try:
+        segment = ColumnarSegment(path)
+    except (OSError, ColumnarError):
+        return None
+    try:
+        segment.keys_list()
+        docs: Optional[List[Dict[str, Any]]] = list(segment.iter_docs())
+    except ValueError:  # ColumnarError, or a trace that is not JSON
+        docs = None
+    segment.close()
+    return docs
 
 
 class _Winners:
@@ -128,15 +151,11 @@ class _Winners:
             self.record(key, raw, doc)
 
     def add_columnar(self, path: Path) -> bool:
-        """Fold a columnar segment in; False when it fails validation."""
-        try:
-            segment = ColumnarSegment(path)
-        except (OSError, ColumnarError):
-            return False
-        with segment:
-            for doc in segment.iter_docs():
-                self.record(doc["key"], _canonical_line(doc), doc)
-        return True
+        """Fold a columnar segment in; False when it fails to decode."""
+        docs = _columnar_docs(path)
+        for doc in docs or ():
+            self.record(doc["key"], _canonical_line(doc), doc)
+        return docs is not None
 
     def jsonl_bytes(self) -> bytes:
         return b"".join(self.lines[key] for key in self.order)
@@ -208,21 +227,19 @@ def _compact_shard(
         "segments_unconverted": 0,
     }
     if fmt == "columnar" and colseg_exists and not jsonl_exists:
-        # Nothing to merge; a valid segment is already compact (rewriting it
-        # would be byte-identical), an invalid one is quarantined junk.
-        try:
-            with ColumnarSegment(colseg_path) as segment:
-                size = segment.nbytes
-                rows = segment.rows
-        except (OSError, ColumnarError):
-            stats["bytes_before"] = colseg_path.stat().st_size
+        # Nothing to merge; a segment that decodes is already compact
+        # (rewriting it would be byte-identical), any other is junk.
+        docs = _columnar_docs(colseg_path)
+        size = colseg_path.stat().st_size
+        stats["bytes_before"] = size
+        if docs is None:
             stats["junk_dropped"] = 1
             stats["segments_removed"] = 1
             _remove(colseg_path)
             _fsync_dir(colseg_path.parent)
             return stats
-        stats["rows_kept"] = rows
-        stats["bytes_before"] = stats["bytes_after"] = size
+        stats["rows_kept"] = len(docs)
+        stats["bytes_after"] = size
         return stats
     # Everything else merges through (and is serialized by) the JSONL lock.
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.api import (
     run_grid,
     scheme_names,
 )
+from repro.core.labeling import lambda_arb_scheme
 from repro.graphs import Graph, grid_graph, path_graph
+from repro.graphs.graph import GraphError
 
 ALL_SCHEMES = [
     "lambda",
@@ -274,6 +277,30 @@ class TestRun:
                             clock={"kind": "random_offsets", "max_offset": 30, "seed": 2})
         outcome = api.run(scenario)
         assert outcome.completed
+
+
+class TestArbitrarySourceCoordinator:
+    """B_arb's nodes recognise the coordinator by its ``111`` label alone, so
+    a λ_arb labeling must name the node that carries it."""
+
+    def test_the_named_coordinator_runs_alike_on_both_engines(self):
+        graph = path_graph(6)
+        labeling = lambda_arb_scheme(graph, coordinator=3)
+        for backend in ("reference", "vectorized"):
+            out = get_scheme("lambda_arb").run(graph, 5, labeling=labeling,
+                                               backend=backend)
+            assert (out.completion_round, out.common_completion_round) == (33, 33)
+            assert out.extras["coordinator"] == 3
+
+    @pytest.mark.parametrize("coordinator", [None, 2, 9])
+    def test_a_labeling_that_misnames_its_coordinator_is_rejected(self, coordinator):
+        graph = path_graph(6)
+        labeling = replace(lambda_arb_scheme(graph, coordinator=3),
+                           coordinator=coordinator)
+        for backend in ("reference", "vectorized"):
+            with pytest.raises(GraphError, match="must name its coordinator"):
+                get_scheme("lambda_arb").run(graph, 5, labeling=labeling,
+                                             backend=backend)
 
 
 # --------------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import get_scheme
+from repro.api import get_scheme, scheme_names
 from repro.backends import (
     STOP_RULES,
     BackendError,
@@ -227,6 +227,29 @@ class TestStopRules:
                            stop_condition=lambda sim: True)
 
 
+class TestOneOutcomePath:
+    """Both engines fill ``derived`` with the same keys and values, so every
+    scheme derives its outcome from ``derived`` alone."""
+
+    @pytest.mark.parametrize("trace_level", ["none", "summary", "full"])
+    @pytest.mark.parametrize("size", [1, 2, 9, 14])
+    @pytest.mark.parametrize("family", ["path", "grid", "gnp_sparse", "geometric"])
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_reference_derives_what_the_kernels_return(self, name, family, size,
+                                                       trace_level):
+        graph, source = _instance(family, size, 7)
+        scheme = get_scheme(name)
+        info = scheme.build_labels(graph, source, **scheme.grid_options(graph, source))
+        task = scheme.build_task(
+            graph, info, source, payload="MSG",
+            max_rounds=scheme.default_budget(graph, info), trace_level=trace_level,
+            fault_model=None, clock_model=None,
+        )
+        vec = VectorizedBackend().run_task(task)
+        assert vec.backend == "vectorized"
+        assert ReferenceBackend().run_task(task).derived == vec.derived
+
+
 class TestBackendPlumbing:
     def test_resolve_backend_names_and_instances(self):
         ref = resolve_backend("reference")
@@ -261,9 +284,3 @@ class TestBackendPlumbing:
             task = SimulationTask(protocol=protocol, graph=graph,
                                   labels=labeling.labels, source=source, max_rounds=1)
             assert vec.supports(task)
-        # An unknown protocol, and a centralized task without the schedule
-        # data its kernel reads, run on the reference fallback instead.
-        for protocol in ("custom", "centralized"):
-            task = SimulationTask(protocol=protocol, graph=graph,
-                                  labels=labeling.labels, source=source, max_rounds=1)
-            assert not vec.supports(task)

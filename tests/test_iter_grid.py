@@ -14,6 +14,8 @@ an engine call.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 import repro.api.grid as grid
@@ -153,13 +155,19 @@ class TestStoreBackedGrids:
          (1, "vectorized"), (2, "vectorized"), (3, "vectorized")],
         ids=["1", "2", "3", "1-vectorized", "2-vectorized", "3-vectorized"],
     )
-    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, jobs, backend):
+    def test_abandoned_sweep_resumes_bit_identical(self, tmp_path, monkeypatch,
+                                                   jobs, backend):
         baseline = run_grid(FAULT_CFG)
         total = len(baseline)
+        # The last instance's chunks cannot finish before the close: pool
+        # workers may otherwise complete (and persist) every chunk first.
+        gate = tmp_path / "gate"
+        _gate_instance(monkeypatch, gate, family="gnp_sparse", rep=1)
         with ResultStore(tmp_path / "s") as store:
             stream = iter_grid(FAULT_CFG, backend=backend, jobs=jobs,
                                ordered=True, store=store, chunk_size=2)
             consumed = [next(stream) for _ in range(total // 3)]
+            gate.touch()  # lets the pool shut down; the rows come too late
             stream.close()  # the driver "crashes" mid-grid
             persisted = len(store)
         assert consumed == baseline[: len(consumed)]
@@ -443,6 +451,25 @@ class TestCellRetries:
         with pytest.raises(GridExecutionError):
             # No retries: the replay stays dead.
             run_grid(CFG, backend="vectorized")
+
+
+def _gate_instance(monkeypatch, marker, *, family, rep):
+    """Materializing instance ``(family, ·, rep)`` waits for the marker file.
+
+    Pool workers fork after the patch, so they inherit it, like
+    :func:`_install_suicidal_lambda`'s; the marker is the only signal that
+    crosses the process boundary.
+    """
+    import repro.analysis.sweep as sweep
+
+    original = sweep.materialize_instance
+
+    def gated(config, fam, size, r):
+        while (fam, r) == (family, rep) and not marker.exists():
+            time.sleep(0.005)
+        return original(config, fam, size, r)
+
+    monkeypatch.setattr(sweep, "materialize_instance", gated)
 
 
 # --------------------------------------------------------------------------- #

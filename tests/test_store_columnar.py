@@ -382,6 +382,29 @@ class TestCorruptSegments:
             with pytest.raises(ColumnarError, match="corrupt offsets"):
                 store.rows().column("family")
 
+    @pytest.mark.parametrize("fmt", ["columnar", "jsonl"])
+    @pytest.mark.parametrize("column, word, value", [("key", 0, 7), ("family", 1, -3)])
+    def test_compaction_drops_a_segment_that_does_not_decode(
+        self, tmp_path, fmt, column, word, value
+    ):
+        # A bad first key offset fails the loader's key decode; a negative
+        # family offset fails only the row decode.  Either way compaction
+        # removes the segment as junk instead of keeping it (to be
+        # quarantined again on every open) or raising.
+        root = _columnar_shard(tmp_path / "s")
+        victim = root / "segments" / "aa.colseg"
+        raw, header = _header(victim)
+        struct.pack_into("<q", raw, _column(header, column)["offsets"][0] + 8 * word, value)
+        victim.write_bytes(bytes(raw))
+        stats = compact_store(root, format=fmt)
+        assert stats["junk_dropped"] == 1
+        assert stats["rows_kept"] == 1
+        assert not victim.exists()
+        with ResultStore(root) as store:
+            assert store.describe()["quarantined_segments"] == 0
+            assert store.keys() == [_key(0, "bb")]
+            assert store.get(_key(0, "bb")) == _row(9)
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
@@ -389,7 +412,8 @@ class TestCorruptSegments:
     def test_mutated_segments_load_or_quarantine(self, colseg_template, data):
         # Checksums are out of scope: a flipped number may read back wrong,
         # but nothing may escape except StoreError or ColumnarError, and the
-        # store always opens.
+        # store always opens.  Compaction in either format raises nothing
+        # and leaves no segment to quarantine.
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(shutil.copytree(colseg_template, Path(tmp) / "s"))
             victim = root / "segments" / "aa.colseg"
@@ -411,6 +435,12 @@ class TestCorruptSegments:
                         store.get(key)
                     except StoreError:
                         pass
+            for fmt in ("columnar", "jsonl"):
+                compacted = Path(shutil.copytree(root, Path(tmp) / fmt))
+                compact_store(compacted, format=fmt)
+                with ResultStore(compacted) as store:
+                    assert store.describe()["quarantined_segments"] == 0
+                    assert store.get(_key(0, "bb")) == _row(9)
 
 
 # --------------------------------------------------------------------------- #

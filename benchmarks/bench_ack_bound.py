@@ -3,7 +3,8 @@
 λ_ack + B_ack must inform every node by round 2n−3 and deliver an ack to the
 source inside the Corollary 3.8 window [2ℓ−2, 3ℓ−4].  The path instance is
 reported separately because it realises the latest possible ack (t + n − 1,
-one round later than the literal Theorem 3.9 statement — see EXPERIMENTS.md).
+one round later than the literal Theorem 3.9 statement — see "Deviations from
+the paper" in the README).
 """
 
 from __future__ import annotations

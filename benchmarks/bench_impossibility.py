@@ -38,12 +38,18 @@ def _study():
     return rows
 
 
+#: E7 as (uniform labels fail, min width found, rounds @ min width) on C4, C6, C8.
+EXPECTED_E7 = [(True, 1, 3), (True, 1, 7), (True, 1, 11)]
+
+
 def bench_four_cycle_impossibility(benchmark):
     """Uniform labels always fail on even cycles; λ always succeeds."""
     rows = benchmark.pedantic(_study, rounds=1, iterations=1)
+    assert [
+        (row["uniform labels fail"], row["min width found"], row["rounds @ min width"])
+        for row in rows
+    ] == EXPECTED_E7
     for row in rows:
-        assert row["uniform labels fail"] is True
-        assert row["min width found"] is not None and row["min width found"] >= 1
         assert row["rounds with λ (2 bits)"] <= row["bound 2n-3"]
     report("E7 / §1.1 impossibility — unlabeled broadcast fails, short labels fix it",
            format_table(rows))

@@ -6,8 +6,9 @@ prints the corresponding table via :func:`report` so running::
 
     pytest benchmarks/ --benchmark-only -s
 
-produces the rows recorded in EXPERIMENTS.md alongside pytest-benchmark's
-timing statistics.
+prints every table alongside pytest-benchmark's timing statistics.
+"Deviations from the paper" in the README says where a table checks a claim
+other than literally.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .core import (
     lambda_scheme,
     verify_broadcast_outcome,
 )
-from .radio import ExecutionTrace, Message, RadioSimulator, run_protocol
+from .radio import ExecutionTrace, Message, RadioSimulator
 from . import api
 
 __version__ = "1.0.0"
@@ -78,7 +78,6 @@ __all__ = [
     "random_geometric_graph",
     "random_gnp_graph",
     "random_tree",
-    "run_protocol",
     "star_graph",
     "verify_broadcast_outcome",
 ]

@@ -7,7 +7,7 @@ schema, so :func:`metrics_from_run` is the only flattener.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from dataclasses import fields as _dataclass_fields
 from typing import Any, Dict, Optional, Sequence
 
@@ -78,8 +78,10 @@ class RunMetrics:
         return self.status == "ok"
 
     def as_dict(self) -> Dict[str, Any]:
-        """Plain-dict view for the report renderer."""
-        return asdict(self)
+        """Plain-dict view for the report renderer and the store, in field
+        order.  Every field is a scalar, so this is ``dataclasses.asdict``
+        without its recursive copy."""
+        return {name: getattr(self, name) for name in METRIC_FIELDS}
 
     @property
     def within_bound(self) -> Optional[bool]:

@@ -3,7 +3,8 @@
 The benchmark harness prints the same kind of rows/series the paper's claims
 describe (completion round vs. bound, label length vs. baseline label length,
 who wins and by what factor), formatted as aligned monospace tables so they
-read well in CI logs and in EXPERIMENTS.md.
+read well in CI logs; "Deviations from the paper" in the README says where a
+table checks a claim other than literally.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..graphs.graph import Graph
+from ..graphs.graph import Graph, GraphError
 from ..radio.clock import ClockModel
 from ..radio.collision import CollisionModel
 from ..radio.engine import SimulationResult
@@ -82,7 +82,10 @@ class SimulationTask:
         reference engine.
     graph / labels / source / payload:
         The workload: topology, labeling, designated source (the node holding
-        µ) and the payload µ itself.
+        µ) and the payload µ itself.  A task whose source is not a node,
+        whose labeling misses a node, or whose source has no payload raises
+        the reference engine's error (:class:`~repro.graphs.graph.GraphError`
+        or :class:`ValueError`) at construction, whatever engine runs it.
     max_rounds:
         Hard round budget.
     stop_rule:
@@ -120,6 +123,17 @@ class SimulationTask:
             raise ValueError(f"unknown stop rule {self.stop_rule!r}; known: {STOP_RULES}")
         if self.max_rounds < 0:
             raise ValueError(f"max_rounds must be non-negative, got {self.max_rounds}")
+        # The reference engine's own input checks, in its order, so that
+        # every engine rejects the same tasks with the same errors.
+        if self.source is not None and self.source not in self.graph:
+            raise GraphError(f"source {self.source} is not a node of {self.graph!r}")
+        if not all(map(self.labels.__contains__, self.graph.nodes())):
+            missing = [v for v in self.graph.nodes() if v not in self.labels]
+            raise ValueError(
+                f"labels missing for nodes {missing[:5]}{'...' if len(missing) > 5 else ''}"
+            )
+        if self.source is not None and self.payload is None:
+            raise ValueError("the source node must be given a source payload")
 
 
 @dataclass

@@ -39,8 +39,8 @@ _NODE_CLASSES: Dict[str, Type[RadioNode]] = {
 }
 
 _STOP_PREDICATES: Dict[str, Callable[[RadioSimulator], bool]] = {
-    "all_informed": RadioSimulator.all_informed,
-    "acknowledged": RadioSimulator.source_acknowledged,
+    "all_informed": lambda sim: len(sim.trace.informed_nodes()) == sim.graph.n,
+    "acknowledged": lambda sim: sim.trace.first_ack_at(sim.source) is not None,
     "arb_complete": lambda sim: all(
         getattr(node, "knows_completion", False) for node in sim.nodes),
     "all_decoded": lambda sim: all(

@@ -32,14 +32,10 @@ from .protocols import (
     BroadcastNode,
     COORDINATOR_LABEL,
     UniversalNode,
-    make_acknowledged_node,
-    make_arbitrary_node,
-    make_broadcast_node,
 )
 from .sequences import SequenceConstruction, Stage, build_sequences
 from .special import (
     LabelSearchResult,
-    TreeFloodNode,
     broadcast_succeeds_with_labels,
     run_tree_flood,
     search_minimum_labels,
@@ -67,7 +63,6 @@ __all__ = [
     "Outcome",
     "SequenceConstruction",
     "Stage",
-    "TreeFloodNode",
     "UniversalNode",
     "broadcast_succeeds_with_labels",
     "build_sequences",
@@ -85,9 +80,6 @@ __all__ = [
     "lambda_ack_scheme",
     "lambda_arb_scheme",
     "lambda_scheme",
-    "make_acknowledged_node",
-    "make_arbitrary_node",
-    "make_broadcast_node",
     "minimal_dominating_subset",
     "prune_to_minimal",
     "run_tree_flood",

@@ -1,9 +1,9 @@
 """Universal deterministic protocols: Algorithm B, B_ack and B_arb."""
 
-from .acknowledged import AcknowledgedBroadcastNode, make_acknowledged_node
-from .arbitrary import ArbitrarySourceNode, COORDINATOR_LABEL, make_arbitrary_node
+from .acknowledged import AcknowledgedBroadcastNode
+from .arbitrary import ArbitrarySourceNode, COORDINATOR_LABEL
 from .base import UniversalNode
-from .broadcast import BroadcastNode, make_broadcast_node
+from .broadcast import BroadcastNode
 
 __all__ = [
     "AcknowledgedBroadcastNode",
@@ -11,7 +11,4 @@ __all__ = [
     "BroadcastNode",
     "COORDINATOR_LABEL",
     "UniversalNode",
-    "make_acknowledged_node",
-    "make_arbitrary_node",
-    "make_broadcast_node",
 ]

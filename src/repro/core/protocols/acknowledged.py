@@ -29,7 +29,7 @@ from typing import Any, Optional, Set
 from ...radio.messages import Message, ack_message, source_message, stay_message
 from .base import UniversalNode
 
-__all__ = ["AcknowledgedBroadcastNode", "make_acknowledged_node"]
+__all__ = ["AcknowledgedBroadcastNode"]
 
 
 class AcknowledgedBroadcastNode(UniversalNode):
@@ -122,11 +122,3 @@ class AcknowledgedBroadcastNode(UniversalNode):
     def has_acknowledged(self) -> bool:
         """True at the source once an ack has been heard."""
         return self.acknowledged_local_round is not None
-
-
-def make_acknowledged_node(node_id: int, label: str, is_source: bool,
-                           source_payload: Any) -> AcknowledgedBroadcastNode:
-    """Node factory for :class:`~repro.radio.engine.RadioSimulator` runs of B_ack."""
-    return AcknowledgedBroadcastNode(
-        node_id, label, is_source=is_source, source_payload=source_payload
-    )

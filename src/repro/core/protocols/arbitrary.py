@@ -21,8 +21,8 @@ the source.  The universal algorithm then runs three phases, all rooted at
    exactly ``t_v`` rounds into the phase and then waits ``T − t_v`` rounds, so
    all nodes learn that broadcast is complete in a *common* round.
 
-Two corner cases the paper leaves implicit are handled explicitly (and
-documented in DESIGN.md):
+Two corner cases the paper leaves implicit are handled explicitly (see
+"Deviations from the paper" in the README):
 
 * **Ack-chain run-off.**  The coordinator may overhear an intermediate ack of
   a still-running chain (a relayer that happens to be its neighbour).  If it
@@ -56,7 +56,7 @@ from ...radio.messages import (
 )
 from .base import UniversalNode
 
-__all__ = ["ArbitrarySourceNode", "make_arbitrary_node", "COORDINATOR_LABEL"]
+__all__ = ["ArbitrarySourceNode", "COORDINATOR_LABEL"]
 
 #: The reserved coordinator label (never produced by λ_ack — Fact 3.1).
 COORDINATOR_LABEL = "111"
@@ -250,9 +250,3 @@ class ArbitrarySourceNode(UniversalNode):
     def knows_completion(self) -> bool:
         """True once the node knows (in a common round) that broadcast finished."""
         return self.completion_known_local_round is not None
-
-
-def make_arbitrary_node(node_id: int, label: str, is_source: bool,
-                        source_payload: Any) -> ArbitrarySourceNode:
-    """Node factory for :class:`~repro.radio.engine.RadioSimulator` runs of B_arb."""
-    return ArbitrarySourceNode(node_id, label, is_source=is_source, source_payload=source_payload)

@@ -22,12 +22,12 @@ against that characterisation.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ...radio.messages import Message, source_message, stay_message
 from .base import UniversalNode
 
-__all__ = ["BroadcastNode", "make_broadcast_node"]
+__all__ = ["BroadcastNode"]
 
 
 class BroadcastNode(UniversalNode):
@@ -68,9 +68,3 @@ class BroadcastNode(UniversalNode):
         """Lines 5-7: adopt the first non-"stay" message heard as µ."""
         if not self.knows_source_message and not message.is_stay:
             self.record_source_receipt(local_round, message)
-
-
-def make_broadcast_node(node_id: int, label: str, is_source: bool,
-                        source_payload: Any) -> BroadcastNode:
-    """Node factory for :class:`~repro.radio.engine.RadioSimulator` runs of B."""
-    return BroadcastNode(node_id, label, is_source=is_source, source_payload=source_payload)

@@ -137,8 +137,8 @@ def check_theorem_3_9(graph: Graph, outcome: Outcome) -> List[str]:
         # Theorem 3.9 states the window {t+1, …, t+n−2}, but its own
         # Corollary 3.8 permits 3ℓ−4 = t + ℓ − 1, which on a path (ℓ = n)
         # equals t + n − 1; the path instance indeed realises t + n − 1, so we
-        # check the Corollary-consistent window t + n − 1 here and record the
-        # one-round discrepancy in EXPERIMENTS.md.
+        # check the Corollary-consistent window t + n − 1 here (see
+        # "Deviations from the paper" in the README).
         if not (t + 1 <= ack <= t + max(1, n - 1)):
             violations.append(
                 f"Theorem 3.9 violated: ack round {ack} not in "

@@ -2,12 +2,16 @@
 
 Public surface::
 
-    from repro.radio import RadioSimulator, run_protocol, Message, RadioNode
+    from repro.radio import RadioSimulator, Message, RadioNode
+
+Library code runs protocols as :class:`~repro.backends.base.SimulationTask`
+data on a backend; building a :class:`RadioSimulator` directly is for
+engine-level experiments with custom :class:`RadioNode` classes.
 """
 
 from .clock import ClockModel, OffsetClocks, SynchronizedClocks, random_offsets
 from .collision import CollisionModel, NoCollisionDetection, WithCollisionDetection
-from .engine import NodeFactory, RadioSimulator, SimulationResult, run_protocol
+from .engine import NodeFactory, RadioSimulator, SimulationResult
 from .faults import (
     CompositeFaults,
     CrashFaults,
@@ -76,7 +80,6 @@ __all__ = [
     "message_size_bits",
     "random_offsets",
     "ready_message",
-    "run_protocol",
     "source_message",
     "stay_message",
 ]

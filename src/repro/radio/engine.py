@@ -13,7 +13,10 @@ This is the faithful implementation of the communication model of §1.1:
 The engine is deliberately free of protocol knowledge: protocols are supplied
 as a factory that builds one :class:`~repro.radio.node.RadioNode` per node from
 its label.  The engine therefore *cannot* leak topology information to the
-nodes, which is what makes the universality claims testable.
+nodes, which is what makes the universality claims testable.  Library code
+runs it through :class:`~repro.backends.reference.ReferenceBackend`, which
+maps a :class:`~repro.backends.base.SimulationTask`'s protocol to a node
+class and its stop rule to a predicate over the simulator.
 
 Performance note (per the hpc-parallel guidance: profile, then optimise): the
 hot loop is the per-round neighbour sweep.  For the graph sizes the paper's
@@ -37,7 +40,7 @@ from .messages import Message
 from .node import RadioNode
 from .trace import ExecutionTrace, RoundRecord
 
-__all__ = ["NodeFactory", "RadioSimulator", "SimulationResult", "run_protocol"]
+__all__ = ["NodeFactory", "RadioSimulator", "SimulationResult"]
 
 #: Callable that builds the per-node protocol object.  It receives
 #: ``(node_id, label, is_source, source_payload)`` and must return a
@@ -243,52 +246,3 @@ class RadioSimulator:
         return SimulationResult(
             trace=self.trace, nodes=self.nodes, stop_round=stop_round, stop_reason=stop_reason
         )
-
-    # ------------------------------------------------------------------ #
-    # common stop conditions
-    # ------------------------------------------------------------------ #
-    def all_informed(self) -> bool:
-        """True if every non-source node has heard the source message."""
-        informed = self.trace.informed_nodes()
-        return len(informed) == self.graph.n
-
-    def source_acknowledged(self) -> bool:
-        """True if the source has heard an ack message."""
-        if self.source is None:
-            return False
-        return self.trace.first_ack_at(self.source) is not None
-
-
-def run_protocol(
-    graph: Graph,
-    labels: Mapping[int, str],
-    node_factory: NodeFactory,
-    *,
-    source: Optional[int],
-    source_payload: Any = "MSG",
-    max_rounds: Optional[int] = None,
-    stop_condition: Optional[Callable[[RadioSimulator], bool]] = None,
-    collision_model: Optional[CollisionModel] = None,
-    fault_model: Optional[FaultModel] = None,
-    clock_model: Optional[ClockModel] = None,
-    trace_level: str = "full",
-) -> SimulationResult:
-    """Convenience wrapper: build a :class:`RadioSimulator` and run it.
-
-    ``max_rounds`` defaults to ``4 * n + 10``, a generous envelope above every
-    bound proven in the paper (2n−3 for broadcast, 3ℓ−4 ≤ 3n−4 for the ack).
-    """
-    if max_rounds is None:
-        max_rounds = 4 * graph.n + 10
-    sim = RadioSimulator(
-        graph,
-        labels,
-        node_factory,
-        source=source,
-        source_payload=source_payload,
-        collision_model=collision_model,
-        fault_model=fault_model,
-        clock_model=clock_model,
-        trace_level=trace_level,
-    )
-    return sim.run(max_rounds, stop_condition)

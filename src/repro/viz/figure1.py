@@ -16,7 +16,7 @@ and :func:`figure1_report` renders the λ labels and the exact per-node
 transmit/receive schedules in the same annotation style.  The accompanying
 benchmark (E1) asserts that the rendered schedule matches the Lemma 2.8
 characterisation, which is precisely the property Figure 1 illustrates.  The
-substitution is documented in DESIGN.md and EXPERIMENTS.md.
+substitution is listed under "Deviations from the paper" in the README.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
     PaperBounds,
+    RunMetrics,
     ack_round_window,
     aggregate,
     broadcast_round_bound,
@@ -23,7 +26,7 @@ from repro.analysis import (
     scheme_length_bound,
 )
 from repro.api import GridConfig, grid_cell_specs, run_grid
-from repro.api import get_scheme
+from repro.api import get_scheme, scheme_names
 from repro.graphs import grid_graph, path_graph
 
 
@@ -77,6 +80,29 @@ class TestMetrics:
         assert m.label_bits == 2
         assert m.within_bound is True
         assert m.as_dict()["family"] == "grid"
+
+    def test_as_dict_is_dataclasses_asdict(self):
+        g = path_graph(6)
+        rows = []
+        for name in scheme_names():
+            scheme = get_scheme(name)
+            outcome = scheme.run(g, 0, **scheme.grid_options(g, 0))
+            rows.append(metrics_from_run(g, outcome, family="path", source=0))
+        stalled = get_scheme("lambda").run(g, 0, max_rounds=2)
+        rows.append(metrics_from_run(g, stalled, family="path", source=0))
+        rows.append(RunMetrics(
+            scheme="lambda", family="path", n=6, source_eccentricity=0, label_bits=0,
+            distinct_labels=0, completion_round=None, bound=None,
+            acknowledgement_round=None, transmissions=0, collisions=0,
+            total_message_bits=0, status="error:ValueError",
+        ))
+        assert rows[-2].completion_round is None
+        assert any(row.bound is None for row in rows)
+        assert any(row.acknowledgement_round is None for row in rows[:-2])
+        for row in rows:
+            flat = row.as_dict()
+            assert flat == dataclasses.asdict(row)
+            assert list(flat) == list(dataclasses.asdict(row))
 
     def test_metrics_from_ack_outcome_has_ack_round(self):
         g = path_graph(6)

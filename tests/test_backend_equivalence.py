@@ -11,6 +11,8 @@ of every round, stamps and payloads included).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import get_scheme, scheme_names
@@ -23,7 +25,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.labeling import lambda_ack_scheme, lambda_arb_scheme, lambda_scheme
-from repro.graphs import generate_family
+from repro.graphs import GraphError, generate_family
 
 # The equivalence grid: families × sizes, with per-(family, size) seeds.
 FAMILIES = ["path", "cycle", "star", "grid", "gnp_sparse", "geometric"]
@@ -248,6 +250,43 @@ class TestOneOutcomePath:
         vec = VectorizedBackend().run_task(task)
         assert vec.backend == "vectorized"
         assert ReferenceBackend().run_task(task).derived == vec.derived
+
+
+class TestTaskInputChecks:
+    """Both engines reject the same malformed tasks with the reference
+    engine's own errors: a source that is not a node, labels missing a
+    node, a source without a payload."""
+
+    @staticmethod
+    def _bad_input(task, case):
+        """The task changes for ``case``, with the expected error and message."""
+        graph = task.graph
+        if case == "source":
+            bad = graph.n + 3
+            return {"source": bad}, GraphError, f"source {bad} is not a node of {graph!r}"
+        if case == "labels":
+            dropped = (task.source + 1) % graph.n
+            labels = {v: lab for v, lab in task.labels.items() if v != dropped}
+            return {"labels": labels}, ValueError, f"labels missing for nodes [{dropped}]"
+        return {"payload": None}, ValueError, "the source node must be given a source payload"
+
+    @pytest.mark.parametrize("case", ["source", "labels", "payload"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_engines_raise_the_same_error(self, name, engine, case):
+        graph, source = _instance("path", 5, 1)
+        scheme = get_scheme(name)
+        info = scheme.build_labels(graph, source, **scheme.grid_options(graph, source))
+        task = scheme.build_task(
+            graph, info, source, payload="MSG",
+            max_rounds=scheme.default_budget(graph, info), trace_level="summary",
+            fault_model=None, clock_model=None,
+        )
+        changes, error, message = self._bad_input(task, case)
+        with pytest.raises(error) as caught:
+            resolve_backend(engine).run_task(dataclasses.replace(task, **changes))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 class TestBackendPlumbing:

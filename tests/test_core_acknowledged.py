@@ -122,7 +122,7 @@ class TestTheorem39:
     def test_path_realises_late_ack(self):
         # On the path from an endpoint the ack arrives at round 3ℓ-4 = 3n-4,
         # i.e. completion + n - 1 (one more than the literal Theorem 3.9 text;
-        # see EXPERIMENTS.md).
+        # see "Deviations from the paper" in the README).
         n = 9
         outcome = get_scheme("lambda_ack").run(path_graph(n), 0)
         assert outcome.completion_round == 2 * n - 3

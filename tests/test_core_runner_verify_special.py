@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Any, Optional
+
 import pytest
 
 from repro.api import get_scheme
+from repro.backends import ReferenceBackend, SimulationTask, resolve_backend
 from repro.core import (
+    LabelSearchResult,
     broadcast_succeeds_with_labels,
     check_corollary_2_7,
     check_fact_3_1,
@@ -17,17 +22,29 @@ from repro.core import (
     search_minimum_labels,
     verify_broadcast_outcome,
 )
+from repro.core import special
 from repro.core.labeling import Labeling
 from repro.graphs import (
     GraphError,
     cycle_graph,
+    generate_family,
     grid_graph,
     path_graph,
+    random_series_parallel_graph,
     random_tree,
     spider_graph,
     star_graph,
+    two_level_star,
+    wheel_graph,
 )
-from repro.radio import OffsetClocks, TransmissionDropFaults
+from repro.radio import (
+    Message,
+    OffsetClocks,
+    RadioNode,
+    RadioSimulator,
+    TransmissionDropFaults,
+    source_message,
+)
 
 
 class TestRunnerApi:
@@ -113,7 +130,61 @@ class TestVerifyModule:
         assert verify_broadcast_outcome(g, outcome)
 
 
+class EchoFloodNode(RadioNode):
+    """The label-free echo flood as its own node class: retransmit µ exactly
+    two rounds after first hearing it.  The oracle for :func:`run_tree_flood`."""
+
+    def __init__(self, node_id: int, label: str, *, is_source: bool = False,
+                 source_payload: Any = None) -> None:
+        super().__init__(node_id, label, is_source=is_source, source_payload=source_payload)
+        self.sourcemsg: Any = source_payload if is_source else None
+        self.informed_local_round: Optional[int] = None
+
+    def decide(self, local_round: int) -> Optional[Message]:
+        if not self.ever_communicated and self.sourcemsg is not None:
+            return source_message(self.sourcemsg)
+        if self.informed_local_round is not None and local_round == self.informed_local_round + 2:
+            return source_message(self.sourcemsg)
+        return None
+
+    def on_receive(self, local_round: int, message: Message) -> None:
+        if self.sourcemsg is None and message.is_source:
+            self.sourcemsg = message.payload
+            self.informed_local_round = local_round
+
+
+def _echo_flood(tree, source):
+    def factory(node_id, label, is_source, source_payload):
+        return EchoFloodNode(node_id, label, is_source=is_source, source_payload=source_payload)
+
+    sim = RadioSimulator(tree, {v: "0" for v in tree.nodes()}, factory,
+                         source=source, source_payload="MSG")
+    return sim.run(2 * tree.n + 4, lambda s: len(s.trace.informed_nodes()) == tree.n)
+
+
+def _flood_cases(group):
+    if group == "named":
+        trees = [star_graph(64), path_graph(9), spider_graph(3, 4)]
+    else:
+        trees = [random_tree(group, seed=seed) for seed in range(6)]
+    return [(tree, source) for tree in trees
+            for source in sorted({0, tree.n // 2, tree.n - 1})]
+
+
 class TestTreeFlood:
+    @pytest.mark.parametrize("group", [1, 2, 3, 5, 8, 17, 40, 127, "named"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_tree_flood_is_the_echo_flood(self, engine, group, monkeypatch):
+        backend = resolve_backend(engine)
+        monkeypatch.setattr(special, "resolve_backend", lambda spec=None: backend)
+        for tree, source in _flood_cases(group):
+            flood = run_tree_flood(tree, source)
+            oracle = _echo_flood(tree, source)
+            assert flood.trace.to_json() == oracle.trace.to_json()
+            assert (flood.stop_round, flood.stop_reason) == (
+                oracle.stop_round, oracle.stop_reason)
+            assert flood.completed
+
     def test_trees_complete_without_labels(self):
         for tree, src in [(random_tree(20, seed=1), 0), (path_graph(9), 4),
                           (star_graph(8), 0), (spider_graph(3, 4), 0)]:
@@ -129,6 +200,66 @@ class TestTreeFlood:
     def test_rejects_non_trees(self):
         with pytest.raises(GraphError):
             run_tree_flood(cycle_graph(5), 0)
+
+
+def _sequential_search(graph, source, *, max_bits=2, attempt_budget=200_000):
+    """The search one assignment at a time on the reference engine (the oracle
+    for the stacked search)."""
+    engine = ReferenceBackend()
+    attempts = 0
+    others = [v for v in graph.nodes() if v != source]
+    for width in range(max_bits + 1):
+        alphabet = ["0"] if width == 0 else [
+            "".join(bits) for bits in itertools.product("01", repeat=width)]
+        for combo in itertools.product(alphabet, repeat=len(others)):
+            attempts += 1
+            if attempts > attempt_budget:
+                return LabelSearchResult(None, None, None, attempts - 1)
+            labels = {source: alphabet[0]}
+            labels.update(dict(zip(others, combo)))
+            task = SimulationTask(
+                protocol="broadcast", graph=graph, labels=labels, source=source,
+                max_rounds=4 * graph.n + 8, stop_rule="all_informed",
+                trace_level="summary",
+            )
+            completion = engine.run_task(task).trace.broadcast_completion_round()
+            if completion is not None:
+                return LabelSearchResult(width, labels, completion, attempts)
+    return LabelSearchResult(None, None, None, attempts)
+
+
+#: The stacked search's differential graphs: C3-C10, the small grids, the E9
+#: instances and random 9-node graphs.
+SEARCH_GRAPHS = (
+    [(f"C{n}", cycle_graph(n)) for n in range(3, 11)]
+    + [(f"grid {r}x{c}", grid_graph(r, c))
+       for r, c in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]]
+    + [("series-parallel n=7", random_series_parallel_graph(7, seed=2)),
+       ("series-parallel n=9", random_series_parallel_graph(9, seed=4)),
+       ("wheel W8", wheel_graph(8)),
+       ("two-level star", two_level_star(3, 2))]
+    + [(f"{family} n=9 s{seed}", generate_family(family, 9, seed))
+       for family in ("gnp_sparse", "geometric", "gnp_dense") for seed in range(4)]
+)
+
+
+class TestStackedSearch:
+    @pytest.mark.parametrize("name, graph", SEARCH_GRAPHS,
+                             ids=[name for name, _ in SEARCH_GRAPHS])
+    def test_matches_the_sequential_search(self, name, graph):
+        assert search_minimum_labels(graph, 0) == _sequential_search(graph, 0)
+
+    def test_matches_at_every_small_attempt_budget(self):
+        g = cycle_graph(8)
+        for budget in range(41):
+            assert search_minimum_labels(g, 0, attempt_budget=budget) == \
+                _sequential_search(g, 0, attempt_budget=budget), budget
+
+    @pytest.mark.parametrize("max_bits", [0, 1, 2])
+    def test_matches_at_every_width_cap(self, max_bits):
+        for g in (cycle_graph(8), grid_graph(3, 3), wheel_graph(8)):
+            assert search_minimum_labels(g, 0, max_bits=max_bits) == \
+                _sequential_search(g, 0, max_bits=max_bits)
 
 
 class TestLabelSearch:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import get_scheme
+from repro.backends import BACKEND_NAMES, SimulationTask, resolve_backend
 from repro.core import (
     broadcast_succeeds_with_labels,
     lambda_ack_scheme,
@@ -77,13 +78,12 @@ class TestImpossibilityExample:
             labels = {v: label for v in four_cycle.nodes()}
             assert broadcast_succeeds_with_labels(four_cycle, 0, labels) is None
 
-    def test_antipodal_node_only_hears_collisions(self, four_cycle):
-        labels = {v: "10" for v in four_cycle.nodes()}
-        from repro.core.protocols.broadcast import make_broadcast_node
-        from repro.radio import run_protocol
-
-        result = run_protocol(four_cycle, labels, make_broadcast_node, source=0,
-                              source_payload="x", max_rounds=12)
+    @pytest.mark.parametrize("engine", BACKEND_NAMES)
+    def test_antipodal_node_only_hears_collisions(self, four_cycle, engine):
+        task = SimulationTask(protocol="broadcast", graph=four_cycle,
+                              labels={v: "10" for v in four_cycle.nodes()},
+                              source=0, payload="x", max_rounds=12)
+        result = resolve_backend(engine).run_task(task)
         # node 2 is antipodal to the source on C4: it must never receive anything
         assert result.trace.receive_rounds(2) == []
         assert result.trace.collision_rounds(2) != []

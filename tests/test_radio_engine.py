@@ -14,7 +14,6 @@ from repro.radio import (
     RadioSimulator,
     SilentNode,
     WithCollisionDetection,
-    run_protocol,
     source_message,
 )
 
@@ -193,17 +192,6 @@ class TestEngineMechanics:
         sim = RadioSimulator(g, _uniform_labels(g), _factory(SilentNode), source=None)
         with pytest.raises(ValueError):
             sim.run(max_rounds=-1)
-
-    def test_run_protocol_wrapper_defaults(self):
-        g = star_graph(6)
-
-        def make(node_id, label, is_source, source_payload):
-            return TransmitOnceNode(node_id, label, is_source=is_source,
-                                    source_payload=source_payload,
-                                    when=1 if is_source else 999)
-
-        result = run_protocol(g, _uniform_labels(g), make, source=0, source_payload="x")
-        assert result.trace.num_rounds <= 4 * g.n + 10
 
     def test_determinism_same_inputs_same_trace(self):
         g = path_graph(6)

@@ -12,7 +12,6 @@ from repro.radio import (
     ExecutionTrace,
     RoundRecord,
     TraceLevelError,
-    run_protocol,
 )
 from repro.radio.messages import source_message
 
@@ -107,17 +106,3 @@ class TestSummaryLevelOutcomes:
             assert message_bits_total(outcome.trace) == message_bits_total(
                 get_scheme("lambda_ack").run(path_graph(9), 0, trace_level="full").trace
             )
-
-    def test_run_protocol_threads_trace_level(self):
-        from repro.core.protocols.broadcast import make_broadcast_node
-        from repro.core.labeling import lambda_scheme
-
-        graph = path_graph(6)
-        lab = lambda_scheme(graph, 0)
-        sim = run_protocol(
-            graph, lab.labels, make_broadcast_node, source=0,
-            max_rounds=2 * graph.n, trace_level="summary",
-        )
-        assert sim.trace.level == "summary"
-        assert not sim.trace.has_full_records
-        assert sim.trace.total_transmissions() > 0

@@ -527,9 +527,10 @@ def bench_labeling_rows(request):
 #: all stay far below the channel's sparse cut-off; the G²-colouring TDMA
 #: to completion on the 100,489-node grid, whose later rounds reach most of
 #: the grid and so sit on the dense side of it; and the round-robin
-#: baseline's fixed 600-round budget on the 504,100-node grid, where every
-#: round's decide is a mask over all nodes.  The 10⁶ grid is the cell
-#: ``--quick`` skips.
+#: baseline's fixed 600-round budget on the 504,100-node grid, where only
+#: the source is informed and its slot never comes, so the kernel runs round
+#: 1, jumps to the budget and spends its time reading the labels.  The 10⁶
+#: grid is the cell ``--quick`` skips.
 LARGE_CELLS = [("lambda", "grid", 317 * 317, "default"),
                ("lambda", "grid", 710 * 710, "default"),
                ("lambda", "path", 20_000, "default"),
@@ -572,8 +573,18 @@ with mock.patch.object(batched, "_SPARSE_MIN_NODES", 1 << 62):
 with mock.patch.multiple(batched, _SPARSE_MIN_NODES=0, _SPARSE_FACTOR=0):
     sparse_s, sparse = best_of_two()
 switched_s, switched = best_of_two()
+executed = 0
+resolve = batched._Channel.resolve
+
+def counting(self, tx_ids):
+    global executed
+    executed += 1
+    return resolve(self, tx_ids)
+
+with mock.patch.object(batched._Channel, "resolve", counting):
+    engine.run_task(task)
 print(json.dumps({
-    "n": graph.n, "rounds": switched[2],
+    "n": graph.n, "rounds": switched[2], "executed_rounds": executed,
     "dense_s": dense_s, "sparse_s": sparse_s, "switched_s": switched_s,
     "traces_equal": dense == sparse == switched,
 }))
@@ -584,12 +595,15 @@ def bench_large_rows(request):
     """One large instance per cell, channel forced dense, forced sparse, switched.
 
     Emits the ``large_rows`` section of BENCH_scaling.json: engine seconds
-    and rounds per cell with the sparse branch forced off, forced on, and
-    with the per-round choice, one interpreter per cell.  Asserts equal
-    traces, derived values and stop rounds in every cell; that switching
-    beats forced-dense for real λ on every grid of at least 10⁵ nodes; and
-    that it beats forced-sparse on the TDMA grid, whose late rounds reach
-    most nodes.  With ``--quick`` the n = 10⁶ grid is skipped.
+    per cell with the sparse branch forced off, forced on, and with the
+    per-round choice, one interpreter per cell, plus the rounds simulated
+    and the rounds the kernel executed (channel resolutions; the rest are
+    silent rounds it jumped over).  Asserts equal traces, derived values and
+    stop rounds in every cell; that switching beats forced-dense for real λ
+    on every grid of at least 10⁵ nodes; that it beats forced-sparse on the
+    TDMA grid, whose late rounds reach most nodes; and that the round-robin
+    cell, whose 600 rounds all wait for the source's slot, executes at most
+    2 of them.  With ``--quick`` the n = 10⁶ grid is skipped.
     """
     import os
     import subprocess
@@ -613,11 +627,14 @@ def bench_large_rows(request):
             assert cell["switched_s"] < cell["dense_s"], cell
         if scheme == "coloring_tdma":
             assert cell["switched_s"] < cell["sparse_s"], cell
+        if scheme == "round_robin":
+            assert cell["executed_rounds"] <= 2, cell
         rows.append({
             "scheme": scheme,
             "family": family,
             "n": cell["n"],
             "rounds": cell["rounds"],
+            "executed_rounds": cell["executed_rounds"],
             "dense_s": round(cell["dense_s"], 3),
             "sparse_s": round(cell["sparse_s"], 3),
             "switched_s": round(cell["switched_s"], 3),
@@ -627,6 +644,101 @@ def bench_large_rows(request):
     _merge_bench_json("large_rows", rows)
     report(
         "E10f — one large instance, channel forced dense / forced sparse / switched",
+        format_table(rows) + f"\nwritten to {BENCH_JSON}",
+    )
+
+
+#: The cold grids of the repository benchmark's ``paper_cold`` and
+#: ``small_sweep`` workloads (``perfbench/workloads.py``) at its default seed.
+KERNEL_ROUNDS_GRIDS = {
+    "paper_cold": dict(families=["gnp_sparse", "geometric"], sizes=[128, 256],
+                       seeds_per_size=8, schemes=["lambda", "lambda_ack", "lambda_arb"]),
+    "small_sweep": dict(families=["path", "gnp_sparse", "geometric", "grid"],
+                        sizes=[32, 64], seeds_per_size=32,
+                        schemes=["lambda", "lambda_ack", "round_robin"]),
+}
+KERNEL_ROUNDS_SEED = 2019
+
+
+def _grid_batches(axes: dict) -> dict:
+    """Each kernel's stacked task batches in one cold vectorized ``run_grid``."""
+    from unittest import mock
+
+    from repro.api import GridConfig, run_grid
+    from repro.backends import batched
+
+    kernels = dict(batched._BATCH_KERNELS)
+    batches = {}
+
+    def recording(protocol):
+        def kernel(tasks):
+            batches.setdefault(protocol, []).append(list(tasks))
+            return kernels[protocol](tasks)
+        return kernel
+
+    with mock.patch.dict(batched._BATCH_KERNELS,
+                         {protocol: recording(protocol) for protocol in kernels}):
+        run_grid(GridConfig(**axes, base_seed=KERNEL_ROUNDS_SEED), backend="vectorized")
+    return batches
+
+
+def bench_kernel_rounds(request):
+    """Executed rounds and cost per round of each stacked kernel.
+
+    Emits the ``kernel_rounds`` section of BENCH_scaling.json.  For the
+    stacked batches one cold ``run_grid`` of the ``paper_cold`` and
+    ``small_sweep`` grids hands each kernel (seed 2019), it records per
+    (grid, kernel): the rounds simulated (each batch runs to its instances'
+    last stop round), the rounds executed (channel resolutions, counted by a
+    spy on ``_Channel.resolve``; the others are silent rounds the kernel
+    jumped over) and their jumped share, the kernel's milliseconds over all
+    its batches (best of 5 passes, 1 with ``--quick``) and the µs per
+    executed and per simulated round.  Asserts that no kernel executes more
+    rounds than it simulates.
+    """
+    from unittest import mock
+
+    from repro.backends import batched
+
+    repeats = 1 if request.config.getoption("--quick") else 5
+    rows = []
+    for grid_name, axes in KERNEL_ROUNDS_GRIDS.items():
+        for protocol, batches in _grid_batches(axes).items():
+            kernel = batched._BATCH_KERNELS[protocol]
+            executed = 0
+            resolve = batched._Channel.resolve
+
+            def counting(self, tx_ids):
+                nonlocal executed
+                executed += 1
+                return resolve(self, tx_ids)
+
+            with mock.patch.object(batched._Channel, "resolve", counting):
+                simulated = sum(max(out.simulation.stop_round for out in kernel(tasks))
+                                for tasks in batches)
+            best = float("inf")
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for tasks in batches:
+                    kernel(tasks)
+                best = min(best, time.perf_counter() - start)
+            assert executed <= simulated, (grid_name, protocol, executed, simulated)
+            rows.append({
+                "grid": grid_name,
+                "kernel": protocol,
+                "batches": len(batches),
+                "instances": sum(len(tasks) for tasks in batches),
+                "simulated_rounds": simulated,
+                "executed_rounds": executed,
+                "jumped_share": round(1 - executed / simulated, 3),
+                "kernel_ms": round(best * 1e3, 1),
+                "us_per_executed_round": round(best * 1e6 / executed, 1),
+                "us_per_simulated_round": round(best * 1e6 / simulated, 1),
+            })
+    _merge_bench_json("kernel_rounds", rows)
+    report(
+        "E10k — stacked kernels on the repository benchmark's cold grids: "
+        "executed vs simulated rounds",
         format_table(rows) + f"\nwritten to {BENCH_JSON}",
     )
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import countOf
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..graphs.graph import Graph, GraphError
@@ -65,6 +66,15 @@ PROTOCOLS = (
 #: decoded the bit-signalled payload.
 STOP_RULES = ("all_informed", "acknowledged", "arb_complete", "all_decoded")
 
+#: The protocols whose nodes read ``x1 x2 [x3]`` bit labels.
+_BIT_PROTOCOLS = ("broadcast", "acknowledged", "arbitrary")
+#: Every label string :meth:`~repro.core.labels.Label.from_string` accepts.
+_BIT_LABELS = frozenset(
+    format(value, f"0{width}b") for width in (1, 2, 3) for value in range(1 << width)
+)
+#: B_arb's reserved coordinator label (Fact 3.1: λ_ack never assigns it).
+_COORDINATOR_LABEL = "111"
+
 
 class BackendError(RuntimeError):
     """Raised when a backend cannot execute the task it was handed."""
@@ -83,9 +93,13 @@ class SimulationTask:
     graph / labels / source / payload:
         The workload: topology, labeling, designated source (the node holding
         µ) and the payload µ itself.  A task whose source is not a node,
-        whose labeling misses a node, or whose source has no payload raises
-        the reference engine's error (:class:`~repro.graphs.graph.GraphError`
-        or :class:`ValueError`) at construction, whatever engine runs it.
+        whose labeling misses a node, whose source has no payload, or whose
+        B/B_ack/B_arb labels are not bit strings of at most three bits
+        raises the reference engine's error
+        (:class:`~repro.graphs.graph.GraphError` or :class:`ValueError`) at
+        construction, whatever engine runs it.  A B_arb task must also mark
+        exactly its ``extras["coordinator"]`` with the label ``111``, the
+        label its nodes recognise the coordinator by.
     max_rounds:
         Hard round budget.
     stop_rule:
@@ -134,6 +148,39 @@ class SimulationTask:
             )
         if self.source is not None and self.payload is None:
             raise ValueError("the source node must be given a source payload")
+        if self.protocol in _BIT_PROTOCOLS:
+            self._check_bit_labels()
+        if self.protocol == "arbitrary":
+            self._check_coordinator()
+
+    def _check_bit_labels(self) -> None:
+        """Raise ``Label.from_string``'s error for the first node, in node
+        order, whose label it rejects; a scan of the distinct strings when
+        every one is valid."""
+        if _BIT_LABELS.issuperset(self.labels.values()):
+            return
+        from ..core.labels import Label
+
+        for v in self.graph.nodes():
+            if self.labels[v] not in _BIT_LABELS:
+                Label.from_string(self.labels[v])
+
+    def _check_coordinator(self) -> None:
+        """B_arb's nodes take the ``111`` label as the coordinator role and
+        the array kernel takes ``extras["coordinator"]``: the two must agree."""
+        coordinator = self.extras.get("coordinator")
+        expected = [] if coordinator is None else [coordinator]
+        if countOf(self.labels.values(), _COORDINATOR_LABEL) == len(expected) and all(
+            v in self.graph and self.labels[v] == _COORDINATOR_LABEL for v in expected
+        ):
+            return
+        marked = [v for v in self.graph.nodes() if self.labels[v] == _COORDINATOR_LABEL]
+        if marked != expected:
+            raise ValueError(
+                f"B_arb's coordinator {coordinator!r} must be the only node "
+                f"labelled {_COORDINATOR_LABEL!r}; labelled {_COORDINATOR_LABEL!r}: "
+                f"{marked[:5]}{'...' if len(marked) > 5 else ''}"
+            )
 
 
 @dataclass

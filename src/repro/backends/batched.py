@@ -14,24 +14,32 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
   instance.  The round's transmitters' concatenated neighbour slices are its
   targets; each round chooses how to count them, as direction-optimizing
   BFS (Beamer, Asanović and Patterson, SC 2012) chooses its step: a
-  ``bincount`` over all stacked nodes (plus a weighted one, the sum of
-  transmitter ids, naming the unique sender of a count-1 listener), or, when
-  the targets are few against a large channel, a sort of just the targets,
-  so a round costs O(targets) instead of O(n);
+  ``bincount`` over all stacked nodes (each target's entry of a scatter of
+  the transmitter ids names the unique sender of a count-1 listener), or,
+  when the targets are few against a large channel, a sort of just the
+  targets, so a round costs O(targets) instead of O(n);
 * protocol state lives in arrays indexed by *stacked* node id, and the
   transitions ("informed two rounds ago", "heard *stay* last round")
   mirror the object protocols branch for branch, in the same priority
   order, so outcomes are **bit-for-bit identical** to the
   :class:`~repro.backends.reference.ReferenceBackend` (asserted by
   ``tests/test_backend_equivalence.py`` and
-  ``tests/test_batched_equivalence.py``).  Algorithm B decides from id
-  lists: by Lemma 2.8 a node acts only in the two rounds after it learns µ
-  or right after it hears *stay*, so its transmitters come from the nodes
-  informed in the last two rounds and last round's *stay*-hearers.  The
-  other kernels decide with boolean masks over all nodes.  Only the
-  genuinely sparse events — acknowledgement chains, the B_arb coordinator,
-  payload decoding — stay in Python, bounded by the handful of nodes they
-  touch per round;
+  ``tests/test_batched_equivalence.py``);
+* the labeled protocols and the slotted baselines are **event-driven**.
+  By Lemma 2.8 a B node acts only in the two rounds after it learns µ or
+  right after it hears *stay*; B_ack adds the round after an ack, and B_arb
+  runs B_ack per phase plus the coordinator's and the source's timers.  So
+  each round's end builds the next round's transmitters from id lists (the
+  nodes informed in the last two rounds, the *stay*- and ack-hearers, the
+  due timers), and the ack relay is one ``searchsorted`` into the sorted
+  keys of earlier µ-transmissions.  The slotted kernel reads a round's slot
+  holders off a slot → nodes table built once per batch.  When no live node
+  can act in the next round, the loop jumps to the earliest round one can
+  (the next relay, timer or informed slot holder) or to the earliest live
+  budget, which retires a stalled instance exactly where its solo run would
+  end; the rounds jumped over are silent everywhere.  Only the genuinely
+  sparse events — the B_arb coordinators' ack handling, payload decoding —
+  stay in Python, bounded by the handful of nodes they touch per round;
 * all instances start at round 1 together.  An instance that meets its stop
   rule or spends its budget retires: it is masked out of every later round,
   so its trace ends exactly where a solo run's would.  Stop-rule and
@@ -44,7 +52,8 @@ of :class:`~repro.backends.base.SimulationTask` objects per round:
   trace is materialised once, at the end, via
   :meth:`ExecutionTrace.from_aggregates`.  At ``"full"`` every live instance
   gets its :class:`~repro.radio.trace.RoundRecord` per round, its slice of
-  the round's sorted id arrays cut at the block offsets.
+  the round's sorted id arrays cut at the block offsets, and an empty record
+  for each round jumped over.
 
 One engine runs these kernels at every instance size:
 :class:`VectorizedBackend` (``"vectorized"``).  Its
@@ -65,6 +74,7 @@ instance's random stream independent of how the batch was composed.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -103,7 +113,6 @@ __all__ = [
 ]
 
 # Transmission kind codes used by the kernels (0 = listen).
-_K_NONE = 0
 _K_INIT = 1
 _K_READY = 2
 _K_SOURCE = 3
@@ -117,11 +126,19 @@ _KIND_NAMES = {
     _K_ACK: "ack",
 }
 
+#: B_arb ack payload codes below the integer ones: the instance's payload
+#: µ, and "nothing learned yet" (the coordinator's learned payload only).
+_SRC_PAY = -1
+_NO_PAY = -2
+
 #: Sentinel for "never" in round-number arrays (any valid round is >= 1, and
 #: the rules compare against r-2 >= -1, so -5 can never match).
 _NEVER = -5
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: "No event": the round a kernel passes when no live node can ever act.
+_INF = float("inf")
 
 
 # --------------------------------------------------------------------------- #
@@ -136,8 +153,24 @@ def _parse_bit_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return x1, x2, x3
 
 
-def _parse_slot_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Split two-field ``bits(slot) ++ bits(period-1)`` labels into arrays."""
+def _parse_slot_labels(tasks: Sequence[SimulationTask]) -> Tuple[np.ndarray, np.ndarray]:
+    """The stacked ``(slots, periods)`` of ``bits(slot) ++ bits(period-1)`` labels.
+
+    The slotted schemes give all nodes of an instance labels of one even
+    width, so a batch's labels are read as one byte array whenever they
+    share a width.  Otherwise each task is read on its own, and a task with
+    irregular labels (odd or mixed widths, other characters, more than 64
+    characters) node by node with :func:`parse_slot_label`, which raises the
+    reference engine's error for the first bad label.
+    """
+    parsed = _parse_fixed_width(tasks)
+    if parsed is not None:
+        return parsed
+    if len(tasks) > 1:
+        parts = [_parse_slot_labels([task]) for task in tasks]
+        return (np.concatenate([slots for slots, _ in parts]),
+                np.concatenate([periods for _, periods in parts]))
+    labels, n = tasks[0].labels, tasks[0].graph.n
     slots = np.zeros(n, dtype=np.int64)
     periods = np.ones(n, dtype=np.int64)
     for v in range(n):
@@ -145,11 +178,50 @@ def _parse_slot_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return slots, periods
 
 
+def _parse_fixed_width(tasks: Sequence[SimulationTask]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`_parse_slot_labels` for labels that are all ``"0"``/``"1"``
+    strings of one even width of at most 64, or ``None``."""
+    try:
+        width = len(tasks[0].labels[0])
+        text = "\n".join(chain(chain.from_iterable(
+            map(task.labels.__getitem__, range(task.graph.n)) for task in tasks
+        ), [""])).encode("ascii")  # one newline after every label
+    except (TypeError, UnicodeEncodeError):
+        return None
+    n = sum(task.graph.n for task in tasks)
+    if not 0 < width <= 64 or width % 2 or len(text) != n * (width + 1):
+        return None
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(n, width + 1)
+    # Each label right-aligned in a 64-bit row: "0" and "1" become 0 and 1,
+    # any other character at least 2 ("/" wraps round to 255).  With no
+    # newline among a row's first ``width`` bytes, the n newlines all end
+    # rows, so every label has exactly ``width`` characters.
+    bits = np.zeros((n, 64), dtype=np.uint8)
+    np.subtract(rows[:, :width], 0x30, out=bits[:, 64 - width:])
+    if bits.max() > 1:
+        return None
+    values = np.packbits(bits).view(">u8")
+    half = width // 2
+    return ((values >> np.uint64(half)).astype(np.int64),
+            (values & np.uint64((1 << half) - 1)).astype(np.int64) + 1)
+
+
 def _stamp_bits(stamps: np.ndarray) -> np.ndarray:
     """``max(1, ceil(log2(stamp + 2)))`` per stamp — the paper's stamp cost."""
     # ceil(log2(s + 2)) == bit_length(s + 1) for s >= 0; exact in float64 for
     # every round stamp a simulation can produce.
     return np.floor(np.log2(stamps.astype(np.float64) + 1.0)).astype(np.int64) + 1
+
+
+def _stamp_span(lay: "_BatchLayout") -> int:
+    """One more than any stamp the batch can carry.
+
+    Every µ, *stay*, *initialize* and *ready* message sent in round ``t``
+    carries stamp ``t`` (the originators stamp their round; each rule adds
+    exactly the rounds elapsed since the stamp it copies), and an ack carries
+    an earlier such stamp, so no stamp exceeds the largest budget.
+    """
+    return int(lay.max_rounds.max()) + 1
 
 
 def _int_payload_bits(value: int) -> int:
@@ -181,6 +253,9 @@ class _Channel:
         self.indptr = indptr
         self.indices = indices
         self.degrees = indptr[1:] - indptr[:-1]
+        # A round writes each target's transmitting neighbour here; a
+        # listener that hears has exactly one, so its entry names its sender.
+        self.writer = np.empty(n, dtype=np.int64)
 
     def resolve(
         self, tx_ids: np.ndarray
@@ -213,9 +288,8 @@ class _Channel:
         hears_ids = (counts == 1).nonzero()[0]
         collision_ids = (counts >= 2).nonzero()[0]
         if hears_ids.size:
-            owners = np.repeat(tx_ids, deg).astype(np.float64)
-            sums = np.bincount(targets, weights=owners, minlength=self.n)
-            senders = sums[hears_ids].astype(np.int64)
+            self.writer[targets] = np.repeat(tx_ids, deg)
+            senders = self.writer[hears_ids]
         else:
             senders = _EMPTY
         return tx_ids, hears_ids, senders, collision_ids
@@ -402,6 +476,23 @@ class _BatchRun:
             self.node_mask = self.active[self.lay.owner]
             self.next_budget = min(self.lay.max_rounds[self.active].tolist())
 
+    def live_ids(self, ids: np.ndarray) -> np.ndarray:
+        """The stacked ``ids`` that belong to live instances."""
+        return ids if self.node_mask is None else ids[self.node_mask[ids]]
+
+    def advance(self, r: int, event: float) -> int:
+        """The round to run after round ``r``: the earliest ``event`` round
+        in which some live node can act, or the earliest live budget, which
+        retires an instance no event will ever wake.  The rounds jumped over
+        are silent everywhere; a full trace records them as empty rounds."""
+        t = int(min(event, self.next_budget))
+        if self.traces is not None and t > r + 1:
+            for b in np.flatnonzero(self.active):
+                trace = self.traces[b]
+                for k in range(r + 1, t):
+                    trace.append(RoundRecord(k, {}, {}, frozenset()))
+        return t
+
     def record_full(
         self,
         r: int,
@@ -557,6 +648,37 @@ def _stop_rule_mask(lay: _BatchLayout, rule: str) -> np.ndarray:
     return np.array([t.stop_rule == rule for t in lay.tasks], dtype=bool)
 
 
+_NO_KEY = np.iinfo(np.int64).max
+
+
+class _SentKeys:
+    """Integer keys of the µ-transmissions so far, for the ack-relay rule.
+
+    A node relays an ack stamped ``k`` iff it transmitted µ stamped ``k``
+    (per phase, in B_arb): one ``searchsorted`` of a round's ack-hearer keys
+    into this sorted array.  Rounds log their transmissions as raw columns;
+    ``key_of`` turns the logged columns into keys (dropping rows that keep
+    none) only when a lookup needs them.
+    """
+
+    def __init__(self, key_of: Callable[..., np.ndarray]) -> None:
+        self.key_of = key_of
+        self.keys = np.array([_NO_KEY], dtype=np.int64)  # the sentinel ends every search
+        self.fresh: List[Tuple[np.ndarray, ...]] = []
+
+    def add(self, *columns: np.ndarray) -> None:
+        if columns[0].size:
+            self.fresh.append(columns)
+
+    def next_key(self, queries: np.ndarray) -> np.ndarray:
+        """The smallest stored key at or above each query."""
+        if self.fresh:
+            columns = [np.concatenate(c) for c in zip(*self.fresh)]
+            self.keys = np.sort(np.concatenate((self.keys, self.key_of(*columns))))
+            self.fresh = []
+        return self.keys[self.keys.searchsorted(queries)]
+
+
 # --------------------------------------------------------------------------- #
 # Algorithm B — plain broadcast
 # --------------------------------------------------------------------------- #
@@ -573,43 +695,28 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     # The last round each node transmitted µ: the stay rule's "sent µ two
     # rounds ago", and the message kind of this round's transmitters.
     src_round = np.full(lay.total, _NEVER, dtype=np.int64)
-    # Lemma 2.8: a node acts only in the two rounds after it learns µ, or
-    # right after it hears "stay", so three id lists hold every candidate.
-    new_prev = new_prev2 = stay_prev = _EMPTY
     completion: List[Optional[int]] = [None] * lay.B
     agg = _SummaryAggregates(lay) if run.fast else None
     src_tx_total = lay.per_instance()
     if not run.fast:
         messages = [(source_message(t.payload), stay_message()) for t in lay.tasks]
 
-    r = 0
+    # Lemma 2.8: a node acts only in the two rounds after it learns µ, or
+    # right after it hears "stay", so each round's end knows the next
+    # round's senders of µ and of "stay", and the µ relays of the round
+    # after (``relay_later``).  Round 1 is the sources'.
+    src_ids, stay_ids, relay_later = run.live_ids(lay.sources), _EMPTY, _EMPTY
+    r = 1
     while run.live:
-        r += 1
-        # Decide (Algorithm 1, in the object protocol's priority order).  A
-        # node informed at r-2 relays µ if x1; one informed at r-1 sends
-        # "stay" if x2; a node that sent µ at r-2 and heard "stay" at r-1 —
-        # so was informed before r-2 — sends µ again.
-        if r == 1:
-            src_ids = lay.sources
-        else:
-            src_ids = np.concatenate((
-                new_prev2[x1[new_prev2]],
-                stay_prev[src_round[stay_prev] == r - 2],
-            ))
-        stay_ids = new_prev[x2[new_prev]]
-        if run.node_mask is not None:
-            src_ids = src_ids[run.node_mask[src_ids]]
-            stay_ids = stay_ids[run.node_mask[stay_ids]]
         src_round[src_ids] = r
-
         out = channel.resolve(np.sort(np.concatenate((src_ids, stay_ids))))
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
-        mu_hearers = new_ids = stay_prev = _EMPTY
+        mu_hearers = new_ids = stay_hearers = _EMPTY
         if hears_ids.size:
             heard_mu = src_round[senders] == r
-            stay_prev = hears_ids[~heard_mu]
+            stay_hearers = hears_ids[~heard_mu]
             mu_hearers = hears_ids[heard_mu]
             new_ids = mu_hearers[~informed[mu_hearers]]
             informed[new_ids] = True
@@ -626,10 +733,33 @@ def run_broadcast_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                 lambda u, b: messages[b][0] if src_round[u] == r else messages[b][1],
             )
 
-        new_prev2, new_prev = new_prev, new_ids
+        live = run.live
         if new_ids.size or r == 1:
             run.complete(r, informed_count == lay.sizes, completion, stop_all)
         run.end_round(r)
+        if not run.live:
+            break
+        if run.live != live:
+            # Retired instances' nodes never hear again: drop them from the
+            # lists once, in the round they retire.
+            new_ids, stay_hearers, relay_later = map(
+                run.live_ids, (new_ids, stay_hearers, relay_later))
+
+        # Decide round r + 1 (Algorithm 1, branch for branch): a node
+        # informed at r - 1 relays µ if x1; one informed at r sends "stay"
+        # if x2; a node that sent µ at r - 1 and heard "stay" at r sends µ
+        # again.  Those informed at r relay µ at r + 2 if x1.
+        src_ids = relay_later
+        if stay_hearers.size:
+            src_ids = np.concatenate((
+                relay_later, stay_hearers[src_round[stay_hearers] == r - 1]))
+        stay_ids = new_ids[x2[new_ids]]
+        relay_later = new_ids[x1[new_ids]]
+        t = run.advance(r, r + 1 if src_ids.size or stay_ids.size
+                        else r + 2 if relay_later.size else _INF)
+        if t == r + 2:
+            src_ids, relay_later = relay_later, _EMPTY
+        r = t
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
     if not run.fast:
@@ -658,26 +788,28 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
     total = lay.total
     is_src = np.zeros(total, dtype=bool)
     is_src[lay.sources] = True
-    src_of = lay.sources[lay.owner]  # each node's own instance source
     payloads = [t.payload for t in lay.tasks]
+    span = _stamp_span(lay)
+    stamp_bits = _stamp_bits(np.arange(span))
 
     informed = np.zeros(total, dtype=bool)
     informed[lay.sources] = True
     informed_count = lay.per_instance() + 1
-    informed_r = np.full(total, _NEVER, dtype=np.int64)
     informed_stamp = np.zeros(total, dtype=np.int64)
-    sent_src_prev = np.zeros(total, dtype=bool)
-    sent_src_prev2 = np.zeros(total, dtype=bool)
-    heard_stay_prev = np.zeros(total, dtype=bool)
-    heard_stay_stamp = np.zeros(total, dtype=np.int64)
-    prev_acks: List[Tuple[int, int]] = []  # (stacked hearer id, heard stamp)
-    transmit_stamps: Dict[int, Set[int]] = {}  # keyed by stacked id: disjoint per instance
+    src_round = np.full(total, _NEVER, dtype=np.int64)  # the last round each node sent µ
+    # Each node's last message, written at a round's senders and read only
+    # at that round's senders.
+    tx_kind = np.zeros(total, dtype=np.int8)
+    tx_stamp = np.zeros(total, dtype=np.int64)
+    # ``node * span + stamp`` of every µ a non-source node sent: the paper's
+    # transmitRounds, which the source never keeps.
+    sent = _SentKeys(lambda ids, stamps: (ids * span + stamps)[~is_src[ids]])
 
     first_ack: List[Optional[int]] = [None] * lay.B
     acked = np.zeros(lay.B, dtype=bool)
     completion: List[Optional[int]] = [None] * lay.B
     agg = _SummaryAggregates(lay, acks=True) if run.fast else None
-    kind_tx = np.zeros((_K_ACK + 1, lay.B), dtype=np.int64)
+    n_src, n_stay = lay.per_instance(), lay.per_instance()
 
     def message_of(u: int, b: int) -> Message:
         kind, stamp = tx_kind[u], int(tx_stamp[u])
@@ -687,63 +819,31 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
             return stay_message(round_stamp=stamp)
         return ack_message(stamp)
 
-    r = 0
+    # Every branch of Algorithm 2 fires on an event of the last two rounds,
+    # so each round's end knows the next round's senders of µ (with their
+    # stamps), of "stay" and of acks, and the µ relays of the round after
+    # (``relay_later``).  Round 1 is the sources' (lines 4-5: µ stamped 1).
+    mu_ids = run.live_ids(lay.sources)
+    mu_stamps = np.ones(mu_ids.size, dtype=np.int64)
+    stay_ids = ack_ids = relay_later = _EMPTY
+    r = 1
     while run.live:
-        r += 1
-        tx_kind = np.zeros(total, dtype=np.int8)
-        tx_stamp = np.zeros(total, dtype=np.int64)
-
-        # Algorithm 2, branch for branch.
-        if r == 1:  # lines 4-5: the source transmits (µ, 1)
-            tx_kind[lay.sources] = _K_SOURCE
-            tx_stamp[lay.sources] = 1
-        m3 = informed_r == r - 2
-        m4 = informed_r == r - 1
-        a3 = m3 & x1  # lines 12-16
-        if a3.any():
-            ids = np.flatnonzero(a3)
-            stamps = informed_stamp[ids] + 2
-            tx_kind[ids] = _K_SOURCE
-            tx_stamp[ids] = stamps
-            for v, s in zip(ids.tolist(), stamps.tolist()):
-                transmit_stamps.setdefault(v, set()).add(s)
-        a4_ack = m4 & x3  # lines 17-22
-        tx_kind[a4_ack] = _K_ACK
-        tx_stamp[a4_ack] = informed_stamp[a4_ack]
-        a4_stay = m4 & ~x3 & x2
-        tx_kind[a4_stay] = _K_STAY
-        tx_stamp[a4_stay] = informed_stamp[a4_stay] + 1
-        # lines 23-27: nodes that heard "stay" return here whether or not they
-        # retransmit, so they are excluded from the ack-relay rule below.
-        a5 = informed & ~m3 & ~m4 & heard_stay_prev & sent_src_prev2
-        if a5.any():
-            ids = np.flatnonzero(a5)
-            stamps = heard_stay_stamp[ids] + 1
-            tx_kind[ids] = _K_SOURCE
-            tx_stamp[ids] = stamps
-            for v, s in zip(ids.tolist(), stamps.tolist()):
-                if not is_src[v]:
-                    transmit_stamps.setdefault(v, set()).add(s)
-        for v, heard_stamp in prev_acks:  # lines 28-31 (sparse: the ack chain)
-            if is_src[v] or not informed[v]:
-                continue
-            ir = informed_r[v]
-            if ir == r - 2 or ir == r - 1 or heard_stay_prev[v] or tx_kind[v]:
-                continue
-            if heard_stamp in transmit_stamps.get(v, ()):
-                tx_kind[v] = _K_ACK
-                tx_stamp[v] = informed_stamp[v]
-        if run.node_mask is not None:
-            tx_kind[~run.node_mask] = _K_NONE
-
-        out = channel.resolve(tx_kind.nonzero()[0])
+        tx_kind[mu_ids] = _K_SOURCE
+        tx_stamp[mu_ids] = mu_stamps
+        src_round[mu_ids] = r
+        sent.add(mu_ids, mu_stamps)
+        if stay_ids.size:
+            tx_kind[stay_ids] = _K_STAY
+            tx_stamp[stay_ids] = informed_stamp[stay_ids] + 1
+        if ack_ids.size:
+            tx_kind[ack_ids] = _K_ACK
+            tx_stamp[ack_ids] = informed_stamp[ack_ids]
+        out = channel.resolve(np.sort(np.concatenate((mu_ids, stay_ids, ack_ids))))
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
-        heard_stay_now = np.zeros(total, dtype=bool)
-        heard_stay_stamp_now = np.zeros(total, dtype=np.int64)
-        next_acks: List[Tuple[int, int]] = []
-        mu_hearers = new_ids = ack_hearers = _EMPTY
+        mu_hearers = new_ids = stay_hearers = stay_heard = _EMPTY
+        ack_hearers = ack_heard = _EMPTY
         newly_acked = False
         if hears_ids.size:
             heard_kind = tx_kind[senders]
@@ -753,17 +853,16 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
             new_sel = mu_sel & ~informed[hears_ids]
             new_ids = hears_ids[new_sel]
             informed[new_ids] = True
-            informed_r[new_ids] = r
             informed_stamp[new_ids] = heard_stamp[new_sel]
             informed_count += lay.counts(new_ids)
             stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
+            stay_hearers = hears_ids[stay_sel]
+            stay_heard = heard_stamp[stay_sel]
             ack_sel = heard_kind == _K_ACK
             ack_hearers = hears_ids[ack_sel]
             if ack_hearers.size:
-                next_acks = list(zip(ack_hearers.tolist(), heard_stamp[ack_sel].tolist()))
-                for v in ack_hearers[ack_hearers == src_of[ack_hearers]].tolist():
+                ack_heard = heard_stamp[ack_sel]
+                for v in ack_hearers[is_src[ack_hearers]].tolist():
                     b = int(lay.owner[v])
                     if first_ack[b] is None:
                         first_ack[b] = r
@@ -773,22 +872,57 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
             if tx_ids.size:
-                kind_tx += lay.kind_counts(tx_kind[tx_ids], tx_ids)
-                agg.fixed += lay.counts(tx_ids, _stamp_bits(tx_stamp[tx_ids]))
+                n_src += lay.counts(mu_ids)
+                n_stay += lay.counts(stay_ids)
+                agg.fixed += lay.counts(tx_ids, stamp_bits[tx_stamp[tx_ids]])
             agg.mark_informed(mu_hearers, r)
             agg.mark_acks(ack_hearers, r)
         else:
             run.record_full(r, out, message_of)
 
-        sent_src_prev2, sent_src_prev = sent_src_prev, tx_kind == _K_SOURCE
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
+        live = run.live
         if new_ids.size or r == 1:
             run.complete(r, informed_count == lay.sizes, completion, stop_all)
         if newly_acked:
             run.stop(r, acked & stop_ack)
         run.end_round(r)
+        if not run.live:
+            break
+        if run.live != live:
+            # Retired instances' nodes never hear again: drop them from the
+            # lists once, in the round they retire.
+            keep = run.node_mask
+            new_ids, relay_later = new_ids[keep[new_ids]], relay_later[keep[relay_later]]
+            heard = keep[stay_hearers]
+            stay_hearers, stay_heard = stay_hearers[heard], stay_heard[heard]
+            heard = keep[ack_hearers]
+            ack_hearers, ack_heard = ack_hearers[heard], ack_heard[heard]
+
+        # Decide round r + 1 (Algorithm 2, branch for branch; each node
+        # fits at most one branch).  Lines 12-16: a node informed at r - 1
+        # relays µ if x1, stamped two past its informing stamp.  Lines
+        # 17-22: one informed at r starts the ack if x3, else sends "stay" if
+        # x2.  Lines 23-27: a node that sent µ at r - 1 and heard "stay" at r
+        # sends µ again.  Lines 28-31: a node that heard (ack, k) at r relays
+        # it if it sent µ stamped k.  Those informed at r relay µ at r + 2.
+        mu_ids, mu_stamps = relay_later, informed_stamp[relay_later] + 2
+        if stay_hearers.size:
+            retx = src_round[stay_hearers] == r - 1
+            mu_ids = np.concatenate((mu_ids, stay_hearers[retx]))
+            mu_stamps = np.concatenate((mu_stamps, stay_heard[retx] + 1))
+        starts = x3[new_ids]
+        stay_ids = new_ids[~starts & x2[new_ids]]
+        ack_ids = new_ids[starts]
+        if ack_hearers.size:
+            keys = ack_hearers * span + ack_heard
+            ack_ids = np.concatenate((ack_ids, ack_hearers[sent.next_key(keys) == keys]))
+        relay_later = new_ids[x1[new_ids]]
+        t = run.advance(r, r + 1 if mu_ids.size or stay_ids.size or ack_ids.size
+                        else r + 2 if relay_later.size else _INF)
+        if t == r + 2:
+            mu_ids, mu_stamps = relay_later, informed_stamp[relay_later] + 2
+            relay_later = _EMPTY
+        r = t
 
     derived = [
         {"completion_round": completion[b], "acknowledgement_round": first_ack[b]}
@@ -798,13 +932,12 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
         return run.results(derived)
     traces = []
     for b in range(lay.B):
-        n_src = int(kind_tx[_K_SOURCE, b])
-        n_stay = int(kind_tx[_K_STAY, b])
-        n_ack = lay.at(agg.tx, b) - n_src - n_stay
+        src_b, stay_b = lay.at(n_src, b), lay.at(n_stay, b)
+        n_ack = lay.at(agg.tx, b) - src_b - stay_b
         traces.append(agg.trace_for(
-            b, run, kind_hist={"source": n_src, "stay": n_stay, "ack": n_ack},
-            fixed_bits=lay.at(agg.fixed, b) + 2 * (n_stay + n_ack),
-            payload_messages=n_src,
+            b, run, kind_hist={"source": src_b, "stay": stay_b, "ack": n_ack},
+            fixed_bits=lay.at(agg.fixed, b) + 2 * (stay_b + n_ack),
+            payload_messages=src_b,
         ))
     return run.results(derived, traces)
 
@@ -813,16 +946,19 @@ def run_acknowledged_batch(tasks: Sequence[SimulationTask]) -> List[BackendResul
 # Algorithm B_arb — arbitrary-source broadcast
 # --------------------------------------------------------------------------- #
 def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
-    """B_arb with the coordinator's scheduling state as per-instance arrays.
+    """B_arb: three B_ack phases from the coordinator, plus timers.
 
-    Every scalar of the coordinator's schedule (T, the READY/SOURCE phase
-    timers, the learned payload) is a length-B array — with ``-1`` standing
-    in for "not scheduled" (real rounds start at 1) and a ``has`` mask
-    wherever 0 is a legal value — and the coordinator branches are
-    per-instance masks, so one kernel round advances every instance's three
-    acknowledged-broadcast phases together.  The sparse events (the ack
-    chains, the per-node transmitted-stamp sets) stay keyed by *stacked*
-    node id, which is disjoint across instances by construction.
+    Each phase is an acknowledged broadcast, so a node acts on the events a
+    B_ack node acts on, per phase, or when a timer falls due: the
+    coordinator's phase-2 and phase-3 starts and the actual source's phase-2
+    ack.  Timers are per-instance rows of ``sched`` (``-1`` = not scheduled;
+    real rounds start at 1).  The object protocol returns from the first
+    rule that fires, in its order (coordinator, source timer, then per phase
+    "informed two rounds ago" and "informed one round ago", then *stay*,
+    then acks), and unlike B_ack a node may fit several rules at once, so a
+    round's candidate groups are merged in that order, first rule wins.  An
+    ack's payload is a code: a non-negative integer is itself (the phase-1
+    timestamp T), ``_SRC_PAY`` is the instance's payload µ.
     """
     lay = _BatchLayout(tasks)
     run = _BatchRun(lay)
@@ -830,48 +966,68 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     x1, x2, x3 = _stack_bit_labels(lay)
     stop_arb = _stop_rule_mask(lay, "arb_complete")
     B, total = lay.B, lay.total
+    span = _stamp_span(lay)
+    stamp_bits = _stamp_bits(np.arange(span))
 
     coords_local = [int(task.extras["coordinator"]) for task in lay.tasks]
     coords = lay.offsets[:-1] + np.array(coords_local, dtype=np.int64)
     srcs = lay.sources
-    coord_of = coords[lay.owner]  # each node's own instance coordinator
+    coord_is_src = coords == srcs
+    is_coord = np.zeros(total, dtype=bool)
+    is_coord[coords] = True
     payloads = [t.payload for t in lay.tasks]
+    # An ack carrying µ is charged µ's width if µ is an integer, and counts
+    # as a payload message otherwise.
+    pay_bits = np.array([_int_payload_bits(p) if isinstance(p, int) else 0
+                         for p in payloads], dtype=np.int64)
+    pay_msg = np.array([not isinstance(p, int) for p in payloads], dtype=bool)
+
+    def payload_of(code: int, b: int) -> Any:
+        return payloads[b] if code == _SRC_PAY else int(code)
 
     # Per-phase stacked state: 0 = initialize, 1 = ready, 2 = source.
+    # First-receipt rounds, 0 at the coordinator: it originates every phase
+    # and ignores overheard copies.
     ph_inf = np.full((3, total), _NEVER, dtype=np.int64)
+    ph_inf[:, coords] = 0
     ph_stamp = np.zeros((3, total), dtype=np.int64)
-    transmit_stamps: Tuple[Dict[int, Set[int]], ...] = ({}, {}, {})
     t_v = np.full(total, -1, dtype=np.int64)
     t_v[coords] = 0
     T_arr = np.full(total, -1, dtype=np.int64)
     known = np.zeros(total, dtype=bool)
     completion_known = np.zeros(total, dtype=np.int64)
-
-    sent_kind_prev = np.zeros(total, dtype=np.int8)
-    sent_kind_prev2 = np.zeros(total, dtype=np.int8)
-    heard_stay_prev = np.zeros(total, dtype=bool)
-    heard_stay_stamp = np.zeros(total, dtype=np.int64)
-    prev_acks: List[Tuple[int, int, Any]] = []  # (stacked hearer, stamp, payload)
+    # Each node's last message and the round it went out: written at a
+    # round's senders; the stay rule reads them at stay-hearers, who listened.
+    tx_kind = np.zeros(total, dtype=np.int8)
+    tx_stamp = np.zeros(total, dtype=np.int64)
+    ack_code = np.zeros(total, dtype=np.int64)
+    sent_round = np.full(total, _NEVER, dtype=np.int64)
+    # ``(node * span + stamp) * 3 + phase`` of every phase message a
+    # non-coordinator sent: the per-phase transmitRounds.
+    sent = _SentKeys(lambda ids, stamps, kinds: ((ids * span + stamps) * 3 + kinds - _K_INIT)[
+        (kinds <= _K_SOURCE) & ~is_coord[ids]])
 
     # Coordinator / actual-source scheduling state, one slot per instance.
-    # T_c_val is only meaningful where T_c_has (0 is a legal T value).
+    # Rows of ``sched``: the coordinator's READY and SOURCE starts and the
+    # actual source's phase-2 ack.  T_c_val is only meaningful where
+    # T_c_has (0 is a legal T value).
+    sched = np.full((3, B), -1, dtype=np.int64)
     T_c_val = np.zeros(B, dtype=np.int64)
     T_c_has = np.zeros(B, dtype=bool)
-    sched_ready = np.full(B, -1, dtype=np.int64)
-    sched_source = np.full(B, -1, dtype=np.int64)
     ready_sent = np.full(B, -1, dtype=np.int64)
-    sched_src_ack = np.full(B, -1, dtype=np.int64)
-    learned_payload: List[Any] = [
-        payloads[b] if coords[b] == srcs[b] else None for b in range(B)
-    ]
-    learned_has = np.array([lp is not None for lp in learned_payload], dtype=bool)
+    learned = np.where(coord_is_src, _SRC_PAY, _NO_PAY)
     coord_ack_first: List[Optional[int]] = [None] * B
     coord_ack_last: List[Optional[int]] = [None] * B
 
+    def next_timer(r: int) -> float:
+        pending = sched[:, run.active]
+        pending = pending[pending > r]
+        return int(pending.min()) if pending.size else _INF
+
     agg = _SummaryAggregates(lay, acks=True) if run.fast else None
     kind_tx = np.zeros((_K_ACK + 1, B), dtype=np.int64)
-    ack_fixed_extra = [0] * B
-    ack_payload_msgs = [0] * B
+    ack_fixed_extra = lay.per_instance()
+    ack_payload_msgs = lay.per_instance()
 
     def message_of(u: int, b: int) -> Message:
         kind, stamp = tx_kind[u], int(tx_stamp[u])
@@ -880,138 +1036,91 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         if kind == _K_READY:
             return ready_message(int(T_c_val[b]), round_stamp=stamp)
         if kind == _K_SOURCE:
-            return source_message(payloads[b], round_stamp=stamp)
+            return source_message(payload_of(learned[b], b), round_stamp=stamp)
         if kind == _K_STAY:
             return stay_message(round_stamp=stamp)
-        return ack_message(stamp, payload=ack_payloads.get(u))
+        return ack_message(stamp, payload=payload_of(ack_code[u], b))
 
-    r = 0
+    # ``due``: the next round's candidate groups ``(ids, kind, stamps,
+    # ack codes)`` in rule order (kind ``None`` resends the node's last
+    # kind); ``later``: per phase, the µ relays of the round after.
+    due: List[Tuple[Any, ...]] = []
+    later = [_EMPTY] * 3
+    timer = _INF
+    r = 1
     while run.live:
-        r += 1
-        active = run.active
-        tx_kind = np.zeros(total, dtype=np.int8)
-        tx_stamp = np.zeros(total, dtype=np.int64)
-        ack_payloads: Dict[int, Any] = {}
-        decided = np.zeros(total, dtype=bool)
+        # Coordinator phase starts, then the source's ack timer (the object
+        # protocol's first branches; every instance's clock starts at round
+        # 1, so a coordinator's stamp is just r).
+        starts: List[Tuple[Any, ...]] = []
         known_changed = False
-
-        # Coordinator phase starts (the object protocol's elif chain, checked
-        # first; every instance's local clock starts at round 1, so the
-        # global stamp is just r).
         if r == 1:
-            ids = coords[active]
-            tx_kind[ids] = _K_INIT
-            tx_stamp[ids] = 1
-            decided[ids] = True
-        else:
-            m_ready = active & (sched_ready == r) & T_c_has
+            starts.append((run.live_ids(coords), _K_INIT, 1, None))
+        elif r == timer:
+            m_ready = run.active & (sched[0] == r) & T_c_has
             if m_ready.any():
                 ready_sent[m_ready] = r
-                m_rs = m_ready & (coords == srcs)
-                sched_source[m_rs] = r + T_c_val[m_rs] + 1
-                ids = coords[m_ready]
-                tx_kind[ids] = _K_READY
-                tx_stamp[ids] = r
-                decided[ids] = True
-            m_src = active & ~m_ready & (sched_source == r) & learned_has
+                m_rs = m_ready & coord_is_src
+                sched[1][m_rs] = r + T_c_val[m_rs] + 1
+                starts.append((coords[m_ready], _K_READY, r, None))
+            m_src = run.active & ~m_ready & (sched[1] == r) & (learned != _NO_PAY)
             if m_src.any():
                 ids = coords[m_src]
                 known[ids] = True
                 known_changed = True
                 completion_known[ids] = r + T_c_val[m_src] - 1
-                tx_kind[ids] = _K_SOURCE
-                tx_stamp[ids] = r
-                decided[ids] = True
+                starts.append((ids, _K_SOURCE, r, None))
+            m_sa = run.active & (sched[2] == r)
+            if m_sa.any():
+                ids = srcs[m_sa]
+                starts.append((ids, _K_ACK, ph_stamp[1][ids], _SRC_PAY))
+            timer = next_timer(r)
 
-        # The actual source starts the phase-2 acknowledgement after its timer.
-        m_sa = active & (sched_src_ack == r) & ~decided[srcs]
-        if m_sa.any():
-            ids = srcs[m_sa]
-            tx_kind[ids] = _K_ACK
-            tx_stamp[ids] = ph_stamp[1][ids]
-            for b in np.flatnonzero(m_sa):
-                ack_payloads[int(srcs[b])] = payloads[b]
-            decided[ids] = True
-
-        # Shared B_ack rules, per phase, in phase order.
-        und = ~decided
-        if run.node_mask is not None:
-            und &= run.node_mask
-        for k in range(3):
-            inf_k = ph_inf[k]
-            stamp_k = ph_stamp[k]
-            mA = und & (inf_k == r - 2) & x1
-            if mA.any():
-                ids = np.flatnonzero(mA)
-                stamps = stamp_k[ids] + 2
-                tx_kind[ids] = _K_INIT + k
-                tx_stamp[ids] = stamps
-                for v, s in zip(ids.tolist(), stamps.tolist()):
-                    transmit_stamps[k].setdefault(v, set()).add(s)
-                und &= ~mA
-            newly1 = inf_k == r - 1
-            if k == 0:  # z starts the phase-1 ack, appending T = t_z
-                mAck = und & newly1 & x3
-                if mAck.any():
-                    ids = np.flatnonzero(mAck)
-                    tx_kind[ids] = _K_ACK
-                    tx_stamp[ids] = stamp_k[ids]
-                    for v in ids:
-                        ack_payloads[int(v)] = int(stamp_k[v])
-                    und &= ~mAck
-            mStay = und & newly1 & x2
-            if mStay.any():
-                tx_kind[mStay] = _K_STAY
-                tx_stamp[mStay] = stamp_k[mStay] + 1
-                und &= ~mStay
-
-        # Stay-triggered retransmission (any phase, coordinator included).
-        aS = und & heard_stay_prev & (sent_kind_prev2 >= _K_INIT) & (sent_kind_prev2 <= _K_SOURCE)
-        if aS.any():
-            ids = np.flatnonzero(aS)
-            stamps = heard_stay_stamp[ids] + 1
-            tx_kind[ids] = sent_kind_prev2[ids]
+        # Scatter the groups last rule first, so a node's first rule writes
+        # last and wins.
+        groups = [g for g in starts + due if g[0].size]
+        has_ack = False
+        for ids, kind, stamps, codes in reversed(groups):
+            if kind is not None:
+                tx_kind[ids] = kind
             tx_stamp[ids] = stamps
-            for v, s in zip(ids.tolist(), stamps.tolist()):
-                if v != coord_of[v]:
-                    transmit_stamps[int(sent_kind_prev2[v]) - _K_INIT].setdefault(
-                        v, set()
-                    ).add(s)
-            und &= ~aS
-
-        # Ack relaying (sparse: each chain walks back one hop per round).
-        for v, heard_stamp, ack_pay in prev_acks:
-            if v == coord_of[v] or not und[v] or tx_kind[v]:
-                continue
-            for k in range(3):
-                stamps_v = transmit_stamps[k].get(v)
-                if stamps_v and heard_stamp in stamps_v:
-                    tx_kind[v] = _K_ACK
-                    tx_stamp[v] = ph_stamp[k][v]
-                    ack_payloads[v] = ack_pay
-                    break
-
-        out = channel.resolve(tx_kind.nonzero()[0])
+            if codes is not None:
+                ack_code[ids] = codes
+                has_ack = True
+        tx_ids = _EMPTY
+        if len(groups) == 1:
+            tx_ids = groups[0][0]
+        elif groups:
+            tx_ids = np.sort(np.concatenate([g[0] for g in groups]))
+            repeat = tx_ids[1:] == tx_ids[:-1]
+            if repeat.any():
+                tx_ids = tx_ids[np.concatenate(([True], ~repeat))]
+        if groups:
+            sent_round[tx_ids] = r
+            kinds = tx_kind[tx_ids]
+            sent.add(tx_ids, tx_stamp[tx_ids], kinds)
+        out = channel.resolve(tx_ids)
         tx_ids, hears_ids, senders, collision_ids = out
 
         # Deliver.
-        heard_stay_now = np.zeros(total, dtype=bool)
-        heard_stay_stamp_now = np.zeros(total, dtype=np.int64)
-        next_acks: List[Tuple[int, int, Any]] = []
-        mu_hearers = ack_hearers = _EMPTY
+        new = [_EMPTY] * 3
+        mu_hearers = stay_hearers = stay_heard = _EMPTY
+        ack_hearers = ack_heard = ack_codes = _EMPTY
         if hears_ids.size:
             heard_kind = tx_kind[senders]
             heard_stamp = tx_stamp[senders]
+            present = np.bincount(heard_kind, minlength=_K_ACK + 1)
             for k in range(3):  # first receipt of a phase's broadcast payload
-                sel = heard_kind == _K_INIT + k
-                if not sel.any():
+                if not present[_K_INIT + k]:
                     continue
+                sel = heard_kind == _K_INIT + k
                 vs = hears_ids[sel]
                 sts = heard_stamp[sel]
-                keep = (vs != coord_of[vs]) & (ph_inf[k][vs] == _NEVER)
+                keep = ph_inf[k][vs] == _NEVER
                 vs, sts = vs[keep], sts[keep]
                 if vs.size == 0:
                     continue
+                new[k] = vs
                 ph_inf[k][vs] = r
                 ph_stamp[k][vs] = sts
                 if k == 0:
@@ -1020,7 +1129,9 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                     ov = lay.owner[vs]
                     T_arr[vs] = np.where(T_c_has[ov], T_c_val[ov], 0)
                     for v in vs[vs == srcs[ov]].tolist():
-                        sched_src_ack[lay.owner[v]] = r + int(T_arr[v]) + 1
+                        b = int(lay.owner[v])
+                        sched[2][b] = r + int(T_arr[v]) + 1
+                        timer = min(timer, int(sched[2][b]))
                 else:
                     ready_t = (T_arr[vs] >= 0) & (t_v[vs] >= 0)
                     done = vs[ready_t]
@@ -1028,65 +1139,122 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
                         known[done] = True
                         known_changed = True
                         completion_known[done] = r + T_arr[done] - t_v[done]
-            mu_hearers = hears_ids[heard_kind == _K_SOURCE]
-            stay_sel = heard_kind == _K_STAY
-            heard_stay_now[hears_ids[stay_sel]] = True
-            heard_stay_stamp_now[hears_ids[stay_sel]] = heard_stamp[stay_sel]
-            ack_sel = heard_kind == _K_ACK
-            ack_hearers = hears_ids[ack_sel]
-            for v, s, u in zip(
-                ack_hearers.tolist(), heard_stamp[ack_sel].tolist(),
-                senders[ack_sel].tolist(),
-            ):
-                pay = ack_payloads.get(u)
-                next_acks.append((v, s, pay))
-                if v == coord_of[v]:
+            if present[_K_SOURCE]:
+                mu_hearers = hears_ids[heard_kind == _K_SOURCE]
+            if present[_K_STAY]:
+                stay_sel = heard_kind == _K_STAY
+                stay_hearers = hears_ids[stay_sel]
+                stay_heard = heard_stamp[stay_sel]
+            if present[_K_ACK]:
+                ack_sel = heard_kind == _K_ACK
+                ack_hearers = hears_ids[ack_sel]
+                ack_heard = heard_stamp[ack_sel]
+                ack_codes = ack_code[senders[ack_sel]]
+                at_coord = is_coord[ack_hearers]
+                for v, code in zip(ack_hearers[at_coord].tolist(),
+                                   ack_codes[at_coord].tolist()):
                     b = int(lay.owner[v])
                     coord_ack_last[b] = r
                     if coord_ack_first[b] is None:
                         coord_ack_first[b] = r
                     if not T_c_has[b]:
-                        T_c_val[b] = int(pay) if pay is not None else 0
+                        T_c_val[b] = int(payload_of(code, b))
                         T_c_has[b] = True
-                        sched_ready[b] = r + T_c_val[b] + 1
+                        sched[0][b] = r + T_c_val[b] + 1
+                        timer = min(timer, int(sched[0][b]))
                     elif (
                         ready_sent[b] != -1
                         and r > ready_sent[b]
-                        and sched_source[b] == -1
+                        and sched[1][b] == -1
                     ):
-                        learned_payload[b] = pay
-                        learned_has[b] = pay is not None
-                        sched_source[b] = r + T_c_val[b] + 1
+                        learned[b] = code
+                        sched[1][b] = r + T_c_val[b] + 1
+                        timer = min(timer, int(sched[1][b]))
 
         # Record.
         if run.fast:
             agg.add_channel(tx_ids, hears_ids, collision_ids)
             if tx_ids.size:
-                kinds_tx = tx_kind[tx_ids]
-                kind_tx += lay.kind_counts(kinds_tx, tx_ids)
-                agg.fixed += lay.counts(tx_ids, _stamp_bits(tx_stamp[tx_ids]))
-                for u in tx_ids[kinds_tx == _K_ACK].tolist():
-                    pay = ack_payloads.get(u)
-                    if pay is None:
-                        continue
-                    b = int(lay.owner[u])
-                    if isinstance(pay, int):
-                        ack_fixed_extra[b] += _int_payload_bits(pay)
-                    else:
-                        ack_payload_msgs[b] += 1
+                kind_tx += lay.kind_counts(kinds, tx_ids)
+                agg.fixed += lay.counts(tx_ids, stamp_bits[tx_stamp[tx_ids]])
+                if has_ack:
+                    acks = tx_ids[kinds == _K_ACK]
+                    codes = ack_code[acks]
+                    mine = codes == _SRC_PAY
+                    owner = lay.owner[acks]
+                    ack_fixed_extra += lay.counts(
+                        acks, np.where(mine, pay_bits[owner], stamp_bits[codes]))
+                    ack_payload_msgs += lay.counts(acks[mine & pay_msg[owner]])
             agg.mark_informed(mu_hearers, r)
             agg.mark_acks(ack_hearers, r)
         else:
             run.record_full(r, out, message_of)
 
-        sent_kind_prev2, sent_kind_prev = sent_kind_prev, tx_kind
-        heard_stay_prev = heard_stay_now
-        heard_stay_stamp = heard_stay_stamp_now
-        prev_acks = next_acks
+        live = run.live
         if known_changed:
             all_known = lay.counts(np.flatnonzero(known)) == lay.sizes
             run.stop(r, stop_arb & all_known)
         run.end_round(r)
+        if not run.live:
+            break
+        if run.live != live:
+            # Retired instances' nodes never hear again: drop them from the
+            # lists once, in the round they retire.
+            timer = next_timer(r)
+            keep = run.node_mask
+            new = [ids[keep[ids]] for ids in new]
+            later = [ids[keep[ids]] for ids in later]
+            heard = keep[stay_hearers]
+            stay_hearers, stay_heard = stay_hearers[heard], stay_heard[heard]
+            heard = keep[ack_hearers]
+            ack_hearers, ack_heard, ack_codes = (
+                ack_hearers[heard], ack_heard[heard], ack_codes[heard])
+
+        # Decide round r + 1's candidates, in rule order per phase: a node
+        # informed at r - 1 relays the phase's message if x1; one informed
+        # at r starts the phase-1 ack if x3 (appending T = its stamp), else
+        # sends "stay" if x2.  Then a node that heard "stay" at r after
+        # sending a phase message at r - 1 resends it, and a non-coordinator
+        # that heard (ack, k) at r relays it if it sent a phase message
+        # stamped k, with its informing stamp in that message's phase.
+        due = []
+        for k in range(3):
+            relays, fresh = later[k], new[k]
+            if relays.size:
+                due.append((relays, _K_INIT + k, ph_stamp[k][relays] + 2, None))
+            if not fresh.size:
+                later[k] = _EMPTY
+                continue
+            later[k] = fresh[x1[fresh]]
+            if k == 0:
+                z = fresh[x3[fresh]]
+                if z.size:
+                    due.append((z, _K_ACK, ph_stamp[0][z], ph_stamp[0][z]))
+                    fresh = fresh[~x3[fresh]]
+            stays = fresh[x2[fresh]]
+            if stays.size:
+                due.append((stays, _K_STAY, ph_stamp[k][stays] + 1, None))
+        if stay_hearers.size:
+            resend = (sent_round[stay_hearers] == r - 1) & (
+                tx_kind[stay_hearers] <= _K_SOURCE)
+            if resend.any():
+                due.append((stay_hearers[resend], None, stay_heard[resend] + 1, None))
+        if ack_hearers.size:
+            base = (ack_hearers * span + ack_heard) * 3
+            found = sent.next_key(base)
+            hit = (found < base + 3) & ~is_coord[ack_hearers]
+            if hit.any():
+                ids = ack_hearers[hit]
+                due.append((ids, _K_ACK, ph_stamp[found[hit] - base[hit], ids],
+                            ack_codes[hit]))
+        waiting = any(ids.size for ids in later)
+        t = run.advance(r, r + 1 if due or timer == r + 1
+                        else min(r + 2 if waiting else _INF, timer))
+        if t == r + 2 and waiting:
+            due = [(ids, _K_INIT + k, ph_stamp[k][ids] + 2, None)
+                   for k, ids in enumerate(later) if ids.size]
+            later = [_EMPTY] * 3
+        r = t
 
     # Derived outcomes, computed as the reference backend's _arbitrary does.
     derived: List[Dict[str, Any]] = []
@@ -1099,7 +1267,7 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         receipts = ph_inf[2][lo:hi][others]
         completion: Optional[int] = None
         if not (receipts == _NEVER).any() and (
-            learned_payload[b] is not None or c_local == src_local
+            learned[b] != _NO_PAY or c_local == src_local
         ):
             candidates = receipts.tolist()
             if c_local != src_local and coord_ack_last[b] is not None:
@@ -1130,14 +1298,14 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
         n_src = counts.get("source", 0)
         n_ready = counts.get("ready", 0)
         non_source = lay.at(agg.tx, b) - n_src
-        fixed = lay.at(agg.fixed, b) + 2 * non_source + ack_fixed_extra[b]
+        fixed = lay.at(agg.fixed, b) + 2 * non_source + lay.at(ack_fixed_extra, b)
         if n_ready:
             # T is fixed from the moment the first READY exists, so the
             # whole-run payload-bit total is one multiply.
             fixed += n_ready * _int_payload_bits(int(T_c_val[b]))
         traces.append(agg.trace_for(
             b, run, kind_hist=counts, fixed_bits=fixed,
-            payload_messages=n_src + ack_payload_msgs[b],
+            payload_messages=n_src + lay.at(ack_payload_msgs, b),
         ))
     return run.results(derived, traces)
 
@@ -1145,19 +1313,66 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
 # --------------------------------------------------------------------------- #
 # Source-flood baselines: round-robin / TDMA slots and centralized schedules
 # --------------------------------------------------------------------------- #
-def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
+class _SlotTable:
+    """The stacked nodes by slot: a node of slot ``s`` and period ``p`` is
+    scheduled in every round ``r ≡ s (mod p)``.
+
+    Nodes are grouped by period (under the schemes' own labels, one group
+    per instance size for round-robin and per colour count for TDMA) and
+    sorted by ``s mod p`` within a group, so a round's slot holders are one
+    slice per group: one node per instance for round-robin, one colour class
+    per instance for TDMA.
+    """
+
+    def __init__(self, slots: np.ndarray, periods: np.ndarray) -> None:
+        residues = slots % periods
+        order = np.lexsort((residues, periods))
+        ordered = periods[order]
+        cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+        self.groups = [
+            (int(ordered[lo]), order[lo:hi], residues[order[lo:hi]])
+            for lo, hi in zip([0] + cuts, cuts + [order.size])
+        ]
+
+    def holders(self, r: int, active: np.ndarray) -> np.ndarray:
+        """The sorted stacked ids scheduled in round ``r``."""
+        parts = []
+        for period, ids, residues in self.groups:
+            lo, hi = residues.searchsorted((r % period, r % period + 1))
+            if hi > lo:
+                parts.append(ids[lo:hi])
+        if len(parts) == 1:
+            return parts[0]
+        return np.sort(np.concatenate(parts)) if parts else _EMPTY
+
+    def next_round(self, t: int, live: np.ndarray) -> float:
+        """The first round from ``t`` on that schedules a node of ``live``."""
+        best = _INF
+        for period, ids, residues in self.groups:
+            sel = live[ids]
+            if sel.any():
+                best = min(best, t + int(((residues[sel] - t) % period).min()))
+        return best
+
+
+def _run_flood_batch(tasks, make_rule) -> List[BackendResult]:
     """Shared loop for baselines that only ever retransmit µ.
 
-    ``make_tx_mask(lay)`` compiles the batch's per-round transmit rule into a
-    callable ``tx(r, informed, active) -> bool mask`` over stacked node ids;
-    everything else — channel resolution, first-receipt bookkeeping, trace
-    recording, the ``all_informed`` stop rule — is shared by the slotted and
-    scheduled baselines.
+    ``make_rule(lay)`` compiles the batch's transmit rule into two callables:
+    ``holders(r, active)``, the sorted stacked ids scheduled to transmit in
+    round ``r`` (``active`` is the per-instance live mask), and
+    ``next_round(t, live)``, the first round from ``t`` on that schedules a
+    node of the stacked mask ``live`` (or ``t`` itself when the rule cannot
+    tell).  A node transmits in its scheduled rounds once informed, so after
+    a round whose successor schedules no informed live node the loop jumps
+    to the next round that does.  Everything else — channel resolution,
+    first-receipt bookkeeping, trace recording, the ``all_informed`` stop
+    rule — is shared by the slotted and scheduled baselines.
     """
     lay = _BatchLayout(tasks)
     run = _BatchRun(lay)
     channel = lay.channel()
-    tx_mask_for_round = make_tx_mask(lay)
+    holders, next_round = make_rule(lay)
     stop_all = _stop_rule_mask(lay, "all_informed")
 
     informed = np.zeros(lay.total, dtype=bool)
@@ -1168,13 +1383,13 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
     if not run.fast:
         messages = [source_message(t.payload) for t in lay.tasks]
 
-    r = 0
+    def transmitters(r: int) -> np.ndarray:
+        ids = holders(r, run.active)
+        return run.live_ids(ids[informed[ids]])
+
+    r, tx = 1, transmitters(1)
     while run.live:
-        r += 1
-        tx_mask = tx_mask_for_round(r, informed, run.active)
-        if run.node_mask is not None:
-            tx_mask &= run.node_mask
-        out = channel.resolve(tx_mask.nonzero()[0])
+        out = channel.resolve(tx)
         tx_ids, hears_ids, senders, collision_ids = out
         new_ids = _EMPTY
         if hears_ids.size:
@@ -1191,6 +1406,15 @@ def _run_flood_batch(tasks, make_tx_mask) -> List[BackendResult]:
         if new_ids.size or r == 1:
             run.complete(r, informed_count == lay.sizes, completion, stop_all)
         run.end_round(r)
+        if not run.live:
+            break
+        tx = transmitters(r + 1)
+        if tx.size:
+            r += 1
+            continue
+        live = informed if run.node_mask is None else informed & run.node_mask
+        r = run.advance(r, next_round(r + 2, live))
+        tx = transmitters(r)
 
     derived = [{"completion_round": completion[b]} for b in range(lay.B)]
     if not run.fast:
@@ -1208,25 +1432,8 @@ def run_slotted_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
     """Round-robin / G²-colouring TDMA: an informed node of slot s transmits at r ≡ s."""
 
     def make(lay: _BatchLayout):
-        if lay.B == 1:
-            slots, periods = _parse_slot_labels(lay.tasks[0].labels, lay.total)
-        else:
-            slots = np.zeros(lay.total, dtype=np.int64)
-            periods = np.ones(lay.total, dtype=np.int64)
-            for b, task in enumerate(lay.tasks):
-                lo, hi = lay.offsets[b], lay.offsets[b + 1]
-                slots[lo:hi], periods[lo:hi] = _parse_slot_labels(
-                    task.labels, task.graph.n
-                )
-        slot_residue = slots % periods
-        # A batch of one has a single period, so its round residue is taken
-        # once instead of node by node; a mixed-period stack divides per node.
-        period = int(periods[0]) if (periods == periods[0]).all() else periods
-
-        def tx(r: int, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
-            return informed & ((r % period) == slot_residue)
-
-        return tx
+        table = _SlotTable(*_parse_slot_labels(lay.tasks))
+        return table.holders, table.next_round
 
     return _run_flood_batch(tasks, make)
 
@@ -1249,15 +1456,15 @@ def run_centralized_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult
             for b, task in enumerate(lay.tasks)
         ]
 
-        def tx(r: int, informed: np.ndarray, active: np.ndarray) -> np.ndarray:
+        def holders(r: int, active: np.ndarray) -> np.ndarray:
             mask = np.zeros(lay.total, dtype=bool)
             for b in np.flatnonzero(active):
                 schedule = schedules[b]
                 if r <= len(schedule):
                     mask[schedule[r - 1]] = True
-            return mask & informed
+            return mask.nonzero()[0]
 
-        return tx
+        return holders, lambda t, live: t
 
     return _run_flood_batch(tasks, make)
 

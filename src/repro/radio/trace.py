@@ -107,6 +107,17 @@ def _carries_payload_bits(message: Message) -> bool:
     return False
 
 
+def _informs_all_but(informed: Mapping[int, int], num_nodes: int, source: int) -> bool:
+    """True if every node of ``range(num_nodes)`` but ``source`` is a key of
+    ``informed``."""
+    needed = num_nodes - (0 <= source < num_nodes)
+    if len(informed) < needed:
+        return False
+    if informed and (min(informed) < 0 or max(informed) >= num_nodes):
+        informed = {v: r for v, r in informed.items() if 0 <= v < num_nodes}
+    return len(informed) - (source in informed) == needed
+
+
 class ExecutionTrace:
     """Round records (optional) plus incrementally maintained aggregates.
 
@@ -142,8 +153,9 @@ class ExecutionTrace:
         self._informed_first: Dict[int, int] = {}
         self._ack_first: Dict[int, int] = {}
         self._ack_last: Dict[int, int] = {}
-        self._pending: Set[int] = set(range(num_nodes)) if source is not None else set()
-        self._pending.discard(source)
+        # The nodes still waiting for µ, built by the first appended record:
+        # a trace materialised from aggregates never needs the O(n) set.
+        self._pending: Optional[Set[int]] = None
         self._completion_round: Optional[int] = None
         for record in rounds or ():
             self.append(record)
@@ -207,6 +219,10 @@ class ExecutionTrace:
 
     def _ingest(self, record: RoundRecord) -> None:
         rnd = record.round_number
+        if self._pending is None:
+            self._pending = set() if self.source is None else set(range(self.num_nodes))
+            self._pending.discard(self.source)
+            self._pending.difference_update(self._informed_first)
         self._total_tx += len(record.transmissions)
         self._total_rx += len(record.receptions)
         self._total_collisions += len(record.collisions)
@@ -274,8 +290,8 @@ class ExecutionTrace:
         trace._informed_first = dict(informed_first or {})
         trace._ack_first = dict(ack_first or {})
         trace._ack_last = dict(ack_last or {})
-        trace._pending.difference_update(trace._informed_first)
-        if source is not None and not trace._pending and trace._num_rounds >= 1:
+        if source is not None and trace._num_rounds >= 1 and _informs_all_but(
+                trace._informed_first, num_nodes, source):
             non_source = dict(trace._informed_first)
             non_source.pop(source, None)
             trace._completion_round = max(non_source.values(), default=1)

@@ -25,6 +25,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.labeling import lambda_ack_scheme, lambda_arb_scheme, lambda_scheme
+from repro.core.labels import Label
 from repro.graphs import GraphError, generate_family
 
 # The equivalence grid: families × sizes, with per-(family, size) seeds.
@@ -255,7 +256,8 @@ class TestOneOutcomePath:
 class TestTaskInputChecks:
     """Both engines reject the same malformed tasks with the reference
     engine's own errors: a source that is not a node, labels missing a
-    node, a source without a payload."""
+    node, a source without a payload, a malformed bit or slot label, and a
+    B_arb coordinator its labels do not mark."""
 
     @staticmethod
     def _bad_input(task, case):
@@ -287,6 +289,94 @@ class TestTaskInputChecks:
             resolve_backend(engine).run_task(dataclasses.replace(task, **changes))
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+    @staticmethod
+    def _paper_task(name):
+        graph, source = _instance("path", 5, 1)
+        scheme = get_scheme(name)
+        info = scheme.build_labels(graph, source, **scheme.grid_options(graph, source))
+        return scheme.build_task(
+            graph, info, source, payload="MSG",
+            max_rounds=scheme.default_budget(graph, info), trace_level="summary",
+            fault_model=None, clock_model=None,
+        )
+
+    @pytest.mark.parametrize("bad", ["2", "", "1111", "1x", "01 "])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", ["lambda", "lambda_ack", "lambda_arb"])
+    def test_engines_reject_the_same_bit_label(self, name, engine, bad):
+        # The kernels used to read any character but "1" as 0 and keep
+        # three characters, so they ran labelings the node objects reject.
+        task = self._paper_task(name)
+        with pytest.raises(ValueError) as expected:
+            Label.from_string(bad)
+        labels = dict(task.labels)
+        labels[1] = bad
+        labels[3] = "1x1x"  # a later bad node: the first one is named
+        with pytest.raises(ValueError) as caught:
+            resolve_backend(engine).run_task(dataclasses.replace(task, labels=labels))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_engines_reject_a_coordinator_the_labels_do_not_mark(self, engine, case):
+        # B_arb nodes take the role from the label 111 and the kernel from
+        # extras["coordinator"]: a task where they disagree runs differently
+        # on the two engines, so neither runs it.
+        task = self._paper_task("lambda_arb")
+        coordinator = task.extras["coordinator"]
+        other = (coordinator + 2) % task.graph.n
+        labels = dict(task.labels)
+        extras = dict(task.extras)
+        if case == "second":
+            labels[other] = "111"
+            marked = sorted((coordinator, other))
+        elif case == "missing":
+            labels[coordinator] = "011"
+            marked = []
+        else:
+            extras["coordinator"] = other
+            marked = [coordinator]
+        with pytest.raises(ValueError) as caught:
+            resolve_backend(engine).run_task(
+                dataclasses.replace(task, labels=labels, extras=extras))
+        assert str(caught.value) == (
+            f"B_arb's coordinator {extras['coordinator']!r} must be the only node "
+            f"labelled '111'; labelled '111': {marked}"
+        )
+
+    @pytest.mark.parametrize("name", ["round_robin", "coloring_tdma"])
+    @pytest.mark.parametrize("bad,message", [
+        ("010", "malformed slotted label '010'"),
+        ("0121", "invalid literal for int() with base 2: '21'"),
+        ("0x01", "invalid literal for int() with base 2: '0x'"),
+    ])
+    def test_engines_reject_the_same_slot_label(self, name, bad, message):
+        # Slotted labels are parsed as one byte array only when all share
+        # one even width of 0/1 characters; otherwise node by node, so the
+        # first bad label raises the reference engine's own error.
+        task = self._paper_task(name)
+        labels = dict(task.labels)
+        labels[2], labels[4] = bad, "1"
+        for engine in ("reference", "vectorized"):
+            with pytest.raises(ValueError) as caught:
+                resolve_backend(engine).run_task(dataclasses.replace(task, labels=labels))
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name", ["round_robin", "coloring_tdma"])
+    def test_mixed_slot_label_widths_run_alike(self, name):
+        # Mixed widths are legal: each node's label is two halves of its own.
+        task = self._paper_task(name)
+        labels = dict(task.labels)
+        labels[2] = "0" + labels[2][: len(labels[2]) // 2] + "0" + labels[2][len(labels[2]) // 2:]
+        labels[3] = "10"
+        task = dataclasses.replace(task, labels=labels, trace_level="full")
+        vec = VectorizedBackend().run_task(task)
+        ref = ReferenceBackend().run_task(task)
+        assert vec.backend == "vectorized"
+        assert vec.trace.to_json() == ref.trace.to_json()
+        assert vec.derived == ref.derived
 
 
 class TestBackendPlumbing:

@@ -6,7 +6,8 @@ invisible: outcomes, derived values, stop bookkeeping and full traces must
 be bit-for-bit identical to per-task execution — each task as a batch of
 one through ``run_task`` — and to the reference engine, for any batch
 composition (ragged sizes, mixed budgets and stop rules, any scheme mix
-routed through the grid), and grid rows must be independent of the job
+routed through the grid, random non-paper labels whose runs stall, go
+silent or end on budget), and grid rows must be independent of the job
 count and of how many instances share a call.  The grid's one window rule
 decides that: up to ``STACK_NODES`` requested nodes on ``vectorized``, one
 instance on every other engine; the tests patch ``STACK_NODES`` to move
@@ -269,6 +270,94 @@ class TestBatchedDifferential:
                 == (ref.trace, ref.simulation.stop_round, ref.simulation.stop_reason)
             if trace_level == "full":
                 assert out.trace.to_json() == ref.trace.to_json()
+
+
+#: Schemes whose kernels decide from event lists and jump over silent
+#: rounds, with the labels the random-label property draws for them.
+EVENT_SCHEMES = ["lambda", "lambda_ack", "lambda_arb", "round_robin", "coloring_tdma"]
+
+
+@st.composite
+def _random_label_task(draw, scheme_name, trace_level):
+    """A grid-style task with random non-paper labels, budget and stop rule.
+
+    λ gets random 2-bit labels and λ_ack random 3-bit ones, on every node or
+    on up to two nodes of the paper's labeling; λ_arb the same without
+    ``111``, which stays at the coordinator alone (what its nodes and the
+    kernel both take as the coordinator).  Round-robin and TDMA get
+    random slots and periods of one width, shared by all nodes or per node,
+    and sometimes one node of a wider label.  Budgets are 0, 1, small, the
+    scheme's default or 3× it, under the scheme's own stop rule or none."""
+    family = draw(st.sampled_from(FAMILIES + ["single"]))
+    *_, task = _build_task(scheme_name, family, draw(st.integers(2, 12)),
+                           draw(st.integers(0, 4)), trace_level)
+    n = task.graph.n
+    if scheme_name in ("round_robin", "coloring_tdma"):
+        width = draw(st.integers(1, 3))
+        field = st.integers(0, (1 << width) - 1)
+        shared = draw(st.one_of(st.none(), field))
+        labels = {}
+        for v in range(n):
+            period = draw(field) if shared is None else shared
+            labels[v] = format(draw(field), f"0{width}b") + format(period, f"0{width}b")
+        if draw(st.booleans()):
+            v = draw(st.integers(0, n - 1))
+            labels[v] = "0" + labels[v][:width] + "0" + labels[v][width:]
+    else:
+        width = 2 if scheme_name == "lambda" else 3
+        alphabet = [format(i, f"0{width}b") for i in range(1 << width)]
+        if scheme_name == "lambda_arb":
+            alphabet.remove("111")
+        # Fully random labels mostly stall early; the paper's labels with a
+        # few nodes relabelled reach the later phases and ack chains too.
+        labels = dict(task.labels)
+        relabelled = range(n) if draw(st.booleans()) else draw(
+            st.lists(st.integers(0, n - 1), max_size=2))
+        for v in relabelled:
+            labels[v] = draw(st.sampled_from(alphabet))
+        if scheme_name == "lambda_arb":
+            labels[task.extras["coordinator"]] = "111"
+    default = task.max_rounds
+    budget = draw(st.sampled_from(
+        [0, 1, draw(st.integers(2, 12)), default, 3 * default]))
+    stop_rule = task.stop_rule if draw(st.booleans()) else None
+    return replace(task, labels=labels, max_rounds=budget, stop_rule=stop_rule)
+
+
+def _totals(result):
+    trace = result.trace
+    return (
+        result.derived, result.simulation.stop_round, result.simulation.stop_reason,
+        trace.num_rounds, trace.total_transmissions(), trace.total_receptions(),
+        trace.total_collisions(), trace.transmissions_by_kind(),
+        trace.total_message_bits(),
+    )
+
+
+class TestRandomLabelDifferential:
+    """Random labels stall, silence and budget-end runs that paper labels
+    never do: every kernel that jumps over silent rounds must still match
+    the same task run alone and on the reference engine."""
+
+    @pytest.mark.parametrize("scheme_name", EVENT_SCHEMES)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(data=st.data())
+    def test_stacked_solo_and_reference_agree(self, scheme_name, data):
+        level = data.draw(st.sampled_from(["none", "summary", "full"]))
+        tasks = data.draw(st.lists(_random_label_task(scheme_name, level),
+                                   min_size=1, max_size=4))
+        outs = VECTORIZED.run_batch(tasks)
+        for task, out in zip(tasks, outs):
+            assert out.backend == "vectorized"
+            assert _fingerprint(out) == _fingerprint(VECTORIZED.run_task(task))
+            ref = REFERENCE.run_task(task)
+            # The reference engine records "none" as "summary" by design.
+            assert _totals(out) == _totals(ref)
+            if level == "full":
+                assert out.trace.to_json() == ref.trace.to_json()
+            elif level == "summary":
+                assert out.trace == ref.trace
 
 
 class TestChannelBranches:

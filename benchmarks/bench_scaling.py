@@ -876,7 +876,8 @@ def bench_store_index(request):
         indexed_open = min(_timed(lambda: ResultStore(root)) for _ in range(3))
 
         store = ResultStore(root)
-        assert store.describe()["scanned_lines"] == 0, "open must be indexed"
+        described = store.describe()
+        assert described["scanned_lines"] == 0, "open must be indexed"
         assert len(store) == n_rows
         sample = random.Random(0).sample(keys, 2000)
         contains_s = _timed(lambda: all(key in store for key in sample))
@@ -891,7 +892,7 @@ def bench_store_index(request):
     )
     _merge_bench_json("store_index", [{
         "rows": n_rows,
-        "segments": 256,
+        "segments": described["segments"],
         "build_seconds": round(build_wall, 3),
         "cold_open_seconds": round(cold_open, 4),
         "indexed_open_seconds": round(indexed_open, 4),
@@ -901,8 +902,9 @@ def bench_store_index(request):
     }])
     report(
         "E10e — offset-indexed store opens",
-        f"{n_rows} rows / 256 segments; full rescan open: {cold_open:.3f}s, "
-        f"indexed open: {indexed_open:.4f}s ({speedup:.0f}x); warm get: "
+        f"{n_rows} rows / {described['segments']} segments; full rescan "
+        f"open: {cold_open:.3f}s, indexed open: {indexed_open:.4f}s "
+        f"({speedup:.0f}x); warm get: "
         f"{lookups / len(sample) * 1e6:.1f}us, contains: "
         f"{contains_s / len(sample) * 1e6:.2f}us per key",
     )

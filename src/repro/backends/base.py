@@ -99,7 +99,8 @@ class SimulationTask:
         (:class:`~repro.graphs.graph.GraphError` or :class:`ValueError`) at
         construction, whatever engine runs it.  A B_arb task must also mark
         exactly its ``extras["coordinator"]`` with the label ``111``, the
-        label its nodes recognise the coordinator by.
+        label its nodes recognise the coordinator by; one that names no
+        coordinator raises :class:`ValueError` on every engine.
     max_rounds:
         Hard round budget.
     stop_rule:
@@ -169,13 +170,17 @@ class SimulationTask:
         """B_arb's nodes take the ``111`` label as the coordinator role and
         the array kernel takes ``extras["coordinator"]``: the two must agree."""
         coordinator = self.extras.get("coordinator")
-        expected = [] if coordinator is None else [coordinator]
-        if countOf(self.labels.values(), _COORDINATOR_LABEL) == len(expected) and all(
-            v in self.graph and self.labels[v] == _COORDINATOR_LABEL for v in expected
+        if coordinator is None:
+            raise ValueError(
+                f"a B_arb task must name its coordinator, the node labelled "
+                f"{_COORDINATOR_LABEL!r}, in extras['coordinator']"
+            )
+        if countOf(self.labels.values(), _COORDINATOR_LABEL) == 1 and (
+            coordinator in self.graph and self.labels[coordinator] == _COORDINATOR_LABEL
         ):
             return
         marked = [v for v in self.graph.nodes() if self.labels[v] == _COORDINATOR_LABEL]
-        if marked != expected:
+        if marked != [coordinator]:
             raise ValueError(
                 f"B_arb's coordinator {coordinator!r} must be the only node "
                 f"labelled {_COORDINATOR_LABEL!r}; labelled {_COORDINATOR_LABEL!r}: "

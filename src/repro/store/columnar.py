@@ -3,7 +3,7 @@
 A JSONL segment is perfect for appends and terrible for analytics: answering
 "mean completion round by scheme" over 10⁶ rows means JSON-parsing every
 field of every row.  ``repro store compact --format columnar`` rewrites a
-shard's winner lines into one ``segments/<xy>.colseg`` file laid out as
+shard's winner lines into one ``segments/<x>.colseg`` file laid out as
 per-column blocks, so a reader that wants two columns touches two columns'
 bytes — the file is ``mmap``-ed and NumPy views are taken lazily per column.
 

@@ -10,7 +10,7 @@ compaction never changes the row bytes, keys or resume semantics of the
 store, only removes lines that no read could ever serve.
 
 ``format="columnar"`` compacts each shard's winners into a binary columnar
-segment instead (``<xy>.colseg``, :mod:`repro.store.columnar`): JSONL rows
+segment instead (``<x>.colseg``, :mod:`repro.store.columnar`): JSONL rows
 are merged over any existing columnar rows (JSONL is always the newer
 generation), the merged winners are written as column blocks, and the JSONL
 file is removed — all under the shard's lock, so concurrent appends land

@@ -1,6 +1,6 @@
 """Sidecar offset indexes: O(1) key lookup without re-parsing JSONL segments.
 
-Each segment ``segments/<xy>.jsonl`` may carry a sidecar ``segments/<xy>.idx``
+Each segment ``segments/<x>.jsonl`` may carry a sidecar ``segments/<x>.idx``
 mapping every live key to the byte span of its winning line.  The sidecar is a
 **disposable cache**: it is written atomically (temp + rename) on
 :meth:`~repro.store.store.ResultStore.close` and after compaction, validated
@@ -20,7 +20,9 @@ One read, one ``str.split`` over the key line and one ``numpy.frombuffer``
 over the binary span blob parse in a few milliseconds at 10⁵ entries — an
 order of magnitude faster than ``json.loads`` over every segment line, which
 is what makes indexed opens O(#keys) dictionary builds instead of O(#bytes)
-JSON parses.  (A store shards into up to 256 segments, so the loader is also
+JSON parses.  (Every segment costs a sidecar rewrite on close and a file open
+on load, which is why a store shards into at most 16 segments — up to 256 in
+stores written under the older two-character layout — and why the loader is
 deliberately frugal with per-file fixed costs.)  ``skipped`` / ``stale``
 record how many junk / retired-schema lines the covered bytes contain, so an
 indexed open restores the same diagnostic counters a full scan would have
@@ -64,7 +66,7 @@ class SegmentIndex:
 
 
 def index_path(segment_path: Path) -> Path:
-    """The sidecar path for a ``segments/<xy>.jsonl`` segment."""
+    """The sidecar path for a ``segments/<x>.jsonl`` segment."""
     return segment_path.with_suffix(".idx")
 
 

@@ -3,10 +3,16 @@
 Layout of a store directory::
 
     DIR/
-      store.json            # format marker + schema version (documentation)
-      segments/<xy>.jsonl   # appended rows, sharded by the key's first byte
-      segments/<xy>.idx     # disposable sidecar offset index (see store.index)
-      segments/<xy>.colseg  # optional binary columnar segment (see store.columnar)
+      store.json           # format marker + schema version (documentation)
+      segments/<x>.jsonl   # appended rows, sharded by the key's first hex digit
+      segments/<x>.idx     # disposable sidecar offset index (see store.index)
+      segments/<x>.colseg  # optional binary columnar segment (see store.columnar)
+
+A store holds at most 16 shards (see ``_shard_of``).  Stores written when
+rows were sharded by the key's first byte (``segments/<xy>.jsonl``, up to 256
+shards) are read, resumed and compacted as they are: every reader goes by the
+segment file's stem, and new rows land in the one-character shards beside
+the old files.
 
 Each segment line is one completed grid row::
 
@@ -43,7 +49,7 @@ scan-everything store:
   share one store without interleaving partial lines; each writer refreshes
   the sidecar index under the same lock on :meth:`ResultStore.close`.
 * **Columnar analytics** — ``compact(format="columnar")`` rewrites each
-  shard's winners into a binary column-block segment (``<xy>.colseg``,
+  shard's winners into a binary column-block segment (``<x>.colseg``,
   :mod:`repro.store.columnar`) that opens by ``mmap`` — key lookups stay
   O(1), ``rows()`` becomes a *lazy* ResultSet that reads only the column
   blocks a query touches, and appends keep landing in the shard's JSONL
@@ -92,6 +98,20 @@ _SEGMENTS_DIR = "segments"
 # hex keys trivially qualify; anything else is rejected at put() and treated
 # as junk when encountered in a hand-edited segment.
 _KEY_RE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _shard_of(key: str) -> str:
+    """The shard a new row for ``key`` is appended to: its first character.
+
+    A hex key picks one of 16 segments.  Every segment costs a file create on
+    its first put and a sidecar rewrite (lock, temp file, ``fsync``, rename)
+    on each close, and a cold grid touches most of the shards there are, so
+    fewer shards make cold sweeps cheaper.  Stores written under the earlier
+    two-character rule (``segments/<key[:2]>.jsonl``) stay readable: loading,
+    compaction and the sidecars go by file stem, never by this rule.
+    """
+    return key[:1]
+
 
 try:
     import fcntl
@@ -243,9 +263,10 @@ class ResultStore:
         segments = self.root / _SEGMENTS_DIR
         try:
             with os.scandir(segments) as scan:
-                # scandir keeps per-segment fixed costs low: a store shards
-                # into up to 256 segments and open time is dominated by
-                # per-file overhead once the sidecars do the heavy lifting.
+                # scandir keeps per-segment fixed costs low: open time is
+                # dominated by per-file overhead once the sidecars do the
+                # heavy lifting, and a store in the two-character layout
+                # can hold up to 256 segments.
                 # Sorting (shard, kind) loads a shard's columnar segment
                 # before its JSONL file, so JSONL rows — always the newer
                 # generation — win via _record's last-wins rule.
@@ -697,7 +718,7 @@ class ResultStore:
         if trace is not None:
             doc["trace"] = trace.to_aggregates()
         data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-        shard = key[:2]
+        shard = _shard_of(key)
         offset = self._append_line(shard, data)
         self._record(key, shard, offset, len(data))
         return True
@@ -710,6 +731,13 @@ class ResultStore:
         sidecar never claims to cover lines it did not account for.  The
         last closer wins with a fully-covering index.
         """
+        # One pass over the slots lists every dirty shard's JSONL slots.
+        # Columnar slots (_lens == -1) live outside the JSONL file and must
+        # never leak into its sidecar spans.
+        slots_of: Dict[str, List[int]] = {shard: [] for shard in self._dirty}
+        for slot, (shard, length) in enumerate(zip(self._shard_at, self._lens)):
+            if length >= 0 and shard in slots_of:
+                slots_of[shard].append(slot)
         for shard in sorted(self._dirty):
             path = self._segment_path(shard)
             try:
@@ -722,10 +750,11 @@ class ResultStore:
                 if covered < size:
                     self._scan_segment(shard, path, covered)
                     self._covered[shard] = size
-                # Columnar slots (_lens == -1) live outside the JSONL file
-                # and must never leak into its sidecar spans.
-                slots = [s for s, sh in enumerate(self._shard_at)
-                         if sh == shard and self._lens[s] >= 0]
+                    slots_of[shard] = [s for s, sh in enumerate(self._shard_at)
+                                       if sh == shard and self._lens[s] >= 0]
+                # A tail scan of another shard may have taken a slot over
+                # (one key in two segment files); it is no longer ours.
+                slots = [s for s in slots_of[shard] if self._shard_at[s] == shard]
                 write_segment_index(path, SegmentIndex(
                     segment_bytes=size,
                     schema=SCHEMA_VERSION,

@@ -318,12 +318,13 @@ class TestTaskInputChecks:
         assert type(caught.value) is ValueError
         assert str(caught.value) == str(expected.value)
 
-    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere"])
+    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere", "none"])
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_engines_reject_a_coordinator_the_labels_do_not_mark(self, engine, case):
         # B_arb nodes take the role from the label 111 and the kernel from
         # extras["coordinator"]: a task where they disagree runs differently
-        # on the two engines, so neither runs it.
+        # on the two engines, so neither runs it.  Nor does one that names
+        # no coordinator and labels none.
         task = self._paper_task("lambda_arb")
         coordinator = task.extras["coordinator"]
         other = (coordinator + 2) % task.graph.n
@@ -335,16 +336,25 @@ class TestTaskInputChecks:
         elif case == "missing":
             labels[coordinator] = "011"
             marked = []
-        else:
+        elif case == "elsewhere":
             extras["coordinator"] = other
             marked = [coordinator]
+        else:
+            labels[coordinator] = "011"
+            del extras["coordinator"]
         with pytest.raises(ValueError) as caught:
             resolve_backend(engine).run_task(
                 dataclasses.replace(task, labels=labels, extras=extras))
-        assert str(caught.value) == (
-            f"B_arb's coordinator {extras['coordinator']!r} must be the only node "
-            f"labelled '111'; labelled '111': {marked}"
-        )
+        if case == "none":
+            assert str(caught.value) == (
+                "a B_arb task must name its coordinator, the node labelled "
+                "'111', in extras['coordinator']"
+            )
+        else:
+            assert str(caught.value) == (
+                f"B_arb's coordinator {extras['coordinator']!r} must be the only node "
+                f"labelled '111'; labelled '111': {marked}"
+            )
 
     @pytest.mark.parametrize("name", ["round_robin", "coloring_tdma"])
     @pytest.mark.parametrize("bad,message", [
@@ -407,9 +417,13 @@ class TestBackendPlumbing:
     def test_vectorized_supports_the_compiled_protocols(self):
         graph, source = _instance("grid", 9, 1)
         labeling = lambda_scheme(graph, source)
+        arb = lambda_arb_scheme(graph)
         vec = VectorizedBackend()
         for protocol in ("broadcast", "acknowledged", "arbitrary",
                          "round_robin", "coloring_tdma"):
-            task = SimulationTask(protocol=protocol, graph=graph,
-                                  labels=labeling.labels, source=source, max_rounds=1)
+            labels, extras = labeling.labels, {}
+            if protocol == "arbitrary":
+                labels, extras = arb.labels, {"coordinator": arb.coordinator}
+            task = SimulationTask(protocol=protocol, graph=graph, labels=labels,
+                                  source=source, max_rounds=1, extras=extras)
             assert vec.supports(task)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -18,12 +19,18 @@ from repro.store import (
     StoreError,
     unit_key,
 )
+from repro.store.store import _shard_of
 
 BASE_KEY_FIELDS = dict(
     scheme="lambda", family="path", size=16, seed=123, source_rule="zero",
     payload="MSG", fault_spec=None, clock_spec=None, backend=None,
     trace_level="summary",
 )
+
+
+def _segment(root, key: str, suffix: str = ".jsonl"):
+    """The segment file ``put`` appends ``key``'s row to, or its sidecar."""
+    return root / "segments" / f"{_shard_of(key)}{suffix}"
 
 
 def _rows(n=6) -> list:
@@ -198,15 +205,30 @@ class TestResultStore:
             store.put("bb" + "0" * 62, rows[2])
         segments = sorted(p.name for p in (tmp_path / "s" / "segments").glob("*"))
         # close() leaves one sidecar offset index next to each segment
-        assert segments == ["aa.idx", "aa.jsonl", "bb.idx", "bb.jsonl"]
+        a, b = _shard_of("aa" + "0" * 62), _shard_of("bb" + "0" * 62)
+        assert segments == [f"{a}.idx", f"{a}.jsonl", f"{b}.idx", f"{b}.jsonl"]
         assert ResultStore(tmp_path / "s").describe()["segments"] == 2
+        # Hex keys shard by their first digit: 256 random ones fill exactly
+        # the 16 segments there are.
+        rng = random.Random(23)
+        keys = [f"{rng.getrandbits(256):064x}" for _ in range(256)]
+        with ResultStore(tmp_path / "r") as store:
+            for key in keys:
+                store.put(key, rows[0])
+        segments = tmp_path / "r" / "segments"
+        assert len(list(segments.glob("*.jsonl"))) == 16
+        assert len(list(segments.glob("*.idx"))) == 16
+        reopened = ResultStore(tmp_path / "r")
+        assert reopened.describe()["segments"] == 16
+        assert reopened.describe()["scanned_lines"] == 0
+        assert sorted(reopened.keys()) == sorted(keys)
 
     def test_truncated_final_line_is_skipped(self, tmp_path):
         rows = _rows(2)
         with ResultStore(tmp_path / "s") as store:
             store.put("aa" + "0" * 62, rows[0])
             store.put("aa" + "1" * 62, rows[1])
-        segment = tmp_path / "s" / "segments" / "aa.jsonl"
+        segment = _segment(tmp_path / "s", "aa" + "0" * 62)
         text = segment.read_text()
         segment.write_text(text[: len(text) - 25])  # simulate a hard kill
         reopened = ResultStore(tmp_path / "s")
@@ -237,7 +259,7 @@ class TestResultStore:
         rows = _rows(2)
         with ResultStore(tmp_path / "s") as store:
             store.put("aa" + "0" * 62, rows[0])
-        segment = tmp_path / "s" / "segments" / "aa.jsonl"
+        segment = _segment(tmp_path / "s", "aa" + "0" * 62)
         # Forge a row written under an older schema version: its key can
         # never match again, and it must not resurface through rows().
         stale = json.loads(segment.read_text().splitlines()[0])
@@ -316,6 +338,100 @@ class TestTraceAggregatesRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
+# stores written when rows were sharded by the key's first byte
+# --------------------------------------------------------------------------- #
+def _to_two_character_layout(root) -> None:
+    """Lay ``root`` out as stores were before one-digit shards: every line
+    moved to ``segments/<key[:2]>.jsonl``, and no sidecars."""
+    segments = root / "segments"
+    lines = {}
+    for path in sorted(segments.glob("*.jsonl")):
+        for line in path.read_bytes().splitlines(keepends=True):
+            lines.setdefault(json.loads(line)["key"][:2], []).append(line)
+        path.unlink()
+    for path in segments.glob("*.idx"):
+        path.unlink()
+    for prefix, group in lines.items():
+        (segments / f"{prefix}.jsonl").write_bytes(b"".join(group))
+
+
+class TestTwoCharacterLayout:
+    CFG = GridConfig(families=["path", "grid"], sizes=[9, 12], seeds_per_size=2,
+                     schemes=["lambda", "round_robin"])
+
+    @pytest.fixture
+    def old_store(self, tmp_path):
+        """``(root, rows by key, traces by key, cold grid rows)`` of a store
+        in the old layout."""
+        root = tmp_path / "s"
+        trace = _batched_trace()
+        with ResultStore(root) as store:
+            cold = list(run_grid(self.CFG, store=store))
+            for i in range(3):
+                store.put(f"{i}{i}" + "e" * 62, cold[i], trace=trace)
+            rows, traces = self._contents(store)
+        _to_two_character_layout(root)
+        names = [p.stem for p in (root / "segments").glob("*.jsonl")]
+        # Several old segments share a first digit: their rows all map to
+        # one new shard, which must not merge or shadow them.
+        assert all(len(name) == 2 for name in names)
+        assert len(names) > len({name[0] for name in names})
+        return root, rows, traces, cold
+
+    @staticmethod
+    def _contents(store):
+        return ({key: store.get(key) for key in store.keys()},
+                {key: store.get_trace(key) for key in store.keys()})
+
+    def test_opens_with_every_row_and_trace(self, old_store):
+        root, rows, traces, _ = old_store
+        with ResultStore(root) as store:
+            assert self._contents(store) == (rows, traces)
+            assert store.describe()["skipped_lines"] == 0
+        # close() indexed the old segments where they are.
+        with ResultStore(root) as store:
+            assert store.describe()["scanned_lines"] == 0
+            assert self._contents(store) == (rows, traces)
+
+    def test_resume_computes_no_cell(self, old_store):
+        root, _, _, cold = old_store
+        progress = []
+        with ResultStore.open(root, require_existing=True) as store:
+            resumed = list(run_grid(self.CFG, store=store, on_chunk=progress.append))
+        assert progress[-1].computed_rows == 0
+        assert progress[-1].cached_rows == len(cold)
+        assert resumed == cold
+
+    def test_new_rows_land_in_one_character_shards(self, old_store):
+        root, rows, traces, cold = old_store
+        before = {p.name: p.read_bytes() for p in (root / "segments").glob("*.jsonl")}
+        key = "f" * 64
+        with ResultStore(root) as store:
+            assert store.put(key, cold[0])
+        assert _segment(root, key).name == "f.jsonl"
+        assert json.loads(_segment(root, key).read_bytes())["key"] == key
+        for name, data in before.items():
+            assert (root / "segments" / name).read_bytes() == data
+        with ResultStore(root) as store:
+            assert self._contents(store) == (
+                {**rows, key: cold[0]}, {**traces, key: None})
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
+    def test_compaction_keeps_every_row(self, old_store, fmt):
+        root, rows, traces, cold = old_store
+        with ResultStore(root) as store:
+            store.put("f" * 64, cold[0])
+        rows, traces = {**rows, "f" * 64: cold[0]}, {**traces, "f" * 64: None}
+        with ResultStore(root) as store:
+            stats = store.compact(format=fmt)
+            assert stats["rows_kept"] == len(rows)
+            assert stats["duplicates_dropped"] == stats["junk_dropped"] == 0
+            assert self._contents(store) == (rows, traces)
+        with ResultStore(root) as store:
+            assert self._contents(store) == (rows, traces)
+
+
+# --------------------------------------------------------------------------- #
 # crash hygiene: truncated segment tails must never shadow later rows
 # --------------------------------------------------------------------------- #
 class TestTruncatedTailRepair:
@@ -328,7 +444,7 @@ class TestTruncatedTailRepair:
         key = "ab" + "0" * 62
         with ResultStore(tmp_path / "s") as store:
             row = self._put_one(store, key)
-        segment = tmp_path / "s" / "segments" / "ab.jsonl"
+        segment = _segment(tmp_path / "s", key)
         # Simulate a hard kill mid-write: chop the final line in half.
         data = segment.read_bytes()
         segment.write_bytes(data[: len(data) // 2])
@@ -350,7 +466,7 @@ class TestTruncatedTailRepair:
         key = "cd" + "0" * 62
         with ResultStore(tmp_path / "s") as store:
             row = self._put_one(store, key)
-        segment = tmp_path / "s" / "segments" / "cd.jsonl"
+        segment = _segment(tmp_path / "s", key)
         size_before = segment.stat().st_size
         other = "cd" + "1" * 62
         with ResultStore(tmp_path / "s") as store:

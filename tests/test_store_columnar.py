@@ -56,6 +56,7 @@ from repro.store import (
 )
 from repro.radio.trace import ExecutionTrace
 from repro.store.columnar import COLUMNAR_SUFFIX
+from repro.store.store import _shard_of
 
 CFG = GridConfig(families=["path", "grid"], sizes=[9, 12], seeds_per_size=1,
                  schemes=["lambda", "round_robin"])
@@ -200,7 +201,7 @@ class TestMixedFormatStores:
             newer = dict(doc, row=dict(doc["row"], status="error:Injected"))
             # Append a newer generation for the same key straight to the
             # shard's JSONL file, like a foreign writer would.
-            seg = Path(store.root) / "segments" / f"{key[:2]}.jsonl"
+            seg = Path(store.root) / "segments" / f"{_shard_of(key)}.jsonl"
             with open(seg, "ab") as handle:
                 handle.write((_canonical(newer) + "\n").encode())
         with ResultStore(tmp_path / "s") as store:
@@ -302,9 +303,15 @@ def _key(i: int, shard: str = "aa") -> str:
     return shard + f"{i:062x}"
 
 
+def _colseg(root: Path) -> Path:
+    """The columnar segment :func:`_columnar_shard` compacts its rows into."""
+    return root / "segments" / f"{_shard_of(_key(0))}{COLUMNAR_SUFFIX}"
+
+
 def _columnar_shard(root: Path, *, jsonl_row: bool = True) -> Path:
-    """Shard ``aa`` as one 4-row .colseg (two rows with traces), plus one
-    JSONL row in shard ``bb`` unless ``jsonl_row`` is False."""
+    """The ``aa`` keys' shard as one 4-row .colseg (two rows with traces),
+    plus one JSONL row in the ``bb`` keys' shard unless ``jsonl_row`` is
+    False."""
     trace = ExecutionTrace.from_aggregates(8, 0, level="summary", num_rounds=5,
                                            total_transmissions=7)
     with ResultStore(root) as store:
@@ -337,7 +344,7 @@ def colseg_template(tmp_path_factory):
 class TestCorruptSegments:
     def test_bad_first_key_offset_is_quarantined(self, tmp_path):
         root = _columnar_shard(tmp_path / "s")
-        victim = root / "segments" / "aa.colseg"
+        victim = _colseg(root)
         raw, header = _header(victim)
         struct.pack_into("<q", raw, _column(header, "key")["offsets"][0], 7)
         victim.write_bytes(bytes(raw))
@@ -349,7 +356,7 @@ class TestCorruptSegments:
     def test_ill_typed_header_is_quarantined(self, tmp_path):
         # Same-length edit: a column kind becomes a JSON list (unhashable).
         root = _columnar_shard(tmp_path / "s")
-        victim = root / "segments" / "aa.colseg"
+        victim = _colseg(root)
         raw = victim.read_bytes()
         assert raw.count(b'"kind":"str"') >= 1
         victim.write_bytes(raw.replace(b'"kind":"str"', b'"kind":["t"]', 1))
@@ -361,7 +368,7 @@ class TestCorruptSegments:
 
     def test_undecodable_string_column_raises_columnar_error(self, tmp_path):
         root = _columnar_shard(tmp_path / "s", jsonl_row=False)
-        victim = root / "segments" / "aa.colseg"
+        victim = _colseg(root)
         raw, header = _header(victim)
         raw[_column(header, "scheme")["offsets"][1]] = 0xFF  # not UTF-8
         victim.write_bytes(bytes(raw))
@@ -373,7 +380,7 @@ class TestCorruptSegments:
 
     def test_bad_string_offsets_raise_columnar_error(self, tmp_path):
         root = _columnar_shard(tmp_path / "s", jsonl_row=False)
-        victim = root / "segments" / "aa.colseg"
+        victim = _colseg(root)
         raw, header = _header(victim)
         struct.pack_into("<q", raw, _column(header, "family")["offsets"][0] + 8, -3)
         victim.write_bytes(bytes(raw))
@@ -392,7 +399,7 @@ class TestCorruptSegments:
         # removes the segment as junk instead of keeping it (to be
         # quarantined again on every open) or raising.
         root = _columnar_shard(tmp_path / "s")
-        victim = root / "segments" / "aa.colseg"
+        victim = _colseg(root)
         raw, header = _header(victim)
         struct.pack_into("<q", raw, _column(header, column)["offsets"][0] + 8 * word, value)
         victim.write_bytes(bytes(raw))
@@ -416,7 +423,7 @@ class TestCorruptSegments:
         # and leaves no segment to quarantine.
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(shutil.copytree(colseg_template, Path(tmp) / "s"))
-            victim = root / "segments" / "aa.colseg"
+            victim = _colseg(root)
             victim.write_bytes(mutate_bytes(data, victim.read_bytes()))
             with ResultStore(root) as store:
                 assert len(store.keys()) == len(store)

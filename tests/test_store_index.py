@@ -28,6 +28,7 @@ from repro.analysis.metrics import METRIC_FIELDS
 from repro.api import GridConfig, run_grid
 from repro.radio.trace import ExecutionTrace
 from repro.store import SCHEMA_VERSION, ResultStore, StoreError, compact_store
+from repro.store.store import _shard_of
 
 
 def _row(i: int = 0) -> RunMetrics:
@@ -41,6 +42,11 @@ def _row(i: int = 0) -> RunMetrics:
 
 def _key(i: int, shard: str = "aa") -> str:
     return shard + f"{i:062x}"
+
+
+def _segment(root: Path, shard: str = "aa", suffix: str = ".jsonl") -> Path:
+    """The file ``put`` appends the ``_key(i, shard)`` rows to, or its sidecar."""
+    return root / "segments" / f"{_shard_of(_key(0, shard))}{suffix}"
 
 
 def _line(key: str, row: RunMetrics, *, schema=SCHEMA_VERSION, trace=None) -> str:
@@ -87,7 +93,7 @@ class TestSidecarIndex:
         assert [k for k, _ in rescan.iter_items()] == [_key(i) for i in range(3)]
         rescan.close()
         assert sorted(p.name for p in (tmp_path / "s" / "segments").glob("*.idx")) \
-            == ["aa.idx"]
+            == [_segment(tmp_path / "s", suffix=".idx").name]
         assert ResultStore(tmp_path / "s").describe()["scanned_lines"] == 0
 
     def test_grown_segment_scans_only_the_new_tail(self, tmp_path):
@@ -116,7 +122,7 @@ class TestSidecarIndex:
         with ResultStore(tmp_path / "s") as store:
             for i in range(3):
                 store.put(_key(i), _row(i))
-        segment = tmp_path / "s" / "segments" / "aa.jsonl"
+        segment = _segment(tmp_path / "s")
         segment.write_bytes(segment.read_bytes()[:-10])
         reopened = ResultStore(tmp_path / "s")
         assert reopened.describe()["scanned_lines"] > 0  # sidecar rejected
@@ -126,7 +132,7 @@ class TestSidecarIndex:
     def test_corrupt_sidecar_falls_back_to_scanning(self, tmp_path):
         with ResultStore(tmp_path / "s") as store:
             store.put(_key(0), _row(0))
-        (tmp_path / "s" / "segments" / "aa.idx").write_bytes(b"garbage\n")
+        _segment(tmp_path / "s", suffix=".idx").write_bytes(b"garbage\n")
         reopened = ResultStore(tmp_path / "s")
         assert reopened.get(_key(0)) == _row(0)
         assert reopened.describe()["scanned_lines"] == 1
@@ -136,7 +142,7 @@ class TestSidecarIndex:
         # offset; the first failed span read must reload and retry.
         with ResultStore(tmp_path / "s") as store:
             store.put(_key(0), _row(0))
-        segment = tmp_path / "s" / "segments" / "aa.jsonl"
+        segment = _segment(tmp_path / "s")
         with open(segment, "a", encoding="utf-8") as handle:
             handle.write(_line(_key(0), _row(5)) + _line(_key(1), _row(1)))
         reader = ResultStore(tmp_path / "s")
@@ -158,9 +164,9 @@ class TestSidecarIndex:
 def _sidecar_template(root: Path, *, columnar: bool) -> Path:
     """A store whose every JSONL segment carries a sidecar.
 
-    JSONL-only: shards ``aa`` and ``bb``.  With ``columnar``, both are
-    compacted to ``.colseg`` first, then ``bb`` gains newer JSONL rows (a
-    mixed shard) and ``cc`` is JSONL alone.
+    JSONL-only: the shards of the ``aa`` and ``bb`` keys.  With
+    ``columnar``, both are compacted to ``.colseg`` first, then ``bb``'s
+    gains newer JSONL rows (a mixed shard) and ``cc``'s is JSONL alone.
     """
     with ResultStore(root) as store:
         for i in range(3):
@@ -225,7 +231,7 @@ class TestCorruptSidecars:
         # -1 is the columnar-slot marker; ``cc`` has no .colseg to serve it.
         template, keys, rows = sidecar_templates["mixed"]
         root = self._copy(template, tmp_path)
-        _set_span(root / "segments" / "cc.idx", 2, length=-1)
+        _set_span(_segment(root, "cc", ".idx"), 2, length=-1)
         listed, fetched, _, scanned = _read_everything(root, keys)
         assert listed == rows and fetched == rows
         assert scanned > 0  # the sidecar was rejected
@@ -233,7 +239,7 @@ class TestCorruptSidecars:
     def test_negative_length_far_offset_in_a_mixed_shard(self, sidecar_templates, tmp_path):
         template, keys, rows = sidecar_templates["mixed"]
         root = self._copy(template, tmp_path)
-        _set_span(root / "segments" / "bb.idx", 0, offset=10**9, length=-1)
+        _set_span(_segment(root, "bb", ".idx"), 0, offset=10**9, length=-1)
         with ResultStore(root) as store:
             assert list(store.rows()) == rows
             assert [store.get(key) for key in keys] == rows
@@ -241,7 +247,7 @@ class TestCorruptSidecars:
     def test_huge_length_is_never_read(self, sidecar_templates, tmp_path):
         template, keys, rows = sidecar_templates["jsonl"]
         root = self._copy(template, tmp_path)
-        _set_span(root / "segments" / "aa.idx", 1, length=2**62)
+        _set_span(_segment(root, suffix=".idx"), 1, length=2**62)
         with ResultStore(root) as store:
             assert store.get(keys[1]) == rows[1]
             assert list(store.rows()) == rows
@@ -249,7 +255,7 @@ class TestCorruptSidecars:
     def test_negative_covered_bytes_reject_the_sidecar(self, sidecar_templates, tmp_path):
         template, keys, rows = sidecar_templates["jsonl"]
         root = self._copy(template, tmp_path)
-        idx = root / "segments" / "aa.idx"
+        idx = _segment(root, suffix=".idx")
         magic, meta, rest = idx.read_bytes().split(b"\n", 2)
         fields = meta.split()
         idx.write_bytes(b"\n".join([magic, b" ".join([b"-5", *fields[1:]]), rest]))
@@ -458,13 +464,16 @@ class TestMultiWriterSafety:
             for i in range(n_rows - n_shared)
         }
         store = ResultStore(root)
+        # The last writer to close tail-scanned the others' lines under the
+        # lock, so its sidecar covers the whole segment.
+        assert store.describe()["scanned_lines"] == 0
         assert set(store.keys()) == expected
         assert store.skipped_lines == 0  # no interleaved partial lines
         for key in expected:
             assert store.get(key) is not None
         # Every line in the segment parses cleanly: the lock kept concurrent
         # appends from ever tearing each other.
-        segment = root / "segments" / "aa.jsonl"
+        segment = _segment(root)
         lines = segment.read_bytes().splitlines()
         assert len(lines) >= len(expected)
         assert all(json.loads(line)["schema"] == SCHEMA_VERSION for line in lines)
@@ -490,7 +499,7 @@ class TestKilledWriterCrashConsistency:
     def test_sigkill_mid_put_loop(self, tmp_path):
         root = tmp_path / "s"
         ResultStore(root).close()
-        segment = root / "segments" / "aa.jsonl"
+        segment = _segment(root)
         ctx = multiprocessing.get_context("fork")
         proc = ctx.Process(target=_doomed_writer, args=(str(root),))
         proc.start()
@@ -560,7 +569,7 @@ class TestConcurrentReaderStreaming:
         with ResultStore(root) as writer:
             for i in range(60):
                 writer.put(_key(1000 + i), _row(1000 + i))
-        segment = root / "segments" / "aa.jsonl"
+        segment = _segment(root)
         with open(segment, "a", encoding="utf-8") as handle:
             for i in range(0, 40):
                 handle.write(_line(_key(i), _row(i)))
@@ -592,7 +601,7 @@ class TestConcurrentReaderStreaming:
         with ResultStore(root) as seed:
             for i in range(n):
                 seed.put(_key(i), _row(i))
-        segment = root / "segments" / "aa.jsonl"
+        segment = _segment(root)
         with open(segment, "a", encoding="utf-8") as handle:
             for i in range(10):
                 handle.write(_line(_key(i), _row(i)))

@@ -68,6 +68,7 @@ from typing import (
 from ..analysis.metrics import RunMetrics, metrics_from_run
 from ..analysis.sweep import instance_seed
 from ..backends import BACKEND_NAMES, resolve_backend
+from ..core.sequences import ConstructionCache
 from ..graphs.generators import family_names
 from ..graphs.properties import source_radius
 from ..store import ResultSet, ResultStore, StoreError, unit_key
@@ -363,6 +364,10 @@ def _run_unit_window(
     rows: List[Optional[RunMetrics]] = [None] * len(units)
     instances: Dict[Tuple[str, int, int], Any] = {}
     groups: Dict[Tuple[str, str, str], List[Tuple[int, UnitSpec]]] = {}
+    # The window's Section 2.1 constructions: every root a unit labels from
+    # is registered here and built in one stacked pass, inside the first
+    # labeler that asks for one.
+    constructions = ConstructionCache()
     for index, unit in enumerate(units):
         ikey = unit[:3]
         if ikey not in instances:
@@ -378,15 +383,18 @@ def _run_unit_window(
         else:
             groups.setdefault((unit[5], repr(unit[3]), repr(unit[4])),
                               []).append((index, unit))
+            instance = instances[ikey]
+            root = get_scheme(unit[5]).construction_root(instance.graph, instance.source)
+            if root is not None and root in instance.graph:
+                constructions.register(instance.graph, root)
 
     # Labels and schedules are pure functions of (graph, source, payload):
     # built once per (scheme, instance) and reused across its fault/clock
-    # rows.  ``_constructions`` is the instance's Section 2.1 construction
-    # cache, through which λ and λ_ack label from one construction of the
-    # source; ``payload`` reaches the one labeler sized by the payload (bit
+    # rows.  Through ``_constructions`` λ and λ_ack label from one
+    # construction of the source and λ_arb from one of its coordinator;
+    # ``payload`` reaches the one labeler sized by the payload (bit
     # signalling).  The other schemes swallow both.
     labels: Dict[Tuple[str, Tuple[str, int, int]], Any] = {}
-    constructions: Dict[Tuple[str, int, int], Dict[Any, Any]] = {}
     # The source's radius, one BFS per instance for all of its rows.
     radii: Dict[Tuple[str, int, int], int] = {}
 
@@ -398,7 +406,7 @@ def _run_unit_window(
             labels[lkey] = scheme.build_labels(
                 instance.graph, instance.source,
                 payload=config.payload,
-                _constructions=constructions.setdefault(unit[:3], {}),
+                _constructions=constructions,
                 **scheme.grid_options(instance.graph, instance.source),
             )
         return scheme.build_task(

@@ -45,7 +45,6 @@ from ..baselines.centralized import compute_centralized_schedule, transmit_round
 from ..baselines.collision_detection import LENGTH_HEADER_BITS, SLOT_LENGTH
 from ..baselines.coloring_tdma import coloring_tdma_labels
 from ..baselines.round_robin import round_robin_labels
-from ..core import labeling as core_labeling
 from ..core.labeling import (
     Labeling,
     lambda_ack_scheme,
@@ -54,7 +53,7 @@ from ..core.labeling import (
 )
 from ..core.outcome import Outcome
 from ..core.protocols.arbitrary import COORDINATOR_LABEL
-from ..core.sequences import SequenceConstruction
+from ..core.sequences import ConstructionCache, SequenceConstruction
 from ..graphs.graph import Graph, GraphError
 from ..radio.clock import ClockModel
 from ..radio.collision import WithCollisionDetection
@@ -194,6 +193,11 @@ class Scheme(ABC):
         """Extra per-instance options a sweep grid passes to :meth:`run`."""
         return {}
 
+    def construction_root(self, graph: Graph, source: int) -> Optional[int]:
+        """The root of the Section 2.1 construction this scheme labels from
+        on a sweep grid, or ``None`` if it builds none."""
+        return None
+
     # ------------------------------------------------------------------ #
     # the template method
     # ------------------------------------------------------------------ #
@@ -324,24 +328,23 @@ def baseline_scheme_names() -> List[str]:
 # the paper's labeled algorithms
 # --------------------------------------------------------------------------- #
 def _shared_construction(
-    cache: Optional[Dict[Tuple[int, str], SequenceConstruction]],
+    cache: Optional[ConstructionCache],
     graph: Graph,
-    source: int,
+    root: int,
     strategy: str,
 ) -> Optional[SequenceConstruction]:
-    """The construction rooted at ``source`` from ``cache``, built on first use.
+    """The construction rooted at ``root`` from ``cache``.
 
-    ``cache`` is a sweep grid's per-instance dict keyed ``(source, strategy)``,
-    so λ and λ_ack label from one construction.  ``None`` without a cache (a
-    standalone run builds its own) or for a source outside the graph (the
-    labeler then raises its usual error).
+    ``cache`` is a sweep window's :class:`~repro.core.sequences.ConstructionCache`,
+    which builds the window's constructions in one stacked pass on first use,
+    so λ and λ_ack label from one construction of the source and λ_arb from
+    one of its coordinator.  ``None`` without a cache (a standalone run builds
+    its own) or for a root outside the graph (the labeler then raises its
+    usual error).
     """
-    if cache is None or source not in graph:
+    if cache is None or root not in graph:
         return None
-    key = (source, strategy)
-    if key not in cache:
-        cache[key] = core_labeling.build_sequences(graph, source, strategy)
-    return cache[key]
+    return cache.get(graph, root, strategy)
 
 
 def _labels_from_labeling(lab: Labeling) -> SchemeLabels:
@@ -370,6 +373,9 @@ class LambdaScheme(Scheme):
         if lab.scheme != "lambda":
             raise GraphError(f"the lambda scheme expects a λ labeling, got {lab.scheme!r}")
         return _labels_from_labeling(lab)
+
+    def construction_root(self, graph, source):
+        return source
 
     def default_budget(self, graph, info):
         return _broadcast_bound(graph.n) + 4
@@ -404,6 +410,9 @@ class LambdaAckScheme(Scheme):
             )
         return _labels_from_labeling(lab)
 
+    def construction_root(self, graph, source):
+        return source
+
     def default_budget(self, graph, info):
         return 3 * graph.n + 6
 
@@ -436,9 +445,11 @@ class LambdaArbScheme(Scheme):
     one_round_alone = True
 
     def build_labels(self, graph, source, *, labeling=None, coordinator=None,
-                     strategy="prune", **_):
+                     strategy="prune", _constructions=None, **_):
+        root = 0 if coordinator is None else coordinator
         lab = labeling if labeling is not None else lambda_arb_scheme(
-            graph, coordinator=coordinator, strategy=strategy
+            graph, coordinator=coordinator, strategy=strategy,
+            construction=_shared_construction(_constructions, graph, root, strategy),
         )
         if lab.scheme != "lambda_arb":
             raise GraphError(
@@ -460,6 +471,9 @@ class LambdaArbScheme(Scheme):
     def grid_options(self, graph, source):
         # Sweep convention: the coordinator is a node other than the source.
         return {"coordinator": 0 if source != 0 else graph.n - 1}
+
+    def construction_root(self, graph, source):
+        return self.grid_options(graph, source)["coordinator"]
 
     def default_budget(self, graph, info):
         # Three acknowledged broadcasts plus guard delays: a 12n + 30 budget is

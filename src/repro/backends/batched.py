@@ -86,6 +86,7 @@ from ..baselines.collision_detection import (
     decode_payload_bits,
     encode_payload_bits,
 )
+from ..graphs.graph import stack_csr
 from ..radio.clock import SynchronizedClocks
 from ..radio.collision import NoCollisionDetection, WithCollisionDetection
 from ..radio.engine import SimulationResult
@@ -349,8 +350,8 @@ class _BatchLayout:
         self.tasks = list(tasks)
         self.B = B = len(self.tasks)
         self.ns = np.array([t.graph.n for t in self.tasks], dtype=np.int64)
-        self.offsets = np.zeros(B + 1, dtype=np.int64)
-        np.cumsum(self.ns, out=self.offsets[1:])
+        # A batch of one runs on its graph's own CSR arrays.
+        self.offsets, self.indptr, self.indices = stack_csr([t.graph for t in self.tasks])
         self.total = int(self.offsets[-1])
         self.sources = self.offsets[:-1] + np.array(
             [t.source for t in self.tasks], dtype=np.int64
@@ -358,21 +359,7 @@ class _BatchLayout:
         self.max_rounds = np.array([t.max_rounds for t in self.tasks], dtype=np.int64)
         #: Node counts in per-instance accumulator form.
         self.sizes = self.total if B == 1 else self.ns
-        if B == 1:  # a batch of one runs on its graph's own CSR arrays
-            self.owner = np.zeros(self.total, dtype=np.int64)
-            self.indptr, self.indices = self.tasks[0].graph.csr()
-            return
         self.owner = np.repeat(np.arange(B, dtype=np.int64), self.ns)
-        indptr_parts = [np.zeros(1, dtype=np.int64)]
-        index_parts = []
-        edge_base = 0
-        for b, task in enumerate(self.tasks):
-            indptr, indices = task.graph.csr()
-            index_parts.append(indices.astype(np.int64) + self.offsets[b])
-            indptr_parts.append(indptr[1:].astype(np.int64) + edge_base)
-            edge_base += int(indices.size)
-        self.indptr = np.concatenate(indptr_parts)
-        self.indices = np.concatenate(index_parts) if index_parts else _EMPTY
 
     def channel(self) -> _Channel:
         return _Channel(self.indptr, self.indices, self.total)

@@ -16,10 +16,13 @@ implements:
   reserved label ``111``; the rest of the graph is labeled by λ_ack computed
   *as if* ``r`` were the source.
 
-Each function returns a :class:`Labeling` that bundles the label map with the
-underlying :class:`~repro.core.sequences.SequenceConstruction`, so the
-verification and benchmark layers can cross-examine the scheme against the
-execution traces.
+The bits are computed on arrays, from the construction's DOM id arrays and
+per-node NEW stages and the graph's CSR rows, with a constant number of array
+operations per construction whatever its ℓ; label strings come from one fixed
+table, so nodes share string objects.  Each function returns a
+:class:`Labeling` that bundles the label map with the underlying
+:class:`~repro.core.sequences.SequenceConstruction`, so the verification and
+benchmark layers can cross-examine the scheme against the execution traces.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..graphs.graph import Graph, GraphError
+import numpy as np
+
+from ..graphs.graph import Graph, GraphError, csr_rows
 from .labels import Label, distinct_labels, scheme_length
 from .sequences import SequenceConstruction, build_sequences
 
@@ -36,6 +41,13 @@ __all__ = ["Labeling", "lambda_scheme", "lambda_ack_scheme", "lambda_arb_scheme"
 #: Labels that λ_ack provably never assigns (Fact 3.1); λ_arb reserves 111 for
 #: the coordinator and 001 remains the unique label of the acknowledger z.
 FORBIDDEN_ACK_LABELS = ("101", "111", "011")
+
+#: Every label string by its bits read as a binary number.
+_LABEL_TABLE = {width: np.array([format(code, f"0{width}b") for code in range(1 << width)],
+                                dtype=object)
+                for width in (2, 3)}
+_FORBIDDEN_ACK = np.zeros(8, dtype=bool)
+_FORBIDDEN_ACK[[int(label, 2) for label in FORBIDDEN_ACK_LABELS]] = True
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,7 @@ class Labeling:
 
     def num_distinct_labels(self) -> int:
         """Number of distinct label strings actually used."""
-        return len(self.label_histogram())
+        return len(set(self.labels.values()))
 
     def as_dict(self) -> Dict[int, str]:
         """A plain copy of the node → label mapping."""
@@ -118,45 +130,69 @@ def lambda_scheme(
         A pre-computed sequence construction to reuse (must match the graph
         and source); mainly used by λ_ack to avoid recomputation.
     """
+    seq = _construction_for(graph, source, strategy, construction)
+    return Labeling(
+        scheme="lambda",
+        labels=_label_map(_lambda_codes(seq), 2),
+        source=source,
+        construction=seq,
+    )
+
+
+def _construction_for(graph: Graph, source: int, strategy: str,
+                      construction: Optional[SequenceConstruction]) -> SequenceConstruction:
+    """``construction`` checked against ``(graph, source)``, or a new one."""
     seq = construction if construction is not None else build_sequences(graph, source, strategy)
     if seq.graph is not graph and seq.graph != graph:
         raise GraphError("provided construction was built for a different graph")
     if seq.source != source:
         raise GraphError("provided construction was built for a different source")
+    return seq
 
-    adj = graph.neighbor_sets()
-    x1 = [0] * graph.n
-    x2 = [0] * graph.n
 
-    # x1 = 1 iff the node belongs to DOM_i for some i.
-    for stage in seq.stages:
-        for v in stage.dom:
-            x1[v] = 1
+def _label_map(codes: np.ndarray, width: int) -> Dict[int, str]:
+    """Node → label string for per-node label codes."""
+    return dict(enumerate(_LABEL_TABLE[width][codes].tolist()))
 
-    # x2: for every i and every v ∈ DOM_{i+1} ∩ DOM_i, pick one neighbour
-    # w ∈ NEW_i of v and set x2(w) = 1.  We pick the smallest-index witness so
-    # the scheme is deterministic.  The structure of the construction makes the
-    # picks conflict-free: each w ∈ NEW_i has exactly one neighbour in DOM_i,
-    # so no node v ∈ DOM_{i+1} ∩ DOM_i ends up with two marked NEW_i
-    # neighbours (which would cause a collision in round 2i).
-    for i in range(1, seq.ell):
-        new_i = seq.new(i)
-        for v in sorted(seq.dom(i + 1) & seq.dom(i)):
-            witnesses = adj[v] & new_i
-            if not witnesses:
-                raise GraphError(
-                    f"no NEW_{i} witness adjacent to {v} ∈ DOM_{i+1} ∩ DOM_{i}; "
-                    "this contradicts the minimality of DOM_i"
-                )
-            x2[min(witnesses)] = 1
 
-    labels = {v: f"{a}{b}" for v, (a, b) in enumerate(zip(x1, x2))}
-    return Labeling(
-        scheme="lambda",
-        labels=labels,
-        source=source,
-        construction=seq,
-    )
+def _lambda_codes(seq: SequenceConstruction) -> np.ndarray:
+    """Every node's λ bits ``x1 x2`` as the code ``2·x1 + x2``.
+
+    x1 = 1 iff the node belongs to DOM_i for some i.  x2: for every i and
+    every v ∈ DOM_{i+1} ∩ DOM_i, one neighbour w ∈ NEW_i of v gets x2(w) = 1:
+    the first in v's CSR row, which is the smallest, so the scheme is
+    deterministic.  The structure of the construction makes the picks
+    conflict-free: each w ∈ NEW_i has exactly one neighbour in DOM_i, so no
+    node v ∈ DOM_{i+1} ∩ DOM_i ends up with two marked NEW_i neighbours
+    (which would cause a collision in round 2i).
+    """
+    codes = np.zeros(seq.graph.n, dtype=np.intp)
+    codes[seq.dom_ids] = 2
+    # (v, i) with v ∈ DOM_i ∩ DOM_{i+1}: keys v·width + i, sorted, differ by 1.
+    width, ptr = seq.ell + 2, seq.dom_ptr
+    key = seq.dom_ids * width + np.arange(1, seq.ell + 1).repeat(ptr[1:] - ptr[:-1])
+    key.sort()
+    pairs = key[:-1][key[1:] - key[:-1] == 1]
+    if pairs.size:
+        stayers, stage = pairs // width, pairs % width
+        nbrs, owner = csr_rows(*seq.graph.csr(), stayers)
+        hits = (seq.new_stage[nbrs] == stage[owner]).nonzero()[0]
+        # The first hit of each stayer, in CSR order.
+        first = np.ones(hits.size, dtype=bool)
+        first[1:] = owner[hits[1:]] != owner[hits[:-1]]
+        first = hits[first]
+        if first.size < pairs.size:
+            found = np.zeros(pairs.size, dtype=bool)
+            found[owner[first]] = True
+            missing = np.flatnonzero(~found)
+            j = missing[np.lexsort((stayers[missing], stage[missing]))[0]]
+            i, v = int(stage[j]), int(stayers[j])
+            raise GraphError(
+                f"no NEW_{i} witness adjacent to {v} ∈ DOM_{i+1} ∩ DOM_{i}; "
+                "this contradicts the minimality of DOM_i"
+            )
+        codes[nbrs[first]] |= 1
+    return codes
 
 
 # --------------------------------------------------------------------------- #
@@ -179,23 +215,17 @@ def lambda_ack_scheme(
     is a pre-computed sequence construction for ``(graph, source)`` to reuse,
     as for :func:`lambda_scheme`.
     """
-    base = lambda_scheme(graph, source, strategy=strategy, construction=construction)
-    seq = base.construction
-    assert seq is not None
-
-    last = seq.last_informed_nodes()
-    if last:
-        z = min(last)
-    else:
-        # Single-node graph: no other node exists; by convention z is the source
-        # (the "acknowledgement" is vacuous and the protocols special-case it).
-        z = source
-
-    labels = {v: lab + ("1" if v == z else "0") for v, lab in base.labels.items()}
+    seq = _construction_for(graph, source, strategy, construction)
+    last = seq.new_stage == seq.ell - 1
+    # Single-node graph: no other node exists; by convention z is the source
+    # (the "acknowledgement" is vacuous and the protocols special-case it).
+    z = int(np.argmax(last)) if seq.ell >= 2 else source
+    codes = _lambda_codes(seq) * 2
+    codes[z] += 1
 
     # Fact 3.1: z's λ-bits are both 0, hence 101/111/011 never occur.
     if graph.n > 1:
-        offending = [v for v, lab in labels.items() if lab in FORBIDDEN_ACK_LABELS]
+        offending = np.flatnonzero(_FORBIDDEN_ACK[codes]).tolist()
         if offending:
             raise GraphError(
                 f"Fact 3.1 violated: nodes {offending} received forbidden labels — "
@@ -204,7 +234,7 @@ def lambda_ack_scheme(
 
     return Labeling(
         scheme="lambda_ack",
-        labels=labels,
+        labels=_label_map(codes, 3),
         source=source,
         acknowledger=z,
         construction=seq,
@@ -219,6 +249,7 @@ def lambda_arb_scheme(
     *,
     coordinator: Optional[int] = None,
     strategy: str = "prune",
+    construction: Optional[SequenceConstruction] = None,
 ) -> Labeling:
     """Compute the 3-bit labeling scheme λ_arb (source unknown at labeling time).
 
@@ -231,6 +262,9 @@ def lambda_arb_scheme(
         The node ``r`` that receives the reserved label ``111`` and coordinates
         the three-phase algorithm B_arb.  The paper chooses it arbitrarily; we
         default to node 0 for determinism.
+    strategy, construction:
+        As for :func:`lambda_ack_scheme`, with ``r`` as the source; a
+        one-node graph needs no construction.
     """
     if graph.n == 0:
         raise GraphError("cannot label an empty graph")
@@ -249,7 +283,7 @@ def lambda_arb_scheme(
             construction=None,
         )
 
-    ack = lambda_ack_scheme(graph, r, strategy=strategy)
+    ack = lambda_ack_scheme(graph, r, strategy=strategy, construction=construction)
     labels = dict(ack.labels)
     labels[r] = "111"
     return Labeling(

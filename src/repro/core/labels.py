@@ -16,6 +16,7 @@ strings and exposes the individual bits by the paper's names.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping
 
@@ -104,12 +105,9 @@ def label_length(label: str) -> int:
 
 def scheme_length(labels: Mapping[int, str]) -> int:
     """Length of a labeling scheme: the maximum label length it assigns (paper §1.1)."""
-    return max((len(v) for v in labels.values()), default=0)
+    return max(map(len, labels.values()), default=0)
 
 
 def distinct_labels(labels: Mapping[int, str]) -> Dict[str, int]:
     """Histogram of distinct label strings used by a scheme."""
-    hist: Dict[str, int] = {}
-    for lab in labels.values():
-        hist[lab] = hist.get(lab, 0) + 1
-    return hist
+    return dict(Counter(labels.values()))

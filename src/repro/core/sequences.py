@@ -11,44 +11,80 @@ from five sequences of node sets, indexed by stage ``i ≥ 1``:
 * ``NEW_i``      — frontier nodes adjacent to **exactly one** node of
   ``DOM_i`` (these are the nodes newly informed in round ``2i − 1``).
 
-The construction stops at the smallest ``ℓ`` with ``INF_ℓ = V(G)``.  This
-module computes the sequences, exposes them as immutable :class:`Stage`
-records, and implements every structural fact the paper proves about them
-(Facts 2.1–2.2, Lemmas 2.3–2.6, Corollary 2.7) as checkable assertions used by
-the test-suite and by :mod:`repro.core.verify`.
+The construction stops at the smallest ``ℓ`` with ``INF_ℓ = V(G)``.
+
+It runs on CSR id arrays, never on neighbour sets, and
+:func:`build_sequence_batch` runs several (graph, root) constructions as one
+block-diagonal pass, the way the vectorized engine stacks instances: stage
+``i`` of every construction is one set of array operations over the stacked
+ids.  Each stage's DOM comes from the cover pairs of
+:mod:`repro.core.domination`.  A :class:`SequenceConstruction` keeps every
+stage's FRONTIER and DOM as sorted id arrays and every node's NEW stage;
+its :class:`Stage` records build the paper's sets as frozensets on first
+read, for the verifier and the tests, and implement every structural fact
+the paper proves about them (Facts 2.1–2.2, Lemmas 2.3–2.6, Corollary 2.7)
+as checkable assertions.  :class:`ConstructionCache` holds a sweep window's
+constructions and builds them in one stacked pass on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.graph import Graph, GraphError
-from .domination import minimal_dominating_subset
+from ..graphs.graph import Graph, GraphError, csr_rows, stack_csr
+from .domination import pair_strategy, sorted_unique
 
-__all__ = ["Stage", "SequenceConstruction", "build_sequences"]
+# Kept importable here: perfbench's tracer patches this name.  The
+# construction itself runs the pair strategies.
+from .domination import minimal_dominating_subset  # noqa: F401
+
+__all__ = [
+    "Stage",
+    "SequenceConstruction",
+    "ConstructionCache",
+    "build_sequences",
+    "build_sequence_batch",
+]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
 
-@dataclass(frozen=True)
 class Stage:
     """The five sets of one stage ``i`` of the construction.
 
-    FRONTIER_i, DOM_i and NEW_i are stored.  INF_i and UNINF_i are derived on
-    demand from the construction's per-node ``new_stage`` array (Fact 2.2:
-    ``v ∈ INF_i`` iff ``v`` is the source or ``v ∈ NEW_j`` for some
-    ``j < i``), so a construction holds O(n + Σ|FRONTIER_i|) node ids rather
-    than two n-node sets per stage.
+    FRONTIER_i, DOM_i and NEW_i are held as sorted id arrays
+    (``frontier_ids``, ``dom_ids``, ``new_ids``) and read as frozensets,
+    built on first read.  INF_i and UNINF_i are derived on demand from the
+    construction's per-node ``new_stage`` array (Fact 2.2: ``v ∈ INF_i`` iff
+    ``v`` is the source or ``v ∈ NEW_j`` for some ``j < i``).
     """
 
-    index: int
-    frontier: FrozenSet[int]
-    dom: FrozenSet[int]
-    new: FrozenSet[int]
-    new_stage: np.ndarray = field(repr=False, compare=False)
+    def __init__(self, index: int, frontier_ids: np.ndarray, dom_ids: np.ndarray,
+                 new_ids: np.ndarray, new_stage: np.ndarray) -> None:
+        self.index = index
+        self.frontier_ids = frontier_ids
+        self.dom_ids = dom_ids
+        self.new_ids = new_ids
+        self.new_stage = new_stage
+
+    @cached_property
+    def frontier(self) -> FrozenSet[int]:
+        """``FRONTIER_i``."""
+        return frozenset(self.frontier_ids.tolist())
+
+    @cached_property
+    def dom(self) -> FrozenSet[int]:
+        """``DOM_i``."""
+        return frozenset(self.dom_ids.tolist())
+
+    @cached_property
+    def new(self) -> FrozenSet[int]:
+        """``NEW_i``."""
+        return frozenset(self.new_ids.tolist())
 
     @property
     def informed(self) -> FrozenSet[int]:
@@ -63,12 +99,12 @@ class Stage:
     def __repr__(self) -> str:
         informed = int(np.count_nonzero(self.new_stage < self.index))
         return (
-            f"Stage(i={self.index}, |INF|={informed}, "
-            f"|FRONTIER|={len(self.frontier)}, |DOM|={len(self.dom)}, |NEW|={len(self.new)})"
+            f"Stage(i={self.index}, |INF|={informed}, |FRONTIER|={self.frontier_ids.size}, "
+            f"|DOM|={self.dom_ids.size}, |NEW|={self.new_ids.size})"
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceConstruction:
     """The full sequence construction for one (graph, source) pair.
 
@@ -76,22 +112,43 @@ class SequenceConstruction:
     ----------
     graph, source:
         The inputs.
-    stages:
-        ``stages[i - 1]`` holds stage ``i``; the last stage is stage ``ℓ``
-        (the first with ``INF_i = V``), for which ``FRONTIER = DOM = NEW = ∅``.
     strategy:
         The domination strategy used to pick each ``DOM_i``.
     new_stage:
         Per-node stage index: ``new_stage[v] = i`` for ``v ∈ NEW_i`` and
         ``0`` for the source.  Every stage derives ``INF_i``/``UNINF_i``
-        from this one array.
+        and ``NEW_i`` from this one array.
+    frontier_ids, frontier_ptr, dom_ids, dom_ptr:
+        Stage ``i``'s FRONTIER is ``frontier_ids[frontier_ptr[i-1]:
+        frontier_ptr[i]]``, sorted, and likewise DOM; both pointer arrays
+        have ``ℓ + 1`` entries.
+    stages:
+        ``stages[i - 1]`` holds stage ``i`` as a :class:`Stage`; the last is
+        stage ``ℓ`` (the first with ``INF_i = V``), for which ``FRONTIER =
+        DOM = NEW = ∅``.  Built on first read.
     """
 
     graph: Graph
     source: int
-    stages: Tuple[Stage, ...]
     strategy: str
-    new_stage: np.ndarray = field(repr=False, compare=False)
+    new_stage: np.ndarray = field(repr=False)
+    frontier_ids: np.ndarray = field(repr=False)
+    frontier_ptr: np.ndarray = field(repr=False)
+    dom_ids: np.ndarray = field(repr=False)
+    dom_ptr: np.ndarray = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceConstruction):
+            return NotImplemented
+        return self is other or (
+            self.graph == other.graph and self.source == other.source
+            and self.strategy == other.strategy
+            and all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in ("frontier_ids", "frontier_ptr", "dom_ids", "dom_ptr"))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.source, self.strategy, self.ell))
 
     # ------------------------------------------------------------------ #
     # basic accessors
@@ -99,7 +156,20 @@ class SequenceConstruction:
     @property
     def ell(self) -> int:
         """The paper's ℓ: the smallest stage index with ``INF_i = V(G)``."""
-        return len(self.stages)
+        return self.frontier_ptr.size - 1
+
+    @cached_property
+    def stages(self) -> Tuple[Stage, ...]:
+        """Every stage ``1..ℓ`` as a :class:`Stage`."""
+        # NEW_1..NEW_ℓ in stage order; the source (stage 0) sorts first.
+        order = np.argsort(self.new_stage, kind="stable")
+        new_ptr = np.searchsorted(self.new_stage[order], np.arange(1, self.ell + 2))
+        fp, dp = self.frontier_ptr, self.dom_ptr
+        return tuple(
+            Stage(i, self.frontier_ids[fp[i - 1]:fp[i]], self.dom_ids[dp[i - 1]:dp[i]],
+                  order[new_ptr[i - 1]:new_ptr[i]], self.new_stage)
+            for i in range(1, self.ell + 1)
+        )
 
     def stage(self, i: int) -> Stage:
         """Stage ``i`` (1-indexed, ``1 ≤ i ≤ ℓ``)."""
@@ -225,11 +295,7 @@ def build_sequences(
 ) -> SequenceConstruction:
     """Run the Section 2.1 construction on ``(graph, source)``.
 
-    Incremental: each node's neighbours are scanned once, when it joins a
-    NEW set, via ``FRONTIER_i = (FRONTIER_{i−1} − NEW_{i−1}) ∪
-    (UNINF_i ∩ Γ(NEW_{i−1}))``; informedness lives in one per-node
-    ``new_stage`` list.  A frontier that empties before every node is
-    informed means the graph is disconnected.
+    A batch of one of :func:`build_sequence_batch`.
 
     Parameters
     ----------
@@ -247,47 +313,176 @@ def build_sequences(
         The stages ``1..ℓ`` where ``ℓ`` is the first stage with every node
         informed.  The final stage has empty frontier/DOM/NEW sets.
     """
-    if source not in graph:
-        raise GraphError(f"source {source} is not a node of {graph!r}")
-    source = int(source)
-    n = graph.n
-    adj = graph.neighbor_sets()
-    new_stage = [-1] * n
-    new_stage[source] = 0
-    n_informed = 1
-    # (FRONTIER_i, DOM_i, NEW_i) per stage.  Stage 1 (paper: INF_1 = {s},
-    # FRONTIER_1 = NEW_1 = Γ(s), DOM_1 = {s}): every neighbour of the unique
-    # transmitter hears it.
-    frontier, dom, new = adj[source], frozenset({source}), adj[source]
-    sets: List[Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]] = []
-    while n_informed < n:
-        if not frontier:
+    return build_sequence_batch([(graph, source)], strategy)[0]
+
+
+def build_sequence_batch(
+    roots: Sequence[Tuple[Graph, int]], strategy: str = "prune"
+) -> List[SequenceConstruction]:
+    """Run the Section 2.1 construction for every ``(graph, root)`` pair at once.
+
+    The graphs are stacked block-diagonally (a graph listed twice is stacked
+    twice) and stage ``i`` of every construction is one pass over the
+    stacked ids.  Incremental: each stage gathers only its frontier's CSR
+    rows, ``FRONTIER_{i+1} = (FRONTIER_i − NEW_i) ∪ (UNINF_{i+1} ∩
+    Γ(NEW_i))`` reuses the rows of ``NEW_i ⊆ FRONTIER_i``, and the per-node
+    arrays are allocated once per pass, so no stage does work proportional
+    to the node count.  Returns the constructions in input order, each equal
+    to building it alone.
+
+    Raises the errors of a construction built alone, but a pass with
+    several roots raises as soon as one of them fails: with a graph
+    disconnected, the connectivity error or the stage guard, whichever
+    comes first.
+    """
+    for graph, root in roots:
+        if root not in graph:
+            raise GraphError(f"source {root} is not a node of {graph!r}")
+    dominate = pair_strategy(strategy)
+    offsets, indptr, indices = stack_csr([graph for graph, _ in roots])
+    sizes = offsets[1:] - offsets[:-1]
+    stage_of = np.full(int(offsets[-1]), -1, dtype=np.int32)
+    is_cand = np.zeros(stage_of.size, dtype=bool)
+    status = np.zeros(stage_of.size, dtype=np.int8)
+    is_kept = status.view(bool)
+    starts = offsets[:-1] + np.array([int(root) for _, root in roots], dtype=np.int64)
+    stage_of[starts] = 0
+    # Uninformed nodes per block; a finished block reads -1.
+    remaining = sizes - 1
+    ell = np.ones(len(roots), dtype=np.int64)
+    live = int(np.count_nonzero(remaining))
+    # Stage 1 (paper: INF_1 = {s}, FRONTIER_1 = NEW_1 = Γ(s), DOM_1 = {s}):
+    # every neighbour of the unique transmitter hears it.
+    dom = starts[remaining > 0]
+    limit = int(sizes[remaining > 0].min()) if live else 0
+    remaining[remaining == 0] = -1
+    frontier, _ = csr_rows(indptr, indices, dom)
+    new, new_pos = frontier, None
+    nbrs, owner = csr_rows(indptr, indices, frontier)
+    frontiers: List[np.ndarray] = []
+    doms: List[np.ndarray] = []
+    while live:
+        if not frontier.size:
             raise GraphError("the paper's model requires a connected graph")
-        if len(sets) > n:
+        if len(frontiers) > limit:
             raise GraphError(
                 "sequence construction exceeded n+1 stages — this contradicts "
                 "Lemma 2.6 and indicates a bug"
             )
-        sets.append((frontier, dom, new))
-        i = len(sets)
-        for v in new:
-            new_stage[v] = i
-        n_informed += len(new)
-        if n_informed == n:
-            break
-        grown = set(frontier - new)
-        for v in new:
-            for u in adj[v]:
-                if new_stage[u] < 0:
-                    grown.add(u)
-        frontier = frozenset(grown)
-        dom = minimal_dominating_subset(graph, dom | new, frontier, strategy=strategy)
-        new = frozenset(t for t in frontier if len(adj[t] & dom) == 1)
-    sets.append((_EMPTY, _EMPTY, _EMPTY))
+        frontiers.append(frontier)
+        doms.append(dom)
+        i = len(frontiers)
+        stage_of[new] = i
+        cut = new.searchsorted(offsets)
+        remaining -= cut[1:] - cut[:-1]
+        if not remaining.all():
+            done = remaining == 0
+            ell[done] = i + 1
+            remaining[done] = -1
+            live -= int(np.count_nonzero(done))
+            if not live:
+                break
+            limit = int(sizes[remaining > 0].min())
+        # FRONTIER_{i+1}: the rest of FRONTIER_i plus NEW_i's uninformed
+        # neighbours, from the rows gathered for FRONTIER_i.
+        grown = nbrs if new_pos is None else nbrs[new_pos[owner]]
+        grown = grown[stage_of[grown] < 0]
+        if new_pos is not None:
+            grown = np.concatenate((frontier[~new_pos], grown))
+        is_cand[dom] = True
+        is_cand[new] = True
+        frontier = sorted_unique(grown)
+        nbrs, owner = csr_rows(indptr, indices, frontier)
+        covers = is_cand[nbrs]
+        is_cand[dom] = False
+        is_cand[new] = False
+        target, cand = owner[covers], nbrs[covers]
+        counts = np.bincount(target, minlength=frontier.size)
+        if not counts.all():
+            raise GraphError("candidate set does not dominate the target set")
+        if cand.size == frontier.size:
+            # Every target has one cover, as on paths and trees: each cover
+            # is some target's only one, and every target is new.
+            dom, new, new_pos = sorted_unique(cand), frontier, None
+        else:
+            dom = dominate(target, cand, counts, status)
+            status[dom] = 1
+            new_pos = np.bincount(target[is_kept[cand]], minlength=frontier.size) == 1
+            status[dom] = 0
+            new = frontier[new_pos]
+    frontier_parts = _split_stages(frontiers, offsets, ell)
+    dom_parts = _split_stages(doms, offsets, ell)
+    return [
+        SequenceConstruction(graph, int(root), strategy, stage_of[lo:hi].copy(),
+                             *frontier_parts[b], *dom_parts[b])
+        for b, ((graph, root), lo, hi) in enumerate(zip(roots, offsets[:-1], offsets[1:]))
+    ]
 
-    stage_of = np.array(new_stage, dtype=np.int32)
-    stages = tuple(
-        Stage(i, frontier, dom, new, stage_of)
-        for i, (frontier, dom, new) in enumerate(sets, start=1)
-    )
-    return SequenceConstruction(graph, source, stages, strategy, stage_of)
+
+def _split_stages(records: List[np.ndarray], offsets: np.ndarray,
+                  ell: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per block, ``(ids, ptr)`` of one set per stage from a stacked pass.
+
+    ``records[i - 1]`` holds stage ``i``'s sorted stacked ids; block ``b``
+    gets its own ids and an ``ℓ_b + 1``-entry pointer array.
+    """
+    ids = np.concatenate(records) if records else np.zeros(0, dtype=np.int64)
+    stage = np.repeat(np.arange(1, len(records) + 1),
+                      np.fromiter(map(len, records), dtype=np.int64, count=len(records)))
+    if offsets.size > 2:
+        # Stage order within each block survives a stable sort by block.
+        block = np.searchsorted(offsets, ids, side="right") - 1
+        order = np.argsort(block, kind="stable")
+        ids, stage = ids[order], stage[order]
+        bounds = np.searchsorted(block[order], np.arange(offsets.size))
+    else:
+        bounds = np.array([0, ids.size])
+    parts = []
+    for b in range(offsets.size - 1):
+        lo, hi = bounds[b], bounds[b + 1]
+        ptr = np.zeros(ell[b] + 1, dtype=np.int64)
+        ptr[1:] = np.searchsorted(stage[lo:hi], np.arange(1, ell[b] + 1), side="right")
+        parts.append((ids[lo:hi] - offsets[b], ptr))
+    return parts
+
+
+class ConstructionCache:
+    """The constructions of one sweep window, built in one stacked pass.
+
+    :meth:`register` names a ``(graph, root)`` pair the window will label
+    from.  The first :meth:`get` of a registered pair builds every
+    registered pair of its strategy not yet built, as one
+    :func:`build_sequence_batch` pass.  If that pass raises, every
+    construction is built alone when asked for, so an error reaches exactly
+    the labelers whose own construction fails, each time they ask.  An
+    unregistered pair is built alone.  Graphs are keyed by identity.
+    """
+
+    def __init__(self) -> None:
+        self._pending: Dict[Tuple[int, int, str], Tuple[Graph, int]] = {}
+        self._built: Dict[Tuple[int, int, str], SequenceConstruction] = {}
+
+    def register(self, graph: Graph, root: int, strategy: str = "prune") -> None:
+        key = (id(graph), int(root), strategy)
+        if key not in self._built:
+            self._pending[key] = (graph, int(root))
+
+    def get(self, graph: Graph, root: int, strategy: str = "prune") -> SequenceConstruction:
+        key = (id(graph), int(root), strategy)
+        if key not in self._built:
+            batch = [k for k in self._pending if k[2] == strategy] if key in self._pending else []
+            if len(batch) > 1:
+                try:
+                    self._keep(batch, build_sequence_batch(
+                        [self._pending[k] for k in batch], strategy))
+                except Exception:
+                    self._pending.clear()
+            if key not in self._built:
+                self._keep([key], build_sequence_batch([(graph, int(root))], strategy))
+        return self._built[key]
+
+    def _keep(self, keys: List[Tuple[int, int, str]],
+              constructions: List[SequenceConstruction]) -> None:
+        for key, construction in zip(keys, constructions):
+            self._built[key] = construction
+            self._pending.pop(key, None)

@@ -12,8 +12,9 @@ deliberately small, immutable after construction, and cheap to query:
   traversals read directly; every constructor builds it from edge arrays
   through :meth:`Graph.from_edge_arrays`;
 * the set views — :attr:`Graph.edge_set` and the neighbour frozensets the
-  sequence construction of Section 2.1 queries — are derived from the CSR on
-  first use and cached;
+  verifier and the set-level helpers query — are derived from the CSR on
+  first use and cached; the Section 2.1 construction, the labels and the
+  round engines read the CSR (:func:`csr_rows`, :func:`stack_csr`);
 * hashing/equality are structural so graphs can be deduplicated in sweeps.
 
 The class intentionally does not support mutation: the labeling schemes of the
@@ -28,7 +29,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 import numpy as np
 
-__all__ = ["Edge", "Graph", "GraphBuilder", "GraphError"]
+__all__ = ["Edge", "Graph", "GraphBuilder", "GraphError", "csr_rows", "stack_csr"]
 
 
 class GraphError(ValueError):
@@ -318,7 +319,7 @@ class Graph:
         return self._indptr, self._indices
 
     # ------------------------------------------------------------------ #
-    # set-level neighbourhood queries (used by the Section 2.1 construction)
+    # set-level neighbourhood queries (used by the verifier and the tests)
     # ------------------------------------------------------------------ #
     def neighborhood(self, nodes: Iterable[int]) -> FrozenSet[int]:
         """Return Γ(X): the set of nodes adjacent to at least one node of ``X``.
@@ -442,6 +443,38 @@ class Graph:
             f"Graph with {self.n} nodes, {self.num_edges} edges, "
             f"max degree {self.max_degree()}"
         )
+
+
+def csr_rows(indptr: np.ndarray, indices: np.ndarray,
+             ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of ``ids`` concatenated, and each entry's position in ``ids``."""
+    starts = indptr[ids]
+    lens = indptr[ids + 1]
+    lens -= starts
+    ends = lens.cumsum()
+    # Row j starts at starts[j] in ``indices`` and at ends[j] - lens[j] here.
+    pos = (starts - ends + lens).repeat(lens)
+    pos += np.arange(pos.size)
+    return indices[pos], np.arange(ids.size).repeat(lens)
+
+
+def stack_csr(graphs: Sequence[Graph]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, indptr, indices)`` of the block-diagonal union of ``graphs``.
+
+    Graph ``b`` owns the stacked ids ``offsets[b]..offsets[b+1]-1``.  A
+    single graph is returned on its own (read-only) CSR arrays.
+    """
+    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum([g.n for g in graphs], out=offsets[1:])
+    if len(graphs) == 1:
+        return (offsets, *graphs[0].csr())
+    edge_base = np.zeros(len(graphs), dtype=np.int64)
+    np.cumsum([g._indices.size for g in graphs[:-1]], out=edge_base[1:])
+    indptr = np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        g._indptr[1:] + base for g, base in zip(graphs, edge_base)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        g._indices + off for g, off in zip(graphs, offsets)])
+    return offsets, indptr, indices
 
 
 class GraphBuilder:

@@ -5,9 +5,12 @@ duplicate lines for one key (concurrent writers racing the same cell),
 retired-schema lines left behind by a schema bump, and junk from repaired
 torn tails (hard-killed writers).  :func:`compact_store` rewrites each
 segment down to exactly one line per live key — the *winning* (last valid)
-line, kept byte-for-byte verbatim, in first-appended key order — so
-compaction never changes the row bytes, keys or resume semantics of the
-store, only removes lines that no read could ever serve.
+line, kept byte-for-byte verbatim, in first-appended key order — and keeps
+a key held by several segment files (a two-character file beside its
+one-character shard) only in the file the loader serves it from, the last
+in (stem, kind) order.  So compaction never changes the row bytes, keys or
+resume semantics of the store, only removes lines that no read could ever
+serve.
 
 ``format="columnar"`` compacts each shard's winners into a binary columnar
 segment instead (``<x>.colseg``, :mod:`repro.store.columnar`): JSONL rows
@@ -157,6 +160,15 @@ class _Winners:
             self.record(doc["key"], _canonical_line(doc), doc)
         return docs is not None
 
+    def drop(self, served: set) -> None:
+        """Drop the keys a later segment file serves, counting each copy."""
+        gone = [key for key in self.order if key in served]
+        for key in gone:
+            del self.lines[key], self.docs[key]
+        if gone:
+            self.order = [key for key in self.order if key not in served]
+            self.duplicates += len(gone)
+
     def jsonl_bytes(self) -> bytes:
         return b"".join(self.lines[key] for key in self.order)
 
@@ -209,9 +221,15 @@ def _compact_shard(
     jsonl_path: Path,
     colseg_path: Path,
     fmt: str,
+    served: set,
 ) -> Dict[str, int]:
     """Compact one shard (its JSONL file and/or columnar segment) under the
-    shard's lock; returns per-shard integer stats."""
+    shard's lock; returns per-shard integer stats.
+
+    ``served`` holds the keys that segment files later in the loader's
+    order keep: their copies here are dropped as duplicates.  The shard's
+    kept keys are added to it.
+    """
     jsonl_exists = jsonl_path.exists()
     colseg_exists = colseg_path.exists()
     stats = {
@@ -238,9 +256,12 @@ def _compact_shard(
             _remove(colseg_path)
             _fsync_dir(colseg_path.parent)
             return stats
-        stats["rows_kept"] = len(docs)
-        stats["bytes_after"] = size
-        return stats
+        if not any(doc["key"] in served for doc in docs):
+            served.update(doc["key"] for doc in docs)
+            stats["rows_kept"] = len(docs)
+            stats["bytes_after"] = size
+            return stats
+        # Else a later file serves some key: merge below to drop it.
     # Everything else merges through (and is serialized by) the JSONL lock.
     try:
         fd = locked_segment_fd(jsonl_path, create=not jsonl_exists)
@@ -263,6 +284,8 @@ def _compact_shard(
             winners.add_jsonl(data)
         stats["bytes_before"] = size + (colseg_path.stat().st_size
                                         if colseg_exists else 0)
+        winners.drop(served)
+        served.update(winners.order)
         stats["rows_kept"] = len(winners.order)
         stats["duplicates_dropped"] = winners.duplicates
         stats["stale_dropped"] = winners.stale
@@ -359,11 +382,17 @@ def compact_store(
         {p.name[:-len(".jsonl")] for p in segments.glob("*.jsonl")}
         | {p.name[:-len(COLUMNAR_SUFFIX)] for p in segments.glob(f"*{COLUMNAR_SUFFIX}")}
     )
-    for shard in shards:
+    # The loader reads files in (stem, kind) order and the last copy of a
+    # key wins, so walking the stems backwards meets the served copy of a
+    # key held by several files (a two-character file beside its
+    # one-character shard) first, and the earlier files drop theirs.
+    served: set = set()
+    for shard in reversed(shards):
         shard_stats = _compact_shard(
             segments / f"{shard}.jsonl",
             segments / f"{shard}{COLUMNAR_SUFFIX}",
             format,
+            served,
         )
         for field, value in shard_stats.items():
             totals[field] += value

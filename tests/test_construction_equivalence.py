@@ -1,23 +1,30 @@
-"""Differential tests: the incremental, compact Section 2.1 construction
-against the original from-scratch one.
+"""Differential tests: the array Section 2.1 construction against the
+original set-based, from-scratch one.
 
 The references below are the construction as first written: a quadratic
 ``prune_to_minimal`` (every (candidate, target) pair tested), the greedy
 strategy scoring every candidate, and ``build_sequences`` recomputing
 ``FRONTIER_i = UNINF_i ∩ Γ(INF_i)`` from scratch with INF_i/UNINF_i kept as
 sets per stage.  The production code must agree with them stage by stage
-and label by label on every graph family, and the sweep grid must build one
-construction per (graph, root) however many paper schemes label from it.
+and label by label on every graph family, alone and stacked in windows of
+several (graph, root) pairs; the sweep grid must build one construction per
+(graph, root) however many paper schemes label from it and however its
+windows fall, and a construction that fails inside a stacked window must
+fail exactly the units it fails alone.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import repro.api.grid as api_grid
 import repro.core.labeling as core_labeling
 import repro.core.sequences as core_sequences
+from repro.analysis.executor import GridExecutionError
 from repro.analysis.metrics import metrics_from_run
 from repro.analysis.sweep import materialize_instance
 from repro.api import GridConfig, Scenario, get_scheme, run, run_grid
@@ -32,6 +39,7 @@ from repro.core import (
     lambda_scheme,
     prune_to_minimal,
 )
+from repro.core.sequences import build_sequence_batch
 from repro.graphs import (
     Graph,
     GraphError,
@@ -39,6 +47,7 @@ from repro.graphs import (
     cycle_graph,
     generate_family,
     is_connected,
+    path_graph,
     random_connected_graph,
 )
 from repro.graphs.generators import FAMILIES
@@ -240,12 +249,32 @@ class TestGuards:
             build_sequences(Graph.empty(2), 0)
 
     def test_stage_guard_catches_a_construction_without_progress(self, monkeypatch):
-        # Keeping every candidate dominates node 2 of the 4-cycle twice, so
-        # NEW_2 is empty and the frontier never shrinks.
-        monkeypatch.setattr(core_sequences, "minimal_dominating_subset",
-                            lambda graph, candidates, targets, strategy: frozenset(candidates))
+        # Keeping every candidate that covers a target dominates node 2 of the
+        # 4-cycle twice, so NEW_2 is empty and the frontier never shrinks.
+        def keep_every_cover(target, cand, counts, status):
+            return np.unique(cand)
+
+        monkeypatch.setattr(core_sequences, "pair_strategy", lambda strategy: keep_every_cover)
         with pytest.raises(GraphError, match="exceeded n\\+1 stages"):
             build_sequences(cycle_graph(4), 0)
+        # Stacked beside a construction that finishes, the guard still fires.
+        with pytest.raises(GraphError, match="exceeded n\\+1 stages"):
+            build_sequence_batch([(path_graph(3), 0), (cycle_graph(4), 0)])
+
+    def test_label_checks_catch_a_broken_construction(self):
+        # Node 2 put into DOM_2 of the 4-path stays into DOM_3 with no
+        # neighbour in NEW_2 = {2}.
+        graph = path_graph(4)
+        broken = replace(build_sequences(graph, 0), dom_ids=np.array([0, 1, 2, 2]),
+                         dom_ptr=np.array([0, 1, 3, 4, 4]))
+        with pytest.raises(GraphError, match="no NEW_2 witness adjacent to 2 ∈ DOM_3 ∩ DOM_2"):
+            lambda_scheme(graph, 0, construction=broken)
+        # On the 3-path the same gives z = 2 the λ_ack label 101.
+        graph = path_graph(3)
+        broken = replace(build_sequences(graph, 0), dom_ids=np.array([0, 1, 2]),
+                         dom_ptr=np.array([0, 1, 3, 3]))
+        with pytest.raises(GraphError, match=r"Fact 3.1 violated: nodes \[2\]"):
+            lambda_ack_scheme(graph, 0, construction=broken)
 
     def test_stages_share_one_new_stage_array(self):
         seq = build_sequences(generate_family("grid", 100, 0), 0)
@@ -256,21 +285,21 @@ class TestGuards:
 # --------------------------------------------------------------------------- #
 # one construction per (graph, root) on both grid paths
 # --------------------------------------------------------------------------- #
-PAPER_GRID = GridConfig(families=["geometric"], sizes=[48], seeds_per_size=1,
+PAPER_GRID = GridConfig(families=["geometric"], sizes=[48], seeds_per_size=3,
                         schemes=["lambda", "lambda_ack", "lambda_arb"])
 
 
 @pytest.fixture
-def sequence_builds(monkeypatch):
-    """Counts every construction built through ``repro.core.labeling``."""
+def sequence_passes(monkeypatch):
+    """Every construction pass of the grid's windows, as its (graph, root) list."""
     calls = []
-    original = core_labeling.build_sequences
+    original = core_sequences.build_sequence_batch
 
-    def counting(graph, source, strategy="prune"):
-        calls.append(source)
-        return original(graph, source, strategy)
+    def counting(roots, strategy="prune"):
+        calls.append([(graph, root) for graph, root in roots])
+        return original(roots, strategy)
 
-    monkeypatch.setattr(core_labeling, "build_sequences", counting)
+    monkeypatch.setattr(core_sequences, "build_sequence_batch", counting)
     return calls
 
 
@@ -287,11 +316,115 @@ def _standalone_rows(config, instance):
 
 
 @pytest.mark.parametrize("stack_nodes", [0, STACK_NODES], ids=["alone", "stacked"])
-def test_grid_builds_two_constructions_per_paper_instance(sequence_builds, monkeypatch,
+def test_grid_builds_two_constructions_per_paper_instance(sequence_passes, monkeypatch,
                                                           stack_nodes):
     monkeypatch.setattr(api_grid, "STACK_NODES", stack_nodes)
-    instance = materialize_instance(PAPER_GRID, "geometric", 48, 0)
+    instances = [materialize_instance(PAPER_GRID, "geometric", 48, rep) for rep in range(3)]
     rows = run_grid(PAPER_GRID, backend="vectorized", jobs=1)
     # λ and λ_ack share the source's construction; λ_arb's coordinator is n−1.
-    assert sequence_builds == [instance.source, instance.graph.n - 1]
-    assert list(rows) == _standalone_rows(PAPER_GRID, instance)
+    expected = [(instance.graph, root) for instance in instances
+                for root in (instance.source, instance.graph.n - 1)]
+    assert [pair for call in sequence_passes for pair in call] == expected
+    # One pass per window: the three instances stacked, or one each.
+    assert len(sequence_passes) == (1 if stack_nodes else 3)
+    assert list(rows) == [row for instance in instances
+                          for row in _standalone_rows(PAPER_GRID, instance)]
+
+
+# --------------------------------------------------------------------------- #
+# a failing construction inside a stacked window
+# --------------------------------------------------------------------------- #
+MIXED_GRID = GridConfig(families=["geometric"], sizes=[40], seeds_per_size=4,
+                        schemes=["lambda", "lambda_ack", "lambda_arb"])
+
+
+@pytest.fixture
+def one_disconnected_instance(monkeypatch):
+    """Repetition 2 of ``MIXED_GRID`` loses every edge of node 5."""
+    import repro.analysis.sweep as sweep
+
+    original = sweep.materialize_instance
+
+    def patched(config, family, size, rep):
+        instance = original(config, family, size, rep)
+        if rep != 2:
+            return instance
+        graph = instance.graph.remove_edges(
+            [(5, u) for u in instance.graph.neighbors(5)])
+        return replace(instance, graph=graph)
+
+    monkeypatch.setattr(sweep, "materialize_instance", patched)
+
+
+def _grid_outcome(monkeypatch, stack_nodes, **kwargs):
+    monkeypatch.setattr(api_grid, "STACK_NODES", stack_nodes)
+    try:
+        return list(run_grid(MIXED_GRID, backend="vectorized", jobs=1, **kwargs))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_a_disconnected_instance_fails_only_its_own_paper_units(
+        one_disconnected_instance, monkeypatch, retries):
+    stacked = _grid_outcome(monkeypatch, STACK_NODES, strict=False, retries=retries)
+    alone = _grid_outcome(monkeypatch, 0, strict=False, retries=retries)
+    assert stacked == alone
+    failed = [(i, row.scheme, row.status) for i, row in enumerate(stacked)
+              if row.status.startswith("error")]
+    # Rows run instance by instance, three schemes each: instance 2's units.
+    assert failed == [(6, "lambda", "error:GraphError"), (7, "lambda_ack", "error:GraphError"),
+                      (8, "lambda_arb", "error:GraphError")]
+
+
+def test_a_disconnected_instance_raises_the_same_strict_error(one_disconnected_instance,
+                                                              monkeypatch):
+    stacked = _grid_outcome(monkeypatch, STACK_NODES)
+    alone = _grid_outcome(monkeypatch, 0)
+    assert stacked == alone
+    assert stacked[0] is GridExecutionError
+    assert "scheme='lambda'" in stacked[1] and "requires a connected graph" in stacked[1]
+
+
+# --------------------------------------------------------------------------- #
+# stacked windows against the references
+# --------------------------------------------------------------------------- #
+def _window_graph(kind, n, seed):
+    if kind == "path":
+        return path_graph(n)
+    if kind == "dense":
+        return random_connected_graph(n, 0.6, seed=seed)
+    return random_connected_graph(n, 0.12, seed=seed)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(members=st.lists(st.tuples(st.sampled_from(["path", "sparse", "dense"]),
+                                  st.integers(1, 24), st.integers(0, 10_000),
+                                  st.integers(0, 10_000)),
+                        min_size=1, max_size=6),
+       strategy=st.sampled_from(["prune", "greedy"]))
+@example(members=[("path", 1, 0, 0), ("path", 2, 0, 1), ("dense", 24, 3, 5),
+                  ("path", 9, 0, 4), ("sparse", 20, 7, 0), ("dense", 2, 1, 0)],
+         strategy="prune")
+@example(members=[("sparse", 24, 11, 3)] * 2 + [("path", 1, 0, 0)], strategy="greedy")
+def test_stacked_windows_match_the_references(members, strategy):
+    roots = []
+    for kind, n, seed, root in members:
+        graph = _window_graph(kind, n, seed)
+        roots.append((graph, root % graph.n))
+    for (graph, root), seq in zip(roots, build_sequence_batch(roots, strategy)):
+        ref = reference_stages(graph, root, strategy)
+        assert seq.ell == len(ref)
+        for stage, (inf, uninf, frontier, dom, new) in zip(seq.stages, ref):
+            assert (stage.frontier, stage.dom, stage.new) == (frontier, dom, new)
+            assert (stage.informed, stage.uninformed) == (inf, uninf)
+        assert seq == build_sequences(graph, root, strategy)
+        lam = lambda_scheme(graph, root, strategy=strategy, construction=seq)
+        assert lam.labels == reference_lambda(graph, ref)
+        ack = lambda_ack_scheme(graph, root, strategy=strategy, construction=seq)
+        assert ack.labels == reference_lambda_ack(graph, ref, root)
+        arb = lambda_arb_scheme(graph, coordinator=root, strategy=strategy, construction=seq)
+        expected = dict(reference_lambda_ack(graph, ref, root))
+        expected[root] = "111"
+        assert arb.labels == expected

@@ -431,6 +431,35 @@ class TestTwoCharacterLayout:
             assert self._contents(store) == (rows, traces)
 
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "columnar"])
+    def test_compaction_keeps_one_copy_of_a_key_across_files(self, tmp_path, fmt):
+        root = tmp_path / "s"
+        key = "3c" + "d" * 62
+        with ResultStore(root) as store:
+            cold = list(run_grid(self.CFG, store=store))
+            store.put(key, cold[0], trace=_batched_trace())
+            rows, traces = self._contents(store)
+        # A writer of the two-character layout racing a current one leaves
+        # the key's line in both 3.jsonl and 3c.jsonl.
+        line = next(raw for raw in _segment(root, key).read_bytes().splitlines(keepends=True)
+                    if json.loads(raw)["key"] == key)
+        (root / "segments" / "3c.jsonl").write_bytes(line)
+        with ResultStore(root) as store:
+            assert self._contents(store) == (rows, traces)
+        with ResultStore(root) as store:
+            stats = store.compact(format=fmt)
+            assert stats["rows_kept"] == len(rows)
+            assert stats["duplicates_dropped"] == 1
+            assert self._contents(store) == (rows, traces)
+        with ResultStore(root) as store:
+            assert store.describe()["scanned_lines"] == 0
+            assert self._contents(store) == (rows, traces)
+        # The loader serves a key from the last file in (stem, kind) order.
+        held = [path.name for path in sorted((root / "segments").iterdir())
+                if path.suffix in (".jsonl", ".colseg") and key.encode() in path.read_bytes()]
+        assert held == [f"3c.{'jsonl' if fmt == 'jsonl' else 'colseg'}"]
+
+
 # --------------------------------------------------------------------------- #
 # crash hygiene: truncated segment tails must never shadow later rows
 # --------------------------------------------------------------------------- #

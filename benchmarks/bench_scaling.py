@@ -282,19 +282,30 @@ def bench_batched_small_graph_sweep():
     )
 
 
-#: Sizes of the grid-stacking benchmark, on both sides of ``STACK_NODES``;
-#: ``--quick`` skips the last.
+#: Sizes of the grid-stacking benchmark, up to ``STACK_NODES`` itself, where
+#: each instance runs alone; ``--quick`` skips the last.
 STACKING_SIZES = [32, 128, 512, 4096]
 STACKING_SEEDS = 16
 
-#: One cold ``run_grid`` in a fresh interpreter, so ``ru_maxrss`` is this
-#: cell's peak alone: λ and λ_ack on 16 seeds of one (family, n) on the
-#: vectorized engine, best of ``repeats`` runs, plus a digest of the rows.
-#: Mode ``alone`` sets ``STACK_NODES = 0``: one instance per kernel call.
+#: One cold ``run_grid`` in a fresh interpreter: λ and λ_ack on 16 seeds of
+#: one (family, n) on the vectorized engine, best of ``repeats`` runs, plus
+#: a digest of the rows and the interpreter's own peak RSS.  That peak is
+#: Linux's ``VmHWM``: ``ru_maxrss`` survives ``exec``, so it never reads
+#: below the RSS of the pytest process that spawned the probe (about 53 MB),
+#: which hid every cell's peak under that floor.  Mode ``alone`` sets
+#: ``STACK_NODES = 0``: one instance per kernel call.
 _STACKING_PROBE = """
 import hashlib, json, resource, sys, time
 import repro.api.grid as grid
 from repro.api import GridConfig, run_grid
+
+def peak_rss_mb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:")) / 1024.0
+    except (OSError, StopIteration):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 family, n, mode, seeds, repeats = sys.argv[1:6]
 config = GridConfig(families=[family], sizes=[int(n)], seeds_per_size=int(seeds),
@@ -309,7 +320,7 @@ for _ in range(int(repeats)):
 blob = json.dumps([row.as_dict() for row in rows], sort_keys=True)
 print(json.dumps({"rows": len(rows), "seconds": best,
                   "digest": hashlib.sha256(blob.encode()).hexdigest(),
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+                  "peak_rss_mb": peak_rss_mb()}))
 """
 
 
@@ -320,9 +331,9 @@ def bench_grid_stacking(request):
     their requested sizes sum to at most ``STACK_NODES``; an instance that
     large runs alone.  This benchmark runs the same grid (λ and λ_ack, 16
     seeds) that way and with ``STACK_NODES = 0`` (one instance per call), at
-    sizes on both sides of the cap.  Each run is a
-    fresh interpreter and records rows/s (best of its repeats) and its
-    ``ru_maxrss``.  Asserts identical rows in every cell and stacked ≥
+    sizes up to the cap.  Each run is a fresh interpreter and records rows/s
+    (best of 3 repeats, 1 for instances that run alone) and its own peak
+    RSS.  Asserts identical rows in every cell and stacked ≥
     per-instance rows/s at n = 32.  ``--quick`` skips n = 4096.
     """
     import os
@@ -337,7 +348,7 @@ def bench_grid_stacking(request):
     sizes = STACKING_SIZES[:-1] if request.config.getoption("--quick") else STACKING_SIZES
 
     def run(family: str, n: int, mode: str) -> dict:
-        repeats = 1 if n > STACK_NODES else 3
+        repeats = 1 if n >= STACK_NODES else 3
         out = subprocess.run(
             [sys.executable, "-c", _STACKING_PROBE, family, str(n), mode,
              str(STACKING_SEEDS), str(repeats)],

@@ -39,7 +39,12 @@ engine one block-diagonal kernel invocation — with rows guaranteed
 identical to running them one by one.  One rule sets the windows: the
 ``vectorized`` engine stacks instances while their requested sizes sum to
 at most :data:`STACK_NODES` (an instance that large runs alone), and every
-other engine runs one instance per window.
+other engine runs one instance per window.  A window's Section 2.1
+constructions are built in stacked passes of at most
+:data:`~repro.core.sequences.CONSTRUCTION_PASS_NODES` nodes, and a group's
+tasks and results are released before the next group's engine call, so a
+window's peak memory is its graphs, labels and constructions plus one
+group's run.
 """
 
 from __future__ import annotations
@@ -284,11 +289,17 @@ def _failure_row(
 
 #: Requested nodes per stacked window.  The ``vectorized`` engine stacks
 #: consecutive whole instances while their requested sizes sum to at most
-#: this, so an instance this large or larger runs alone.  Chosen for memory:
-#: a window's graphs, labels and kernel state are alive together, and past a
-#: few hundred nodes a round's arithmetic, not its NumPy dispatch, sets the
-#: engine's cost.
-STACK_NODES = 512
+#: this, so an instance this large or larger runs alone.  A kernel round
+#: costs mostly NumPy dispatch, so a wider window runs fewer rounds per
+#: row: on a 2-core box ``paper_cold``'s B_arb ran 2 batches and 173 rounds
+#: of about 130 µs at 4096, against 12 batches and 686 rounds of about
+#: 72 µs at 512, and took half the time.  8192 ran ``paper_cold`` about 5 %
+#: faster again but put ``small_sweep``'s cold peak RSS about 5 % above
+#: 512's (4096: +2.1 to +2.7 %), the benchmark's bound.  A window's graphs,
+#: labels and constructions are alive together; its Section 2.1
+#: constructions are built in passes of at most
+#: :data:`~repro.core.sequences.CONSTRUCTION_PASS_NODES` nodes.
+STACK_NODES = 4096
 
 
 def _unit_windows(units: Sequence[UnitSpec], *, backend: Any) -> List[List[int]]:
@@ -365,8 +376,8 @@ def _run_unit_window(
     instances: Dict[Tuple[str, int, int], Any] = {}
     groups: Dict[Tuple[str, str, str], List[Tuple[int, UnitSpec]]] = {}
     # The window's Section 2.1 constructions: every root a unit labels from
-    # is registered here and built in one stacked pass, inside the first
-    # labeler that asks for one.
+    # is registered here and built in stacked passes of bounded size, all
+    # inside the first labeler that asks for one.
     constructions = ConstructionCache()
     for index, unit in enumerate(units):
         ikey = unit[:3]
@@ -461,8 +472,7 @@ def _run_unit_window(
         rows[index] = _failure_row(unit[5], unit[0], instance.n, unit[3],
                                    unit[4], error)
 
-    # The window already caps how many instances share a call.
-    for members in groups.values():
+    def run_group(members: List[Tuple[int, UnitSpec]]) -> None:
         built = []
         for index, unit in members:
             try:
@@ -470,7 +480,7 @@ def _run_unit_window(
             except Exception as exc:
                 retry_alone(index, unit, exc, retries)
         if not built:
-            continue
+            return
         try:
             results = run_batch([task for _, _, task in built])
         except Exception as exc:
@@ -479,12 +489,18 @@ def _run_unit_window(
             tries = retries if len(built) == 1 else retries + 1
             for index, unit, _ in built:
                 retry_alone(index, unit, exc, tries)
-            continue
+            return
         for (index, unit, task), result in zip(built, results):
             try:
                 rows[index] = row_of(unit, task, result)
             except Exception as exc:
                 retry_alone(index, unit, exc, retries)
+
+    # The window already caps how many instances share a call.  A group's
+    # tasks and results (summary traces hold per-node dicts) die with its
+    # call, so they are gone before the next group's kernel runs.
+    for members in groups.values():
+        run_group(members)
     return rows  # type: ignore[return-value]
 
 

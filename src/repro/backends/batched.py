@@ -238,7 +238,7 @@ def _int_payload_bits(value: int) -> int:
 #: rounds of λ, λ_ack and TDMA runs (grids of 4096 to 504,100 nodes, a
 #: 2·10⁴-node G(n, p), a 65,536-node hypercube).  The target sort costs a
 #: fixed 20–30 µs: it lost every round at 4096 nodes and broke even near
-#: 10⁴ (so every stacked window of up to 512 nodes stays on ``bincount``).
+#: 10⁴ (so every stacked window of up to 4096 nodes stays on ``bincount``).
 #: From 2·10⁴ nodes it won while the targets numbered fewer than about
 #: n / 55 to n / 24 depending on the graph (n / 40 to n / 27 on grids) and
 #: lost by up to 4× above that.
@@ -1262,8 +1262,9 @@ def run_arbitrary_batch(tasks: Sequence[SimulationTask]) -> List[BackendResult]:
             completion = max(candidates) if candidates else 1
         common: Optional[int] = None
         if bool(known[lo:hi].all()) and hi > lo:
-            values = np.unique(completion_known[lo:hi])
-            if values.size == 1:
+            # min == max, not np.unique: its first call imports numpy.ma.
+            values = completion_known[lo:hi]
+            if values.min() == values.max():
                 common = int(values[0])
         derived.append(
             {

@@ -24,7 +24,9 @@ its :class:`Stage` records build the paper's sets as frozensets on first
 read, for the verifier and the tests, and implement every structural fact
 the paper proves about them (Facts 2.1–2.2, Lemmas 2.3–2.6, Corollary 2.7)
 as checkable assertions.  :class:`ConstructionCache` holds a sweep window's
-constructions and builds them in one stacked pass on first use.
+constructions and builds them on first use, in stacked passes of at most
+:data:`CONSTRUCTION_PASS_NODES` nodes, so a pass's memory stays the same
+however wide the window.
 """
 
 from __future__ import annotations
@@ -446,16 +448,30 @@ def _split_stages(records: List[np.ndarray], offsets: np.ndarray,
     return parts
 
 
+#: Node budget of one :class:`ConstructionCache` pass: consecutive pending
+#: roots are stacked while their graphs' node counts sum to at most this (a
+#: larger graph gets a pass of its own).  It is the largest pass a sweep
+#: window of 512 requested nodes ever built (a source and a coordinator
+#: root per λ_arb instance), so a wider window runs more passes, not wider
+#: ones: a pass's transient memory grows with its arcs.  tracemalloc put
+#: one pass over the 48 roots of ``paper_cold``'s first 4096-node window
+#: (8192 nodes, 125 K arcs) at 4.0 MB, peaking in the in-order prune's
+#: lists, and its largest pass of at most 1024 nodes at 0.9 MB.
+CONSTRUCTION_PASS_NODES = 1024
+
+
 class ConstructionCache:
-    """The constructions of one sweep window, built in one stacked pass.
+    """The constructions of one sweep window, built in stacked passes.
 
     :meth:`register` names a ``(graph, root)`` pair the window will label
     from.  The first :meth:`get` of a registered pair builds every
-    registered pair of its strategy not yet built, as one
-    :func:`build_sequence_batch` pass.  If that pass raises, every
-    construction is built alone when asked for, so an error reaches exactly
-    the labelers whose own construction fails, each time they ask.  An
-    unregistered pair is built alone.  Graphs are keyed by identity.
+    registered pair of its strategy not yet built, in consecutive
+    :func:`build_sequence_batch` passes of at most
+    :data:`CONSTRUCTION_PASS_NODES` nodes.  If a pass raises, the earlier
+    passes' constructions are kept and every other one is built alone when
+    asked for, so an error reaches exactly the labelers whose own
+    construction fails, each time they ask.  An unregistered pair is built
+    alone.  Graphs are keyed by identity.
     """
 
     def __init__(self) -> None:
@@ -470,16 +486,32 @@ class ConstructionCache:
     def get(self, graph: Graph, root: int, strategy: str = "prune") -> SequenceConstruction:
         key = (id(graph), int(root), strategy)
         if key not in self._built:
-            batch = [k for k in self._pending if k[2] == strategy] if key in self._pending else []
-            if len(batch) > 1:
-                try:
-                    self._keep(batch, build_sequence_batch(
-                        [self._pending[k] for k in batch], strategy))
-                except Exception:
-                    self._pending.clear()
+            if key in self._pending:
+                for batch in self._passes(strategy):
+                    try:
+                        self._keep(batch, build_sequence_batch(
+                            [self._pending[k] for k in batch], strategy))
+                    except Exception:
+                        self._pending.clear()
+                        break
             if key not in self._built:
                 self._keep([key], build_sequence_batch([(graph, int(root))], strategy))
         return self._built[key]
+
+    def _passes(self, strategy: str) -> List[List[Tuple[int, int, str]]]:
+        """The pending keys of ``strategy`` in registration order, cut into
+        passes of at most :data:`CONSTRUCTION_PASS_NODES` nodes."""
+        passes: List[List[Tuple[int, int, str]]] = []
+        load = 0
+        for key, (graph, _) in self._pending.items():
+            if key[2] != strategy:
+                continue
+            if not passes or load + graph.n > CONSTRUCTION_PASS_NODES:
+                passes.append([])
+                load = 0
+            passes[-1].append(key)
+            load += graph.n
+        return passes
 
     def _keep(self, keys: List[Tuple[int, int, str]],
               constructions: List[SequenceConstruction]) -> None:

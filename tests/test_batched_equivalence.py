@@ -25,9 +25,13 @@ and isolated nodes.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -54,6 +58,7 @@ from repro.store import ResultStore
 
 VECTORIZED = VectorizedBackend()
 REFERENCE = ReferenceBackend()
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Schemes the stacked kernels cover natively.
 BATCHED_SCHEMES = [
@@ -674,6 +679,26 @@ class TestGridBatching:
         rows = run_grid(GRID_CFG, backend="vectorized", jobs=jobs)
         assert rows == reference_rows
 
+    def test_grid_rows_leave_numpy_ma_unimported(self):
+        # np.unique and np.isin import numpy.ma on their first call (about
+        # 8 ms and 1.3 MB in a fresh process), so no row path may call them.
+        script = "\n".join([
+            "import sys",
+            "from repro.api import GridConfig, run_grid",
+            f"config = GridConfig(families=['gnp_sparse'], sizes=[16], "
+            f"schemes={BATCHED_SCHEMES!r})",
+            "for backend in ('vectorized', 'reference'):",
+            "    rows = run_grid(config, backend=backend)",
+            "    assert {row.status for row in rows} == {'ok'}, rows",
+            "    assert {row.backend for row in rows} == {backend}, rows",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC_DIR, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split() == ["False"]
+
 
 # --------------------------------------------------------------------------- #
 # the grid's window rule: instances per kernel call
@@ -684,11 +709,12 @@ class TestStackingWindows:
     window.  ``STACK_NODES = 0`` is the one-instance-per-call baseline."""
 
     def test_stacks_up_to_the_node_cap(self, monkeypatch):
-        # Requested sizes 128, 128, 256 | 256: the first window holds
+        # Requested sizes 1024, 1024, 2048 | 2048: the first window holds
         # exactly STACK_NODES nodes, so the last instance starts a second.
-        cfg = GridConfig(families=["path"], sizes=[128, 256], seeds_per_size=2,
+        assert STACK_NODES == 4096
+        cfg = GridConfig(families=["gnp_sparse"],
+                         sizes=[STACK_NODES // 4, STACK_NODES // 2], seeds_per_size=2,
                          schemes=["lambda", "round_robin"])
-        assert STACK_NODES == 512
         with monkeypatch.context() as patch:
             patch.setattr(grid, "STACK_NODES", 0)
             per_instance = run_grid(cfg, backend="vectorized")
@@ -702,7 +728,9 @@ class TestStackingWindows:
         assert {r.backend for r in rows} == {"vectorized"}
 
     def test_instances_at_or_past_the_cap_run_alone(self, monkeypatch):
-        cfg = GridConfig(families=["gnp_sparse"],
+        # Random trees: the window rule reads requested sizes only, and a
+        # tree keeps the cap-sized instances cheap.
+        cfg = GridConfig(families=["random_tree"],
                          sizes=[16, STACK_NODES, STACK_NODES + 88, 16],
                          seeds_per_size=2, schemes=["lambda"])
         with monkeypatch.context() as patch:

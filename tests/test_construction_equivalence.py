@@ -291,13 +291,20 @@ PAPER_GRID = GridConfig(families=["geometric"], sizes=[48], seeds_per_size=3,
 
 @pytest.fixture
 def sequence_passes(monkeypatch):
-    """Every construction pass of the grid's windows, as its (graph, root) list."""
+    """Every construction pass of the grid's windows, as its (graph, root)
+    list and what it returned: the constructions, or the exception raised."""
     calls = []
     original = core_sequences.build_sequence_batch
 
     def counting(roots, strategy="prune"):
-        calls.append([(graph, root) for graph, root in roots])
-        return original(roots, strategy)
+        pairs = [(graph, root) for graph, root in roots]
+        try:
+            built = original(roots, strategy)
+        except Exception as exc:
+            calls.append((pairs, exc))
+            raise
+        calls.append((pairs, built))
+        return built
 
     monkeypatch.setattr(core_sequences, "build_sequence_batch", counting)
     return calls
@@ -324,11 +331,37 @@ def test_grid_builds_two_constructions_per_paper_instance(sequence_passes, monke
     # λ and λ_ack share the source's construction; λ_arb's coordinator is n−1.
     expected = [(instance.graph, root) for instance in instances
                 for root in (instance.source, instance.graph.n - 1)]
-    assert [pair for call in sequence_passes for pair in call] == expected
+    assert [pair for roots, _ in sequence_passes for pair in roots] == expected
     # One pass per window: the three instances stacked, or one each.
     assert len(sequence_passes) == (1 if stack_nodes else 3)
     assert list(rows) == [row for instance in instances
                           for row in _standalone_rows(PAPER_GRID, instance)]
+
+
+@pytest.mark.parametrize("pass_nodes, passes", [(48, 6), (100, 3), (144, 2)])
+def test_a_window_builds_its_constructions_in_passes_within_the_budget(
+        sequence_passes, monkeypatch, pass_nodes, passes):
+    # PAPER_GRID's three 48-node instances share one window and register
+    # six roots (source, coordinator per instance): 288 nodes in all.
+    instances = [materialize_instance(PAPER_GRID, "geometric", 48, rep) for rep in range(3)]
+    with monkeypatch.context() as patch:
+        patch.setattr(core_sequences, "CONSTRUCTION_PASS_NODES", pass_nodes)
+        rows = run_grid(PAPER_GRID, backend="vectorized", jobs=1)
+    stacked = list(sequence_passes)
+    assert len(stacked) == passes
+    for roots, _ in stacked:
+        assert sum(graph.n for graph, _ in roots) <= pass_nodes
+    # Every (instance, root) pair is built exactly once, in registration order.
+    assert [pair for roots, _ in stacked for pair in roots] == [
+        (instance.graph, root) for instance in instances
+        for root in (instance.source, instance.graph.n - 1)]
+    sequence_passes.clear()
+    monkeypatch.setattr(api_grid, "STACK_NODES", 0)
+    alone = run_grid(PAPER_GRID, backend="vectorized", jobs=1)
+    assert len(sequence_passes) == 3
+    assert ([c for _, built in stacked for c in built]
+            == [c for _, built in sequence_passes for c in built])
+    assert list(rows) == list(alone)
 
 
 # --------------------------------------------------------------------------- #
@@ -364,10 +397,33 @@ def _grid_outcome(monkeypatch, stack_nodes, **kwargs):
         return type(exc), str(exc)
 
 
+#: Construction pass budgets for ``MIXED_GRID``'s one stacked window, whose
+#: four instances register 80 nodes of roots each, and the pass that
+#: instance 2 falls in: the first (with every instance), the second (with
+#: instance 3) or the third (alone, instance 3 in a fourth).
+FAILING_PASSES = [(core_sequences.CONSTRUCTION_PASS_NODES, 0), (160, 1), (80, 2)]
+
+
+def _assert_the_failing_pass(passes, failing):
+    """Pass ``failing`` of the stacked run raised; the pairs of the passes
+    before it were kept, and every later construction was built alone."""
+    raised = [i for i, (_, built) in enumerate(passes) if isinstance(built, Exception)]
+    assert raised[0] == failing
+    kept = {(id(graph), root) for roots, _ in passes[:failing] for graph, root in roots}
+    later = passes[failing + 1:]
+    assert all(len(roots) == 1 for roots, _ in later)
+    assert not kept & {(id(graph), root) for roots, _ in later for graph, root in roots}
+
+
+@pytest.mark.parametrize("pass_nodes, failing", FAILING_PASSES,
+                         ids=["first_pass", "second_pass", "third_pass"])
 @pytest.mark.parametrize("retries", [0, 1])
 def test_a_disconnected_instance_fails_only_its_own_paper_units(
-        one_disconnected_instance, monkeypatch, retries):
+        one_disconnected_instance, sequence_passes, monkeypatch, retries,
+        pass_nodes, failing):
+    monkeypatch.setattr(core_sequences, "CONSTRUCTION_PASS_NODES", pass_nodes)
     stacked = _grid_outcome(monkeypatch, STACK_NODES, strict=False, retries=retries)
+    _assert_the_failing_pass(list(sequence_passes), failing)
     alone = _grid_outcome(monkeypatch, 0, strict=False, retries=retries)
     assert stacked == alone
     failed = [(i, row.scheme, row.status) for i, row in enumerate(stacked)
@@ -377,9 +433,13 @@ def test_a_disconnected_instance_fails_only_its_own_paper_units(
                       (8, "lambda_arb", "error:GraphError")]
 
 
-def test_a_disconnected_instance_raises_the_same_strict_error(one_disconnected_instance,
-                                                              monkeypatch):
+@pytest.mark.parametrize("pass_nodes, failing", FAILING_PASSES,
+                         ids=["first_pass", "second_pass", "third_pass"])
+def test_a_disconnected_instance_raises_the_same_strict_error(
+        one_disconnected_instance, sequence_passes, monkeypatch, pass_nodes, failing):
+    monkeypatch.setattr(core_sequences, "CONSTRUCTION_PASS_NODES", pass_nodes)
     stacked = _grid_outcome(monkeypatch, STACK_NODES)
+    _assert_the_failing_pass(list(sequence_passes), failing)
     alone = _grid_outcome(monkeypatch, 0)
     assert stacked == alone
     assert stacked[0] is GridExecutionError

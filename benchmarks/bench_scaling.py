@@ -287,17 +287,12 @@ def bench_batched_small_graph_sweep():
 STACKING_SIZES = [32, 128, 512, 4096]
 STACKING_SEEDS = 16
 
-#: One cold ``run_grid`` in a fresh interpreter: λ and λ_ack on 16 seeds of
-#: one (family, n) on the vectorized engine, best of ``repeats`` runs, plus
-#: a digest of the rows and the interpreter's own peak RSS.  That peak is
-#: Linux's ``VmHWM``: ``ru_maxrss`` survives ``exec``, so it never reads
-#: below the RSS of the pytest process that spawned the probe (about 53 MB),
-#: which hid every cell's peak under that floor.  Mode ``alone`` sets
-#: ``STACK_NODES = 0``: one instance per kernel call.
-_STACKING_PROBE = """
-import hashlib, json, resource, sys, time
-import repro.api.grid as grid
-from repro.api import GridConfig, run_grid
+#: The probes' own peak RSS: Linux's ``VmHWM``.  ``ru_maxrss`` survives
+#: ``exec``, so in a probe it never reads below the RSS of the pytest process
+#: that spawned it (about 53 MB), which hid every small cell's peak under
+#: that floor.  Other systems fall back to ``ru_maxrss``.
+_PEAK_RSS = """
+import resource
 
 def peak_rss_mb():
     try:
@@ -306,6 +301,16 @@ def peak_rss_mb():
                         if line.startswith("VmHWM:")) / 1024.0
     except (OSError, StopIteration):
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+"""
+
+#: One cold ``run_grid`` in a fresh interpreter: λ and λ_ack on 16 seeds of
+#: one (family, n) on the vectorized engine, best of ``repeats`` runs, plus
+#: a digest of the rows and the interpreter's own peak RSS.  Mode ``alone``
+#: sets ``STACK_NODES = 0``: one instance per kernel call.
+_STACKING_PROBE = _PEAK_RSS + """
+import hashlib, json, sys, time
+import repro.api.grid as grid
+from repro.api import GridConfig, run_grid
 
 family, n, mode, seeds, repeats = sys.argv[1:6]
 config = GridConfig(families=[family], sizes=[int(n)], seeds_per_size=int(seeds),
@@ -404,10 +409,10 @@ GRAPH_LARGE_CELL = (
     "grid", 1000 * 1000,
     "2d7f56dd8e30ec59d3051aab6449de5f258b92427e388efb241754f207d18602")
 
-#: One generation cell in a fresh interpreter, so ``ru_maxrss`` is this
-#: graph's peak alone: generate at seed 1, then digest the CSR.
-_GRAPH_PROBE = """
-import hashlib, json, resource, sys, time
+#: One generation cell in a fresh interpreter, so its peak RSS is this
+#: graph's alone: generate at seed 1, then digest the CSR.
+_GRAPH_PROBE = _PEAK_RSS + """
+import hashlib, json, sys, time
 from repro.graphs import generate_family
 
 start = time.perf_counter()
@@ -416,8 +421,7 @@ seconds = time.perf_counter() - start
 indptr, indices = graph.csr()
 digest = hashlib.sha256(indptr.astype("<i8").tobytes() + indices.astype("<i8").tobytes())
 print(json.dumps({"n": graph.n, "m": graph.num_edges, "seconds": seconds,
-                  "digest": digest.hexdigest(),
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
+                  "digest": digest.hexdigest(), "peak_rss_mb": peak_rss_mb()}))
 """
 
 
@@ -470,24 +474,21 @@ LABELING_CELLS = [("grid", 10_000), ("grid", 317 * 317), ("path", 20_000),
                   ("geometric", 4096)]
 LABELING_LARGE_CELL = ("grid", 1000 * 1000)
 
-#: One labeling cell in a fresh interpreter, so ``ru_maxrss`` is this cell's
-#: peak alone: generate the graph, then time λ from source 0.
-_LABELING_PROBE = """
-import json, resource, sys, time
+#: One labeling cell in a fresh interpreter, so its peak RSS is this cell's
+#: alone: generate the graph, then time λ from source 0.
+_LABELING_PROBE = _PEAK_RSS + """
+import json, sys, time
 from repro.core import lambda_scheme
 from repro.graphs import generate_family
 
-def peak_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
 graph = generate_family(sys.argv[1], int(sys.argv[2]), 1)
-graph_peak = peak_mb()
+graph_peak = peak_rss_mb()
 start = time.perf_counter()
 labeling = lambda_scheme(graph, 0)
 seconds = time.perf_counter() - start
 print(json.dumps({"n": graph.n, "ell": labeling.construction.ell,
                   "label_bits": labeling.length, "seconds": seconds,
-                  "graph_peak_rss_mb": graph_peak, "peak_rss_mb": peak_mb()}))
+                  "graph_peak_rss_mb": graph_peak, "peak_rss_mb": peak_rss_mb()}))
 """
 
 

@@ -39,6 +39,7 @@ from .grid import (
     grid_cell_specs,
     grid_row_specs,
     grid_unit_key,
+    grid_unit_keys,
     iter_grid,
     run_grid,
 )
@@ -80,6 +81,7 @@ __all__ = [
     "grid_cell_specs",
     "grid_row_specs",
     "grid_unit_key",
+    "grid_unit_keys",
     "iter_grid",
     "normalize_clock_spec",
     "normalize_fault_spec",

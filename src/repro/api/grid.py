@@ -96,6 +96,7 @@ __all__ = [
     "grid_cell_specs",
     "grid_row_specs",
     "grid_unit_key",
+    "grid_unit_keys",
     "iter_grid",
     "run_grid",
 ]
@@ -197,19 +198,42 @@ def grid_unit_key(
     trace_level: str = "summary",
 ) -> str:
     """The content-addressed result-store key of one grid row."""
-    family, size, rep, fault_spec, clock_spec, scheme = unit
-    return unit_key(
-        scheme=scheme,
-        family=family,
-        size=size,
-        seed=instance_seed(config.base_seed, family, size, rep),
-        source_rule=config.source_rule,
-        payload=config.payload,
-        fault_spec=fault_spec,
-        clock_spec=clock_spec,
-        backend=backend,
-        trace_level=trace_level,
-    )
+    return grid_unit_keys(config, [unit], backend=backend,
+                          trace_level=trace_level)[0]
+
+
+def grid_unit_keys(
+    config: GridConfig,
+    units: Sequence[UnitSpec],
+    *,
+    backend: Any = None,
+    trace_level: str = "summary",
+) -> List[str]:
+    """The result-store key of every unit, in order.
+
+    Units of one instance (its schemes, faults and clocks) share its seed,
+    a ``SeedSequence`` derivation, which is computed once here.
+    """
+    seeds: Dict[Tuple[str, int, int], int] = {}
+    keys = []
+    for family, size, rep, fault_spec, clock_spec, scheme in units:
+        seed = seeds.get((family, size, rep))
+        if seed is None:
+            seed = seeds[family, size, rep] = instance_seed(
+                config.base_seed, family, size, rep)
+        keys.append(unit_key(
+            scheme=scheme,
+            family=family,
+            size=size,
+            seed=seed,
+            source_rule=config.source_rule,
+            payload=config.payload,
+            fault_spec=fault_spec,
+            clock_spec=clock_spec,
+            backend=backend,
+            trace_level=trace_level,
+        ))
+    return keys
 
 
 def _validate_schemes(config: GridConfig) -> None:
@@ -659,11 +683,9 @@ def _iter_grid_stream(
     keys: List[Optional[str]] = [None] * len(units)
     cached: Set[int] = set()
     if store is not None:
-        for i, unit in enumerate(units):
-            keys[i] = grid_unit_key(config, unit, backend=backend,
-                                    trace_level=trace_level)
-            if keys[i] in store:
-                cached.add(i)
+        keys = grid_unit_keys(config, units, backend=backend,
+                              trace_level=trace_level)
+        cached = {i for i, key in enumerate(keys) if key in store}
     pending = [i for i in range(len(units)) if i not in cached]
 
     if chunk_size is None and jobs == 1:

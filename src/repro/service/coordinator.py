@@ -5,13 +5,16 @@ and delegates every heavy kernel to workers (the ELLADA-style decomposition:
 the center never simulates anything):
 
 * A client ``submit`` is expanded into grid work units with
-  :func:`repro.api.grid.grid_row_specs`, and each unit's content-addressed
-  key is computed with :func:`repro.api.grid.grid_unit_key` — *the same
+  :func:`repro.api.grid.grid_row_specs`, and their content-addressed keys
+  are computed with :func:`repro.api.grid.grid_unit_keys` — *the same
   functions the local ``run_grid`` path uses*, so local and remote sweeps
   share cache keys bit for bit.
 * Units whose key the :class:`~repro.store.ResultStore` already holds are
   served straight from the indexed store (one O(1) seek per row, fetched at
-  send time — never buffered per client).
+  send time — never buffered per client).  A served row is the row's JSON
+  bytes from its stored line (``ResultStore.row_json``) spliced into the
+  ``row`` frame, the same bytes ``encode_frame`` would produce, so no row is
+  parsed into a ``RunMetrics`` and encoded again.
 * The rest become :class:`CellTask`\\ s, deduplicated by key across
   concurrent submissions, and fan out to connected workers under
   **lease/heartbeat tracking**: each dispatched cell has a lease deadline, a
@@ -28,13 +31,17 @@ Backpressure is credit-based on both legs (see
 outstanding cells, and a client receives row frames only up to the credit it
 has granted — since rows are re-read from the store at send time, a slow
 client costs the coordinator a bounded queue of integer indices, not a queue
-of row payloads.
+of row payloads.  Every row frame that a grant covers and that is ready goes
+out in one ``write`` and one ``drain``: a warm 768-row submit takes a few
+socket sends, not one per row.  An ``error`` frame ends such a write, after
+exactly the rows sent before it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import time
 from collections import deque
 from dataclasses import asdict
@@ -45,7 +52,10 @@ from ..store.resultset import _row_dict_to_metrics
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    canonical_json,
     check_hello,
+    encode_frame,
+    encode_row_frame,
     format_address,
     read_frame,
     write_frame,
@@ -57,13 +67,19 @@ __all__ = ["Coordinator", "WorkerLostError", "DEFAULT_CLIENT_CREDIT"]
 #: does not say (the ServiceClient always sends an explicit window).
 DEFAULT_CLIENT_CREDIT = 64
 
+#: The most row frames one write carries (about 110 KB of rows), so a client
+#: that grants a huge window still receives a stream, not one buffer of every
+#: row it asked for.
+_WRITE_FRAMES = 256
+
 
 class WorkerLostError(RuntimeError):
     """A cell's every attempt died with its worker (lease expiry / disconnect)."""
 
 
 class _Credit:
-    """A counting gate: ``take()`` waits until ``add()`` has granted credit."""
+    """A counting gate: ``wait()`` returns once ``add()`` has granted credit,
+    and ``take(limit)`` claims up to ``limit`` of it without waiting."""
 
     def __init__(self, initial: int = 0) -> None:
         self._count = int(initial)
@@ -77,11 +93,16 @@ class _Credit:
         self._count += n
         self._event.set()
 
-    async def take(self) -> None:
+    async def wait(self) -> None:
         while self._count <= 0:
             self._event.clear()
             await self._event.wait()
-        self._count -= 1
+
+    def take(self, limit: int) -> int:
+        """Claim ``min(limit, available)`` credits; returns how many."""
+        taken = max(0, min(limit, self._count))
+        self._count -= taken
+        return taken
 
 
 class CellTask:
@@ -508,7 +529,7 @@ class Coordinator:
             GridConfig,           # api eagerly at module load (CLI startup)
             _validate_schemes,
             grid_row_specs,
-            grid_unit_key,
+            grid_unit_keys,
         )
         from ..backends import BackendError, resolve_backend
 
@@ -521,8 +542,8 @@ class Coordinator:
             _validate_schemes(config)
             resolve_backend(backend)
             units = grid_row_specs(config)
-            keys = [grid_unit_key(config, unit, backend=backend,
-                                  trace_level=trace_level) for unit in units]
+            keys = grid_unit_keys(config, units, backend=backend,
+                                  trace_level=trace_level)
         except (TypeError, ValueError, BackendError) as exc:
             async with conn.wlock:
                 await write_frame(conn.writer, {
@@ -564,48 +585,56 @@ class Coordinator:
     async def _stream_submission(self, conn: _ClientConn, sub: _Submission,
                                  cached_count: int) -> None:
         served = computed = failed = 0
+        frames: List[bytes] = []
         while served + computed + failed < sub.total:
-            item = await sub.ready.get()
-            kind, index, key = item[0], item[1], item[2]
-            await conn.credit.take()
-            if kind == "cached":
-                row = self.store.get(key)
-                if row is None:
-                    async with conn.wlock:
-                        await write_frame(conn.writer, {
+            items = [await sub.ready.get()]
+            await conn.credit.wait()
+            granted = conn.credit.take(min(_WRITE_FRAMES, 1 + sub.ready.qsize()))
+            items.extend(sub.ready.get_nowait() for _ in range(granted - 1))
+            for kind, index, key, *doc in items:
+                if kind == "cached":
+                    row_json = self.store.row_json(key)
+                    if row_json is None:
+                        frames.append(encode_frame({
                             "type": "error", "index": index, "key": key,
                             "message": f"cached row {key} vanished from the "
                                        f"store mid-submission",
-                        })
-                    return
-                row_doc = row.as_dict()
-                served += 1
-                self.stats["served_cached"] += 1
-            elif kind == "row":
-                row_doc = item[3]
-                computed += 1
-            else:  # "failed"
-                row_doc = item[3]
-                if sub.strict:
-                    async with conn.wlock:
-                        await write_frame(conn.writer, {
+                        }))
+                        await self._send(conn, frames)
+                        return
+                    served += 1
+                    self.stats["served_cached"] += 1
+                elif kind == "row":
+                    row_json = canonical_json(doc[0])
+                    computed += 1
+                else:  # "failed"
+                    if sub.strict:
+                        frames.append(encode_frame({
                             "type": "error", "index": index, "key": key,
                             "message": f"grid cell failed after "
                                        f"{self.max_attempts} attempts: "
-                                       f"{row_doc.get('status', 'error')}",
-                        })
-                    return
-                failed += 1
-            async with conn.wlock:
-                await write_frame(conn.writer, {
-                    "type": "row", "index": index, "key": key,
-                    "row": row_doc, "cached": kind == "cached",
-                })
+                                       f"{doc[0].get('status', 'error')}",
+                        }))
+                        await self._send(conn, frames)
+                        return
+                    row_json = canonical_json(doc[0])
+                    failed += 1
+                frames.append(encode_row_frame(index, key, row_json,
+                                               cached=kind == "cached"))
+            if served + computed + failed < sub.total:
+                await self._send(conn, frames)
+                frames = []
+        frames.append(encode_frame({
+            "type": "done", "total": sub.total, "cached": served,
+            "computed": computed, "failed": failed,
+        }))
+        await self._send(conn, frames)
+
+    async def _send(self, conn: _ClientConn, frames: List[bytes]) -> None:
+        """Write encoded frames with one ``write`` and one ``drain``."""
         async with conn.wlock:
-            await write_frame(conn.writer, {
-                "type": "done", "total": sub.total, "cached": served,
-                "computed": computed, "failed": failed,
-            })
+            conn.writer.write(b"".join(frames))
+            await conn.writer.drain()
 
     async def _query_task(self, conn: _ClientConn, frame: Dict[str, Any]) -> None:
         conn.credit.add(int(frame.get("credit", DEFAULT_CLIENT_CREDIT)))
@@ -613,26 +642,27 @@ class Coordinator:
         key = frame.get("key")
         keys = [key] if key else self.store.keys()
         sent = 0
+        frames: List[bytes] = []
         try:
             for k in keys:
-                row = self.store.get(k)
-                if row is None:
+                row_json = self.store.row_json(k)
+                if row_json is None:
                     continue
-                doc = row.as_dict()
-                if not _match_filters(doc, frame):
+                if not _match_filters(json.loads(row_json), frame):
                     continue
-                await conn.credit.take()
-                async with conn.wlock:
-                    await write_frame(conn.writer, {
-                        "type": "row", "index": sent, "key": k,
-                        "row": doc, "cached": True,
-                    })
+                if len(frames) == _WRITE_FRAMES or not conn.credit.take(1):
+                    if frames:
+                        await self._send(conn, frames)
+                        frames = []
+                    await conn.credit.wait()
+                    conn.credit.take(1)
+                frames.append(encode_row_frame(sent, k, row_json, cached=True))
                 sent += 1
-            async with conn.wlock:
-                await write_frame(conn.writer, {
-                    "type": "done", "total": sent, "cached": sent,
-                    "computed": 0, "failed": 0,
-                })
+            frames.append(encode_frame({
+                "type": "done", "total": sent, "cached": sent,
+                "computed": 0, "failed": 0,
+            }))
+            await self._send(conn, frames)
         except (ConnectionError, OSError):
             pass
 

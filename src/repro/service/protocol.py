@@ -40,12 +40,18 @@ frees one slot), and a client's ``submit.credit`` / ``credit`` frames bound
 how many ``row`` frames the coordinator may have in flight toward it — a
 slow client therefore throttles its own stream instead of ballooning
 coordinator memory (rows are re-read from the store at send time, never
-buffered per client).
+buffered per client).  The coordinator writes every row frame one grant
+covers in one write; the frames themselves are unchanged.
+
+A stored row is served from its bytes: :func:`encode_row_frame` splices a
+row's compact, key-sorted JSON (``ResultStore.row_json``) into the ``row``
+frame, and the result is byte-identical to :func:`encode_frame` of the same
+frame dict, so no row is parsed into an object and re-encoded on the way.
 
 The async and sync I/O helpers (:func:`read_frame` / :func:`write_frame` and
-:func:`recv_frame` / :func:`send_frame`) share :func:`encode_frame` and the
-header format, so the coordinator (asyncio) and the plain-socket client and
-tests interoperate by construction.
+:class:`FrameReader` / :func:`send_frame`) share :func:`encode_frame`,
+:class:`FrameDecoder` and the header format, so the coordinator (asyncio) and
+the plain-socket client and tests interoperate by construction.
 """
 
 from __future__ import annotations
@@ -54,22 +60,25 @@ import asyncio
 import json
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "FRAME_TYPES",
     "ProtocolError",
+    "canonical_json",
     "encode_frame",
+    "encode_row_frame",
     "FrameDecoder",
+    "FrameReader",
     "hello_frame",
     "check_hello",
     "parse_address",
     "format_address",
     "read_frame",
     "write_frame",
-    "recv_frame",
     "send_frame",
 ]
 
@@ -101,6 +110,11 @@ class ProtocolError(RuntimeError):
     """A malformed, oversized or version-incompatible frame."""
 
 
+def canonical_json(value: Any) -> bytes:
+    """Compact, key-sorted JSON: the encoding of every frame body."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def encode_frame(frame: Dict[str, Any]) -> bytes:
     """Serialize one frame dict to its length-prefixed wire form."""
     if not isinstance(frame, dict):
@@ -110,7 +124,25 @@ def encode_frame(frame: Dict[str, Any]) -> bytes:
         raise ProtocolError(
             f"unknown frame type {kind!r}; known: {sorted(FRAME_TYPES)}"
         )
-    data = json.dumps(frame, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _with_header(canonical_json(frame))
+
+
+def encode_row_frame(index: int, key: str, row_json: bytes, *, cached: bool) -> bytes:
+    """The coordinator → client ``row`` frame around a row's JSON bytes.
+
+    ``row_json`` must be the row object's :func:`canonical_json`; the frame
+    is then byte-identical to ``encode_frame({"type": "row", "index": index,
+    "key": key, "row": row, "cached": cached})``, whose sorted keys put the
+    row between ``key`` and ``type``.
+    """
+    head = b'{"cached":true,"index":' if cached else b'{"cached":false,"index":'
+    return _with_header(b"".join((
+        head, b"%d" % index, b',"key":', canonical_json(key),
+        b',"row":', row_json, b',"type":"row"}',
+    )))
+
+
+def _with_header(data: bytes) -> bytes:
     if len(data) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame of {len(data)} bytes exceeds MAX_FRAME_BYTES "
@@ -259,33 +291,34 @@ def send_frame(sock: socket.socket, frame: Dict[str, Any]) -> None:
     sock.sendall(encode_frame(frame))
 
 
-def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Receive one frame from a blocking socket; ``None`` on clean EOF."""
-    header = _recv_exactly(sock, _HEADER.size, at_boundary=True)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame header announces {length} bytes "
-            f"(> MAX_FRAME_BYTES {MAX_FRAME_BYTES})"
-        )
-    body = _recv_exactly(sock, length, at_boundary=False)
-    if body is None:  # pragma: no cover - _recv_exactly raises instead
-        raise ProtocolError("connection dropped mid frame body")
-    return _parse_body(body)
+class FrameReader:
+    """Frames from a blocking socket, read through one :class:`FrameDecoder`.
 
+    Each ``recv`` takes whatever the socket holds (up to 64 KiB), so a burst
+    of row frames costs one call instead of two per frame; frames decoded
+    ahead wait in the reader.  Use one reader per socket for its whole life:
+    bytes it has buffered are gone from the socket.
+    """
 
-def _recv_exactly(sock: socket.socket, count: int, *, at_boundary: bool) -> Optional[bytes]:
-    chunks = bytearray()
-    while len(chunks) < count:
-        chunk = sock.recv(count - len(chunks))
-        if not chunk:
-            if at_boundary and not chunks:
-                return None
-            raise ProtocolError(
-                "connection dropped mid frame "
-                + ("header" if at_boundary else "body")
-            )
-        chunks.extend(chunk)
-    return bytes(chunks)
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._decoder = FrameDecoder()
+        self._frames: Deque[Dict[str, Any]] = deque()
+
+    def read(self) -> Optional[Dict[str, Any]]:
+        """The next frame; ``None`` on a clean EOF at a frame boundary.
+
+        Raises :class:`ProtocolError` when the peer closes mid frame.
+        """
+        while not self._frames:
+            chunk = self._sock.recv(1 << 16)
+            if not chunk:
+                pending = self._decoder.pending_bytes
+                if not pending:
+                    return None
+                raise ProtocolError(
+                    "connection dropped mid frame "
+                    + ("header" if pending < _HEADER.size else "body")
+                )
+            self._frames.extend(self._decoder.feed(chunk))
+        return self._frames.popleft()

@@ -41,11 +41,15 @@ __all__ = ["SCHEMA_VERSION", "canonical_payload", "normalize_backend_name", "uni
 #: 2: RunMetrics gained the ``backend`` execution-provenance column.
 SCHEMA_VERSION = 2
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``, built once:
+#: a grid computes two encodings per row.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_payload(payload: Any) -> str:
     """A stable JSON encoding of the source payload µ (stringified fallback)."""
     try:
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _CANONICAL.encode(payload)
     except (TypeError, ValueError):
         return json.dumps(str(payload))
 
@@ -92,5 +96,4 @@ def unit_key(
         "backend": normalize_backend_name(backend),
         "trace_level": str(trace_level),
     }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(doc).encode("utf-8")).hexdigest()

@@ -40,10 +40,11 @@ scan-everything store:
   the first uncovered byte only.  ``describe()["scanned_lines"]`` reports how
   many JSONL lines the open actually parsed (0 = fully indexed).
 * **Lazy reads** — only key → span maps are resident. ``get``/``get_trace``
-  seek-and-parse one line; ``rows()``/``iter_items()``/``iter_docs()`` stream
-  from disk on demand.  A span that fails to parse (e.g. the segment was
-  compacted by another process) triggers one self-healing reload before the
-  read is retried.
+  seek-and-parse one line; ``row_json`` returns the row's JSON bytes as they
+  stand in the line (for a service that only forwards them);
+  ``rows()``/``iter_items()``/``iter_docs()`` stream from disk on demand.  A
+  span that fails to parse (e.g. the segment was compacted by another
+  process) triggers one self-healing reload before the read is retried.
 * **Multi-writer safety** — appends go through ``O_APPEND`` file descriptors
   under a per-segment advisory ``fcntl.flock``, so concurrent processes can
   share one store without interleaving partial lines; each writer refreshes
@@ -70,11 +71,11 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Set, Union
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..analysis.metrics import RunMetrics
+from ..analysis.metrics import METRIC_FIELDS, RunMetrics
 from ..radio.trace import ExecutionTrace
 from .columnar import (
     COLUMNAR_MAGIC,
@@ -98,6 +99,22 @@ _SEGMENTS_DIR = "segments"
 # hex keys trivially qualify; anything else is rejected at put() and treated
 # as junk when encountered in a hand-edited segment.
 _KEY_RE = re.compile(r"[A-Za-z0-9_-]+")
+
+# A row object exactly as ``put`` writes it: every RunMetrics field once, in
+# sorted order, each value a string that needs no JSON escape, a canonical
+# integer, null or a boolean.  Such bytes are the compact, key-sorted encoding
+# of the row they parse to, so ``row_json`` can hand them out as they stand;
+# any other row is re-encoded.
+_PLAIN_VALUE = rb'(?:"[\x20\x21\x23-\x5b\x5d-\x7e]*"|-?[1-9][0-9]*|0|null|true|false)'
+_PLAIN_ROW = re.compile(
+    rb"\{" + rb",".join(b'"%s":' % name.encode() + _PLAIN_VALUE
+                        for name in sorted(METRIC_FIELDS)) + rb"\}")
+
+
+def _row_json(row: Any) -> bytes:
+    """A row document's compact, key-sorted JSON, read as ``get`` reads it."""
+    return json.dumps(_row_dict_to_metrics(row).as_dict(), sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def _shard_of(key: str) -> str:
@@ -465,15 +482,36 @@ class ResultStore:
             if doc.get("key") != key:
                 raise ValueError(f"stale columnar row for key {key}")
             return doc
+        return self._read_line(slot, key)[1]
+
+    def _read_line(self, slot: int, key: str) -> Tuple[bytes, Dict[str, Any]]:
+        """A JSONL slot's line and the document it parses to."""
         handle = self._reader(self._shard_at[slot])
         handle.seek(self._offs[slot])
-        doc = json.loads(handle.read(self._lens[slot]))
+        line = handle.read(self._lens[slot])
+        doc = json.loads(line)
         if not isinstance(doc, dict) or doc.get("key") != key:
             raise ValueError(f"stale span for key {key}")
-        return doc
+        return line, doc
 
-    def _load_doc(self, key: str) -> Optional[Dict[str, Any]]:
-        """The full stored document for ``key`` (its winning line), or None.
+    def _read_row_json(self, slot: int, key: str) -> bytes:
+        if self._lens[slot] == -1:
+            return _row_json(self._read_span(slot, key)["row"])
+        line, doc = self._read_line(slot, key)
+        # put() writes {"key":...,"row":{...},"schema":...[,"trace":...]}.
+        # A second "row" member after the first would be the one the parse
+        # kept; its name is spelled "row" or holds an escape, so the slice is
+        # only taken when the rest of the line has neither.
+        prefix = b'{"key":"%s","row":' % key.encode()
+        plain = _PLAIN_ROW.match(line, len(prefix)) if line.startswith(prefix) else None
+        if plain is not None:
+            rest = line[plain.end():]
+            if b'"row"' not in rest and b"\\" not in rest:
+                return line[len(prefix):plain.end()]
+        return _row_json(doc["row"])
+
+    def _read_slot(self, key: str, read: Callable[[int, str], Any]) -> Any:
+        """``read(slot, key)`` of ``key``'s winning line, or None when absent.
 
         Spans can go stale when another process rewrites a segment (e.g.
         ``repro store compact`` against a store we hold open); the first
@@ -483,23 +521,38 @@ class ResultStore:
         if slot is None:
             return None
         try:
-            return self._read_span(slot, key)
+            return read(slot, key)
         except (OSError, ValueError):
             self._reload()
             slot = self._slot.get(key)
             if slot is None:
                 return None
             try:
-                return self._read_span(slot, key)
+                return read(slot, key)
             except (OSError, ValueError) as exc:
                 raise StoreError(
                     f"unreadable row for key {key} in {self.root}: {exc}"
                 ) from exc
 
+    def _load_doc(self, key: str) -> Optional[Dict[str, Any]]:
+        """The full stored document for ``key`` (its winning line), or None."""
+        return self._read_slot(key, self._read_span)
+
     def get(self, key: str) -> Optional[RunMetrics]:
         """The stored row for ``key``, or ``None`` when absent (one O(1) seek)."""
         doc = self._load_doc(key)
         return None if doc is None else _row_dict_to_metrics(doc["row"])
+
+    def row_json(self, key: str) -> Optional[bytes]:
+        """The stored row for ``key`` as compact, key-sorted JSON bytes.
+
+        Equal to ``json.dumps(get(key).as_dict(), sort_keys=True,
+        separators=(",", ":")).encode()``, and ``None`` exactly when ``get``
+        is.  A JSONL line is parsed and its key checked as ``get`` does (a
+        corrupt line takes the same reload-and-retry path), then the row's
+        bytes are sliced out of it; a columnar row is encoded.
+        """
+        return self._read_slot(key, self._read_row_json)
 
     def get_trace(self, key: str) -> Optional[ExecutionTrace]:
         """The trace attached to the *winning* line of ``key``, or ``None``.

@@ -27,7 +27,7 @@ import pytest
 
 from repro.api import GridConfig, ResultStore, grid_row_specs, grid_unit_key, run_grid
 from repro.service import ServiceClient, ServiceError, ServiceHarness
-from repro.service.protocol import parse_address, recv_frame
+from repro.service.protocol import FrameReader, parse_address
 
 CFG = GridConfig(
     families=["path", "grid"],
@@ -328,7 +328,7 @@ class TestValidation:
             host, port = parse_address(svc.address)
             with socket.create_connection((host, port), timeout=10) as sock:
                 sock.sendall(struct.pack(">I", len(body)) + body)
-                reply = recv_frame(sock)
+                reply = FrameReader(sock).read()
             assert reply["type"] == "error"
             assert "nests too deeply" in reply["message"]
             with ServiceClient(svc.address) as client:

@@ -26,6 +26,7 @@ from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
+    FrameReader,
     ProtocolError,
     check_hello,
     encode_frame,
@@ -33,7 +34,6 @@ from repro.service.protocol import (
     hello_frame,
     parse_address,
     read_frame,
-    recv_frame,
     send_frame,
 )
 
@@ -233,24 +233,32 @@ class TestTransportInterop:
             for frame in FRAMES:
                 send_frame(a, frame)
             a.shutdown(socket.SHUT_WR)
+            reader = FrameReader(b)
             received = []
             while True:
-                frame = recv_frame(b)
+                frame = reader.read()
                 if frame is None:  # clean EOF at a frame boundary
                     break
                 received.append(frame)
             assert received == FRAMES
+            assert reader.read() is None  # EOF stays EOF
         finally:
             a.close()
             b.close()
 
-    def test_recv_raises_on_mid_frame_eof(self):
+    @pytest.mark.parametrize("part", ["header", "body"])
+    def test_recv_raises_on_mid_frame_eof(self, part):
+        # The whole frame before the cut is still delivered.
+        pong = encode_frame({"type": "pong"})
         a, b = socket.socketpair()
         try:
-            a.sendall(encode_frame({"type": "ping"})[:3])
+            a.sendall(encode_frame({"type": "ping"})
+                      + (pong[:3] if part == "header" else pong[:-2]))
             a.close()
-            with pytest.raises(ProtocolError, match="mid frame"):
-                recv_frame(b)
+            reader = FrameReader(b)
+            assert reader.read() == {"type": "ping"}
+            with pytest.raises(ProtocolError, match=f"mid frame {part}"):
+                reader.read()
         finally:
             b.close()
 

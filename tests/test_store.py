@@ -7,9 +7,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import RunMetrics, metrics_to_csv, metrics_to_json
-from repro.api import GridConfig, grid_row_specs, grid_unit_key, run_grid
+from repro.analysis.sweep import instance_seed
+from repro.api import GridConfig, grid_row_specs, grid_unit_key, grid_unit_keys, run_grid
 from repro.backends import VectorizedBackend
 from repro.radio.trace import ExecutionTrace, TraceLevelError
 from repro.store import (
@@ -90,6 +93,42 @@ class TestKeys:
         units = grid_row_specs(cfg)
         keys = {grid_unit_key(cfg, u) for u in units}
         assert len(keys) == len(units)  # all distinct
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           families=st.lists(st.sampled_from(["path", "grid", "cycle", "gnp_sparse"]),
+                             min_size=1, max_size=3, unique=True),
+           sizes=st.lists(st.integers(2, 40), min_size=1, max_size=3, unique=True),
+           seeds=st.integers(0, 3),
+           faults=st.lists(st.sampled_from([None, "drop:0.2:5", "drop:0.5:1",
+                                            {"kind": "crash", "schedule": {1: 3}}]),
+                           min_size=1, max_size=3),
+           clocks=st.lists(st.sampled_from([None, "offset:2", "random_offsets:20:3"]),
+                           min_size=1, max_size=2),
+           payload=st.one_of(st.text(max_size=8), st.integers(), st.none(),
+                             st.lists(st.integers(), max_size=3)),
+           base_seed=st.integers(0, 2**32),
+           backend=st.sampled_from([None, "reference", "vectorized"]),
+           trace_level=st.sampled_from(["summary", "none", "full"]))
+    def test_grid_unit_keys_equal_one_unit_keys(
+            self, data, families, sizes, seeds, faults, clocks, payload,
+            base_seed, backend, trace_level):
+        cfg = GridConfig(families=families, sizes=sizes, seeds_per_size=seeds,
+                         schemes=["lambda", "round_robin"], faults=faults,
+                         clocks=clocks, payload=payload, base_seed=base_seed)
+        units = data.draw(st.permutations(grid_row_specs(cfg)))
+        keys = grid_unit_keys(cfg, units, backend=backend, trace_level=trace_level)
+        assert keys == [grid_unit_key(cfg, u, backend=backend, trace_level=trace_level)
+                        for u in units]
+        # Each key is still the one-unit definition, its seed derived alone.
+        assert keys == [
+            unit_key(scheme=scheme, family=family, size=size,
+                     seed=instance_seed(base_seed, family, size, rep),
+                     source_rule=cfg.source_rule, payload=payload,
+                     fault_spec=fault, clock_spec=clock, backend=backend,
+                     trace_level=trace_level)
+            for family, size, rep, fault, clock, scheme in units
+        ]
 
 
 # --------------------------------------------------------------------------- #

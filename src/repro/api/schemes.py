@@ -38,6 +38,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type, Union
 
+import numpy as np
+
 from ..backends import SimulationTask, resolve_backend
 from ..backends.base import BackendResult
 from ..baselines.base import bits_needed
@@ -51,6 +53,7 @@ from ..core.labeling import (
     lambda_arb_scheme,
     lambda_scheme,
 )
+from ..core.labels import LabelArray, distinct_label_count, scheme_length
 from ..core.outcome import Outcome
 from ..core.protocols.arbitrary import COORDINATOR_LABEL
 from ..core.sequences import ConstructionCache, SequenceConstruction
@@ -455,9 +458,11 @@ class LambdaArbScheme(Scheme):
             raise GraphError(
                 f"the lambda_arb scheme expects a λ_arb labeling, got {lab.scheme!r}"
             )
-        # The nodes recognise the coordinator by its label alone, so the
-        # labeling must name the node that carries it.
-        if lab.coordinator is None or lab.labels.get(lab.coordinator) != COORDINATOR_LABEL:
+        # The nodes recognise the coordinator by its label alone, so a reused
+        # labeling must name the node that carries it (a new one does).
+        if labeling is not None and (
+            lab.coordinator is None or lab.labels.get(lab.coordinator) != COORDINATOR_LABEL
+        ):
             raise GraphError(
                 f"a λ_arb labeling must name its coordinator, the node labelled "
                 f"{COORDINATOR_LABEL!r}; got coordinator {lab.coordinator!r}"
@@ -503,13 +508,18 @@ class LambdaArbScheme(Scheme):
 # --------------------------------------------------------------------------- #
 # the comparison baselines
 # --------------------------------------------------------------------------- #
-def _slot_labels(labels: Dict[int, str], **extras: Any) -> SchemeLabels:
+def _slot_labels(labels: LabelArray, **extras: Any) -> SchemeLabels:
     return SchemeLabels(
         labels=labels,
-        label_bits=max(len(lab) for lab in labels.values()),
-        distinct_labels=len(set(labels.values())),
+        label_bits=scheme_length(labels),
+        distinct_labels=distinct_label_count(labels),
         extras=extras,
     )
+
+
+def _blank_labels(graph: Graph) -> LabelArray:
+    """The label ``"0"`` at every node, for the schemes whose nodes read none."""
+    return LabelArray(np.zeros(graph.n, dtype=np.uint64), 1)
 
 
 @register_scheme("round_robin")
@@ -571,7 +581,7 @@ class CollisionDetectionScheme(Scheme):
         # The symbol stream, and so the round budget, grows with the payload.
         symbol_count = 1 + LENGTH_HEADER_BITS + 8 * len(str(payload).encode("utf-8"))
         return SchemeLabels(
-            labels={v: "0" for v in graph.nodes()},
+            labels=_blank_labels(graph),
             label_bits=0,
             distinct_labels=1,
             extras={"with_detection": bool(with_detection), "symbol_count": symbol_count},
@@ -612,7 +622,7 @@ class CentralizedScheme(Scheme):
         # Advice size: each scheduled round index costs ceil(log2(len+1)) bits.
         round_bits = bits_needed(len(schedule) + 1)
         return SchemeLabels(
-            labels={v: "0" for v in graph.nodes()},
+            labels=_blank_labels(graph),
             label_bits=max((len(r) * round_bits for r in per_node_rounds), default=0),
             distinct_labels=len({frozenset(r) for r in per_node_rounds}),
             extras={"schedule": schedule},

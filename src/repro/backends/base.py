@@ -35,6 +35,9 @@ from dataclasses import dataclass, field
 from operator import countOf
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from ..core.labels import Label, LabelArray
 from ..graphs.graph import Graph, GraphError
 from ..radio.clock import ClockModel
 from ..radio.collision import CollisionModel
@@ -74,6 +77,7 @@ _BIT_LABELS = frozenset(
 )
 #: B_arb's reserved coordinator label (Fact 3.1: λ_ack never assigns it).
 _COORDINATOR_LABEL = "111"
+_COORDINATOR_CODE = int(_COORDINATOR_LABEL, 2)
 
 
 class BackendError(RuntimeError):
@@ -92,9 +96,12 @@ class SimulationTask:
         reference engine.
     graph / labels / source / payload:
         The workload: topology, labeling, designated source (the node holding
-        µ) and the payload µ itself.  A task whose source is not a node,
-        whose labeling misses a node, whose source has no payload, or whose
-        B/B_ack/B_arb labels are not bit strings of at most three bits
+        µ) and the payload µ itself.  ``labels`` is any mapping from node
+        to label string; a :class:`~repro.core.labels.LabelArray`, which
+        every labeler of one label width returns, is checked and read as
+        its codes, with no per-node strings.  A task whose source is not a
+        node, whose labeling misses a node, whose source has no payload, or
+        whose B/B_ack/B_arb labels are not bit strings of at most three bits
         raises the reference engine's error
         (:class:`~repro.graphs.graph.GraphError` or :class:`ValueError`) at
         construction, whatever engine runs it.  A B_arb task must also mark
@@ -142,10 +149,11 @@ class SimulationTask:
         # every engine rejects the same tasks with the same errors.
         if self.source is not None and self.source not in self.graph:
             raise GraphError(f"source {self.source} is not a node of {self.graph!r}")
-        if not all(map(self.labels.__contains__, self.graph.nodes())):
-            missing = [v for v in self.graph.nodes() if v not in self.labels]
+        missing = self._missing_nodes()
+        if missing:
             raise ValueError(
-                f"labels missing for nodes {missing[:5]}{'...' if len(missing) > 5 else ''}"
+                f"labels missing for nodes {list(missing[:5])}"
+                f"{'...' if len(missing) > 5 else ''}"
             )
         if self.source is not None and self.payload is None:
             raise ValueError("the source node must be given a source payload")
@@ -154,17 +162,30 @@ class SimulationTask:
         if self.protocol == "arbitrary":
             self._check_coordinator()
 
+    def _missing_nodes(self) -> Sequence[int]:
+        """The nodes ``labels`` has no label for, in node order."""
+        labels, n = self.labels, self.graph.n
+        if isinstance(labels, LabelArray):
+            return range(len(labels), n)
+        if all(map(labels.__contains__, self.graph.nodes())):
+            return ()
+        return [v for v in self.graph.nodes() if v not in labels]
+
     def _check_bit_labels(self) -> None:
         """Raise ``Label.from_string``'s error for the first node, in node
         order, whose label it rejects; a scan of the distinct strings when
-        every one is valid."""
-        if _BIT_LABELS.issuperset(self.labels.values()):
+        every one is valid.  A label array's labels all have its width,
+        which is valid up to three bits."""
+        labels = self.labels
+        if isinstance(labels, LabelArray):
+            if labels.width > 3 and self.graph.n:
+                Label.from_string(labels[0])
             return
-        from ..core.labels import Label
-
+        if _BIT_LABELS.issuperset(labels.values()):
+            return
         for v in self.graph.nodes():
-            if self.labels[v] not in _BIT_LABELS:
-                Label.from_string(self.labels[v])
+            if labels[v] not in _BIT_LABELS:
+                Label.from_string(labels[v])
 
     def _check_coordinator(self) -> None:
         """B_arb's nodes take the ``111`` label as the coordinator role and
@@ -175,11 +196,16 @@ class SimulationTask:
                 f"a B_arb task must name its coordinator, the node labelled "
                 f"{_COORDINATOR_LABEL!r}, in extras['coordinator']"
             )
-        if countOf(self.labels.values(), _COORDINATOR_LABEL) == 1 and (
-            coordinator in self.graph and self.labels[coordinator] == _COORDINATOR_LABEL
+        labels = self.labels
+        if isinstance(labels, LabelArray):
+            marked = (np.flatnonzero(labels.codes[:self.graph.n] == _COORDINATOR_CODE).tolist()
+                      if labels.width == len(_COORDINATOR_LABEL) else [])
+        elif countOf(labels.values(), _COORDINATOR_LABEL) == 1 and (
+            coordinator in self.graph and labels[coordinator] == _COORDINATOR_LABEL
         ):
             return
-        marked = [v for v in self.graph.nodes() if self.labels[v] == _COORDINATOR_LABEL]
+        else:
+            marked = [v for v in self.graph.nodes() if labels[v] == _COORDINATOR_LABEL]
         if marked != [coordinator]:
             raise ValueError(
                 f"B_arb's coordinator {coordinator!r} must be the only node "

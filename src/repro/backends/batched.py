@@ -86,6 +86,7 @@ from ..baselines.collision_detection import (
     decode_payload_bits,
     encode_payload_bits,
 )
+from ..core.labels import LabelArray
 from ..graphs.graph import stack_csr
 from ..radio.clock import SynchronizedClocks
 from ..radio.collision import NoCollisionDetection, WithCollisionDetection
@@ -145,28 +146,54 @@ _INF = float("inf")
 # --------------------------------------------------------------------------- #
 # label parsing and bit accounting
 # --------------------------------------------------------------------------- #
-def _parse_bit_labels(labels, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``x1 x2 [x3]`` labels into three boolean arrays."""
+def _array_codes(task: SimulationTask) -> Tuple[np.ndarray, int]:
+    """The codes and width of a task's :class:`~repro.core.labels.LabelArray`."""
+    return task.labels.codes[:task.graph.n], task.labels.width
+
+
+def _stack_codes(parts: Sequence[Tuple[np.ndarray, int]]) -> Tuple[np.ndarray, Any]:
+    """Per-task ``(codes, width)`` pairs as one stacked codes array and the
+    label width of each stacked node, a scalar when the tasks share one."""
+    codes = parts[0][0] if len(parts) == 1 else np.concatenate([c for c, _ in parts])
+    widths = [w for _, w in parts]
+    if min(widths) == max(widths):
+        return codes, np.uint64(widths[0])
+    return codes, np.repeat(np.array(widths, dtype=np.uint64), [c.size for c, _ in parts])
+
+
+def _parse_bit_labels(labels, n: int) -> np.ndarray:
+    """``x1 x2 [x3]`` label strings as 3-bit codes ``4·x1 + 2·x2 + x3``.
+
+    The input adapter for labels a caller built as strings; the task has
+    already rejected any label that is not a bit string of at most three
+    bits.
+    """
     # Fixed-width text keeps each label's first three characters, NUL-padded
     # (never "1"), so bit i of node v is one code-point comparison.
     chars = np.array([labels[v] for v in range(n)], dtype="U3").view(np.uint32)
-    x1, x2, x3 = (chars.reshape(n, 3) == ord("1")).T.copy()
-    return x1, x2, x3
+    bits = chars.reshape(n, 3) == ord("1")
+    return bits @ np.array([4, 2, 1], dtype=np.uint64)
 
 
 def _parse_slot_labels(tasks: Sequence[SimulationTask]) -> Tuple[np.ndarray, np.ndarray]:
     """The stacked ``(slots, periods)`` of ``bits(slot) ++ bits(period-1)`` labels.
 
-    The slotted schemes give all nodes of an instance labels of one even
-    width, so a batch's labels are read as one byte array whenever they
-    share a width.  Otherwise each task is read on its own, and a task with
-    irregular labels (odd or mixed widths, other characters, more than 64
-    characters) node by node with :func:`parse_slot_label`, which raises the
-    reference engine's error for the first bad label.
+    The slotted schemes label each instance with a
+    :class:`~repro.core.labels.LabelArray` of an even width ``2h``: the
+    batch's codes are one stacked array, and a code's slot and period - 1
+    are its high and low ``h`` bits.  Labels a caller built as strings are
+    read as one byte array of codes whenever they share a width.  Otherwise
+    each task is read on its own, and a task with irregular labels (odd or
+    mixed widths, other characters, more than 64 characters) node by node
+    with :func:`parse_slot_label`, which raises the reference engine's error
+    for the first bad label.
     """
+    if all(isinstance(task.labels, LabelArray) and task.labels.width % 2 == 0
+           for task in tasks):
+        return _split_slot_codes(*_stack_codes([_array_codes(task) for task in tasks]))
     parsed = _parse_fixed_width(tasks)
     if parsed is not None:
-        return parsed
+        return _split_slot_codes(*parsed)
     if len(tasks) > 1:
         parts = [_parse_slot_labels([task]) for task in tasks]
         return (np.concatenate([slots for slots, _ in parts]),
@@ -179,9 +206,16 @@ def _parse_slot_labels(tasks: Sequence[SimulationTask]) -> Tuple[np.ndarray, np.
     return slots, periods
 
 
-def _parse_fixed_width(tasks: Sequence[SimulationTask]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """:func:`_parse_slot_labels` for labels that are all ``"0"``/``"1"``
-    strings of one even width of at most 64, or ``None``."""
+def _split_slot_codes(codes: np.ndarray, widths: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slots, periods)`` of slotted labels as codes of even widths."""
+    half = widths >> np.uint64(1)
+    low = (np.uint64(1) << half) - np.uint64(1)
+    return (codes >> half).astype(np.int64), (codes & low).astype(np.int64) + 1
+
+
+def _parse_fixed_width(tasks: Sequence[SimulationTask]) -> Optional[Tuple[np.ndarray, Any]]:
+    """The stacked codes and the width of label strings that are all
+    ``"0"``/``"1"`` strings of one even width of at most 64, or ``None``."""
     try:
         width = len(tasks[0].labels[0])
         text = "\n".join(chain(chain.from_iterable(
@@ -201,10 +235,7 @@ def _parse_fixed_width(tasks: Sequence[SimulationTask]) -> Optional[Tuple[np.nda
     np.subtract(rows[:, :width], 0x30, out=bits[:, 64 - width:])
     if bits.max() > 1:
         return None
-    values = np.packbits(bits).view(">u8")
-    half = width // 2
-    return ((values >> np.uint64(half)).astype(np.int64),
-            (values & np.uint64((1 << half) - 1)).astype(np.int64) + 1)
+    return np.packbits(bits).view(">u8"), np.uint64(width)
 
 
 def _stamp_bits(stamps: np.ndarray) -> np.ndarray:
@@ -619,16 +650,20 @@ class _SummaryAggregates:
 
 
 def _stack_bit_labels(lay: _BatchLayout) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if lay.B == 1:
-        return _parse_bit_labels(lay.tasks[0].labels, lay.total)
-    x1 = np.zeros(lay.total, dtype=bool)
-    x2 = np.zeros(lay.total, dtype=bool)
-    x3 = np.zeros(lay.total, dtype=bool)
-    for b, task in enumerate(lay.tasks):
-        lo, hi = lay.offsets[b], lay.offsets[b + 1]
-        a1, a2, a3 = _parse_bit_labels(task.labels, task.graph.n)
-        x1[lo:hi], x2[lo:hi], x3[lo:hi] = a1, a2, a3
-    return x1, x2, x3
+    """The stacked nodes' ``x1``, ``x2`` and ``x3`` bits as boolean arrays.
+
+    A label of width ``w`` is a ``w``-bit code whose top bit is ``x1``; its
+    missing bits read as 0, so the code shifted left by ``3 - w`` is its
+    3-bit code ``4·x1 + 2·x2 + x3``.  Labels a caller built as strings are
+    read by :func:`_parse_bit_labels` (3-bit codes already).
+    """
+    codes, widths = _stack_codes([
+        _array_codes(task) if isinstance(task.labels, LabelArray)
+        else (_parse_bit_labels(task.labels, task.graph.n), 3)
+        for task in lay.tasks
+    ])
+    codes = codes << (np.uint64(3) - widths)
+    return (codes & 4) != 0, (codes & 2) != 0, (codes & 1) != 0
 
 
 def _stop_rule_mask(lay: _BatchLayout, rule: str) -> np.ndarray:

@@ -16,25 +16,28 @@ the nodes run the same :class:`~repro.baselines.base.SlottedNode`.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
+import numpy as np
+
+from ..core.labels import LabelArray
 from ..graphs.coloring import square_coloring
 from ..graphs.graph import Graph
-from .base import bits_needed, int_to_bits
+from .base import bits_needed
 
 __all__ = ["coloring_tdma_labels"]
 
 
-def coloring_tdma_labels(graph: Graph) -> Tuple[Dict[int, str], int]:
-    """Labels ``bits(colour) ++ bits(C)`` from a greedy colouring of ``G²``.
+def coloring_tdma_labels(graph: Graph) -> Tuple[LabelArray, int]:
+    """Labels ``bits(colour) ++ bits(C - 1)`` from a greedy colouring of ``G²``:
+    the code ``colour·2^w + (C - 1)`` at width ``2w``.
 
     Returns the label map and the number of colours ``C``.
     """
     colours = square_coloring(graph)
     num_colours = max(colours.values(), default=0) + 1
     width = bits_needed(num_colours)
-    labels = {
-        v: int_to_bits(colours[v], width) + int_to_bits(num_colours - 1, width)
-        for v in graph.nodes()
-    }
-    return labels, num_colours
+    codes = np.fromiter(map(colours.__getitem__, graph.nodes()), dtype=np.uint64,
+                        count=graph.n) << np.uint64(width)
+    codes |= num_colours - 1
+    return LabelArray(codes, 2 * width), num_colours

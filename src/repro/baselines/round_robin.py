@@ -18,17 +18,19 @@ run :class:`~repro.baselines.base.SlottedNode`.
 
 from __future__ import annotations
 
-from typing import Dict
+import numpy as np
 
+from ..core.labels import LabelArray
 from ..graphs.graph import Graph
-from .base import bits_needed, int_to_bits
+from .base import bits_needed
 
 __all__ = ["round_robin_labels"]
 
 
-def round_robin_labels(graph: Graph) -> Dict[int, str]:
-    """Assign each node the label ``bits(node_id) ++ bits(n)``."""
+def round_robin_labels(graph: Graph) -> LabelArray:
+    """Assign each node the label ``bits(node_id) ++ bits(n - 1)``: the code
+    ``v·2^w + (n - 1)`` at width ``2w``."""
     width = bits_needed(graph.n)
-    return {
-        v: int_to_bits(v, width) + int_to_bits(graph.n - 1, width) for v in graph.nodes()
-    }
+    codes = np.arange(graph.n, dtype=np.uint64) << np.uint64(width)
+    codes |= max(graph.n - 1, 0)
+    return LabelArray(codes, 2 * width)

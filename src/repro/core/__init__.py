@@ -24,7 +24,14 @@ from .labeling import (
     lambda_arb_scheme,
     lambda_scheme,
 )
-from .labels import Label, distinct_labels, label_length, scheme_length
+from .labels import (
+    Label,
+    LabelArray,
+    distinct_label_count,
+    distinct_labels,
+    label_length,
+    scheme_length,
+)
 from .outcome import Outcome
 from .protocols import (
     AcknowledgedBroadcastNode,
@@ -58,6 +65,7 @@ __all__ = [
     "DOMINATION_STRATEGIES",
     "FORBIDDEN_ACK_LABELS",
     "Label",
+    "LabelArray",
     "LabelSearchResult",
     "Labeling",
     "Outcome",
@@ -72,6 +80,7 @@ __all__ = [
     "check_theorem_2_9",
     "check_theorem_3_9",
     "check_universality_constraints",
+    "distinct_label_count",
     "distinct_labels",
     "dominates",
     "greedy_minimal_dominating_subset",

@@ -18,8 +18,9 @@ implements:
 
 The bits are computed on arrays, from the construction's DOM id arrays and
 per-node NEW stages and the graph's CSR rows, with a constant number of array
-operations per construction whatever its ℓ; label strings come from one fixed
-table, so nodes share string objects.  Each function returns a
+operations per construction whatever its ℓ, and stay per-node integer codes:
+the label map is a :class:`~repro.core.labels.LabelArray`, which formats a
+label string only when one is read.  Each function returns a
 :class:`Labeling` that bundles the label map with the underlying
 :class:`~repro.core.sequences.SequenceConstruction`, so the verification and
 benchmark layers can cross-examine the scheme against the execution traces.
@@ -28,12 +29,12 @@ benchmark layers can cross-examine the scheme against the execution traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..graphs.graph import Graph, GraphError, csr_rows
-from .labels import Label, distinct_labels, scheme_length
+from .labels import Label, LabelArray, distinct_label_count, distinct_labels, scheme_length
 from .sequences import SequenceConstruction, build_sequences
 
 __all__ = ["Labeling", "lambda_scheme", "lambda_ack_scheme", "lambda_arb_scheme"]
@@ -42,10 +43,7 @@ __all__ = ["Labeling", "lambda_scheme", "lambda_ack_scheme", "lambda_arb_scheme"
 #: the coordinator and 001 remains the unique label of the acknowledger z.
 FORBIDDEN_ACK_LABELS = ("101", "111", "011")
 
-#: Every label string by its bits read as a binary number.
-_LABEL_TABLE = {width: np.array([format(code, f"0{width}b") for code in range(1 << width)],
-                                dtype=object)
-                for width in (2, 3)}
+#: λ_ack's labels by code (the bits read as a binary number): True if forbidden.
 _FORBIDDEN_ACK = np.zeros(8, dtype=bool)
 _FORBIDDEN_ACK[[int(label, 2) for label in FORBIDDEN_ACK_LABELS]] = True
 
@@ -59,7 +57,8 @@ class Labeling:
     scheme:
         ``"lambda"``, ``"lambda_ack"`` or ``"lambda_arb"``.
     labels:
-        Mapping node → label bit-string.
+        Mapping node → label bit-string; the schemes here return a
+        :class:`~repro.core.labels.LabelArray`.
     source:
         The designated source (for λ / λ_ack), or ``None`` for λ_arb where the
         source is unknown at labeling time.
@@ -73,7 +72,7 @@ class Labeling:
     """
 
     scheme: str
-    labels: Dict[int, str]
+    labels: Mapping[int, str]
     source: Optional[int]
     coordinator: Optional[int] = None
     acknowledger: Optional[int] = None
@@ -101,7 +100,7 @@ class Labeling:
 
     def num_distinct_labels(self) -> int:
         """Number of distinct label strings actually used."""
-        return len(set(self.labels.values()))
+        return distinct_label_count(self.labels)
 
     def as_dict(self) -> Dict[int, str]:
         """A plain copy of the node → label mapping."""
@@ -133,7 +132,7 @@ def lambda_scheme(
     seq = _construction_for(graph, source, strategy, construction)
     return Labeling(
         scheme="lambda",
-        labels=_label_map(_lambda_codes(seq), 2),
+        labels=LabelArray(_lambda_codes(seq), 2),
         source=source,
         construction=seq,
     )
@@ -150,11 +149,6 @@ def _construction_for(graph: Graph, source: int, strategy: str,
     return seq
 
 
-def _label_map(codes: np.ndarray, width: int) -> Dict[int, str]:
-    """Node → label string for per-node label codes."""
-    return dict(enumerate(_LABEL_TABLE[width][codes].tolist()))
-
-
 def _lambda_codes(seq: SequenceConstruction) -> np.ndarray:
     """Every node's λ bits ``x1 x2`` as the code ``2·x1 + x2``.
 
@@ -166,7 +160,7 @@ def _lambda_codes(seq: SequenceConstruction) -> np.ndarray:
     node v ∈ DOM_{i+1} ∩ DOM_i ends up with two marked NEW_i neighbours
     (which would cause a collision in round 2i).
     """
-    codes = np.zeros(seq.graph.n, dtype=np.intp)
+    codes = np.zeros(seq.graph.n, dtype=np.uint64)
     codes[seq.dom_ids] = 2
     # (v, i) with v ∈ DOM_i ∩ DOM_{i+1}: keys v·width + i, sorted, differ by 1.
     width, ptr = seq.ell + 2, seq.dom_ptr
@@ -215,13 +209,28 @@ def lambda_ack_scheme(
     is a pre-computed sequence construction for ``(graph, source)`` to reuse,
     as for :func:`lambda_scheme`.
     """
+    seq, codes, z = _lambda_ack_codes(graph, source, strategy, construction)
+    return Labeling(
+        scheme="lambda_ack",
+        labels=LabelArray(codes, 3),
+        source=source,
+        acknowledger=z,
+        construction=seq,
+    )
+
+
+def _lambda_ack_codes(graph: Graph, source: int, strategy: str,
+                      construction: Optional[SequenceConstruction],
+                      ) -> Tuple[SequenceConstruction, np.ndarray, int]:
+    """λ_ack's construction, every node's ``x1 x2 x3`` as the code
+    ``4·x1 + 2·x2 + x3``, and the acknowledger ``z``."""
     seq = _construction_for(graph, source, strategy, construction)
     last = seq.new_stage == seq.ell - 1
     # Single-node graph: no other node exists; by convention z is the source
     # (the "acknowledgement" is vacuous and the protocols special-case it).
     z = int(np.argmax(last)) if seq.ell >= 2 else source
-    codes = _lambda_codes(seq) * 2
-    codes[z] += 1
+    codes = _lambda_codes(seq) << np.uint64(1)
+    codes[z] |= 1
 
     # Fact 3.1: z's λ-bits are both 0, hence 101/111/011 never occur.
     if graph.n > 1:
@@ -231,14 +240,7 @@ def lambda_ack_scheme(
                 f"Fact 3.1 violated: nodes {offending} received forbidden labels — "
                 "this indicates a bug in the sequence construction"
             )
-
-    return Labeling(
-        scheme="lambda_ack",
-        labels=_label_map(codes, 3),
-        source=source,
-        acknowledger=z,
-        construction=seq,
-    )
+    return seq, codes, z
 
 
 # --------------------------------------------------------------------------- #
@@ -276,21 +278,20 @@ def lambda_arb_scheme(
         # Degenerate case: the only node is simultaneously r, z and the source.
         return Labeling(
             scheme="lambda_arb",
-            labels={r: "111"},
+            labels=LabelArray([7], 3),
             source=None,
             coordinator=r,
             acknowledger=r,
             construction=None,
         )
 
-    ack = lambda_ack_scheme(graph, r, strategy=strategy, construction=construction)
-    labels = dict(ack.labels)
-    labels[r] = "111"
+    seq, codes, z = _lambda_ack_codes(graph, r, strategy, construction)
+    codes[r] = 7  # the reserved label 111
     return Labeling(
         scheme="lambda_arb",
-        labels=labels,
+        labels=LabelArray(codes, 3),
         source=None,
         coordinator=r,
-        acknowledger=ack.acknowledger,
-        construction=ack.construction,
+        acknowledger=z,
+        construction=seq,
     )

@@ -12,15 +12,32 @@ A label is a short binary string assigned to each node by the labeling scheme
 
 :class:`Label` is a tiny immutable value object that parses/serialises these
 strings and exposes the individual bits by the paper's names.
+:class:`LabelArray` is a whole labeling whose labels share one width: a
+read-only ``Mapping[int, str]`` that stores each node's label as an integer
+code (the label's bits read as a binary number) and formats a label string
+only when one is read.  Every labeler whose labels share a width returns
+one, and the array kernels, the task checks and the label summaries read
+its codes, so a sweep builds no per-node label strings.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Any, Dict, Iterator
 
-__all__ = ["Label", "label_length", "scheme_length", "distinct_labels"]
+import numpy as np
+
+__all__ = [
+    "Label",
+    "LabelArray",
+    "label_length",
+    "scheme_length",
+    "distinct_labels",
+    "distinct_label_count",
+]
 
 
 @dataclass(frozen=True)
@@ -98,6 +115,102 @@ class Label:
         return self.to_string()
 
 
+class LabelArray(Mapping):
+    """Nodes ``0..n-1``'s labels as ``uint64`` codes of one shared width.
+
+    Node ``v``'s label is the ``width``-bit binary string of ``codes[v]``:
+    with width 3, code 6 is ``"110"``.  Reads behave as those of a dict
+    from node to label string (``[]``, ``in``, ``get``, ``len``, ``items()``,
+    iteration in node order, ``==`` against any mapping), and a string is
+    formatted only when it is read.  Two arrays compare by width and codes.
+    Codes are ``uint64`` because a round-robin label at the graph size cap
+    takes two 32-bit fields.
+
+    The codes are validated once, here: ``1 <= width <= 64`` and every code
+    non-negative and below ``2**width``.  The instance and its ``codes``
+    array are read-only; the array is a copy of ``codes``.
+    """
+
+    __slots__ = ("codes", "width", "_spec")
+
+    codes: np.ndarray
+    width: int
+
+    def __init__(self, codes: Any, width: int) -> None:
+        width = operator.index(width)
+        if not 1 <= width <= 64:
+            raise ValueError(f"label width must be between 1 and 64 bits, got {width}")
+        given = np.asarray(codes)
+        if given.ndim != 1:
+            raise ValueError(f"label codes must be one-dimensional, got shape {given.shape}")
+        if given.size and given.dtype.kind not in "biu":
+            raise TypeError(f"label codes must be integers, got dtype {given.dtype}")
+        if given.dtype.kind == "i" and given.size and given.min() < 0:
+            v = int((given < 0).argmax())
+            raise ValueError(f"label code {int(given[v])} of node {v} is negative")
+        stored = given.astype(np.uint64)
+        if width < 64 and stored.size and int(stored.max()) >> width:
+            v = int((stored >> np.uint64(width)).argmax())
+            raise ValueError(
+                f"label code {int(stored[v])} of node {v} does not fit in {width} bits"
+            )
+        stored.flags.writeable = False
+        set_ = object.__setattr__
+        set_(self, "codes", stored)
+        set_(self, "width", width)
+        set_(self, "_spec", f"0{width}b")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"LabelArray is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"LabelArray is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (LabelArray, (self.codes, self.width))
+
+    def _node(self, key: Any) -> int:
+        """The node a dict keyed by ``0..n-1`` would find under ``key``, or -1."""
+        try:
+            v = operator.index(key)
+        except TypeError:
+            # A dict finds node v under any key equal to v and hashing as v
+            # does (1.0, Fraction(1)), and raises TypeError for unhashable keys.
+            hash(key)
+            try:
+                v = int(key)
+            except (TypeError, ValueError, OverflowError):
+                return -1
+            if v != key or hash(v) != hash(key):
+                return -1
+        return v if 0 <= v < self.codes.size else -1
+
+    def __getitem__(self, key: Any) -> str:
+        v = self._node(key)
+        if v < 0:
+            raise KeyError(key)
+        return format(int(self.codes[v]), self._spec)
+
+    def __contains__(self, key: Any) -> bool:
+        return self._node(key) >= 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.codes.size))
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, LabelArray):
+            return self.width == other.width and bool(np.array_equal(self.codes, other.codes))
+        if isinstance(other, Mapping):
+            return dict(self.items()) == dict(other.items())
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LabelArray(n={self.codes.size}, width={self.width})"
+
+
 def label_length(label: str) -> int:
     """Length in bits of a single label string."""
     return len(label)
@@ -105,9 +218,25 @@ def label_length(label: str) -> int:
 
 def scheme_length(labels: Mapping[int, str]) -> int:
     """Length of a labeling scheme: the maximum label length it assigns (paper §1.1)."""
+    if isinstance(labels, LabelArray):
+        return labels.width if len(labels) else 0
     return max(map(len, labels.values()), default=0)
 
 
 def distinct_labels(labels: Mapping[int, str]) -> Dict[str, int]:
     """Histogram of distinct label strings used by a scheme."""
+    if isinstance(labels, LabelArray):
+        return {format(code, labels._spec): count
+                for code, count in Counter(labels.codes.tolist()).items()}
     return dict(Counter(labels.values()))
+
+
+def distinct_label_count(labels: Mapping[int, str]) -> int:
+    """Number of distinct label strings used by a scheme."""
+    if isinstance(labels, LabelArray):
+        if not len(labels):
+            return 0
+        # Sort-and-compare, not np.unique: its first call imports numpy.ma.
+        ordered = np.sort(labels.codes)
+        return int(np.count_nonzero(ordered[1:] != ordered[:-1])) + 1
+    return len(set(labels.values()))

@@ -37,13 +37,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Mapping, Optional
+
+import numpy as np
 
 from ..backends import resolve_backend
 from ..backends.base import SimulationTask
 from ..graphs.graph import Graph, GraphError
 from ..graphs.properties import is_tree
 from ..radio.engine import SimulationResult
+from .labels import LabelArray
 
 __all__ = [
     "run_tree_flood",
@@ -88,7 +91,7 @@ def run_tree_flood(graph: Graph, source: int, *, payload: Any = "MSG",
     if not is_tree(graph):
         raise GraphError("run_tree_flood requires a tree; use the lambda scheme for general graphs")
     budget = max_rounds if max_rounds is not None else 2 * graph.n + 4
-    task = _broadcast_task(graph, source, {v: "10" for v in graph.nodes()},
+    task = _broadcast_task(graph, source, LabelArray(np.full(graph.n, 0b10), 2),
                            payload=payload, max_rounds=budget, trace_level="full")
     return resolve_backend().run_task(task).simulation
 
@@ -106,7 +109,9 @@ class LabelSearchResult:
         The smallest label width (in bits) for which some assignment makes
         Algorithm B succeed, or ``None`` if none was found up to ``max_bits``.
     labels:
-        A witnessing label assignment (``None`` if no width succeeded).
+        A witnessing label assignment, a
+        :class:`~repro.core.labels.LabelArray` (``None`` if no width
+        succeeded).
     completion_round:
         Completion round of the witnessing execution.
     attempts:
@@ -116,7 +121,7 @@ class LabelSearchResult:
     """
 
     width: Optional[int]
-    labels: Optional[Dict[int, str]]
+    labels: Optional[Mapping[int, str]]
     completion_round: Optional[int]
     attempts: int
 
@@ -124,7 +129,7 @@ class LabelSearchResult:
 def broadcast_succeeds_with_labels(
     graph: Graph,
     source: int,
-    labels: Dict[int, str],
+    labels: Mapping[int, str],
     *,
     payload: Any = "MSG",
     max_rounds: Optional[int] = None,
@@ -140,17 +145,6 @@ def broadcast_succeeds_with_labels(
     budget = max_rounds if max_rounds is not None else 4 * graph.n + 8
     task = _broadcast_task(graph, source, labels, payload=payload, max_rounds=budget)
     return resolve_backend().run_task(task).derived["completion_round"]
-
-
-def _label_alphabet(width: int) -> List[str]:
-    """All label strings of exactly ``width`` bits.
-
-    Width 0 has one label, the empty string, whose missing bits read as 0; it
-    is spelled ``"0"`` because a label string cannot be empty.
-    """
-    if width == 0:
-        return ["0"]
-    return ["".join(bits) for bits in itertools.product("01", repeat=width)]
 
 
 def search_minimum_labels(
@@ -175,7 +169,9 @@ def search_minimum_labels(
     the vectorized backend, a fixed-size chunk per kernel call, and the first
     success is the witness: ``attempts`` is its position in that order (or
     the number of assignments run when none succeeds), never more than
-    ``attempt_budget``.
+    ``attempt_budget``.  Each assignment is a label array of codes; width 0
+    has one label, the empty string, whose missing bits read as 0, written
+    as the 1-bit label ``"0"`` because a label cannot be empty.
     """
     if source not in graph:
         raise GraphError(f"source {source} is not a node of {graph!r}")
@@ -184,14 +180,16 @@ def search_minimum_labels(
     attempts = 0
     others = [v for v in graph.nodes() if v != source]
     for width in range(0, max_bits + 1):
-        alphabet = _label_alphabet(width)
-        combos = itertools.product(alphabet, repeat=len(others))
+        # The source keeps code 0, the first label in enumeration order.
+        combos = itertools.product(range(1 << width), repeat=len(others))
         while True:
             size = max(0, min(_SEARCH_CHUNK, attempt_budget - attempts))
-            chunk = [{source: alphabet[0], **dict(zip(others, combo))}
-                     for combo in itertools.islice(combos, size)]
-            if not chunk:
+            picked = list(itertools.islice(combos, size))
+            if not picked:
                 break
+            codes = np.zeros((len(picked), graph.n), dtype=np.uint64)
+            codes[:, others] = np.array(picked, dtype=np.uint64)
+            chunk = [LabelArray(row, max(width, 1)) for row in codes]
             results = engine.run_batch([
                 _broadcast_task(graph, source, labels, payload=payload, max_rounds=budget)
                 for labels in chunk

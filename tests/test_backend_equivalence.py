@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api import get_scheme, scheme_names
@@ -25,7 +26,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.core.labeling import lambda_ack_scheme, lambda_arb_scheme, lambda_scheme
-from repro.core.labels import Label
+from repro.core.labels import Label, LabelArray
 from repro.graphs import GraphError, generate_family
 
 # The equivalence grid: families × sizes, with per-(family, size) seeds.
@@ -318,14 +319,11 @@ class TestTaskInputChecks:
         assert type(caught.value) is ValueError
         assert str(caught.value) == str(expected.value)
 
-    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere", "none"])
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_engines_reject_a_coordinator_the_labels_do_not_mark(self, engine, case):
-        # B_arb nodes take the role from the label 111 and the kernel from
-        # extras["coordinator"]: a task where they disagree runs differently
-        # on the two engines, so neither runs it.  Nor does one that names
-        # no coordinator and labels none.
-        task = self._paper_task("lambda_arb")
+    @classmethod
+    def _coordinator_case(cls, case):
+        """A λ_arb task's labels and extras changed for ``case``, and the
+        error message both engines must raise."""
+        task = cls._paper_task("lambda_arb")
         coordinator = task.extras["coordinator"]
         other = (coordinator + 2) % task.graph.n
         labels = dict(task.labels)
@@ -342,19 +340,95 @@ class TestTaskInputChecks:
         else:
             labels[coordinator] = "011"
             del extras["coordinator"]
+        if case == "none":
+            message = ("a B_arb task must name its coordinator, the node labelled "
+                       "'111', in extras['coordinator']")
+        else:
+            message = (f"B_arb's coordinator {extras['coordinator']!r} must be the only node "
+                       f"labelled '111'; labelled '111': {marked}")
+        return task, labels, extras, message
+
+    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere", "none"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_engines_reject_a_coordinator_the_labels_do_not_mark(self, engine, case):
+        # B_arb nodes take the role from the label 111 and the kernel from
+        # extras["coordinator"]: a task where they disagree runs differently
+        # on the two engines, so neither runs it.  Nor does one that names
+        # no coordinator and labels none.
+        task, labels, extras, message = self._coordinator_case(case)
         with pytest.raises(ValueError) as caught:
             resolve_backend(engine).run_task(
                 dataclasses.replace(task, labels=labels, extras=extras))
-        if case == "none":
-            assert str(caught.value) == (
-                "a B_arb task must name its coordinator, the node labelled "
-                "'111', in extras['coordinator']"
-            )
-        else:
-            assert str(caught.value) == (
-                f"B_arb's coordinator {extras['coordinator']!r} must be the only node "
-                f"labelled '111'; labelled '111': {marked}"
-            )
+        assert str(caught.value) == message
+
+    # The same malformed labelings as label arrays, which the task checks
+    # by their codes: the errors must be the string path's.
+    @pytest.mark.parametrize("case", ["second", "missing", "elsewhere", "none"])
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_engines_reject_a_coordinator_a_label_array_does_not_mark(self, engine, case):
+        task, labels, extras, message = self._coordinator_case(case)
+        array = LabelArray([int(labels[v], 2) for v in range(task.graph.n)], 3)
+        with pytest.raises(ValueError) as caught:
+            resolve_backend(engine).run_task(
+                dataclasses.replace(task, labels=array, extras=extras))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", ["lambda", "lambda_ack", "lambda_arb"])
+    def test_engines_reject_a_label_array_wider_than_three_bits(self, name, engine):
+        task = self._paper_task(name)
+        codes = [0b1001] + [0b1111] * (task.graph.n - 1)  # node 0 is named
+        with pytest.raises(ValueError) as expected:
+            Label.from_string("1001")
+        with pytest.raises(ValueError) as caught:
+            resolve_backend(engine).run_task(
+                dataclasses.replace(task, labels=LabelArray(codes, 4)))
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == str(expected.value)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_engines_report_the_nodes_a_label_array_misses(self, name, engine):
+        task = self._paper_task(name)
+        assert isinstance(task.labels, LabelArray)
+        short = LabelArray(task.labels.codes[:-1], task.labels.width)
+        with pytest.raises(ValueError) as caught:
+            resolve_backend(engine).run_task(dataclasses.replace(task, labels=short))
+        assert str(caught.value) == f"labels missing for nodes [{task.graph.n - 1}]"
+
+    @pytest.mark.parametrize("name", ["round_robin", "coloring_tdma"])
+    def test_engines_reject_an_odd_width_slot_label_array(self, name):
+        # Slot and period split an even width; an odd one takes the string
+        # path's node-by-node parse, which names node 0.
+        task = self._paper_task(name)
+        labels = LabelArray([0b010] + [0b111] * (task.graph.n - 1), 3)
+        for engine in ("reference", "vectorized"):
+            with pytest.raises(ValueError) as caught:
+                resolve_backend(engine).run_task(dataclasses.replace(task, labels=labels))
+            assert str(caught.value) == "malformed slotted label '010'"
+
+    @pytest.mark.parametrize("codes,width,error,message", [
+        ([1, 4], 2, ValueError, "label code 4 of node 1 does not fit in 2 bits"),
+        ([0, 1 << 40], 40, ValueError, f"label code {1 << 40} of node 1 does not fit in 40 bits"),
+        ([3, -1], 3, ValueError, "label code -1 of node 1 is negative"),
+        ([0], 0, ValueError, "label width must be between 1 and 64 bits, got 0"),
+        ([0], 65, ValueError, "label width must be between 1 and 64 bits, got 65"),
+        ([0.0], 2, TypeError, "label codes must be integers, got dtype float64"),
+    ])
+    def test_label_array_rejects_malformed_codes(self, codes, width, error, message):
+        with pytest.raises(error) as caught:
+            LabelArray(codes, width)
+        assert str(caught.value) == message
+
+    def test_label_array_is_read_only(self):
+        labels = LabelArray(np.array([1, 2], dtype=np.uint64), 2)
+        with pytest.raises(ValueError):
+            labels.codes[0] = 3
+        with pytest.raises(AttributeError):
+            labels.width = 3
+        assert labels == LabelArray([1, 2], 2) != LabelArray([1, 2], 3)
+        assert LabelArray([(1 << 64) - 1], 64)[0] == "1" * 64
 
     @pytest.mark.parametrize("name", ["round_robin", "coloring_tdma"])
     @pytest.mark.parametrize("bad,message", [

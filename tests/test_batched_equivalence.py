@@ -52,6 +52,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.cli import build_parser, main
+from repro.core.labels import LabelArray
 from repro.graphs import Graph, generate_family
 from repro.graphs.generators import barbell_graph, family_names
 from repro.store import ResultStore
@@ -322,6 +323,10 @@ def _random_label_task(draw, scheme_name, trace_level):
             labels[v] = draw(st.sampled_from(alphabet))
         if scheme_name == "lambda_arb":
             labels[task.extras["coordinator"]] = "111"
+    # Labels of one width also run as a label array, read as codes.
+    widths = {len(label) for label in labels.values()}
+    if len(widths) == 1 and draw(st.booleans()):
+        labels = LabelArray([int(labels[v], 2) for v in range(n)], widths.pop())
     default = task.max_rounds
     budget = draw(st.sampled_from(
         [0, 1, draw(st.integers(2, 12)), default, 3 * default]))
@@ -678,6 +683,36 @@ class TestGridBatching:
     def test_batched_rows_independent_of_jobs(self, reference_rows, jobs):
         rows = run_grid(GRID_CFG, backend="vectorized", jobs=jobs)
         assert rows == reference_rows
+
+    def test_grid_rows_format_no_label_strings(self, monkeypatch):
+        # Every labeler of one width returns a label array, and the task
+        # checks, the label summaries and the kernels read its codes: a
+        # string is formatted only when someone reads a label.  One window
+        # holds n = 32 and n = 64 instances, so the round-robin kernel
+        # stacks 10- and 12-bit slot labels in one call.
+        config = GridConfig(families=["path", "grid"], sizes=[32, 64],
+                            seeds_per_size=2, schemes=EVENT_SCHEMES)
+        reads = []
+        read = LabelArray.__getitem__
+
+        def spy(labels, key):
+            reads.append(key)
+            return read(labels, key)
+
+        monkeypatch.setattr(LabelArray, "__getitem__", spy)
+        widths = []
+        for protocol, kernel in list(batched._BATCH_KERNELS.items()):
+            def logged(tasks, _kernel=kernel):
+                widths.append({task.labels.width for task in tasks})
+                return _kernel(tasks)
+
+            monkeypatch.setitem(batched._BATCH_KERNELS, protocol, logged)
+        rows = run_grid(config, backend="vectorized", jobs=1)
+        assert reads == []
+        assert {10, 12} in widths
+        assert {row.backend for row in rows} == {"vectorized"}
+        monkeypatch.undo()
+        assert rows == run_grid(config, backend="reference", jobs=1)
 
     def test_grid_rows_leave_numpy_ma_unimported(self):
         # np.unique and np.isin import numpy.ma on their first call (about

@@ -29,7 +29,10 @@ from repro.analysis.metrics import metrics_from_run
 from repro.analysis.sweep import materialize_instance
 from repro.api import GridConfig, Scenario, get_scheme, run, run_grid
 from repro.api.grid import STACK_NODES
+from repro.baselines.base import bits_needed, int_to_bits
 from repro.baselines.centralized import compute_centralized_schedule
+from repro.baselines.coloring_tdma import coloring_tdma_labels
+from repro.baselines.round_robin import round_robin_labels
 from repro.core import (
     build_sequences,
     dominates,
@@ -39,6 +42,7 @@ from repro.core import (
     lambda_scheme,
     prune_to_minimal,
 )
+from repro.core.labels import LabelArray
 from repro.core.sequences import build_sequence_batch
 from repro.graphs import (
     Graph,
@@ -50,6 +54,7 @@ from repro.graphs import (
     path_graph,
     random_connected_graph,
 )
+from repro.graphs.coloring import square_coloring
 from repro.graphs.generators import FAMILIES
 
 EMPTY = frozenset()
@@ -234,6 +239,66 @@ class TestAgainstReference:
                     fast(graph, candidates, targets)
             else:
                 assert fast(graph, candidates, targets) == expected
+
+
+# --------------------------------------------------------------------------- #
+# label arrays are drop-in label dicts
+# --------------------------------------------------------------------------- #
+def reference_slot_labels(slots, period):
+    """The slotted schemes' labels as first written: ``bits(slot) ++
+    bits(period - 1)`` strings of ``bits_needed(period)`` bits each."""
+    width = bits_needed(period)
+    return {v: int_to_bits(slot, width) + int_to_bits(period - 1, width)
+            for v, slot in enumerate(slots)}
+
+
+def assert_behaves_as_dict(labels, expected):
+    """``labels`` reads as the dict ``expected`` keyed by nodes ``0..n-1``."""
+    n = len(expected)
+    assert isinstance(labels, LabelArray)
+    assert labels == expected and expected == labels
+    assert not labels != expected and not expected != labels
+    assert len(labels) == n and list(labels) == list(expected) == list(range(n))
+    assert list(labels.items()) == list(expected.items())
+    for key in (-1, n, 1.5, "0", True, *map(np.int64, range(n))):
+        assert (key in labels) == (key in expected), key
+        assert labels.get(key) == expected.get(key), key
+        if key in expected:
+            assert labels[key] == expected[key]
+        else:
+            with pytest.raises(KeyError):
+                labels[key]
+    assert labels.get(n, "x") == "x"
+
+
+class TestLabelArrayDropIn:
+    """Every labeler of one label width returns a label array: it must equal
+    the label strings its scheme was first written to assign, in both
+    directions, and read as their dict does."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(1, 40), seed=st.integers(0, 10_000),
+           density=st.sampled_from([0.0, 0.05, 0.15, 0.35]),
+           pick=st.integers(0, 10_000))
+    def test_labelers_equal_the_reference_strings(self, n, seed, density, pick):
+        graph = random_connected_graph(n, density, seed=seed)
+        source = pick % n
+        ref = reference_stages(graph, source)
+        assert_behaves_as_dict(lambda_scheme(graph, source).labels,
+                               reference_lambda(graph, ref))
+        assert_behaves_as_dict(lambda_ack_scheme(graph, source).labels,
+                               reference_lambda_ack(graph, ref, source))
+        arb = dict(reference_lambda_ack(graph, ref, source))
+        arb[source] = "111"
+        assert_behaves_as_dict(lambda_arb_scheme(graph, coordinator=source).labels, arb)
+        assert_behaves_as_dict(round_robin_labels(graph),
+                               reference_slot_labels(range(n), n))
+        colours = square_coloring(graph)
+        labels, num_colours = coloring_tdma_labels(graph)
+        assert num_colours == max(colours.values()) + 1
+        assert_behaves_as_dict(
+            labels, reference_slot_labels([colours[v] for v in range(n)], num_colours))
 
 
 # --------------------------------------------------------------------------- #
